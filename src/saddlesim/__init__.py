@@ -5,7 +5,7 @@ benchmark."""
 
 from . import convex_sets, dynamics, environment, metrics, offline, shepherd
 from .convex_sets import Ball, Box, ConvexSet, FullSpace, NonnegativeOrthant
-from .dynamics import ControllerConfig, ControllerState, TrajectoryLog, simulate
+from .dynamics import ControllerConfig, TrajectoryLog, simulate
 from .environment import Environment
 from .metrics import FitReport, RegretReport
 from .offline import OfflineSolution, TimeGrid
@@ -14,8 +14,8 @@ from .shepherd import ShepherdScenario, generate_sheep_paths, shepherd_env
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "Box", "ConvexSet", "ControllerConfig", "ControllerState",
-    "Environment", "FitReport", "FullSpace", "NonnegativeOrthant",
+    "Ball", "Box", "ConvexSet", "ControllerConfig", "Environment",
+    "FitReport", "FullSpace", "NonnegativeOrthant",
     "OfflineSolution", "RegretReport", "ShepherdScenario", "TimeGrid",
     "TrajectoryLog", "convex_sets", "dynamics", "environment",
     "generate_sheep_paths", "metrics", "offline", "shepherd", "shepherd_env",

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +218,7 @@ def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
         env = env.saturate(delta)
     cfg = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
     log = simulate(
-        env, cfg, T=T, X=scenario.action_set(), Lam=scenario.multiplier_set(),
-        sample_stride=stride, seed=scenario.seed,
+        env, cfg, T=T, X=scenario.action_set(), sample_stride=stride, seed=scenario.seed,
     )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,14 +285,9 @@ def cmd_simulate(args) -> int:
         if not horizons:
             raise UsageError("empty sweep list")
 
-        def run_for(T: float):
-            sc_T = shepherd.regenerate(scenario, T=T)
-            _simulate_one(sc_T, scenario_path, mode, epsilon, step, T, delta,
-                          objective, stride, Path(out) / f"T_{T:g}")
-
-        workers = min(len(horizons), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_for, horizons))
+        for T in horizons:
+            _simulate_one(shepherd.regenerate(scenario, T=T), scenario_path, mode, epsilon,
+                          step, T, delta, objective, stride, Path(out) / f"T_{T:g}")
     else:
         T = float(horizon) if horizon is not None else scenario.T
         _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,

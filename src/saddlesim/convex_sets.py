@@ -48,6 +48,7 @@ class ConvexSet:
     dim: int
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
+        """Nearest member of the set (unique minimizer of ||y - z||)."""
         raise NotImplementedError
 
     def distance(self, x: np.ndarray) -> float:
@@ -59,6 +60,11 @@ class ConvexSet:
         return self.distance(x) <= tol
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Tangent-cone projection of v at a member point x.
+
+        Equals v whenever x is interior; raises :class:`MembershipError` when
+        x lies outside the set beyond the membership tolerance.
+        """
         raise NotImplementedError
 
     def norm_bound(self) -> float:
@@ -249,20 +255,6 @@ class NonnegativeOrthant(ConvexSet):
 
     def to_config(self) -> dict:
         return {"kind": "orthant", "dim": self.dim}
-
-
-def project_point(cset: ConvexSet, z: np.ndarray) -> np.ndarray:
-    """Nearest member of the set (unique minimizer of ||y - z||)."""
-    return cset.project_point(z)
-
-
-def project_field(cset: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tangent-cone projection of v at a member point x.
-
-    Equals v whenever x is interior; raises :class:`MembershipError` when x
-    lies outside the set beyond the membership tolerance.
-    """
-    return cset.project_field(x, v)
 
 
 def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:

@@ -9,9 +9,8 @@ Three controller modes over a horizon [0, T]:
 
 Action fields are projected onto the tangent cone of the action set X, the
 multiplier field onto the tangent cone of the nonnegative orthant, so
-trajectories never leave their domains.  The default discretization is a
-projected Euler scheme: project the field, take the explicit step, re-project
-the point.  ``rk4_project`` is available for smooth interior dynamics.
+trajectories never leave their domains.  The discretization is projected
+Euler: project the field, take the explicit step, re-project the point.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 from .convex_sets import ConvexSet, NonnegativeOrthant
 from .environment import Environment
 
-SCHEMES = ("projected_euler", "rk4_project")
 MODES = ("gradient", "feasibility", "saddle")
 
 DIVERGENCE_LIMIT = 1e12
@@ -39,7 +37,6 @@ class DivergenceError(RuntimeError):
 class ControllerConfig:
     epsilon: float
     h: float = 1e-4
-    scheme: str = "projected_euler"
     mode: str = "saddle"
 
     def __post_init__(self):
@@ -47,20 +44,8 @@ class ControllerConfig:
             raise ValueError("controller gain epsilon must be positive")
         if self.h <= 0.0:
             raise ValueError("integrator step h must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    t: float
-    x: np.ndarray
-    lam: np.ndarray            # empty in gradient mode
-    fit_accum: np.ndarray      # running trapezoid integral of f, shape (m,)
-    cost_accum: float          # running trapezoid integral of f0
-    lambda_max: np.ndarray     # componentwise running max of lam
 
 
 @dataclass
@@ -101,214 +86,91 @@ class TrajectoryLog:
         return float(self.cost_accum[-1])
 
 
-def gradient_field(env: Environment, eps: float, t: float, x: np.ndarray, X: ConvexSet) -> np.ndarray:
-    """Projected objective-descent field Pi_X(x, -eps * g0(t, x))."""
-    _, g0, _, _ = env.eval_full(t, x)
-    return X.project_field(x, -eps * g0)
-
-
-def saddle_field(
-    env: Environment,
-    eps: float,
-    t: float,
-    x: np.ndarray,
-    lam: np.ndarray,
-    X: ConvexSet,
-    Lam: Optional[ConvexSet] = None,
-    feasibility_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Primal descent / dual ascent field pair.
-
-    ``xdot = Pi_X(x, -eps (g0 + G lam))`` and ``lamdot = Pi_Lam(lam, eps f)``;
-    with ``feasibility_only`` the objective term is dropped.
-    """
-    if Lam is None:
-        Lam = NonnegativeOrthant(env.m)
-    _, g0, f, G = env.eval_full(t, x)
-    drive = G @ lam if feasibility_only else g0 + G @ lam
-    xdot = X.project_field(x, -eps * drive)
-    lamdot = Lam.project_field(lam, eps * f)
-    return xdot, lamdot
-
-
-def _fields(env, cfg, X, Lam, t, x, lam, evals):
-    """State derivative from a cached full evaluation at (t, x)."""
-    _, g0, f, G = evals
-    eps = cfg.epsilon
-    if cfg.mode == "gradient":
-        xdot = X.project_field(x, -eps * g0)
-        lamdot = _EMPTY
-    else:
-        drive = G @ lam if cfg.mode == "feasibility" else g0 + G @ lam
-        xdot = X.project_field(x, -eps * drive)
-        lamdot = Lam.project_field(lam, eps * f)
-    return xdot, lamdot
-
-
-_EMPTY = np.zeros(0)
-
-
-def _advance(env, cfg, X, Lam, t, x, lam, evals):
-    """One step of the configured scheme from a cached evaluation.
-
-    Returns (x_new, lam_new, evals_new, field_norm) where evals_new is the
-    full evaluation at (t + h, x_new), reusable by the caller.
-    """
-    h = cfg.h
-    xdot, lamdot = _fields(env, cfg, X, Lam, t, x, lam, evals)
-    if cfg.scheme == "projected_euler":
-        x_new = X.project_point(x + h * xdot)
-        lam_new = Lam.project_point(lam + h * lamdot) if lam.size else lam
-    else:  # rk4_project: stage states are re-projected before evaluation
-        k1x, k1l = xdot, lamdot
-
-        def stage(dt, dx, dl):
-            xs = X.project_point(x + dt * dx)
-            ls = Lam.project_point(lam + dt * dl) if lam.size else lam
-            ev = env.eval_full(t + dt, xs)
-            return _fields(env, cfg, X, Lam, t + dt, xs, ls, ev)
-
-        k2x, k2l = stage(0.5 * h, k1x, k1l)
-        k3x, k3l = stage(0.5 * h, k2x, k2l)
-        k4x, k4l = stage(h, k3x, k3l)
-        x_new = X.project_point(x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x))
-        if lam.size:
-            lam_new = Lam.project_point(lam + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l))
-        else:
-            lam_new = lam
-
-    if np.abs(x_new).max() > DIVERGENCE_LIMIT or (lam_new.size and np.abs(lam_new).max() > DIVERGENCE_LIMIT):
-        raise DivergenceError(
-            f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t + h:.6g}; "
-            "reduce the step h or the epsilon*h product"
-        )
-    evals_new = env.eval_full(t + h, x_new)
-    field_norm = math.sqrt(float(xdot @ xdot))
-    if lamdot.size:
-        field_norm = max(field_norm, math.sqrt(float(lamdot @ lamdot)))
-    return x_new, lam_new, evals_new, field_norm
-
-
-def step(
-    state: ControllerState,
-    env: Environment,
-    config: ControllerConfig,
-    X: ConvexSet,
-    Lam: Optional[ConvexSet] = None,
-) -> ControllerState:
-    """Advance the controller state by one step h with trapezoid accumulation."""
-    if Lam is None:
-        Lam = NonnegativeOrthant(env.m)
-    evals = env.eval_full(state.t, state.x)
-    x_new, lam_new, evals_new, _ = _advance(env, config, X, Lam, state.t, state.x, state.lam, evals)
-    f0_old, _, f_old, _ = evals
-    f0_new, _, f_new, _ = evals_new
-    half_h = 0.5 * config.h
-    fit = state.fit_accum + half_h * (f_old + f_new)
-    cost = state.cost_accum + half_h * (f0_old + f0_new)
-    lam_max = np.maximum(state.lambda_max, lam_new) if lam_new.size else state.lambda_max
-    return ControllerState(
-        t=state.t + config.h,
-        x=x_new,
-        lam=lam_new,
-        fit_accum=fit,
-        cost_accum=cost,
-        lambda_max=lam_max,
-    )
-
-
-def initial_state(env: Environment, config: ControllerConfig, X: ConvexSet,
-                  x0: Optional[np.ndarray] = None, lambda0: Optional[np.ndarray] = None) -> ControllerState:
-    """Cold-start state: origin projected onto X, multipliers at zero."""
-    x = X.project_point(np.zeros(X.dim)) if x0 is None else X.project_point(np.asarray(x0, dtype=float))
-    if config.mode == "gradient":
-        lam = _EMPTY
-    else:
-        lam = np.zeros(env.m) if lambda0 is None else np.asarray(lambda0, dtype=float)
-        if np.any(lam < 0.0):
-            raise ValueError("initial multipliers must be nonnegative")
-    return ControllerState(
-        t=0.0,
-        x=x,
-        lam=lam,
-        fit_accum=np.zeros(env.m),
-        cost_accum=0.0,
-        lambda_max=lam.copy(),
-    )
-
-
 def simulate(
     env: Environment,
     config: ControllerConfig,
     T: float,
     X: ConvexSet,
-    Lam: Optional[ConvexSet] = None,
     x0: Optional[np.ndarray] = None,
-    lambda0: Optional[np.ndarray] = None,
     sample_stride: int = 10,
     seed: Optional[int] = None,
 ) -> TrajectoryLog:
     """Run the configured controller over [0, T] and log the trajectory.
 
+    The action starts at ``x0`` (default: the origin) projected onto X, the
+    multipliers at zero in the nonnegative orthant.  Each step evaluates the
+    environment once and advances by projected Euler:
+    ``xdot = Pi_X(x, -eps (g0 + G lam))`` (``-eps g0`` in gradient mode,
+    ``-eps G lam`` in feasibility mode) and ``lamdot = Pi_Lam(lam, eps f)``.
+
     The number of steps is ``round(T / h)`` and the effective step is adjusted
-    to land exactly on T.  Accumulators (fit, cost) advance every step; the
-    stored series keeps every ``sample_stride``-th state plus the endpoint.
+    to land exactly on T.  Accumulators (fit, cost) advance every step by the
+    trapezoid rule; the stored series keeps every ``sample_stride``-th state
+    plus the endpoint.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    if Lam is None:
-        Lam = NonnegativeOrthant(env.m)
+    m = env.m
+    Lam = NonnegativeOrthant(m)
     n_steps = max(1, int(round(T / config.h)))
     h_eff = T / n_steps
     cfg = replace(config, h=h_eff)
+    eps = cfg.epsilon
+    mode = cfg.mode
 
-    state_x = X.project_point(np.zeros(X.dim)) if x0 is None else X.project_point(np.asarray(x0, dtype=float))
-    if cfg.mode == "gradient":
-        lam = _EMPTY
-    else:
-        lam = np.zeros(env.m) if lambda0 is None else np.asarray(lambda0, dtype=float).copy()
-        if np.any(lam < 0.0):
-            raise ValueError("initial multipliers must be nonnegative")
-
-    m = env.m
-    ts, xs, lams, fs, f0s, fits, costs = [], [], [], [], [], [], []
+    x = X.project_point(np.zeros(X.dim) if x0 is None else np.asarray(x0, dtype=float))
+    lam = np.zeros(0 if mode == "gradient" else m)
+    lamdot = lam  # gradient mode carries no multipliers: lam and lamdot stay empty
     fit = np.zeros(m)
     cost = 0.0
     lam_max = lam.copy()
     max_field = 0.0
+    f0, g0, f, G = env.eval_full(0.0, x)
 
-    evals = env.eval_full(0.0, state_x)
+    ts, xs, lams, fs, f0s, fits, costs = [], [], [], [], [], [], []
 
-    def record(t, x, lam, evals, fit, cost):
+    def record(t, x, lam, f0, f, fit, cost):
         ts.append(t)
         xs.append(x.copy())
         lams.append(lam.copy())
-        f0_v, _, f_v, _ = evals
-        fs.append(f_v.copy())
-        f0s.append(f0_v)
+        fs.append(f.copy())
+        f0s.append(f0)
         fits.append(fit.copy())
         costs.append(cost)
 
-    record(0.0, state_x, lam, evals, fit, cost)
+    record(0.0, x, lam, f0, f, fit, cost)
     half_h = 0.5 * h_eff
-    x = state_x
     for k in range(n_steps):
         t = k * h_eff
-        x_new, lam_new, evals_new, field_norm = _advance(env, cfg, X, Lam, t, x, lam, evals)
-        f0_old, _, f_old, _ = evals
-        f0_new, _, f_new, _ = evals_new
+        if mode == "gradient":
+            xdot = X.project_field(x, -eps * g0)
+        else:
+            drive = G @ lam if mode == "feasibility" else g0 + G @ lam
+            xdot = X.project_field(x, -eps * drive)
+            lamdot = Lam.project_field(lam, eps * f)
+        x_new = X.project_point(x + h_eff * xdot)
+        lam_new = Lam.project_point(lam + h_eff * lamdot) if lam.size else lam
+        if np.abs(x_new).max() > DIVERGENCE_LIMIT or (lam_new.size and np.abs(lam_new).max() > DIVERGENCE_LIMIT):
+            raise DivergenceError(
+                f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t + h_eff:.6g}; "
+                "reduce the step h or the epsilon*h product"
+            )
+        f0_new, g0, f_new, G = env.eval_full(t + h_eff, x_new)
+        field_norm = math.sqrt(float(xdot @ xdot))
+        if lamdot.size:
+            field_norm = max(field_norm, math.sqrt(float(lamdot @ lamdot)))
         if m:
-            fit = fit + half_h * (f_old + f_new)
-        cost = cost + half_h * (f0_old + f0_new)
+            fit = fit + half_h * (f + f_new)
+        cost = cost + half_h * (f0 + f0_new)
         if lam_new.size:
             np.maximum(lam_max, lam_new, out=lam_max)
         if field_norm > max_field:
             max_field = field_norm
-        x, lam, evals = x_new, lam_new, evals_new
+        x, lam, f0, f = x_new, lam_new, f0_new, f_new
         if (k + 1) % sample_stride == 0 or k + 1 == n_steps:
-            record((k + 1) * h_eff, x, lam, evals, fit, cost)
+            record((k + 1) * h_eff, x, lam, f0, f, fit, cost)
 
     return TrajectoryLog(
         t=np.array(ts),

@@ -84,34 +84,30 @@ class Environment:
         if delta <= 0.0:
             raise ValueError("saturation level delta must be positive")
         delta = float(delta)
-        base = self.evaluate
+        base, batch_con, batch_full = self.evaluate, self.batch_constraints, self.batch_evaluate
+
+        def floor(f):
+            return np.maximum(f, -delta)
+
+        def clip(f0, g0, f, G):
+            # f and G may carry a leading node axis: (m,) with (n, m), or
+            # (K, m) with (K, n, m).
+            return f0, g0, floor(f), np.where(f[..., None, :] >= -delta, G, 0.0)
 
         def saturated(t: float, x: np.ndarray):
-            f0, g0, f, G = base(t, x)
-            f_sat = np.maximum(f, -delta)
-            G_sat = np.where(f >= -delta, G, 0.0)
-            return f0, g0, f_sat, G_sat
+            return clip(*base(t, x))
 
-        batch_con = self.batch_constraints
-        sat_batch_con = None
-        if batch_con is not None:
-            def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
-                return np.maximum(batch_con(ts, x), -delta)
+        def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return floor(batch_con(ts, x))
 
-        batch_full = self.batch_evaluate
-        sat_batch_full = None
-        if batch_full is not None:
-            def sat_batch_full(ts: np.ndarray, x: np.ndarray):
-                f0s, g0s, fs, Gs = batch_full(ts, x)
-                fs_sat = np.maximum(fs, -delta)
-                Gs_sat = np.where(fs[:, None, :] >= -delta, Gs, 0.0)
-                return f0s, g0s, fs_sat, Gs_sat
+        def sat_batch_full(ts: np.ndarray, x: np.ndarray):
+            return clip(*batch_full(ts, x))
 
         return replace(
             self,
             evaluate=saturated,
-            batch_constraints=sat_batch_con,
-            batch_evaluate=sat_batch_full,
+            batch_constraints=None if batch_con is None else sat_batch_con,
+            batch_evaluate=None if batch_full is None else sat_batch_full,
         )
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .convex_sets import Box, ConvexSet, NonnegativeOrthant
+from .convex_sets import Box
 from .environment import Environment
 from .offline import TimeGrid, ViabilityResult, check_viability
 
@@ -208,9 +208,6 @@ class ShepherdScenario:
         hw = np.full(self.action_dim, self.action_half)
         return Box(-hw, hw)
 
-    def multiplier_set(self) -> NonnegativeOrthant:
-        return NonnegativeOrthant(self.m)
-
     def offline_grid(self) -> TimeGrid:
         return TimeGrid(T=self.T, num_steps=self.noise_cells)
 
@@ -247,18 +244,6 @@ def sheep_positions(scenario: ShepherdScenario, ts: np.ndarray) -> np.ndarray:
         cells = _noise_cells(scenario.T, scenario.noise_cells, ts)
         poly = poly + scenario.noise[:, :, cells].transpose(2, 0, 1)
     return poly
-
-
-def sheep_position(scenario: ShepherdScenario, i: int, t: float) -> np.ndarray:
-    """Position of sheep i at time t (basis reconstruction plus held noise)."""
-    return sheep_positions(scenario, np.array([t]))[0, i]
-
-
-def shepherd_position(scenario: ShepherdScenario, x: np.ndarray, t: float) -> np.ndarray:
-    """Shepherd position encoded by action x at time t."""
-    p, _, _ = basis_eval(scenario.basis, scenario.n, t, scenario.T)
-    c = decode_coeffs(x, scenario.n)
-    return c @ p
 
 
 OBJECTIVES = ("none", "black_sheep", "min_acceleration")
@@ -529,6 +514,10 @@ _SCENARIO_KEYS = {
     "viability_residual", "viability_iterations", "kkt_condition",
     "generator_version",
 }
+# Fields that feed the environment or the action set and so must be finite
+# (viability_residual may be infinite).
+_FINITE_FIELDS = ("T", "radii", "noise_std", "sheep_coeffs", "noise", "waypoints",
+                  "offsets", "action_half", "xdagger")
 
 
 def scenario_to_dict(s: ShepherdScenario) -> dict:
@@ -550,7 +539,7 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
         raise ValueError(f"unsupported scenario version {d.get('version')!r}")
     if d.get("kind") != "shepherd":
         raise ValueError(f"unsupported scenario kind {d.get('kind')!r}")
-    return ShepherdScenario(
+    scenario = ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=np.asarray(d["radii"], dtype=float), L=int(d["L"]),
         offset_box=float(d["offset_box"]), noise_std=float(d["noise_std"]),
@@ -565,6 +554,10 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
         viability_iterations=int(d["viability_iterations"]),
         kkt_condition=float(d["kkt_condition"]),
     )
+    for name in _FINITE_FIELDS:
+        if not np.all(np.isfinite(getattr(scenario, name))):
+            raise ValueError(f"scenario field {name!r} has non-finite values")
+    return scenario
 
 
 def save_scenario(s: ShepherdScenario, path) -> None:

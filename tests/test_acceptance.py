@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from saddlesim import cli, metrics, shepherd
-from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant, project_field, project_point, projection_gap
+from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant, projection_gap
 from saddlesim.dynamics import ControllerConfig, simulate
 from saddlesim.environment import finite_diff_check
 from saddlesim.offline import OfflineSolution, TimeGrid, estimate_K, solve_offline
@@ -63,11 +63,11 @@ def test_c02_projection_oracles():
     worst_pt = 0.0
     for _ in range(50):
         z = rng.uniform(-1.0, 2.0, size=2)
-        p = project_point(box, z)
+        p = box.project_point(z)
         best = box_grid[np.argmin(np.einsum("ij,ij->i", box_grid - z, box_grid - z))]
         worst_pt = max(worst_pt, float(np.linalg.norm(p - best)))
         z = rng.uniform(-2.0, 2.0, size=2)
-        p = project_point(ball, z)
+        p = ball.project_point(z)
         best = ball_grid[np.argmin(np.einsum("ij,ij->i", ball_grid - z, ball_grid - z))]
         worst_pt = max(worst_pt, float(np.linalg.norm(p - best)))
     delta = 1e-6
@@ -76,9 +76,9 @@ def test_c02_projection_oracles():
         cset = random_set(rng)
         x = point_in_set(rng, cset, boundary=bool(rng.random() < 0.5))
         v = rng.standard_normal(cset.dim) * 2.0
-        quotient = (project_point(cset, x + delta * v) - x) / delta
+        quotient = (cset.project_point(x + delta * v) - x) / delta
         worst_field = max(worst_field, float(np.linalg.norm(
-            project_field(cset, x, v) - quotient)))
+            cset.project_field(x, v) - quotient)))
     elapsed = time.perf_counter() - t0
     report("C02 projection oracles",
            worst_pt <= 1e-2 and worst_field <= 1e-4 and elapsed < 5.0,
@@ -161,8 +161,7 @@ def feasibility_suite():
             for eps in FEAS_GAINS:
                 cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
                 runs[(seed, T, eps)] = simulate(
-                    env, cfg, T=T, X=sc.action_set(), Lam=sc.multiplier_set(),
-                    sample_stride=10)
+                    env, cfg, T=T, X=sc.action_set(), sample_stride=10)
     return {"scenarios": scenarios, "runs": runs, "elapsed": time.perf_counter() - t0}
 
 
@@ -237,8 +236,7 @@ def _objective_suite(objective, n, n_sheep, h):
                             viability=shepherd.viability_certificate(sc),
                             max_iter=1500)
         cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
-        log = simulate(env_run, cfg, T=T, X=sc.action_set(),
-                       Lam=sc.multiplier_set(), sample_stride=20)
+        log = simulate(env_run, cfg, T=T, X=sc.action_set(), sample_stride=20)
         runs[T] = (sc, log, sol)
     return runs
 
@@ -307,8 +305,7 @@ def saturated_feasibility_suite(feasibility_suite):
         for eps in FEAS_GAINS:
             cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
             runs[(seed, T, eps)] = simulate(
-                env, cfg, T=T, X=sc.action_set(), Lam=sc.multiplier_set(),
-                sample_stride=10)
+                env, cfg, T=T, X=sc.action_set(), sample_stride=10)
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 
 
@@ -327,8 +324,7 @@ def saturated_objective_suites():
                                 viability=shepherd.viability_certificate(sc),
                                 max_iter=1500)
             cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
-            log = simulate(env_run, cfg, T=T, X=sc.action_set(),
-                           Lam=sc.multiplier_set(), sample_stride=20)
+            log = simulate(env_run, cfg, T=T, X=sc.action_set(), sample_stride=20)
             runs[T] = (sc, log, sol)
         out[name] = runs
     return {"suites": out, "elapsed": time.perf_counter() - t0}
@@ -380,8 +376,7 @@ def test_c10_gain_scaled_with_horizon(black_sheep_suite):
             sc = shepherd.generate_sheep_paths(seed=1, T=T)
             env = shepherd.shepherd_env(sc, "black_sheep", noise="frozen")
             cfg = ControllerConfig(epsilon=eps, h=h, mode="saddle")
-            log = simulate(env, cfg, T=T, X=sc.action_set(),
-                           Lam=sc.multiplier_set(), sample_stride=20)
+            log = simulate(env, cfg, T=T, X=sc.action_set(), sample_stride=20)
         maxfits[T] = float(log.final_fit.max())
         slacks[T] = metrics.slack(abs(maxfits.get(1.0, maxfits[T])), log.h_eff, T,
                                   log.max_field_norm)
@@ -469,8 +464,7 @@ def test_c13_discretization_and_determinism(feasibility_suite, black_sheep_suite
             fits[h] = feasibility_suite["runs"][(1, 1.0, 50.0)].final_fit
         else:
             cfg = ControllerConfig(epsilon=50.0, h=h, mode="feasibility")
-            fits[h] = simulate(env, cfg, T=1.0, X=sc.action_set(),
-                               Lam=sc.multiplier_set(), sample_stride=20).final_fit
+            fits[h] = simulate(env, cfg, T=1.0, X=sc.action_set(), sample_stride=20).final_fit
     d1 = float(np.max(np.abs(fits[1e-4] - fits[5e-5])))
     d2 = float(np.max(np.abs(fits[5e-5] - fits[2.5e-5])))
     fit_ok = d1 <= 2.0 * (2.0 * d2) + 1e-9
@@ -482,8 +476,7 @@ def test_c13_discretization_and_determinism(feasibility_suite, black_sheep_suite
     regs = {1e-4: metrics.regret(log_bs, sol).regret}
     for h in (5e-5, 2.5e-5):
         cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
-        log_h = simulate(env_bs, cfg, T=1.0, X=sc_bs.action_set(),
-                         Lam=sc_bs.multiplier_set(), sample_stride=20)
+        log_h = simulate(env_bs, cfg, T=1.0, X=sc_bs.action_set(), sample_stride=20)
         regs[h] = metrics.regret(log_h, sol).regret
     r1 = abs(regs[1e-4] - regs[5e-5])
     r2 = abs(regs[5e-5] - regs[2.5e-5])

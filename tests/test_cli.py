@@ -96,6 +96,44 @@ def test_sweep_creates_per_horizon_dirs(scenario_file, tmp_path):
     assert (out / "T_0.5" / "trajectory.csv").exists()
 
 
+def test_sweep_matches_single_runs(scenario_file, tmp_path):
+    out = tmp_path / "sweep"
+    args = ("--mode", "feasibility", "--epsilon", 5, "--step", 2e-3)
+    assert run_cli("simulate", "--scenario", scenario_file, *args,
+                   "--sweep", "0.25,0.5", "--out", out) == 0
+    for T in ("0.25", "0.5"):
+        scn = tmp_path / f"scenario_{T}.json"
+        assert run_cli("generate", "--seed", 1, "--n", 12, "--n-sheep", 12,
+                       "--noise-cells", 200, "--horizon", T, "--out", scn) == 0
+        single = tmp_path / f"single_{T}"
+        assert run_cli("simulate", "--scenario", scn, *args, "--out", single) == 0
+        assert ((out / f"T_{T}" / "trajectory.csv").read_bytes()
+                == (single / "trajectory.csv").read_bytes())
+
+
+@pytest.mark.parametrize("key, index", [
+    ("noise", (0, 0, 0)), ("radii", (1,)), ("sheep_coeffs", (0, 1, 2)),
+    ("waypoints", (0, 1)), ("offsets", (1, 0, 0)), ("xdagger", (3,)),
+    ("T", ()), ("noise_std", ()), ("action_half", ()),
+])
+def test_simulate_rejects_nonfinite_scenario(scenario_file, tmp_path, capsys, key, index):
+    data = json.loads(Path(scenario_file).read_text())
+    if index:
+        cell = data[key]
+        for i in index[:-1]:
+            cell = cell[i]
+        cell[index[-1]] = float("nan")
+    else:
+        data[key] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run_cli("simulate", "--scenario", bad, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "o")
+    assert code == cli.EXIT_USAGE
+    assert f"scenario field '{key}' has non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_offline_and_regret_flow(scenario_file, tmp_path):
     off = tmp_path / "offline.json"
     code = run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",

@@ -10,8 +10,6 @@ from saddlesim.convex_sets import (
     MembershipError,
     NonnegativeOrthant,
     from_config,
-    project_field,
-    project_point,
     projection_gap,
 )
 
@@ -20,12 +18,12 @@ from helpers import point_in_set, random_set
 
 def test_box_point_projection_clamps():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(project_point(box, np.array([1.5, 0.5])), [1.0, 0.5])
+    assert np.allclose(box.project_point(np.array([1.5, 0.5])), [1.0, 0.5])
 
 
 def test_ball_point_projection_radial():
     ball = Ball([0.0, 0.0], 1.0)
-    assert np.allclose(project_point(ball, np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(ball.project_point(np.array([2.0, 0.0])), [1.0, 0.0])
 
 
 def test_box_projection_matches_grid_argmin(rng):
@@ -35,16 +33,16 @@ def test_box_projection_matches_grid_argmin(rng):
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     for _ in range(30):
         z = rng.uniform(-1.0, 2.0, size=2)
-        p = project_point(box, z)
+        p = box.project_point(z)
         best = grid[np.argmin(np.einsum("ij,ij->i", grid - z, grid - z))]
         assert np.linalg.norm(p - best) <= 1e-2
 
 
 def test_field_projection_box_lower_bound():
     box = Box([0.0], [1.0])
-    assert project_field(box, np.array([0.0]), np.array([-1.0]))[0] == 0.0
+    assert box.project_field(np.array([0.0]), np.array([-1.0]))[0] == 0.0
     # inward component untouched
-    assert project_field(box, np.array([0.0]), np.array([1.0]))[0] == 1.0
+    assert box.project_field(np.array([0.0]), np.array([1.0]))[0] == 1.0
 
 
 def test_field_projection_interior_identity(rng):
@@ -52,16 +50,16 @@ def test_field_projection_interior_identity(rng):
         cset = random_set(rng)
         x = point_in_set(rng, cset, boundary=False)
         v = rng.standard_normal(cset.dim) * 3.0
-        assert np.allclose(project_field(cset, x, v), v)
+        assert np.allclose(cset.project_field(x, v), v)
 
 
 def test_ball_boundary_field_matches_limit_quotient():
     ball = Ball([0.0, 0.0], 1.0)
     x = np.array([1.0, 0.0])
     v = np.array([1.0, 1.0])
-    out = project_field(ball, x, v)
+    out = ball.project_field(x, v)
     delta = 1e-6
-    quotient = (project_point(ball, x + delta * v) - x) / delta
+    quotient = (ball.project_point(x + delta * v) - x) / delta
     assert np.allclose(out, [0.0, 1.0], atol=1e-9)
     assert np.linalg.norm(out - quotient) <= 1e-4
 
@@ -72,8 +70,8 @@ def test_field_projection_limit_quotient_sweep(rng):
         cset = random_set(rng)
         x = point_in_set(rng, cset, boundary=bool(rng.random() < 0.5))
         v = rng.standard_normal(cset.dim) * 2.0
-        out = project_field(cset, x, v)
-        quotient = (project_point(cset, x + delta * v) - x) / delta
+        out = cset.project_field(x, v)
+        quotient = (cset.project_point(x + delta * v) - x) / delta
         assert np.linalg.norm(out - quotient) <= 1e-3
 
 
@@ -105,8 +103,8 @@ def test_point_projection_idempotent(rng):
     for _ in range(200):
         cset = random_set(rng)
         z = rng.standard_normal(cset.dim) * 4.0
-        p = project_point(cset, z)
-        assert np.linalg.norm(project_point(cset, p) - p) <= 1e-12
+        p = cset.project_point(z)
+        assert np.linalg.norm(cset.project_point(p) - p) <= 1e-12
 
 
 def test_point_projection_nonexpansive(rng):
@@ -114,7 +112,7 @@ def test_point_projection_nonexpansive(rng):
         cset = random_set(rng)
         z1 = rng.standard_normal(cset.dim) * 4.0
         z2 = rng.standard_normal(cset.dim) * 4.0
-        lhs = np.linalg.norm(project_point(cset, z1) - project_point(cset, z2))
+        lhs = np.linalg.norm(cset.project_point(z1) - cset.project_point(z2))
         assert lhs <= np.linalg.norm(z1 - z2) + 1e-12
 
 
@@ -128,7 +126,7 @@ def test_field_projection_lands_in_tangent_cone(rng):
         x = point_in_set(rng, cset, boundary=bool(rng.random() < 0.6))
         v = rng.standard_normal(cset.dim)
         v /= max(np.linalg.norm(v), 1e-12)
-        out = project_field(cset, x, v)
+        out = cset.project_field(x, v)
         if isinstance(cset, Ball):
             # stable closed form of dist(x + delta*out, ball)
             step = delta * np.linalg.norm(out)
@@ -145,7 +143,7 @@ def test_field_projection_lands_in_tangent_cone(rng):
 def test_membership_error_outside(rng):
     box = Box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(MembershipError):
-        project_field(box, np.array([1.5, 0.5]), np.array([1.0, 0.0]))
+        box.project_field(np.array([1.5, 0.5]), np.array([1.0, 0.0]))
     ball = Ball([0.0, 0.0], 1.0)
     with pytest.raises(MembershipError):
         projection_gap(ball, np.array([2.0, 0.0]), np.array([0.0, 0.0]), np.array([1.0, 0.0]))
@@ -156,9 +154,9 @@ def test_box_field_nan_coordinate_raises():
     v = np.array([1.0, -1.0])
     for x in ([np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan], [0.0, np.nan]):
         with pytest.raises(MembershipError):
-            project_field(box, np.array(x), v)
+            box.project_field(np.array(x), v)
     with pytest.raises(MembershipError):
-        project_field(NonnegativeOrthant(2), np.array([1.0, np.nan]), v)
+        NonnegativeOrthant(2).project_field(np.array([1.0, np.nan]), v)
 
 
 def test_field_just_outside_tolerance_raises():
@@ -170,33 +168,33 @@ def test_field_just_outside_tolerance_raises():
             x = 0.5 * (box.lower + box.upper)
             x[i] = face[i] + sign * 2.0 * MEMBERSHIP_TOL
             with pytest.raises(MembershipError):
-                project_field(box, x, np.ones(2))
+                box.project_field(x, np.ones(2))
             x[i] = face[i] + sign * 0.5 * MEMBERSHIP_TOL
-            out = project_field(box, x, sign * np.ones(2))
+            out = box.project_field(x, sign * np.ones(2))
             assert out[i] == 0.0 and out[1 - i] == sign
     orth = NonnegativeOrthant(2)
     with pytest.raises(MembershipError):
-        project_field(orth, np.array([1.0, -2.0 * MEMBERSHIP_TOL]), np.ones(2))
+        orth.project_field(np.array([1.0, -2.0 * MEMBERSHIP_TOL]), np.ones(2))
     assert np.array_equal(
-        project_field(orth, np.array([1.0, -0.5 * MEMBERSHIP_TOL]), -np.ones(2)), [-1.0, 0.0])
+        orth.project_field(np.array([1.0, -0.5 * MEMBERSHIP_TOL]), -np.ones(2)), [-1.0, 0.0])
 
 
 def test_interior_field_checks_dimension_and_copies():
     for cset, x in ((Box([0.0, 0.0], [1.0, 1.0]), np.array([0.5, 0.5])),
                     (NonnegativeOrthant(2), np.array([1.0, 1.0]))):
         with pytest.raises(DimensionError):
-            project_field(cset, x, np.ones(3))
+            cset.project_field(x, np.ones(3))
         with pytest.raises(DimensionError):
-            project_field(cset, np.ones(3), np.ones(2))
+            cset.project_field(np.ones(3), np.ones(2))
         v = np.array([1.0, -1.0])
-        out = project_field(cset, x, v)
+        out = cset.project_field(x, v)
         assert np.array_equal(out, v) and out is not v
 
 
 def test_dimension_errors():
     box = Box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DimensionError):
-        project_point(box, np.array([1.0, 2.0, 3.0]))
+        box.project_point(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
@@ -230,4 +228,4 @@ def test_orthant_field_rule():
     orth = NonnegativeOrthant(3)
     x = np.array([0.0, 1.0, 0.0])
     v = np.array([-2.0, -2.0, 3.0])
-    assert np.allclose(project_field(orth, x, v), [0.0, -2.0, 3.0])
+    assert np.allclose(orth.project_field(x, v), [0.0, -2.0, 3.0])

@@ -107,8 +107,8 @@ def test_qp_objective_matches_acceleration_quadrature(benchmark_scenario):
 
 
 def test_sheep_position_deterministic(benchmark_scenario):
-    a = shepherd.sheep_position(benchmark_scenario, 2, 0.437)
-    b = shepherd.sheep_position(benchmark_scenario, 2, 0.437)
+    a = shepherd.sheep_positions(benchmark_scenario, [0.437])[0, 2]
+    b = shepherd.sheep_positions(benchmark_scenario, [0.437])[0, 2]
     assert np.array_equal(a, b)
 
 
@@ -125,8 +125,8 @@ def test_noise_sample_and_hold(benchmark_scenario):
     cell_width = sc.T / sc.noise_cells
     for frac in (0.1, 0.9):
         t = (13 + frac) * cell_width
-        noisy = shepherd.sheep_position(sc, 0, t)
-        poly = shepherd.sheep_position(smooth, 0, t)
+        noisy = shepherd.sheep_positions(sc, [t])[0, 0]
+        poly = shepherd.sheep_positions(smooth, [t])[0, 0]
         assert np.allclose(noisy - poly, sc.noise[0, :, 13])
 
 
