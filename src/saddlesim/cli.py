@@ -258,6 +258,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("a scenario file is required (--scenario or config)")
     if out is None:
         raise UsageError("an output directory is required (--out or config)")
+    if sweep and offline_path is not None:
+        raise UsageError("--sweep and --offline cannot be combined: an offline solution "
+                         "belongs to one horizon")
 
     scenario_path = None
     if isinstance(scenario_src, str):

@@ -27,6 +27,9 @@ from .environment import Environment
 MODES = ("gradient", "feasibility", "saddle")
 
 DIVERGENCE_LIMIT = 1e12
+# Steps per block of environment time tables: big enough to amortise building
+# them, small enough that memory does not grow with the horizon.
+GRID_BLOCK = 512
 
 
 class DivergenceError(RuntimeError):
@@ -144,6 +147,10 @@ def simulate(
     half_h = 0.5 * h_eff
     for k in range(n_steps):
         t = k * h_eff
+        j = k % GRID_BLOCK
+        if j == 0:
+            # Nodes t + h_eff of the next block, as the same floats.
+            at = env.grid_evaluator(np.arange(k, min(k + GRID_BLOCK, n_steps)) * h_eff + h_eff)
         if mode == "gradient":
             xdot = X.project_field(x, -eps * g0)
         else:
@@ -157,7 +164,7 @@ def simulate(
                 f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t + h_eff:.6g}; "
                 "reduce the step h or the epsilon*h product"
             )
-        f0_new, g0, f_new, G = env.eval_full(t + h_eff, x_new)
+        f0_new, g0, f_new, G = at(j, x_new)
         field_norm = math.sqrt(float(xdot @ xdot))
         if lamdot.size:
             field_norm = max(field_norm, math.sqrt(float(lamdot @ lamdot)))

@@ -12,6 +12,14 @@ Environments are closures over immutable scenario data; evaluation is pure,
 deterministic, and thread-safe.  Every constraint and the objective must be
 convex in ``x`` and integrable in ``t`` (sample-and-hold discontinuities are
 fine, the integrator step resolves them).
+
+Grid protocol.  A caller that visits known nodes (the integrator's steps, the
+offline grid) asks :meth:`Environment.grid_evaluator` for ``at(k, x)``, the
+checked evaluation at ``(ts[k], x)``.  The environment owns the time tables:
+its optional ``on_grid(ts)`` builds what depends on ``t`` alone once for all
+nodes and returns an evaluator that does only the x-dependent algebra.  The
+caller owns the nodes and how many it asks for at once.  Without ``on_grid``,
+``evaluate(ts[k], x)`` is called per node; ``eval_full`` is the one-node case.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Optional vectorized full evaluator:
 # (ts (K,), x (n,)) -> (f0 (K,), g0 (K, n), f (K, m), G (K, n, m)).
 BatchEval = Callable[[np.ndarray, np.ndarray], tuple]
+# Optional time tables: ts (K,) -> at(k, x), the full evaluation at (ts[k], x).
+OnGrid = Callable[[np.ndarray], Callable[[int, np.ndarray], tuple]]
 
 
 class EvaluatorError(RuntimeError):
@@ -42,6 +52,7 @@ class Environment:
     has_objective: bool = True
     batch_constraints: Optional[BatchConstraints] = field(default=None, repr=False)
     batch_evaluate: Optional[BatchEval] = field(default=None, repr=False)
+    on_grid: Optional[OnGrid] = field(default=None, repr=False)
 
     def eval(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and constraint values at (t, x)."""
@@ -54,24 +65,36 @@ class Environment:
         return g0, G
 
     def eval_full(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected action of shape ({self.n},), got {x.shape}")
-        f0, g0, f, G = self.evaluate(float(t), x)
-        # One-pass finiteness guard: any nan/inf poisons the total (inf - inf
-        # gives nan), so a single scalar check covers all four outputs.  An
-        # empty f or G (m == 0) adds nothing to the total, so its sum is
-        # skipped.
-        total = f0 + g0.sum()
-        if f.size:
-            total += f.sum()
-        if G.size:
-            total += G.sum()
-        if not math.isfinite(total):
-            if np.isfinite(f0) and np.all(np.isfinite(g0)) and np.all(np.isfinite(f)) and np.all(np.isfinite(G)):
-                return float(f0), g0, f, G  # benign overflow of the probe sum
-            raise EvaluatorError(f"non-finite evaluator output at t={t!r}, x={x!r}")
-        return float(f0), g0, f, G
+        return self.grid_evaluator([t])(0, x)
+
+    def grid_evaluator(self, ts: np.ndarray) -> Callable[[int, np.ndarray], tuple]:
+        """Evaluator over the nodes ``ts``: ``at(k, x)`` is the checked evaluation at (ts[k], x)."""
+        ts = np.asarray(ts, dtype=float)
+        tl = ts.tolist()
+        raw = self.on_grid(ts) if self.on_grid is not None else lambda k, x: self.evaluate(tl[k], x)
+        n = self.n
+
+        def at(k: int, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+            x = np.asarray(x, dtype=float)
+            if x.shape != (n,):
+                raise ValueError(f"expected action of shape ({n},), got {x.shape}")
+            f0, g0, f, G = raw(k, x)
+            # One-pass finiteness guard: any nan/inf poisons the total (inf - inf
+            # gives nan), so a single scalar check covers all four outputs.  An
+            # empty f or G (m == 0) adds nothing to the total, so its sum is
+            # skipped.
+            total = f0 + g0.sum()
+            if f.size:
+                total += f.sum()
+            if G.size:
+                total += G.sum()
+            if not math.isfinite(total):
+                if np.isfinite(f0) and np.all(np.isfinite(g0)) and np.all(np.isfinite(f)) and np.all(np.isfinite(G)):
+                    return float(f0), g0, f, G  # benign overflow of the probe sum
+                raise EvaluatorError(f"non-finite evaluator output at t={tl[k]!r}, x={x!r}")
+            return float(f0), g0, f, G
+
+        return at
 
     def saturate(self, delta: float) -> "Environment":
         """Environment with constraints floored at -delta.
@@ -84,7 +107,8 @@ class Environment:
         if delta <= 0.0:
             raise ValueError("saturation level delta must be positive")
         delta = float(delta)
-        base, batch_con, batch_full = self.evaluate, self.batch_constraints, self.batch_evaluate
+        base, batch_con, batch_full, base_grid = (self.evaluate, self.batch_constraints,
+                                                  self.batch_evaluate, self.on_grid)
 
         def floor(f):
             return np.maximum(f, -delta)
@@ -103,11 +127,16 @@ class Environment:
         def sat_batch_full(ts: np.ndarray, x: np.ndarray):
             return clip(*batch_full(ts, x))
 
+        def sat_on_grid(ts: np.ndarray):
+            at = base_grid(ts)
+            return lambda k, x: clip(*at(k, x))
+
         return replace(
             self,
             evaluate=saturated,
             batch_constraints=None if batch_con is None else sat_batch_con,
             batch_evaluate=None if batch_full is None else sat_batch_full,
+            on_grid=None if base_grid is None else sat_on_grid,
         )
 
 
@@ -150,15 +179,16 @@ def finite_diff_check(env: Environment, t: float, x: np.ndarray, h_fd: float) ->
     ``max(1, |finite difference|)`` componentwise.
     """
     x = np.asarray(x, dtype=float)
-    _, g0, _, G = env.eval_full(t, x)
+    at = env.grid_evaluator([t])
+    _, g0, _, G = at(0, x)
     n, m = env.n, env.m
     fd_g0 = np.zeros(n)
     fd_G = np.zeros((n, m))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h_fd
-        f0p, fp = env.eval(t, x + e)
-        f0m, fm = env.eval(t, x - e)
+        f0p, _, fp, _ = at(0, x + e)
+        f0m, _, fm, _ = at(0, x - e)
         fd_g0[i] = (f0p - f0m) / (2.0 * h_fd)
         fd_G[i, :] = (fp - fm) / (2.0 * h_fd)
     err = 0.0

@@ -130,6 +130,7 @@ def check_viability(
         return ViabilityResult(True, x0, float("-inf"), 0)
 
     ts = grid.nodes()
+    at = env.grid_evaluator(ts)
     x = X.project_point(np.zeros(X.dim)) if x_init is None else X.project_point(np.asarray(x_init, float))
 
     def phi(xv: np.ndarray) -> tuple[float, int, int]:
@@ -160,7 +161,7 @@ def check_viability(
             break
         if stall > 3000 and best_phi > INCONCLUSIVE_BAND:
             break
-        _, _, _, G = env.eval_full(ts[k], x)
+        _, _, _, G = at(k, x)
         g = G[:, i]
         gn2 = float(g @ g)
         if gn2 <= 1e-300:
@@ -336,17 +337,18 @@ def estimate_K(
     clamped below at zero.
     """
     ts = grid.nodes()
+    at = env.grid_evaluator(ts)
     xstar = np.asarray(xstar, dtype=float)
     gap_max = 0.0
     x0 = X.project_point(np.zeros(X.dim))
     for k, t in enumerate(ts):
-        f_star, _ = env.eval(t, xstar)
+        f_star = at(k, xstar)[0]
         x = x0.copy()
-        f_x, g, _, _ = env.eval_full(t, x)
+        f_x, g, _, _ = at(k, x)
         gnorm = np.linalg.norm(g)
         if gnorm > 0.0:
             d = g / gnorm * 1e-4
-            _, g_p, _, _ = env.eval_full(t, x + d)
+            _, g_p, _, _ = at(k, x + d)
             L = float(np.linalg.norm(g_p - g)) / 1e-4
             step = 1.0 / L if L > 1e-12 else 1.0
         else:
@@ -357,7 +359,7 @@ def estimate_K(
             if float(np.max(np.abs(gmap))) <= tol:
                 break
             x_trial = X.project_point(x - step * g)
-            f_trial, g_trial, _, _ = env.eval_full(t, x_trial)
+            f_trial, g_trial, _, _ = at(k, x_trial)
             if f_trial > f_x + 1e-15:
                 step *= 0.5
                 if step < 1e-16:

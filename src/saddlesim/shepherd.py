@@ -83,39 +83,6 @@ def basis_matrices(kind: str, n: int, ts: np.ndarray, T: float):
     return P, s * Du, s * s * Ddu
 
 
-def basis_eval(kind: str, n: int, t: float, T: float):
-    """Single-time version of :func:`basis_matrices`; returns three (n,) vectors."""
-    # Scalar fast path: plain float recurrences beat length-1 array ops by an
-    # order of magnitude, and this sits inside the integrator's hot loop.
-    t = float(t)
-    p = [0.0] * n
-    pd = [0.0] * n
-    pdd = [0.0] * n
-    if kind == "monomial":
-        acc = 1.0
-        for j in range(n):
-            p[j] = acc
-            if j >= 1:
-                pd[j] = j * (acc / t if t != 0.0 else (1.0 if j == 1 else 0.0))
-            if j >= 2:
-                pdd[j] = j * (j - 1) * (t ** (j - 2))
-            acc *= t
-        return np.array(p), np.array(pd), np.array(pdd)
-    if kind != "legendre":
-        raise ValueError(f"unknown basis kind {kind!r}")
-    u = 2.0 * t / T - 1.0
-    p[0] = 1.0
-    if n > 1:
-        p[1] = u
-        pd[1] = 1.0
-    for j in range(1, n - 1):
-        p[j + 1] = ((2 * j + 1) * u * p[j] - j * p[j - 1]) / (j + 1)
-        pd[j + 1] = (2 * j + 1) * p[j] + pd[j - 1]
-        pdd[j + 1] = (2 * j + 1) * pd[j] + pdd[j - 1]
-    s = 2.0 / T
-    return np.array(p), s * np.array(pd), (s * s) * np.array(pdd)
-
-
 def acceleration_gram(kind: str, n: int, T: float) -> np.ndarray:
     """Exact Gram matrix of second derivatives: G_jk = integral of p_j'' p_k''.
 
@@ -303,13 +270,9 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
             grid_cache[key] = hit
         return hit
 
-    def evaluate(t: float, x: np.ndarray):
-        p, _, pdd = basis_eval(kind, nb, t, T)
-        p_sheep = p if same_basis else basis_eval(kind, scenario.n_sheep, t, T)[0]
-        y = (coeff_flat @ p_sheep).reshape(m, 2)
-        if use_noise:
-            cell = min(int(t / T * cells + 1e-9), cells - 1)
-            y = y + W[:, :, cell]
+    def _at(p: np.ndarray, pdd: np.ndarray, y: np.ndarray, x: np.ndarray):
+        # The x-dependent algebra at one node: basis rows p, p'' and sheep
+        # positions y (m, 2) come from the time tables.
         z1 = float(p @ x[:nb])
         z2 = float(p @ x[nb:])
         d1 = z1 - y[:, 0]
@@ -330,6 +293,19 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         else:
             f0, g0 = 0.0, zero_g
         return f0, g0, f, G
+
+    def on_grid(ts: np.ndarray):
+        P, _, Pdd = basis_matrices(kind, nb, ts, T)
+        Ps = P if same_basis else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
+        # One gemv per node, summing in the order of coeff_flat @ Ps[k];
+        # einsum and Ps @ coeff_flat.T sum in another order.
+        Y = (coeff_flat @ Ps[:, :, None])[..., 0].reshape(-1, m, 2)
+        if use_noise:
+            Y = Y + W[:, :, _noise_cells(T, cells, ts)].transpose(2, 0, 1)
+        return lambda k, x: _at(P[k], Pdd[k], Y[k], x)
+
+    def evaluate(t: float, x: np.ndarray):
+        return on_grid(np.array([t]))(0, x)
 
     def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
         P, _, _, Y = _grid_data(ts)                          # Y: (K, m, 2)
@@ -369,6 +345,7 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         has_objective=has_obj,
         batch_constraints=batch_constraints,
         batch_evaluate=batch_evaluate,
+        on_grid=on_grid,
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from saddlesim import cli
+from saddlesim.offline import OfflineSolution, TimeGrid
 
 
 def run_cli(*argv):
@@ -109,6 +110,23 @@ def test_sweep_matches_single_runs(scenario_file, tmp_path):
         assert run_cli("simulate", "--scenario", scn, *args, "--out", single) == 0
         assert ((out / f"T_{T}" / "trajectory.csv").read_bytes()
                 == (single / "trajectory.csv").read_bytes())
+
+
+def test_sweep_with_offline_is_usage_error(scenario_file, tmp_path, capsys):
+    # A valid offline file: the pair is refused, not the file.
+    sol = OfflineSolution(xstar=np.zeros(24), offline_cost=0.0, xdagger=np.zeros(24),
+                          viability_residual=-1.0, K=0.0, grid=TimeGrid(T=1.0, num_steps=1),
+                          cost_cumulative=np.zeros(2))
+    off = tmp_path / "offline.json"
+    off.write_text(json.dumps(cli.offline_to_dict(sol, "black_sheep")))
+    out = tmp_path / "sweep"
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle",
+                   "--objective", "blacksheep", "--epsilon", 5, "--step", 2e-3,
+                   "--sweep", "0.25,0.5", "--offline", off, "--out", out)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "--offline" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, index", [

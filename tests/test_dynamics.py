@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from saddlesim import shepherd
 from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
-from saddlesim.dynamics import ControllerConfig, DivergenceError, simulate
+from saddlesim.dynamics import GRID_BLOCK, ControllerConfig, DivergenceError, simulate
 from saddlesim.environment import from_functions
 
 from helpers import quadratic_env, stationary_points_env, tracking_env
@@ -208,3 +211,16 @@ def test_initial_state_defaults():
     assert log.t[0] == 0.0 and log.cost_accum[0] == 0.0
     grad = run_steps(env, ControllerConfig(epsilon=1.0, mode="gradient"), X)
     assert grad.lam.shape == (2, 0) and grad.lambda_max.shape == (0,)
+
+
+@pytest.mark.parametrize("steps", [GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK + 3])
+@pytest.mark.parametrize("mode, objective", [("feasibility", "none"), ("saddle", "black_sheep")])
+def test_time_tables_match_per_step_evaluation(small_scenario, steps, mode, objective):
+    # Blocked time tables against the generic adapter (one evaluate call per step).
+    env = shepherd.shepherd_env(small_scenario, objective)
+    cfg = ControllerConfig(epsilon=50.0, h=1e-3, mode=mode)
+    logs = [simulate(e, cfg, T=steps * cfg.h, X=small_scenario.action_set(), sample_stride=7)
+            for e in (env, replace(env, on_grid=None))]
+    for name in ("t", "x", "lam", "f", "f0", "fit_accum", "cost_accum", "lambda_max"):
+        assert np.array_equal(getattr(logs[0], name), getattr(logs[1], name)), name
+    assert logs[0].max_field_norm == logs[1].max_field_norm

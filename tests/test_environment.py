@@ -165,6 +165,26 @@ def test_nonfinite_output_raises_per_output(output, m, bad):
         env.eval_full(0.0, np.zeros(n))
 
 
+def test_grid_evaluator_guards():
+    def on_grid(ts):
+        def at(k, x):
+            return (float("nan") if k == 1 else 0.0), np.zeros(2), np.zeros(0), np.zeros((2, 0))
+        return at
+
+    env = Environment(n=2, m=0, evaluate=lambda t, x: on_grid(None)(0, x), on_grid=on_grid)
+    at = env.grid_evaluator(np.array([0.0, 0.25]))
+    assert at(0, np.zeros(2))[0] == 0.0
+    with pytest.raises(EvaluatorError, match=r"at t=0\.25,"):
+        at(1, np.zeros(2))
+    with pytest.raises(EvaluatorError, match=r"at t=0\.25,"):
+        env.saturate(0.1).grid_evaluator(np.array([0.0, 0.25]))(1, np.zeros(2))
+    with pytest.raises(ValueError) as from_grid:
+        at(0, np.zeros(3))
+    with pytest.raises(ValueError) as from_eval_full:
+        env.eval_full(0.0, np.zeros(3))
+    assert str(from_grid.value) == str(from_eval_full.value)
+
+
 def test_large_finite_output_passes_guard():
     # The guard's probe sum overflows to inf, but every entry is finite.
     big = np.full(2, 1e308)

@@ -54,7 +54,8 @@ def test_fit_matches_refined_quadrature(small_scenario):
     for k in range(log.t.shape[0] - 1):
         ts = log.t[k] + (log.t[k + 1] - log.t[k]) * np.linspace(0.0, 1.0, 11)
         xs = np.linspace(0.0, 1.0, 11)[:, None] * (log.x[k + 1] - log.x[k])[None, :] + log.x[k]
-        vals = np.array([env.eval(float(tt), xx)[1] for tt, xx in zip(ts, xs)])
+        at = env.grid_evaluator(ts)
+        vals = np.array([at(i, xx)[2] for i, xx in enumerate(xs)])
         refined += np.trapezoid(vals, ts, axis=0)
     assert np.max(np.abs(coarse - refined)) <= 1e-6
 

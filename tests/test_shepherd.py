@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre, polynomial
 
 from saddlesim import shepherd
 from saddlesim.environment import finite_diff_check
@@ -10,15 +12,21 @@ from saddlesim.offline import check_viability
 from helpers import midpoint_convex
 
 
+def basis_row(kind, n, t, T):
+    """Values, first and second derivatives of the basis at the single time t."""
+    P, Pd, Pdd = shepherd.basis_matrices(kind, n, [t], T)
+    return P[0], Pd[0], Pdd[0]
+
+
 def test_basis_monomial_at_zero():
-    p, pd, pdd = shepherd.basis_eval("monomial", 5, 0.0, 1.0)
+    p, pd, pdd = basis_row("monomial", 5, 0.0, 1.0)
     assert np.allclose(p, [1, 0, 0, 0, 0])
     assert np.allclose(pd, [0, 1, 0, 0, 0])
     assert np.allclose(pdd, [0, 0, 2, 0, 0])
 
 
 def test_basis_monomial_at_one():
-    p, pd, pdd = shepherd.basis_eval("monomial", 3, 1.0, 1.0)
+    p, pd, pdd = basis_row("monomial", 3, 1.0, 1.0)
     assert np.allclose(p, [1, 1, 1])
     assert np.allclose(pd, [0, 1, 2])
     assert np.allclose(pdd, [0, 0, 2])
@@ -29,22 +37,25 @@ def test_basis_derivatives_match_central_differences(kind):
     n, T = 12, 1.5
     h = 1e-6
     for t in (0.2, 0.5, 1.1):
-        p0, pd0, pdd0 = shepherd.basis_eval(kind, n, t, T)
-        pp, pdp, _ = shepherd.basis_eval(kind, n, t + h, T)
-        pm, pdm, _ = shepherd.basis_eval(kind, n, t - h, T)
+        p0, pd0, pdd0 = basis_row(kind, n, t, T)
+        pp, pdp, _ = basis_row(kind, n, t + h, T)
+        pm, pdm, _ = basis_row(kind, n, t - h, T)
         assert np.max(np.abs((pp - pm) / (2 * h) - pd0)) <= 1e-7
         assert np.max(np.abs((pdp - pdm) / (2 * h) - pdd0)) <= 1e-7
 
 
-def test_basis_matrices_agree_with_scalar(rng):
-    ts = rng.uniform(0.0, 2.0, size=7)
-    for kind in ("legendre", "monomial"):
-        P, Pd, Pdd = shepherd.basis_matrices(kind, 9, ts, 2.0)
-        for k, t in enumerate(ts):
-            p, pd, pdd = shepherd.basis_eval(kind, 9, float(t), 2.0)
-            assert np.allclose(P[k], p)
-            assert np.allclose(Pd[k], pd)
-            assert np.allclose(Pdd[k], pdd)
+def test_basis_matrices_match_numpy_polynomials(rng):
+    ts = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, size=7)])
+    T, n, eye = 2.0, 9, np.eye(9)
+    u = 2.0 * ts / T - 1.0
+    for kind, values, deriv, arg, scale in (
+        ("legendre", legendre.legval, legendre.legder, u, 2.0 / T),
+        ("monomial", polynomial.polyval, polynomial.polyder, ts, 1.0),
+    ):
+        P, Pd, Pdd = shepherd.basis_matrices(kind, n, ts, T)
+        assert np.allclose(P, values(arg, eye).T)
+        assert np.allclose(Pd, scale * values(arg, deriv(eye, 1)).T)
+        assert np.allclose(Pdd, scale**2 * values(arg, deriv(eye, 2)).T)
 
 
 @pytest.mark.parametrize("kind", ["legendre", "monomial"])
@@ -204,6 +215,26 @@ def test_batch_and_scalar_eval_agree(rng, small_scenario):
         assert np.allclose(g0, g0s[k])
         assert np.allclose(f, fs[k])
         assert np.allclose(G, Gs[k])
+
+
+@pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
+@pytest.mark.parametrize("noise", shepherd.NOISE_VARIANTS)
+def test_grid_evaluator_matches_eval_full(rng, small_scenario, objective, noise):
+    sheep_basis_differs = dataclasses.replace(small_scenario, n=small_scenario.n - 5)
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, small_scenario.T, size=9)),
+                         [small_scenario.T]])
+    for sc in (small_scenario, sheep_basis_differs):
+        env = shepherd.shepherd_env(sc, objective, noise=noise)
+        # Near the first sheep's path, so the saturation floor binds.
+        near = shepherd.encode_coeffs(sc.sheep_coeffs[0, :, :sc.n])
+        for e in (env, env.saturate(0.05)):
+            at = e.grid_evaluator(ts)
+            # eval_full is the one-node table; the adapter calls evaluate.
+            adapter = dataclasses.replace(e, on_grid=None)
+            for k, t in enumerate(ts):
+                x = near + rng.uniform(-0.01, 0.01, size=e.n)
+                for u, v, w in zip(at(k, x), e.eval_full(t, x), adapter.eval_full(t, x)):
+                    assert np.array_equal(u, v) and np.array_equal(u, w)
 
 
 def test_mean_env_shifts_constraints(small_scenario):
