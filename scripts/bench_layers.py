@@ -9,9 +9,13 @@ Usage (each side of a comparison runs against its own ``src``):
 
 ``micro`` times ``simulate`` per step (feasibility and saddle at action
 dimension 12 and 60, m=5), the time-only work of one block of integrator
-steps, and ``estimate_K`` on the regret-chain configuration.  ``fixtures``
-runs the C05, C08 and C09 acceptance tests and reads the fixture times they
-print.  Every figure is a median with its quartiles over the repeats.
+steps, and on the regret-chain configuration (seed 1, T=0.25, black sheep,
+noise-mean environment, 1,001-node grid) ``estimate_K``, ``solve_offline`` at
+600 iterations and the marginal cost of one solver iteration (the 1,200- minus
+the 600-iteration solve, over 600).  ``fixtures`` runs the C05, C08 and C09
+acceptance tests and reads the fixture times they print.  ``tier1`` times the
+whole test suite once.  Every figure is a median with its quartiles over the
+repeats.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def machine() -> dict:
 def micro(repeats: int) -> dict:
     from saddlesim import shepherd
     from saddlesim.dynamics import ControllerConfig, simulate
-    from saddlesim.offline import estimate_K
+    from saddlesim.offline import estimate_K, solve_offline
 
     out = {}
     for nb in (6, 30):
@@ -82,12 +86,22 @@ def micro(repeats: int) -> dict:
         out[f"block_time_work_ms.n{2 * nb}"] = summary(build)
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
-    k_times = []
+    k_times, solve_times, per_iter = [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         estimate_K(env, sc.offline_grid(), sc.action_set(), sc.xdagger)
         k_times.append(time.perf_counter() - t0)
+        solve = {}
+        for iters in (600, 1200):
+            t0 = time.perf_counter()
+            solve_offline(env, sc.offline_grid(), sc.action_set(),
+                          viability=shepherd.viability_certificate(sc), max_iter=iters)
+            solve[iters] = time.perf_counter() - t0
+        solve_times.append(solve[600])
+        per_iter.append(1e3 * (solve[1200] - solve[600]) / 600)
     out["estimate_K_s.regret_chain"] = summary(k_times)
+    out["solve_offline_s.regret_chain_600"] = summary(solve_times)
+    out["solve_offline_ms_per_iter.regret_chain"] = summary(per_iter)
     return out
 
 
@@ -109,6 +123,17 @@ def fixtures(root: str) -> dict:
         hit = pat.search(proc.stdout)
         out[f"fixture_s.{name}"] = float(hit.group(1)) if hit else None
     return out
+
+
+def tier1(root: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (passed|failed)", proc.stdout)}
+    return {"tier1_wall_s": elapsed, "tier1_passed": counts.get("passed", 0),
+            "tier1_failed": counts.get("failed", 0)}
 
 
 def merge(before: list[str], after: list[str]) -> dict:
@@ -134,7 +159,7 @@ def merge(before: list[str], after: list[str]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("what", choices=("micro", "fixtures", "merge"))
+    ap.add_argument("what", choices=("micro", "fixtures", "tier1", "merge"))
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--root", default=".")
     ap.add_argument("--before", nargs="*", default=[])
@@ -144,7 +169,8 @@ def main() -> None:
     if args.what == "merge":
         result = merge(args.before, args.after)
     else:
-        rows = micro(args.repeats) if args.what == "micro" else fixtures(args.root)
+        rows = {"micro": lambda: micro(args.repeats), "fixtures": lambda: fixtures(args.root),
+                "tier1": lambda: tier1(args.root)}[args.what]()
         result = {"machine": machine(), "rows": rows}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -7,8 +7,8 @@ simulate   run a controller over a scenario; writes trajectory.csv + metrics.jso
 offline    solve the clairvoyant fixed-action problem; writes offline.json
 report     render SVG figures and a PASS/FAIL summary from result directories
 
-Exit codes: 0 success, 2 usage error, 3 numeric divergence,
-4 infeasible or inconclusive viability.
+Exit codes: 0 success, 2 usage error, 3 numeric divergence or non-finite
+evaluator output, 4 infeasible or inconclusive viability or offline solve.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import numpy as np
 
 from . import metrics, shepherd, svgplot
 from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate
+from .environment import EvaluatorError
 from .offline import (
     InconclusiveViabilityError,
     InfeasibleEnvironmentError,
+    InnerSolveError,
     OfflineSolution,
     TimeGrid,
     solve_offline,
@@ -551,12 +553,15 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as exc:
+    except (DivergenceError, EvaluatorError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (InconclusiveViabilityError, InfeasibleEnvironmentError,
             shepherd.GeneratorError) as exc:
         print(f"viability: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except InnerSolveError as exc:
+        print(f"offline solve inconclusive: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

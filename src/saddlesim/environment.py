@@ -20,6 +20,7 @@ its optional ``on_grid(ts)`` builds what depends on ``t`` alone once for all
 nodes and returns an evaluator that does only the x-dependent algebra.  The
 caller owns the nodes and how many it asks for at once.  Without ``on_grid``,
 ``evaluate(ts[k], x)`` is called per node; ``eval_full`` is the one-node case.
+Solvers that need all nodes at once call the grid Lagrangian ``batch_evaluate``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from typing import Callable, Optional
 import numpy as np
 
 FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
-# Optional vectorized constraint evaluator: (ts (K,), x (n,)) -> values (K, m).
+# Optional vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# Optional vectorized full evaluator:
-# (ts (K,), x (n,)) -> (f0 (K,), g0 (K, n), f (K, m), G (K, n, m)).
-BatchEval = Callable[[np.ndarray, np.ndarray], tuple]
+# Optional grid Lagrangian: (ts (K,), x, w (K,), mu (K, m)) -> (f0 (K,), f (K, m),
+# grad = sum_k w_k g0(t_k, x) + G(t_k, x) mu_k).  In both batch evaluators x is
+# one action (n,), or one per node (K, n), and then grad row k is the k-th term.
+BatchEval = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple]
 # Optional time tables: ts (K,) -> at(k, x), the full evaluation at (ts[k], x).
 OnGrid = Callable[[np.ndarray], Callable[[int, np.ndarray], tuple]]
 
@@ -102,7 +104,8 @@ class Environment:
         Constraint values become ``max(f_i, -delta)``.  Subgradients keep the
         active branch: the original column where ``f_i >= -delta`` (including
         the tie, which keeps the controller responsive at the kink), zero
-        where ``f_i < -delta``.  The objective is untouched.
+        where ``f_i < -delta``; the grid Lagrangian zeroes ``mu`` there.  The
+        objective is untouched.
         """
         if delta <= 0.0:
             raise ValueError("saturation level delta must be positive")
@@ -114,9 +117,7 @@ class Environment:
             return np.maximum(f, -delta)
 
         def clip(f0, g0, f, G):
-            # f and G may carry a leading node axis: (m,) with (n, m), or
-            # (K, m) with (K, n, m).
-            return f0, g0, floor(f), np.where(f[..., None, :] >= -delta, G, 0.0)
+            return f0, g0, floor(f), np.where(f >= -delta, G, 0.0)
 
         def saturated(t: float, x: np.ndarray):
             return clip(*base(t, x))
@@ -124,8 +125,9 @@ class Environment:
         def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return floor(batch_con(ts, x))
 
-        def sat_batch_full(ts: np.ndarray, x: np.ndarray):
-            return clip(*batch_full(ts, x))
+        def sat_batch_full(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
+            f0, f, grad = batch_full(ts, x, w, np.where(batch_con(ts, x) >= -delta, mu, 0.0))
+            return f0, floor(f), grad
 
         def sat_on_grid(ts: np.ndarray):
             at = base_grid(ts)
@@ -135,7 +137,7 @@ class Environment:
             self,
             evaluate=saturated,
             batch_constraints=None if batch_con is None else sat_batch_con,
-            batch_evaluate=None if batch_full is None else sat_batch_full,
+            batch_evaluate=None if batch_full is None or batch_con is None else sat_batch_full,
             on_grid=None if base_grid is None else sat_on_grid,
         )
 

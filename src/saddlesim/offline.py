@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .convex_sets import ConvexSet
-from .environment import Environment
+from .convex_sets import Box, ConvexSet
+from .environment import Environment, EvaluatorError
 
 VIABILITY_TOL = 1e-6
 INCONCLUSIVE_BAND = 1e-3
@@ -94,17 +94,18 @@ def _constraints_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray) -> np.
     return np.array([env.eval(t, x)[1] for t in ts])
 
 
-def _full_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray):
-    """(f0, g0, f, G) stacked over every node."""
+def _full_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
+    """The grid Lagrangian ``(f0, f, grad)`` of ``BatchEval``: the environment's
+    ``batch_evaluate``, or the same contraction node by node."""
     if env.batch_evaluate is not None:
-        return env.batch_evaluate(ts, x)
-    f0s = np.empty(ts.shape[0])
-    g0s = np.empty((ts.shape[0], env.n))
-    fs = np.empty((ts.shape[0], env.m))
-    Gs = np.empty((ts.shape[0], env.n, env.m))
-    for k, t in enumerate(ts):
-        f0s[k], g0s[k], fs[k], Gs[k] = env.eval_full(t, x)
-    return f0s, g0s, fs, Gs
+        return env.batch_evaluate(ts, x, w, mu)
+    at = env.grid_evaluator(ts)
+    xs = np.broadcast_to(x, (ts.shape[0], env.n))
+    f0s, fs, grads = np.empty(ts.shape[0]), np.empty((ts.shape[0], env.m)), np.empty(xs.shape)
+    for k in range(ts.shape[0]):
+        f0s[k], g0, fs[k], G = at(k, xs[k])
+        grads[k] = w[k] * g0 + G @ mu[k]
+    return f0s, fs, grads if x.ndim == 2 else grads.sum(axis=0)
 
 
 def check_viability(
@@ -187,14 +188,14 @@ def check_viability(
 
 def _probe_smoothness(env: Environment, ts, w, x, rng) -> float:
     """Crude Lipschitz estimate of the weighted objective gradient."""
-    _, g0s, _, _ = _full_on_grid(env, ts, x)
-    g_ref = w @ g0s
+    mu = np.zeros((ts.shape[0], env.m))
+    g_ref = _full_on_grid(env, ts, x, w, mu)[2]
     L = 0.0
     for _ in range(3):
         d = rng.standard_normal(x.shape[0])
         d *= 1e-4 / np.linalg.norm(d)
-        _, g0p, _, _ = _full_on_grid(env, ts, x + d)
-        L = max(L, float(np.linalg.norm(w @ g0p - g_ref)) / 1e-4)
+        g_p = _full_on_grid(env, ts, x + d, w, mu)[2]
+        L = max(L, float(np.linalg.norm(g_p - g_ref)) / 1e-4)
     return L
 
 
@@ -211,6 +212,8 @@ def solve_offline(
 
     Batch primal-descent / dual-ascent iteration with square-summable
     diminishing steps ``a_j = a0 / (1 + j / j0)`` and tail primal averaging.
+    Each iteration makes one grid-Lagrangian call (see ``BatchEval``): node
+    costs, constraints and the primal gradient ``sum_k w_k g0_k + G_k mu_k``.
     Candidates (tail average, last iterate, best feasible-merit iterate) are
     restored to grid feasibility by blending toward the interior viability
     point when needed, and the cheapest feasible candidate wins.
@@ -239,7 +242,7 @@ def solve_offline(
     j0 = max(1.0, max_iter / 4.0)
 
     def cost_and_violation(xv):
-        f0s, _, fs, _ = _full_on_grid(env, ts, xv)
+        f0s, fs, _ = _full_on_grid(env, ts, xv, w, np.zeros_like(mu))
         viol = float(np.max(fs)) if m else float("-inf")
         return float(w @ f0s), viol, f0s
 
@@ -250,7 +253,7 @@ def solve_offline(
     a_j = a0
     for j in range(max_iter):
         a_j = a0 / (1.0 + j / j0)
-        f0s, g0s, fs, Gs = _full_on_grid(env, ts, x)
+        f0s, fs, grad = _full_on_grid(env, ts, x, w, mu)
         cost_j = float(w @ f0s)
         viol_j = float(np.max(fs)) if m else float("-inf")
         feas_j = viol_j <= VIABILITY_TOL
@@ -258,10 +261,7 @@ def solve_offline(
             not feas_j and best_viol > VIABILITY_TOL and viol_j < best_viol
         ):
             best_x, best_cost, best_viol = x.copy(), cost_j, viol_j
-        grad = w @ g0s
-        if m:
-            grad = grad + np.einsum("knm,km->n", Gs, mu)
-            mu = np.maximum(0.0, mu + a_j * fs)
+        mu = np.maximum(0.0, mu + a_j * fs)
         x = X.project_point(x - a_j * grad)
         if j >= tail_start:
             x_sum += a_j * x
@@ -292,10 +292,7 @@ def solve_offline(
     pool = feasible if feasible else restored
     xstar, cost_star, viol_star = min(pool, key=lambda r: r[1])
 
-    f0s, g0s, fs, Gs = _full_on_grid(env, ts, xstar)
-    grad = w @ g0s
-    if m:
-        grad = grad + np.einsum("knm,km->n", Gs, mu)
+    f0s, fs, grad = _full_on_grid(env, ts, xstar, w, mu)
     kkt_stat = float(np.max(np.abs(X.project_point(xstar - grad) - xstar)))
     comp = float(abs(np.sum(mu * fs))) if m else 0.0
     cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
@@ -334,46 +331,48 @@ def estimate_K(
 
     Solves the per-node minimization by monotone projected gradient descent
     (probed step, halving on non-decrease) and returns the largest gap,
-    clamped below at zero.
+    clamped below at zero.  Nodes run in lockstep on (K, n) arrays: a stopped
+    node holds its point, but each step evaluates all K until the last stops.
     """
     ts = grid.nodes()
-    at = env.grid_evaluator(ts)
-    xstar = np.asarray(xstar, dtype=float)
-    gap_max = 0.0
-    x0 = X.project_point(np.zeros(X.dim))
-    for k, t in enumerate(ts):
-        f_star = at(k, xstar)[0]
-        x = x0.copy()
-        f_x, g, _, _ = at(k, x)
-        gnorm = np.linalg.norm(g)
-        if gnorm > 0.0:
-            d = g / gnorm * 1e-4
-            _, g_p, _, _ = at(k, x + d)
-            L = float(np.linalg.norm(g_p - g)) / 1e-4
-            step = 1.0 / L if L > 1e-12 else 1.0
-        else:
-            step = 1.0
-        it = 0
-        while it < max_iter:
-            gmap = x - X.project_point(x - g)
-            if float(np.max(np.abs(gmap))) <= tol:
-                break
-            x_trial = X.project_point(x - step * g)
-            f_trial, g_trial, _, _ = at(k, x_trial)
-            if f_trial > f_x + 1e-15:
-                step *= 0.5
-                if step < 1e-16:
-                    break
-                it += 1
-                continue
-            x, f_x, g = x_trial, f_trial, g_trial
-            it += 1
-        else:
-            gmap = x - X.project_point(x - g)
-            if float(np.max(np.abs(gmap))) > 1e-4:
-                raise InnerSolveError(
-                    f"inner minimization stalled at node t={t:.6g} "
-                    f"(gradient map {float(np.max(np.abs(gmap))):.3e})"
-                )
-        gap_max = max(gap_max, f_star - f_x)
-    return max(0.0, gap_max)
+
+    def objective(xs):  # (f0 (K,), f, g0 (K, n)) with one action per node
+        return _full_on_grid(env, ts, xs, np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m)))
+
+    def project(Z):
+        if isinstance(X, Box):
+            return np.minimum(np.maximum(Z, X.lower), X.upper)  # Box.project_point, row-wise
+        return np.array([X.project_point(z) for z in Z]).reshape(Z.shape)
+
+    def gradient_map(xs, g):
+        return np.max(np.abs(xs - project(xs - g)), axis=1)
+
+    f_star = objective(np.asarray(xstar, dtype=float))[0]
+    x = np.tile(X.project_point(np.zeros(X.dim)), (ts.shape[0], 1))
+    f_x, _, g = objective(x)
+    gnorm = np.linalg.norm(g, axis=1)
+    g_p = objective(x + g / np.where(gnorm > 0.0, gnorm, 1.0)[:, None] * 1e-4)[2]
+    L = np.linalg.norm(g_p - g, axis=1) / 1e-4
+    step = 1.0 / np.where(L > 1e-12, L, 1.0)
+    running = np.ones(ts.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        running &= gradient_map(x, g) > tol
+        if not running.any():
+            break
+        trial = np.where(running[:, None], project(x - step[:, None] * g), x)
+        f_trial, _, g_trial = objective(trial)
+        worse = running & (f_trial > f_x + 1e-15)
+        take = running & ~worse
+        x[take], f_x[take], g[take] = trial[take], f_trial[take], g_trial[take]
+        step[worse] *= 0.5
+        running &= ~(worse & (step < 1e-16))
+    else:
+        gmap = np.where(running, gradient_map(x, g), 0.0)
+        k = int(np.argmax(gmap > 1e-4))
+        if gmap[k] > 1e-4:
+            raise InnerSolveError(f"inner minimization stalled at node t={ts[k]:.6g} "
+                                  f"(gradient map {gmap[k]:.3e})")
+    gap = f_star - f_x
+    if not np.isfinite(gap).all():
+        raise EvaluatorError(f"non-finite objective at node t={ts[np.isfinite(gap).argmin()]:.6g}")
+    return max(0.0, float(np.max(gap)))

@@ -307,36 +307,40 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
     def evaluate(t: float, x: np.ndarray):
         return on_grid(np.array([t]))(0, x)
 
-    def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
-        P, _, _, Y = _grid_data(ts)                          # Y: (K, m, 2)
-        z = np.stack([P @ x[:nb], P @ x[nb:]], axis=1)       # (K, 2)
-        d = z[:, None, :] - Y
-        return np.einsum("kmc,kmc->km", d, d) - r2[None, :]
+    def _coords(B: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # (K, 2): basis rows B (K, nb) times one action x (n,), or one per node (K, n).
+        return (np.stack([B @ x[:nb], B @ x[nb:]], axis=1) if x.ndim == 1
+                else np.einsum("kj,kcj->kc", B, x.reshape(-1, 2, nb)))
 
-    def batch_evaluate(ts: np.ndarray, x: np.ndarray):
-        P, _, Pdd, Y = _grid_data(ts)
-        z = np.stack([P @ x[:nb], P @ x[nb:]], axis=1)
-        d = z[:, None, :] - Y                                # (K, m, 2)
-        f = np.einsum("kmc,kmc->km", d, d) - r2[None, :]
-        G = 2.0 * np.concatenate(
-            [P[:, :, None] * d[:, None, :, 0], P[:, :, None] * d[:, None, :, 1]], axis=1
-        )                                                    # (K, 2n, m)
-        K = ts.shape[0]
+    def _pullback(B: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # Gradient in x of sum_k s_k . _coords(B, x)_k for s (K, 2).
+        return (B.T @ s).T.ravel() if x.ndim == 1 else (B[:, None, :] * s[:, :, None]).reshape(x.shape)
+
+    def _offsets(ts: np.ndarray, x: np.ndarray):
+        P, _, Pdd, Y = _grid_data(ts)                        # Y: (K, m, 2)
+        d = _coords(P, x)[:, None, :] - Y                    # (K, m, 2)
+        return P, Pdd, d, np.einsum("kmc,kmc->km", d, d) - r2[None, :]
+
+    def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _offsets(ts, x)[3]
+
+    def batch_evaluate(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
+        P, Pdd, d, f = _offsets(ts, x)
+        # G_k mu_k = 2 p_k (d_k . mu_k) per coordinate; black sheep's g0 is
+        # the first constraint's column, so its weight joins mu[:, 0].
+        s = np.einsum("kmc,km->kc", d, mu)
         if objective == "black_sheep":
             f0 = f[:, 0] + r2[0] + shift
-            g0 = G[:, :, 0].copy()
-        elif objective == "min_acceleration":
-            a = np.stack([Pdd @ x[:nb], Pdd @ x[nb:]], axis=1)
+            s = s + w[:, None] * d[:, 0, :]
+        grad = 2.0 * _pullback(P, s, x)
+        if objective == "min_acceleration":
+            a = _coords(Pdd, x)
             f0 = np.linalg.norm(a, axis=1)
-            safe = np.where(f0 > 0.0, f0, 1.0)
-            g0 = np.concatenate(
-                [Pdd * (a[:, 0] / safe)[:, None], Pdd * (a[:, 1] / safe)[:, None]], axis=1
-            )
-            g0[f0 == 0.0] = 0.0
-        else:
-            f0 = np.zeros(K)
-            g0 = np.zeros((K, 2 * nb))
-        return f0, g0, f, G
+            # a = 0 wherever f0 = 0, so those nodes add nothing.
+            grad = grad + _pullback(Pdd, (w / np.where(f0 > 0.0, f0, 1.0))[:, None] * a, x)
+        elif objective == "none":
+            f0 = np.zeros(ts.shape[0])
+        return f0, f, grad
 
     return Environment(
         n=2 * nb,

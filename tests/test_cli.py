@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from saddlesim import cli
-from saddlesim.offline import OfflineSolution, TimeGrid
+from saddlesim.environment import EvaluatorError
+from saddlesim.offline import InnerSolveError, OfflineSolution, TimeGrid
 
 
 def run_cli(*argv):
@@ -167,6 +168,30 @@ def test_offline_and_regret_flow(scenario_file, tmp_path):
     md = json.loads((run / "metrics.json").read_text())
     assert "regret" in md
     assert md["regret"]["offline_cost"] == pytest.approx(data["offline_cost"])
+
+
+def test_evaluator_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys):
+    def raiser(*args, **kwargs):
+        raise EvaluatorError("non-finite evaluator output at t=0.25, x=array([nan])")
+
+    monkeypatch.setattr(cli, "simulate", raiser)
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run")
+    assert code == cli.EXIT_DIVERGENCE == 3
+    assert "non-finite evaluator output at t=0.25" in capsys.readouterr().err
+
+
+def test_inner_solve_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys):
+    def raiser(*args, **kwargs):
+        raise InnerSolveError("inner minimization stalled at node t=0.5 (gradient map 1e-2)")
+
+    monkeypatch.setattr(cli, "solve_offline", raiser)
+    off = tmp_path / "offline.json"
+    code = run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--out", off)
+    assert code == cli.EXIT_INFEASIBLE == 4
+    assert "stalled at node t=0.5" in capsys.readouterr().err
+    assert not off.exists()
 
 
 def test_offline_requires_objective(scenario_file, tmp_path):

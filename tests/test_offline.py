@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from saddlesim import shepherd
-from saddlesim.convex_sets import Box
+from saddlesim.convex_sets import Ball, Box
+from saddlesim.environment import EvaluatorError, from_functions
 from saddlesim.offline import (
     InconclusiveViabilityError,
     InfeasibleEnvironmentError,
+    InnerSolveError,
     TimeGrid,
     check_viability,
     estimate_K,
@@ -149,6 +153,117 @@ def test_estimate_K_analytic_moving_center(rng):
     assert K == pytest.approx(expected, abs=1e-8)
 
 
+def estimate_K_per_node(env, grid, X, xstar, tol=1e-7, max_iter=2000):
+    """Reference: the per-node loop estimate_K runs in lockstep."""
+    ts = grid.nodes()
+    at = env.grid_evaluator(ts)
+    gap_max = 0.0
+    x0 = X.project_point(np.zeros(X.dim))
+    for k, t in enumerate(ts):
+        f_star = at(k, xstar)[0]
+        x = x0.copy()
+        f_x, g, _, _ = at(k, x)
+        gnorm = np.linalg.norm(g)
+        step = 1.0
+        if gnorm > 0.0:
+            _, g_p, _, _ = at(k, x + g / gnorm * 1e-4)
+            L = float(np.linalg.norm(g_p - g)) / 1e-4
+            step = 1.0 / L if L > 1e-12 else 1.0
+        for _ in range(max_iter):
+            if np.max(np.abs(x - X.project_point(x - g))) <= tol:
+                break
+            x_trial = X.project_point(x - step * g)
+            f_trial, g_trial, _, _ = at(k, x_trial)
+            if f_trial > f_x + 1e-15:
+                step *= 0.5
+                if step < 1e-16:
+                    break
+                continue
+            x, f_x, g = x_trial, f_trial, g_trial
+        else:
+            if np.max(np.abs(x - X.project_point(x - g))) > 1e-4:
+                raise InnerSolveError(f"stalled at node t={t:.6g}")
+        gap_max = max(gap_max, f_star - f_x)
+    return max(0.0, gap_max)
+
+
+@pytest.mark.parametrize("objective, n", [("black_sheep", 12), ("min_acceleration", 6)])
+def test_estimate_K_matches_per_node_loop(small_scenario, objective, n):
+    sc = dataclasses.replace(small_scenario, n=n)
+    grid, X = sc.offline_grid(), sc.action_set()
+    xstar = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0)[:, :n])
+    for noise in ("mean", "frozen"):
+        env = shepherd.shepherd_env(sc, objective, noise=noise)
+        for e in (env, env.saturate(0.05)):
+            K = estimate_K(e, grid, X, xstar)
+            ref = estimate_K_per_node(e, grid, X, xstar)
+            assert K > 0.0
+            assert abs(K - ref) <= 1e-12 * ref
+
+
+def test_estimate_K_reports_stalled_node():
+    # f0 = ||x - c(t)||^2 scaled by 1 and 100 per axis: one probed step
+    # cannot reach the minimum, and c(t) leaves the start point at t = 0.5.
+    def center(t):
+        return np.array([1.0, 1.0]) if t >= 0.5 else np.zeros(2)
+
+    scale = np.array([1.0, 100.0])
+    env = from_functions(2, 0, f0=lambda t, x: float(scale @ (x - center(t)) ** 2),
+                         g0=lambda t, x: 2.0 * scale * (x - center(t)))
+    grid = TimeGrid.from_step(1.0, 0.25)
+    with pytest.raises(InnerSolveError, match=r"stalled at node t=0\.5 "):
+        estimate_K(env, grid, BOX2, np.zeros(2), max_iter=3)
+    with pytest.raises(InnerSolveError, match=r"stalled at node t=0\.5"):
+        estimate_K_per_node(env, grid, BOX2, np.zeros(2), max_iter=3)
+    assert estimate_K(env, grid, BOX2, np.zeros(2)) == pytest.approx(101.0)
+
+
+def test_estimate_K_stops_halving_at_a_kink():
+    # f0 = 100 |x_0| + x_1^2 with the subgradient 100 at the kink: from the
+    # start point 0 every step increases f0, so the step halves below 1e-16
+    # and the node stops without an error, its gradient map still 2.
+    env = from_functions(
+        2, 0, f0=lambda t, x: 100.0 * abs(x[0]) + x[1] ** 2,
+        g0=lambda t, x: np.array([100.0 if x[0] >= 0.0 else -100.0, 2.0 * x[1]]))
+    grid = TimeGrid.from_step(1.0, 0.5)
+    xstar = np.array([0.5, 0.0])
+    assert estimate_K(env, grid, BOX2, xstar) == 50.0
+    assert estimate_K_per_node(env, grid, BOX2, xstar) == 50.0
+
+
+def test_estimate_K_on_a_ball_matches_per_node_loop(rng):
+    # Moving centres inside and outside Ball(0, 0.6): the inner minimum is the
+    # projection of c(t), so the gap is |x* - c|^2 - max(0, |c| - r)^2.
+    vals = rng.uniform(-1.0, 1.0, size=(5, 2))
+    env, grid, X = tracking_env(vals, 1.0), TimeGrid.from_step(1.0, 0.05), Ball(np.zeros(2), 0.6)
+    xstar = X.project_point(vals.mean(axis=0))
+    K = estimate_K(env, grid, X, xstar)
+    assert abs(K - estimate_K_per_node(env, grid, X, xstar)) <= 1e-12 * K
+    cs = vals[np.minimum((grid.nodes() * 5).astype(int), 4)]
+    gaps = np.sum((xstar - cs) ** 2, axis=1) - np.maximum(0.0, np.linalg.norm(cs, axis=1) - 0.6) ** 2
+    assert K == pytest.approx(gaps.max(), abs=1e-8)
+
+
+def test_estimate_K_rejects_non_finite_objective(small_scenario):
+    # The per-node path raises in grid_evaluator; the batch path has no guard
+    # of its own, so estimate_K checks the gaps it returns.
+    env = from_functions(2, 0, f0=lambda t, x: np.nan if t == 0.5 else float(x @ x),
+                         g0=lambda t, x: 2.0 * x)
+    with pytest.raises(EvaluatorError, match=r"t=0\.5,"):
+        estimate_K(env, TimeGrid.from_step(1.0, 0.25), BOX2, np.zeros(2))
+    sh = shepherd.shepherd_env(small_scenario, "black_sheep", noise="mean")
+    grid = small_scenario.offline_grid()
+
+    def poisoned(ts, x, w, mu):
+        f0, f, grad = sh.batch_evaluate(ts, x, w, mu)
+        return np.where(np.arange(ts.shape[0]) == 3, np.nan, f0), f, grad
+
+    env = dataclasses.replace(sh, batch_evaluate=poisoned)
+    xstar = shepherd.encode_coeffs(small_scenario.sheep_coeffs.mean(axis=0))
+    with pytest.raises(EvaluatorError, match=f"t={grid.nodes()[3]:.6g}$"):
+        estimate_K(env, grid, small_scenario.action_set(), xstar)
+
+
 def test_estimate_K_shepherd_finite(small_scenario):
     env = shepherd.shepherd_env(small_scenario, "black_sheep", noise="mean")
     grid = TimeGrid.from_step(small_scenario.T, small_scenario.T / 200)
@@ -167,7 +282,8 @@ def test_offline_invariants_on_shepherd(small_scenario):
     vals = env.batch_constraints(grid.nodes(), sol.xstar)
     assert vals.max() <= 1e-6
     w = grid.trapezoid_weights()
-    cost_dagger = float(w @ env.batch_evaluate(grid.nodes(), sol.xdagger)[0])
+    zero_mu = np.zeros((grid.num_steps + 1, env.m))
+    cost_dagger = float(w @ env.batch_evaluate(grid.nodes(), sol.xdagger, w, zero_mu)[0])
     assert sol.offline_cost <= cost_dagger + 1e-5
     # determinism
     sol2 = solve_offline(env, grid, small_scenario.action_set(), viability=via, max_iter=1500)

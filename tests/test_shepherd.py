@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre, polynomial
 
 from saddlesim import shepherd
@@ -204,17 +205,75 @@ def test_tight_herd_always_viable():
     assert spread < 2 * sc.radii[0]
 
 
+def lagrangian_terms(env, ts, xs, w, mu):
+    """Per-node reference: f0 (K,), f (K, m) and the terms w_k g0_k + G_k mu_k
+    (K, n), assembled from grid_evaluator evaluations at the rows of xs."""
+    at = env.grid_evaluator(ts)
+    evals = [at(k, xs[k]) for k in range(len(ts))]
+    terms = np.array([w[k] * g0 + G @ mu[k] for k, (_, g0, _, G) in enumerate(evals)])
+    return np.array([e[0] for e in evals]), np.array([e[2] for e in evals]), terms
+
+
+def check_batch_and_scalar_eval_agree(rng, sc, objective, noise):
+    ts = sc.offline_grid().nodes()
+    K = ts.shape[0]
+    base = shepherd.shepherd_env(sc, objective, noise=noise)
+    # 0.1 off the first sheep's path in both coordinates (the constant Legendre
+    # coefficient), so the saturation floor binds at some nodes and not others.
+    near = shepherd.encode_coeffs(sc.sheep_coeffs[0, :, :sc.n])
+    near[[0, sc.n]] += 0.1
+    for env, x in ((base, rng.uniform(-1.0, 1.0, size=base.n)),
+                   (base.saturate(0.05), near + rng.uniform(-0.01, 0.01, size=base.n))):
+        w = rng.uniform(0.0, 1.0, size=K)
+        mu = rng.uniform(0.0, 2.0, size=(K, env.m))
+        w[::7] = 0.0
+        mu[::5] = 0.0
+        xs = x + rng.uniform(-0.01, 0.01, size=(K, env.n))
+        # One action for every node, then one action per node.
+        for xb, total in ((x, lambda t: t.sum(axis=0)), (xs, lambda t: t)):
+            f0, f, grad = env.batch_evaluate(ts, xb, w, mu)
+            r_f0, r_f, terms = lagrangian_terms(env, ts, np.broadcast_to(xb, xs.shape), w, mu)
+            assert f0.shape == (K,) and f.shape == (K, env.m) and grad.shape == xb.shape
+            # The batch sums run in another order than the per-node dots, so
+            # values agree to rounding, not bit for bit.
+            np.testing.assert_allclose(f0, r_f0, rtol=1e-12, atol=1e-12 * np.abs(r_f0).max())
+            np.testing.assert_allclose(f, r_f, rtol=1e-12, atol=1e-12 * np.abs(r_f).max())
+            ref = total(terms)
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+        if env is not base:
+            assert (f == -0.05).any() and (f > -0.05).any()
+
+
 def test_batch_and_scalar_eval_agree(rng, small_scenario):
-    env = shepherd.shepherd_env(small_scenario, "black_sheep")
-    ts = np.sort(rng.uniform(0.0, small_scenario.T, size=6))
-    x = rng.uniform(-1.0, 1.0, size=env.n)
-    f0s, g0s, fs, Gs = env.batch_evaluate(ts, x)
-    for k, t in enumerate(ts):
-        f0, g0, f, G = env.eval_full(float(t), x)
-        assert f0 == pytest.approx(f0s[k])
-        assert np.allclose(g0, g0s[k])
-        assert np.allclose(f, fs[k])
-        assert np.allclose(G, Gs[k])
+    for objective in shepherd.OBJECTIVES:
+        for noise in shepherd.NOISE_VARIANTS:
+            check_batch_and_scalar_eval_agree(rng, small_scenario, objective, noise)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), objective=st.sampled_from(shepherd.OBJECTIVES),
+       spread=st.floats(0.01, 1.0))
+def test_grid_lagrangian_gradient_matches_finite_difference(small_scenario, seed, objective,
+                                                            spread):
+    # sum_k w_k f0 + mu_k . f is smooth in x for every objective away from zero
+    # acceleration, which random points do not hit.
+    sc = small_scenario
+    rng = np.random.default_rng(seed)
+    env = shepherd.shepherd_env(sc, objective, noise="mean")
+    ts = np.linspace(0.0, sc.T, int(rng.integers(2, 60)))  # uniform, as the grid cache assumes
+    w = rng.uniform(0.0, 1.0, size=ts.shape[0])
+    mu = rng.uniform(0.0, 1.0, size=(ts.shape[0], env.m))
+    x = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0)) + spread * rng.standard_normal(env.n)
+
+    def lagrangian(xv):
+        f0, f, _ = env.batch_evaluate(ts, xv, w, mu)
+        return w @ f0 + np.sum(mu * f)
+
+    grad = env.batch_evaluate(ts, x, w, mu)[2]
+    h = 1e-6
+    fd = np.array([(lagrangian(x + h * e) - lagrangian(x - h * e)) / (2.0 * h)
+                   for e in np.eye(env.n)])
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 @pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
