@@ -8,14 +8,16 @@ Usage (each side of a comparison runs against its own ``src``):
         --after A1.json A2.json --out BENCH_4.json
 
 ``micro`` times ``simulate`` per step (feasibility and saddle at action
-dimension 12 and 60, m=5), the time-only work of one block of integrator
-steps, and on the regret-chain configuration (seed 1, T=0.25, black sheep,
-noise-mean environment, 1,001-node grid) ``estimate_K``, ``solve_offline`` at
-600 iterations and the marginal cost of one solver iteration (the 1,200- minus
-the 600-iteration solve, over 600).  ``fixtures`` runs the C05, C08 and C09
-acceptance tests and reads the fixture times they print.  ``tier1`` times the
-whole test suite once.  Every figure is a median with its quartiles over the
-repeats.
+dimension 12 and 60, m=5), one build of the time tables for a block of
+integrator steps (K=512), and on the regret-chain configuration (seed 1,
+T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
+of the offline grid, ``estimate_K``, ``solve_offline`` at 600 iterations, the
+marginal cost of one solver iteration (the 1,200- minus the 600-iteration
+solve, over 600) and ``write_trajectory_csv`` on the 2,501-row log of the
+workload's saddle run (written next to ``--out`` and removed).  ``fixtures``
+runs the C05, C08 and C09 acceptance tests and reads the fixture times they
+print.  ``tier1`` times the whole test suite once.  Every figure is a median
+with its quartiles over the repeats.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def machine() -> dict:
             "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
-def micro(repeats: int) -> dict:
+def micro(repeats: int, workdir: str) -> dict:
     from saddlesim import shepherd
+    from saddlesim.cli import write_trajectory_csv
     from saddlesim.dynamics import ControllerConfig, simulate
     from saddlesim.offline import estimate_K, solve_offline
 
@@ -65,26 +68,11 @@ def micro(repeats: int) -> dict:
                 simulate(env, cfg, T=steps * cfg.h, X=sc.action_set(), sample_stride=10)
                 per_step.append(1e6 * (time.perf_counter() - t0) / steps)
             out[f"simulate_us_per_step.{mode}.n{2 * nb}"] = summary(per_step)
-        # Time-only work of one block: the time tables where the environment
-        # builds them, else one scalar basis evaluation per step.
         ts = np.arange(BLOCK_STEPS) * 1e-4 + 1e-4
-        env = shepherd.shepherd_env(sc, "black_sheep")
-        if getattr(env, "on_grid", None) is not None:
-            def block():
-                env.on_grid(ts)
-        else:
-            def block():
-                for t in ts.tolist():
-                    shepherd.basis_eval(sc.basis, nb, t, sc.T)
-                    if sc.n_sheep != nb:
-                        shepherd.basis_eval(sc.basis, sc.n_sheep, t, sc.T)
-        build = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            block()
-            build.append(1e3 * (time.perf_counter() - t0))
-        out[f"block_time_work_ms.n{2 * nb}"] = summary(build)
+        out[f"table_build_ms.K{BLOCK_STEPS}.n{2 * nb}"] = table_build_ms(sc, "frozen", ts, repeats)
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
+    ts = sc.offline_grid().nodes()
+    out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
     k_times, solve_times, per_iter = [], [], []
     for _ in range(repeats):
@@ -102,7 +90,32 @@ def micro(repeats: int) -> dict:
     out["estimate_K_s.regret_chain"] = summary(k_times)
     out["solve_offline_s.regret_chain_600"] = summary(solve_times)
     out["solve_offline_ms_per_iter.regret_chain"] = summary(per_iter)
+    log = simulate(shepherd.shepherd_env(sc, "black_sheep"),
+                   ControllerConfig(epsilon=50.0, h=1e-4, mode="saddle"),
+                   T=sc.T, X=sc.action_set(), sample_stride=1)
+    path = os.path.join(workdir, "bench_layers_trajectory.csv")
+    writes = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        write_trajectory_csv(path, log)
+        writes.append(time.perf_counter() - t0)
+    os.remove(path)
+    out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     return out
+
+
+def table_build_ms(sc, noise: str, ts, repeats: int) -> dict:
+    """One build of the black-sheep time tables at the nodes ts, on a fresh
+    environment each repeat so that no kept table is reused."""
+    from saddlesim import shepherd
+
+    build = []
+    for _ in range(repeats):
+        env = shepherd.shepherd_env(sc, "black_sheep", noise=noise)
+        t0 = time.perf_counter()
+        env.on_grid(ts)
+        build.append(1e3 * (time.perf_counter() - t0))
+    return summary(build)
 
 
 FIXTURE_RE = {
@@ -169,7 +182,8 @@ def main() -> None:
     if args.what == "merge":
         result = merge(args.before, args.after)
     else:
-        rows = {"micro": lambda: micro(args.repeats), "fixtures": lambda: fixtures(args.root),
+        workdir = os.path.dirname(os.path.abspath(args.out))
+        rows = {"micro": lambda: micro(args.repeats, workdir), "fixtures": lambda: fixtures(args.root),
                 "tier1": lambda: tier1(args.root)}[args.what]()
         result = {"machine": machine(), "rows": rows}
     with open(args.out, "w") as fh:

@@ -7,8 +7,9 @@ simulate   run a controller over a scenario; writes trajectory.csv + metrics.jso
 offline    solve the clairvoyant fixed-action problem; writes offline.json
 report     render SVG figures and a PASS/FAIL summary from result directories
 
-Exit codes: 0 success, 2 usage error, 3 numeric divergence or non-finite
-evaluator output, 4 infeasible or inconclusive viability or offline solve.
+Exit codes: 0 success, 2 usage error, 3 numeric divergence, non-finite
+evaluator output or a state that left its set, 4 infeasible or inconclusive
+viability or offline solve.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, shepherd, svgplot
+from .convex_sets import MembershipError
 from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate
 from .environment import EvaluatorError
 from .offline import (
@@ -50,11 +52,6 @@ class UsageError(ValueError):
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt_float(v: float) -> str:
-    # repr gives the shortest decimal that round-trips
-    return repr(float(v))
-
-
 def write_trajectory_csv(path, log: TrajectoryLog) -> None:
     """Schema: t, x_0..x_{n-1}, lambda_0..lambda_{m-1}, f_0val, f_1..f_m,
     fit_1..fit_m, cost_accum."""
@@ -70,19 +67,13 @@ def write_trajectory_csv(path, log: TrajectoryLog) -> None:
         + [f"fit_{i}" for i in range(1, m + 1)]
         + ["cost_accum"]
     )
+    table = np.column_stack([log.t, log.x, log.lam, log.f0, log.f, log.fit_accum,
+                             log.cost_accum])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(log.t.shape[0]):
-            row = (
-                [log.t[k]]
-                + list(log.x[k])
-                + list(log.lam[k])
-                + [log.f0[k]]
-                + list(log.f[k])
-                + list(log.fit_accum[k])
-                + [log.cost_accum[k]]
-            )
-            fh.write(",".join(_fmt_float(v) for v in row) + "\n")
+        # repr gives the shortest decimal that round-trips.  One row of Python
+        # floats at a time: the whole table as floats would add ~6 MB at 2,501 rows.
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
 def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
@@ -169,14 +160,8 @@ def cmd_generate(args) -> int:
 
 def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
                       scenario_path, offline_sol, offline_path) -> dict:
-    fit_vec = metrics.fit(log)
+    fits = metrics.fit_report(log, scenario.xdagger, delta)
     R = scenario.action_set().norm_bound()
-    x0 = log.x[0]
-    lam0 = log.lam[0] if log.lam.shape[1] else np.zeros(scenario.m)
-    bounds = [
-        metrics.fit_bound(log.config.epsilon, x0, lam0, scenario.xdagger, i)
-        for i in range(scenario.m)
-    ]
     out = {
         "version": CONFIG_VERSION,
         "scenario_file": str(scenario_path) if scenario_path else None,
@@ -188,18 +173,18 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
         "T": log.T,
         "delta": delta,
         "sample_stride": None,
-        "fit": fit_vec.tolist(),
+        "fit": fits.fit.tolist(),
         "fit_final_accum": log.final_fit.tolist(),
-        "clipped_fit_norm": metrics.clipped_fit_norm(fit_vec),
+        "clipped_fit_norm": fits.clipped_fit_norm,
         "cost": log.final_cost,
-        "fit_bounds": bounds,
+        "fit_bounds": fits.bounds.tolist(),
         "multiplier_bound": metrics.multiplier_bound(R) if np.isfinite(R) else None,
         "action_norm_radius": R if np.isfinite(R) else None,
         "lambda_max": log.lambda_max.tolist(),
         "max_field_norm": log.max_field_norm,
     }
     if delta is not None:
-        out["saturated_fit"] = metrics.saturated_fit(log, delta).tolist()
+        out["saturated_fit"] = fits.saturated_fit.tolist()
     if offline_sol is not None:
         rep = metrics.regret(log, offline_sol)
         out["regret"] = {
@@ -550,6 +535,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MembershipError as exc:  # a ValueError, but not the caller's fault
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

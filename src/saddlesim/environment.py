@@ -20,7 +20,9 @@ its optional ``on_grid(ts)`` builds what depends on ``t`` alone once for all
 nodes and returns an evaluator that does only the x-dependent algebra.  The
 caller owns the nodes and how many it asks for at once.  Without ``on_grid``,
 ``evaluate(ts[k], x)`` is called per node; ``eval_full`` is the one-node case.
-Solvers that need all nodes at once call the grid Lagrangian ``batch_evaluate``.
+Solvers that need all nodes at once call the grid Lagrangian ``batch_evaluate``
+(and ``batch_constraints``); an environment may keep the tables of the last
+node set it was asked for, and must build new ones for any other node set.
 """
 
 from __future__ import annotations

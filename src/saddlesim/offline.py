@@ -91,7 +91,8 @@ def _constraints_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray) -> np.
     """Constraint values at every node, shape (K, m)."""
     if env.batch_constraints is not None:
         return env.batch_constraints(ts, x)
-    return np.array([env.eval(t, x)[1] for t in ts])
+    at = env.grid_evaluator(ts)
+    return np.array([at(k, x)[2] for k in range(ts.shape[0])])
 
 
 def _full_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
@@ -361,7 +362,7 @@ def estimate_K(
             break
         trial = np.where(running[:, None], project(x - step[:, None] * g), x)
         f_trial, _, g_trial = objective(trial)
-        worse = running & (f_trial > f_x + 1e-15)
+        worse = running & ~(f_trial < f_x)
         take = running & ~worse
         x[take], f_x[take], g[take] = trial[take], f_trial[take], g_trial[take]
         step[worse] *= 0.5

@@ -10,7 +10,10 @@ integrable function shared by the online controller and the offline solver.
 
 Constraints are ``f_i(t,x) = ||z(t) - y_i(t)||^2 - r_i^2``; optional
 objectives are the distance to the first sheep (``black_sheep``) or the
-acceleration magnitude ``||z''(t)||`` (``min_acceleration``).
+acceleration magnitude ``||z''(t)||`` (``min_acceleration``).  Every
+evaluator reads one set of time tables (basis rows and sheep positions), and
+:func:`sheep_positions` computes the positions with the same operations, so
+the per-node, batch and plotted sheep positions are the same numbers.
 
 The default polynomial basis is Legendre shifted to [0, T]: monomials at
 basis size 30 make the path QP and the constraint rows catastrophically
@@ -202,15 +205,25 @@ def _noise_cells(scenario_T: float, cells: int, ts: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, cells - 1)
 
 
+def _positions(scenario: ShepherdScenario, ts: np.ndarray, Ps: np.ndarray,
+               noisy: bool) -> np.ndarray:
+    """Sheep positions (K, m, 2) from the sheep basis rows ``Ps`` (K, n_sheep)
+    at ``ts``, with the frozen noise cells added when ``noisy``."""
+    # One gemv per node, summing in the order of coeff_flat @ Ps[k];
+    # einsum and Ps @ coeff_flat.T sum in another order.
+    coeff_flat = scenario.sheep_coeffs.reshape(2 * scenario.m, scenario.n_sheep)
+    Y = (coeff_flat @ Ps[:, :, None])[..., 0].reshape(-1, scenario.m, 2)
+    if noisy:
+        cells = _noise_cells(scenario.T, scenario.noise_cells, ts)
+        Y = Y + scenario.noise[:, :, cells].transpose(2, 0, 1)
+    return Y
+
+
 def sheep_positions(scenario: ShepherdScenario, ts: np.ndarray) -> np.ndarray:
     """Positions of every sheep at the given times, shape (len(ts), m, 2)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     P, _, _ = basis_matrices(scenario.basis, scenario.n_sheep, ts, scenario.T)
-    poly = np.einsum("kj,icj->kic", P, scenario.sheep_coeffs)
-    if scenario.noise_std > 0.0:
-        cells = _noise_cells(scenario.T, scenario.noise_cells, ts)
-        poly = poly + scenario.noise[:, :, cells].transpose(2, 0, 1)
-    return poly
+    return _positions(scenario, ts, P, scenario.noise_std > 0.0)
 
 
 OBJECTIVES = ("none", "black_sheep", "min_acceleration")
@@ -236,7 +249,6 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
     if noise not in NOISE_VARIANTS:
         raise ValueError(f"noise must be one of {NOISE_VARIANTS}")
     nb = scenario.n
-    m = scenario.m
     T = scenario.T
     kind = scenario.basis
     use_noise = noise == "frozen" and scenario.noise_std > 0.0
@@ -244,31 +256,23 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
     r2 = scenario.radii**2 - shift
     has_obj = objective != "none"
     zero_g = np.zeros(2 * nb)
-    cells = scenario.noise_cells
-    W = scenario.noise
-    coeff_flat = scenario.sheep_coeffs.reshape(2 * m, scenario.n_sheep)
     same_basis = scenario.n_sheep == nb
+    last = (None, None)  # the last node set (a copy) and its tables
 
-    # The offline solvers hammer the same time grid thousands of times; cache
-    # basis matrices and sheep positions per grid.  Keyed by shape/endpoints,
-    # which identifies a uniform grid uniquely.
-    grid_cache: dict = {}
-
-    def _sheep_at(ts: np.ndarray) -> np.ndarray:
-        P, _, _ = basis_matrices(kind, scenario.n_sheep, ts, T)
-        poly = np.einsum("kj,icj->kic", P, scenario.sheep_coeffs)
-        if use_noise:
-            idx = _noise_cells(T, cells, ts)
-            poly = poly + W[:, :, idx].transpose(2, 0, 1)
-        return poly
-
-    def _grid_data(ts: np.ndarray):
-        key = (ts.shape[0], float(ts[0]), float(ts[-1]))
-        hit = grid_cache.get(key)
-        if hit is None:
-            hit = basis_matrices(kind, nb, ts, T) + (_sheep_at(ts),)
-            grid_cache[key] = hit
-        return hit
+    def tables(ts: np.ndarray):
+        # Basis rows P, P'' (K, nb) and sheep positions Y (K, m, 2) at ts.  The
+        # offline solvers call the batch evaluators on one grid thousands of
+        # times, so the last node set's tables are kept and reused for an
+        # equal one.  The slot is one tuple, read and replaced whole, so
+        # concurrent callers at worst rebuild.
+        nonlocal last
+        key, tab = last
+        if key is None or not np.array_equal(key, ts):
+            P, _, Pdd = basis_matrices(kind, nb, ts, T)
+            Ps = P if same_basis else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
+            tab = (P, Pdd, _positions(scenario, ts, Ps, use_noise))
+            last = (np.array(ts, dtype=float), tab)
+        return tab
 
     def _at(p: np.ndarray, pdd: np.ndarray, y: np.ndarray, x: np.ndarray):
         # The x-dependent algebra at one node: basis rows p, p'' and sheep
@@ -295,13 +299,7 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         return f0, g0, f, G
 
     def on_grid(ts: np.ndarray):
-        P, _, Pdd = basis_matrices(kind, nb, ts, T)
-        Ps = P if same_basis else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
-        # One gemv per node, summing in the order of coeff_flat @ Ps[k];
-        # einsum and Ps @ coeff_flat.T sum in another order.
-        Y = (coeff_flat @ Ps[:, :, None])[..., 0].reshape(-1, m, 2)
-        if use_noise:
-            Y = Y + W[:, :, _noise_cells(T, cells, ts)].transpose(2, 0, 1)
+        P, Pdd, Y = tables(ts)
         return lambda k, x: _at(P[k], Pdd[k], Y[k], x)
 
     def evaluate(t: float, x: np.ndarray):
@@ -317,7 +315,7 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         return (B.T @ s).T.ravel() if x.ndim == 1 else (B[:, None, :] * s[:, :, None]).reshape(x.shape)
 
     def _offsets(ts: np.ndarray, x: np.ndarray):
-        P, _, Pdd, Y = _grid_data(ts)                        # Y: (K, m, 2)
+        P, Pdd, Y = tables(ts)
         d = _coords(P, x)[:, None, :] - Y                    # (K, m, 2)
         return P, Pdd, d, np.einsum("kmc,kmc->km", d, d) - r2[None, :]
 
@@ -344,7 +342,7 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
 
     return Environment(
         n=2 * nb,
-        m=m,
+        m=scenario.m,
         evaluate=evaluate,
         has_objective=has_obj,
         batch_constraints=batch_constraints,

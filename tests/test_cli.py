@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from saddlesim import cli
+from saddlesim.convex_sets import DimensionError, MembershipError
 from saddlesim.environment import EvaluatorError
 from saddlesim.offline import InnerSolveError, OfflineSolution, TimeGrid
 
@@ -179,6 +180,22 @@ def test_evaluator_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys)
                    "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run")
     assert code == cli.EXIT_DIVERGENCE == 3
     assert "non-finite evaluator output at t=0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (MembershipError("state [5.1] lies outside the box"), 3),
+    (DimensionError("expected vector of dim 24, got shape (23,)"), 2),
+])
+def test_convex_set_error_exit_codes(scenario_file, tmp_path, monkeypatch, capsys, error, code):
+    # A state that left its set is a numeric failure, not a usage error, although
+    # both convex-set errors are ValueErrors.
+    def raiser(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate", raiser)
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run") == code
+    assert str(error) in capsys.readouterr().err
 
 
 def test_inner_solve_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys):

@@ -174,7 +174,7 @@ def estimate_K_per_node(env, grid, X, xstar, tol=1e-7, max_iter=2000):
                 break
             x_trial = X.project_point(x - step * g)
             f_trial, g_trial, _, _ = at(k, x_trial)
-            if f_trial > f_x + 1e-15:
+            if not f_trial < f_x:
                 step *= 0.5
                 if step < 1e-16:
                     break
@@ -229,6 +229,34 @@ def test_estimate_K_stops_halving_at_a_kink():
     xstar = np.array([0.5, 0.0])
     assert estimate_K(env, grid, BOX2, xstar) == 50.0
     assert estimate_K_per_node(env, grid, BOX2, xstar) == 50.0
+
+
+def cone_env(c, offset):
+    """f0 = offset + ||x - c||, with subgradient 0 at the apex."""
+    def g0(t, x):
+        d = x - c
+        r = np.linalg.norm(d)
+        return d / r if r > 0.0 else np.zeros_like(d)
+
+    return from_functions(2, 0, f0=lambda t, x: offset + float(np.linalg.norm(x - c)), g0=g0)
+
+
+def test_estimate_K_halves_on_a_tie():
+    # From 0 the probed step is 1 (the gradient is constant along the ray), and
+    # the trial point c / |c| costs exactly as much as the start: accepting that
+    # tie would cycle between the two until max_iter.  Halving reaches c.
+    c = np.array([0.5, 0.0])
+    grid = TimeGrid.from_step(1.0, 0.5)
+    assert estimate_K(cone_env(c, 0.0), grid, BOX2, np.zeros(2)) == 0.5
+    assert estimate_K_per_node(cone_env(c, 0.0), grid, BOX2, np.zeros(2)) == 0.5
+
+
+def test_estimate_K_stops_at_the_smallest_step_on_ties():
+    # Near an apex off the float grid, cost changes fall below one ulp of 1, so
+    # trial points tie; the step halves below 1e-16 and the node stops.
+    c = np.array([0.3, 0.4]) / 3.0
+    K = estimate_K(cone_env(c, 1.0), TimeGrid.from_step(1.0, 0.5), BOX2, np.zeros(2))
+    assert K == pytest.approx(float(np.linalg.norm(c)), abs=1e-12)
 
 
 def test_estimate_K_on_a_ball_matches_per_node_loop(rng):

@@ -260,7 +260,7 @@ def test_grid_lagrangian_gradient_matches_finite_difference(small_scenario, seed
     sc = small_scenario
     rng = np.random.default_rng(seed)
     env = shepherd.shepherd_env(sc, objective, noise="mean")
-    ts = np.linspace(0.0, sc.T, int(rng.integers(2, 60)))  # uniform, as the grid cache assumes
+    ts = np.sort(rng.uniform(0.0, sc.T, size=int(rng.integers(2, 60))))
     w = rng.uniform(0.0, 1.0, size=ts.shape[0])
     mu = rng.uniform(0.0, 1.0, size=(ts.shape[0], env.m))
     x = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0)) + spread * rng.standard_normal(env.n)
@@ -274,6 +274,48 @@ def test_grid_lagrangian_gradient_matches_finite_difference(small_scenario, seed
     fd = np.array([(lagrangian(x + h * e) - lagrangian(x - h * e)) / (2.0 * h)
                    for e in np.eye(env.n)])
     assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_batch_tables_follow_the_node_set(small_scenario):
+    # Node sets of one length and the same endpoints are different grids, and
+    # a caller may refill its array in place between calls.
+    sc = small_scenario
+    env = shepherd.shepherd_env(sc)
+    ts = np.array([0.0, 0.2, 1.0]) * sc.T
+    w, mu = np.ones(3), np.ones((3, sc.m))
+    for mid in (0.2, 0.7, 0.2):
+        ts[1] = mid * sc.T
+        fresh = shepherd.shepherd_env(sc)
+        assert np.array_equal(env.batch_constraints(ts, sc.xdagger),
+                              fresh.batch_constraints(ts, sc.xdagger))
+        for u, v in zip(env.batch_evaluate(ts, sc.xdagger, w, mu),
+                        fresh.batch_evaluate(ts, sc.xdagger, w, mu)):
+            assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("noise", shepherd.NOISE_VARIANTS)
+def test_sheep_positions_are_the_evaluator_tables(rng, small_scenario, noise):
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, small_scenario.T, size=9)),
+                         [small_scenario.T]])
+    K = ts.shape[0]
+    for sc in (small_scenario, dataclasses.replace(small_scenario, n=small_scenario.n - 5)):
+        env = shepherd.shepherd_env(sc, noise=noise)
+        Y = shepherd.sheep_positions(
+            sc if noise == "frozen" else dataclasses.replace(sc, noise_std=0.0), ts)
+        # At the zero action the subgradient of constraint i is 2 p (0 - y_i),
+        # and p_0 = 1, so rows 0 and n of G hold -2 y_i exactly.
+        at = env.grid_evaluator(ts)
+        per_node = np.array([at(k, np.zeros(env.n))[3][[0, sc.n]].T for k in range(K)])
+        assert np.array_equal(per_node / -2.0, Y)
+        # The batch pair at one zero action per node with mu the indicator of
+        # sheep i: row k of grad is 2 p_k (0 - y_ki).
+        xs = np.zeros((K, env.n))
+        for i in range(sc.m):
+            mu = np.zeros((K, sc.m))
+            mu[:, i] = 1.0
+            _, f, grad = env.batch_evaluate(ts, xs, np.zeros(K), mu)
+            assert np.array_equal(grad[:, [0, sc.n]] / -2.0, Y[:, i])
+            assert np.array_equal(env.batch_constraints(ts, xs), f)
 
 
 @pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
