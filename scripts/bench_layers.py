@@ -3,6 +3,7 @@
 Usage (each side of a comparison runs against its own ``src``):
 
     PYTHONPATH=src python scripts/bench_layers.py micro --out micro.json
+    python scripts/bench_layers.py coldstart --root . --out coldstart.json
     python scripts/bench_layers.py fixtures --root . --out fixtures.json
     python scripts/bench_layers.py merge --before B1.json B2.json \\
         --after A1.json A2.json --out BENCH_4.json
@@ -13,11 +14,16 @@ integrator steps (K=512), and on the regret-chain configuration (seed 1,
 T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
 of the offline grid, ``estimate_K``, ``solve_offline`` at 600 iterations, the
 marginal cost of one solver iteration (the 1,200- minus the 600-iteration
-solve, over 600) and ``write_trajectory_csv`` on the 2,501-row log of the
-workload's saddle run (written next to ``--out`` and removed).  ``fixtures``
-runs the C05, C08 and C09 acceptance tests and reads the fixture times they
-print.  ``tier1`` times the whole test suite once.  Every figure is a median
-with its quartiles over the repeats.
+solve, over 600), and on the 2,501-row log of the workload's saddle run
+``write_trajectory_csv`` and ``report``'s figures of that CSV (both written
+next to ``--out`` and removed).  ``coldstart`` runs fresh interpreters on the
+``src`` under ``--root`` and records each one's wall time and its own peak
+resident memory: ``import saddlesim.cli``, then the benchmark's command lines
+at seed 1, ``generate`` and ``offline`` of regret-chain and ``simulate`` and
+``report`` of minaccel-fine.  ``fixtures`` runs the C05, C08 and C09
+acceptance tests and reads the fixture times they print.  ``tier1`` times the
+whole test suite once.  Every figure is a median with its quartiles over the
+repeats.
 """
 
 from __future__ import annotations
@@ -27,9 +33,12 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +60,7 @@ def machine() -> dict:
 
 def micro(repeats: int, workdir: str) -> dict:
     from saddlesim import shepherd
-    from saddlesim.cli import write_trajectory_csv
+    from saddlesim.cli import _read_csv, _render_run_figures, write_trajectory_csv
     from saddlesim.dynamics import ControllerConfig, simulate
     from saddlesim.offline import estimate_K, solve_offline
 
@@ -99,8 +108,17 @@ def micro(repeats: int, workdir: str) -> dict:
         t0 = time.perf_counter()
         write_trajectory_csv(path, log)
         writes.append(time.perf_counter() - t0)
+    header, data = _read_csv(path)
+    renders = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _render_run_figures(Path(workdir), {}, header, data, Path(workdir))
+        renders.append(1e3 * (time.perf_counter() - t0))
+    for name in ("fit_vs_t.svg", "lambda_vs_t.svg"):
+        os.remove(os.path.join(workdir, name))
     os.remove(path)
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
+    out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
     return out
 
 
@@ -116,6 +134,70 @@ def table_build_ms(sc, noise: str, ts, repeats: int) -> dict:
         env.on_grid(ts)
         build.append(1e3 * (time.perf_counter() - t0))
     return summary(build)
+
+
+# Linux counts the peak memory of a forked child from before its exec, so a
+# child forked from this process (numpy loaded) could read no lower than this
+# process's own peak.  A bare interpreter without site (a few MB) starts the
+# command and reports the command's own wall time and peak instead.
+_LAUNCHER = """import os, sys, time
+t0 = time.perf_counter()
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss / 1024.0, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _fresh_interpreter(argv: list[str], env: dict) -> tuple[float, float]:
+    """Wall time (s) and peak resident memory (MB) of the command argv, run as
+    a fresh process."""
+    proc = subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    elapsed, peak_mb, code = proc.stdout.split()
+    if int(code) != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return float(elapsed), float(peak_mb)
+
+
+def coldstart(root: str, repeats: int) -> dict:
+    """Fresh-interpreter start-up of the CLI, one command per interpreter, on
+    the benchmark's seed-1 command lines."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
+    py = [sys.executable]
+    cli = [*py, "-m", "saddlesim"]
+    tmp = tempfile.mkdtemp(prefix="bench_layers_coldstart_")
+    try:
+        chain, fine, rep = (os.path.join(tmp, name) for name in ("chain.json", "fine.json", "rep"))
+        _fresh_interpreter([*cli, "generate", "--seed", "1", "--n", "6", "--n-sheep", "30",
+                            "--out", fine], env)
+        commands = {
+            "import_cli": [*py, "-c", "import saddlesim.cli"],
+            "generate.regret_chain": [*cli, "generate", "--seed", "1", "--horizon", "0.25",
+                                      "--out", chain],
+            "offline.regret_chain": [*cli, "offline", "--scenario", chain, "--objective",
+                                     "blacksheep", "--max-iter", "600",
+                                     "--out", os.path.join(tmp, "offline.json")],
+            "simulate.minaccel_fine": [*cli, "simulate", "--scenario", fine, "--mode", "saddle",
+                                       "--objective", "minaccel", "--epsilon", "50",
+                                       "--step", "2e-5", "--horizon", "0.1", "--stride", "20",
+                                       "--out", os.path.join(rep, "minaccel")],
+            "report.minaccel_fine": [*cli, "report", "--results", rep],
+        }
+        wall = {name: [] for name in commands}
+        rss = {name: [] for name in commands}
+        for _ in range(repeats):
+            for name, argv in commands.items():
+                elapsed, peak = _fresh_interpreter(argv, env)
+                wall[name].append(elapsed)
+                rss[name].append(peak)
+    finally:
+        shutil.rmtree(tmp)
+    out = {}
+    for name in commands:
+        out[f"coldstart_s.{name}"] = summary(wall[name])
+        out[f"coldstart_rss_mb.{name}"] = summary(rss[name])
+    return out
 
 
 FIXTURE_RE = {
@@ -172,7 +254,7 @@ def merge(before: list[str], after: list[str]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("what", choices=("micro", "fixtures", "tier1", "merge"))
+    ap.add_argument("what", choices=("micro", "coldstart", "fixtures", "tier1", "merge"))
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--root", default=".")
     ap.add_argument("--before", nargs="*", default=[])
@@ -183,7 +265,9 @@ def main() -> None:
         result = merge(args.before, args.after)
     else:
         workdir = os.path.dirname(os.path.abspath(args.out))
-        rows = {"micro": lambda: micro(args.repeats, workdir), "fixtures": lambda: fixtures(args.root),
+        rows = {"micro": lambda: micro(args.repeats, workdir),
+                "coldstart": lambda: coldstart(args.root, args.repeats),
+                "fixtures": lambda: fixtures(args.root),
                 "tier1": lambda: tier1(args.root)}[args.what]()
         result = {"machine": machine(), "rows": rows}
     with open(args.out, "w") as fh:

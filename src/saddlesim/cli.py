@@ -276,7 +276,9 @@ def cmd_simulate(args) -> int:
             raise UsageError("empty sweep list")
 
         for T in horizons:
-            _simulate_one(shepherd.regenerate(scenario, T=T), scenario_path, mode, epsilon,
+            # The run's scenario is the regenerated one, which no file holds, so
+            # metrics.json names none and report draws no path overlay for it.
+            _simulate_one(shepherd.regenerate(scenario, T=T), None, mode, epsilon,
                           step, T, delta, objective, stride, Path(out) / f"T_{T:g}")
     else:
         T = float(horizon) if horizon is not None else scenario.T
@@ -365,14 +367,14 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path) ->
     fit_idx = _cols(header, "fit_")
     svgplot.write_plot(
         out_dir / "fit_vs_t.svg",
-        [svgplot.Series(x=t.tolist(), y=data[:, i].tolist(), label=header[i]) for i in fit_idx],
+        [svgplot.Series(x=t, y=data[:, i], label=header[i]) for i in fit_idx],
         "Fit components along the trajectory", "t", "fit",
     )
     lam_idx = _cols(header, "lambda_")
     if lam_idx:
         svgplot.write_plot(
             out_dir / "lambda_vs_t.svg",
-            [svgplot.Series(x=t.tolist(), y=data[:, i].tolist(), label=header[i]) for i in lam_idx],
+            [svgplot.Series(x=t, y=data[:, i], label=header[i]) for i in lam_idx],
             "Multipliers along the trajectory", "t", "lambda",
         )
     else:
@@ -386,15 +388,14 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path) ->
         Y = shepherd.sheep_positions(scenario, t)
         for i in range(scenario.m):
             series.append(svgplot.Series(
-                x=Y[:, i, 0].tolist(), y=Y[:, i, 1].tolist(),
+                x=Y[:, i, 0], y=Y[:, i, 1],
                 label=f"sheep {i + 1}", color=svgplot.PALETTE[(i + 2) % len(svgplot.PALETTE)],
             ))
         P, _, _ = shepherd.basis_matrices(scenario.basis, scenario.n, t, scenario.T)
         xs = data[:, x_idx]
         z1 = np.einsum("kj,kj->k", P, xs[:, :scenario.n])
         z2 = np.einsum("kj,kj->k", P, xs[:, scenario.n:])
-        series.append(svgplot.Series(x=z1.tolist(), y=z2.tolist(),
-                                     label="shepherd", color="#d62728"))
+        series.append(svgplot.Series(x=z1, y=z2, label="shepherd", color="#d62728"))
         svgplot.write_plot(out_dir / "path_overlay.svg", series,
                            "Shepherd and sheep paths", "z1", "z2")
     else:
@@ -409,7 +410,7 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path) ->
         cost = data[:, header.index("cost_accum")]
         svgplot.write_plot(
             out_dir / "regret_vs_t.svg",
-            [svgplot.Series(x=t.tolist(), y=(cost - offline_cum).tolist(), label="regret")],
+            [svgplot.Series(x=t, y=cost - offline_cum, label="regret")],
             "Regret along the trajectory", "t", "regret",
         )
     else:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .convex_sets import Box
 from .environment import Environment
@@ -118,7 +117,11 @@ def _solve_path_qp(G: np.ndarray, con_rows: np.ndarray, b: np.ndarray):
     KKT system, with symmetric equilibration and iterative refinement.
 
     Returns (coefficients, condition number of the scaled KKT matrix).
+    scipy is imported here, not at module level, so that the commands that
+    never fit a sheep path start without loading it.
     """
+    import scipy.linalg
+
     n = G.shape[0]
     p = con_rows.shape[0]
     kkt = np.zeros((n + p, n + p))

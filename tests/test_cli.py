@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +247,36 @@ def test_report_sweep_trend_table(scenario_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "horizon sweep trend" in text
     assert "norm/sqrt(T)" in text
+    # Each horizon ran a regenerated scenario that no file holds: no overlay is
+    # drawn against the T=1 file the sweep started from.
+    for T in ("0.25", "0.5"):
+        assert json.loads((out / f"T_{T}" / "metrics.json").read_text())["scenario_file"] is None
+        assert not (out / f"T_{T}" / "path_overlay.svg").exists()
+    assert text.count("missing: path_overlay (scenario file unavailable)") == 2
+
+
+def test_commands_without_a_path_fit_do_not_load_scipy(scenario_file, tmp_path):
+    # Only generate's sheep-path QP needs scipy.linalg; offline, simulate and
+    # report start without it.
+    code = f"""
+import sys
+import saddlesim
+from saddlesim import cli
+tmp, scn = {str(tmp_path)!r}, {str(scenario_file)!r}
+assert cli.main(["offline", "--scenario", scn, "--objective", "blacksheep",
+                 "--max-iter", "50", "--out", tmp + "/offline.json"]) == 0
+assert cli.main(["simulate", "--scenario", scn, "--mode", "saddle", "--objective",
+                 "blacksheep", "--epsilon", "50", "--step", "1e-3", "--offline",
+                 tmp + "/offline.json", "--out", tmp + "/run"]) == 0
+assert cli.main(["report", "--results", tmp]) == 0
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "path_overlay.svg").exists()
 
 
 def test_config_file_flow(scenario_file, tmp_path):
