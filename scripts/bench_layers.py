@@ -12,18 +12,19 @@ Usage (each side of a comparison runs against its own ``src``):
 dimension 12 and 60, m=5), one build of the time tables for a block of
 integrator steps (K=512), and on the regret-chain configuration (seed 1,
 T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
-of the offline grid, ``estimate_K``, ``solve_offline`` at 600 iterations, the
-marginal cost of one solver iteration (the 1,200- minus the 600-iteration
-solve, over 600), and on the 2,501-row log of the workload's saddle run
-``write_trajectory_csv`` and ``report``'s figures of that CSV (both written
-next to ``--out`` and removed).  ``coldstart`` runs fresh interpreters on the
-``src`` under ``--root`` and records each one's wall time and its own peak
-resident memory: ``import saddlesim.cli``, then the benchmark's command lines
-at seed 1, ``generate`` and ``offline`` of regret-chain and ``simulate`` and
-``report`` of minaccel-fine.  ``fixtures`` runs the C05, C08 and C09
-acceptance tests and reads the fixture times they print.  ``tier1`` times the
-whole test suite once.  Every figure is a median with its quartiles over the
-repeats.
+of the offline grid, one ``batch_evaluate`` call (one action, and one action
+per node) and one ``batch_constraints`` call on that grid, ``estimate_K``,
+``solve_offline`` at 600 iterations, the marginal cost of one solver iteration
+(the 1,200- minus the 600-iteration solve, over 600), and on the 2,501-row log
+of the workload's saddle run ``write_trajectory_csv`` and ``report``'s figures
+of that CSV (both written next to ``--out`` and removed).  ``coldstart`` runs
+fresh interpreters on the ``src`` under ``--root`` and records each one's wall
+time and its own peak resident memory: ``import saddlesim.cli``, then the
+benchmark's command lines at seed 1, ``generate`` and ``offline`` of
+regret-chain and ``simulate`` and ``report`` of minaccel-fine.  ``fixtures``
+runs the C05, C08 and C09 acceptance tests and reads the fixture times they
+print.  ``tier1`` times the whole test suite once.  Every figure is a median
+with its quartiles over the repeats.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def micro(repeats: int, workdir: str) -> dict:
     ts = sc.offline_grid().nodes()
     out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
+    out.update(grid_lagrangian_us(sc, env, ts, repeats))
     k_times, solve_times, per_iter = [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -119,6 +121,31 @@ def micro(repeats: int, workdir: str) -> dict:
     os.remove(path)
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
+    return out
+
+
+def grid_lagrangian_us(sc, env, ts, repeats: int, calls: int = 200) -> dict:
+    """One call of the grid Lagrangian on the nodes ts with the tables built:
+    at x-dagger (one action), at x-dagger on every node (one action per node,
+    the form estimate_K uses), and the constraints alone at x-dagger."""
+    rng = np.random.default_rng(0)
+    K = ts.shape[0]
+    w = sc.offline_grid().trapezoid_weights()
+    mu = rng.uniform(0.0, 1.0, size=(K, sc.m))
+    xs = np.tile(sc.xdagger, (K, 1))
+    cases = {"batch_evaluate_us.one_action": lambda: env.batch_evaluate(ts, sc.xdagger, w, mu),
+             "batch_evaluate_us.per_node": lambda: env.batch_evaluate(ts, xs, w, mu),
+             "batch_constraints_us.one_action": lambda: env.batch_constraints(ts, sc.xdagger)}
+    out = {}
+    for name, call in cases.items():
+        call()
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                call()
+            samples.append(1e6 * (time.perf_counter() - t0) / calls)
+        out[f"{name}.regret_chain"] = summary(samples)
     return out
 
 

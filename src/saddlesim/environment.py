@@ -23,6 +23,11 @@ caller owns the nodes and how many it asks for at once.  Without ``on_grid``,
 Solvers that need all nodes at once call the grid Lagrangian ``batch_evaluate``
 (and ``batch_constraints``); an environment may keep the tables of the last
 node set it was asked for, and must build new ones for any other node set.
+One table serves both kinds of caller.  The shepherd environment's, for
+example, holds the basis rows (K, nb) and the sheep positions as one planar
+(2, K, m) array, all x-coordinates then all y-coordinates: ``at(k, x)`` reads
+column k of it, and the batch evaluators run their elementwise algebra over
+its contiguous (K, m) planes.
 """
 
 from __future__ import annotations

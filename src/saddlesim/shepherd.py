@@ -210,23 +210,25 @@ def _noise_cells(scenario_T: float, cells: int, ts: np.ndarray) -> np.ndarray:
 
 def _positions(scenario: ShepherdScenario, ts: np.ndarray, Ps: np.ndarray,
                noisy: bool) -> np.ndarray:
-    """Sheep positions (K, m, 2) from the sheep basis rows ``Ps`` (K, n_sheep)
-    at ``ts``, with the frozen noise cells added when ``noisy``."""
+    """Sheep positions in the planar layout: one contiguous (2, K, m) array,
+    all x-coordinates, then all y-coordinates, from the sheep basis rows ``Ps``
+    (K, n_sheep) at ``ts``, with the frozen noise cells added when ``noisy``."""
     # One gemv per node, summing in the order of coeff_flat @ Ps[k];
     # einsum and Ps @ coeff_flat.T sum in another order.
     coeff_flat = scenario.sheep_coeffs.reshape(2 * scenario.m, scenario.n_sheep)
-    Y = (coeff_flat @ Ps[:, :, None])[..., 0].reshape(-1, scenario.m, 2)
+    Y = (coeff_flat @ Ps[:, :, None])[..., 0].reshape(-1, scenario.m, 2).transpose(2, 0, 1)
     if noisy:
         cells = _noise_cells(scenario.T, scenario.noise_cells, ts)
-        Y = Y + scenario.noise[:, :, cells].transpose(2, 0, 1)
-    return Y
+        Y = Y + scenario.noise[:, :, cells].transpose(1, 2, 0)
+    return np.ascontiguousarray(Y)
 
 
 def sheep_positions(scenario: ShepherdScenario, ts: np.ndarray) -> np.ndarray:
-    """Positions of every sheep at the given times, shape (len(ts), m, 2)."""
+    """Positions of every sheep at the given times, shape (len(ts), m, 2): a
+    transposed view of the evaluators' planar table."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     P, _, _ = basis_matrices(scenario.basis, scenario.n_sheep, ts, scenario.T)
-    return _positions(scenario, ts, P, scenario.noise_std > 0.0)
+    return _positions(scenario, ts, P, scenario.noise_std > 0.0).transpose(1, 2, 0)
 
 
 OBJECTIVES = ("none", "black_sheep", "min_acceleration")
@@ -263,27 +265,28 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
     last = (None, None)  # the last node set (a copy) and its tables
 
     def tables(ts: np.ndarray):
-        # Basis rows P, P'' (K, nb) and sheep positions Y (K, m, 2) at ts.  The
-        # offline solvers call the batch evaluators on one grid thousands of
-        # times, so the last node set's tables are kept and reused for an
-        # equal one.  The slot is one tuple, read and replaced whole, so
-        # concurrent callers at worst rebuild.
+        # Basis rows P, P'' (K, nb) and the planar sheep table Y (2, K, m) at
+        # ts.  The offline solvers call the batch evaluators on one grid
+        # thousands of times, so the last node set's tables are kept and
+        # reused for an equal one.  The slot is one tuple, read and replaced
+        # whole, so concurrent callers at worst rebuild.
         nonlocal last
         key, tab = last
         if key is None or not np.array_equal(key, ts):
             P, _, Pdd = basis_matrices(kind, nb, ts, T)
             Ps = P if same_basis else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
-            tab = (P, Pdd, _positions(scenario, ts, Ps, use_noise))
+            # r2 tiled over the nodes, so that f = |d|^2 - r2 runs as one flat loop.
+            tab = (P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1)))
             last = (np.array(ts, dtype=float), tab)
         return tab
 
     def _at(p: np.ndarray, pdd: np.ndarray, y: np.ndarray, x: np.ndarray):
-        # The x-dependent algebra at one node: basis rows p, p'' and sheep
-        # positions y (m, 2) come from the time tables.
+        # The x-dependent algebra at one node: basis rows p, p'' and the sheep
+        # coordinates y (2, m) come from the time tables.
         z1 = float(p @ x[:nb])
         z2 = float(p @ x[nb:])
-        d1 = z1 - y[:, 0]
-        d2 = z2 - y[:, 1]
+        d1 = z1 - y[0]
+        d2 = z2 - y[1]
         f = d1 * d1 + d2 * d2 - r2
         G = 2.0 * np.concatenate([p[:, None] * d1[None, :], p[:, None] * d2[None, :]])
         if objective == "black_sheep":
@@ -302,43 +305,63 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         return f0, g0, f, G
 
     def on_grid(ts: np.ndarray):
-        P, Pdd, Y = tables(ts)
-        return lambda k, x: _at(P[k], Pdd[k], Y[k], x)
+        P, Pdd, Y, _ = tables(ts)
+        return lambda k, x: _at(P[k], Pdd[k], Y[:, k], x)
 
     def evaluate(t: float, x: np.ndarray):
         return on_grid(np.array([t]))(0, x)
 
+    # The batch evaluators keep the planar layout: coordinates z and
+    # coordinate weights s are (2, K), offsets d = z - Y are (2, K, m), and
+    # each step is a plain ufunc over whole planes or one matrix product.
+    # Their sum orders decide the last bits of the offline solution: z takes
+    # one gemv per coordinate, s adds the sheep one at a time from zero, and
+    # the pullback of one action is one B.T @ s product.
+
     def _coords(B: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # (K, 2): basis rows B (K, nb) times one action x (n,), or one per node (K, n).
-        return (np.stack([B @ x[:nb], B @ x[nb:]], axis=1) if x.ndim == 1
-                else np.einsum("kj,kcj->kc", B, x.reshape(-1, 2, nb)))
+        # (2, K): basis rows B (K, nb) times one action x (n,), one gemv per
+        # coordinate, or times one action per node (K, n).
+        return (np.stack([B @ x[:nb], B @ x[nb:]]) if x.ndim == 1
+                else np.einsum("kj,kcj->ck", B, x.reshape(-1, 2, nb)))
 
     def _pullback(B: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # Gradient in x of sum_k s_k . _coords(B, x)_k for s (K, 2).
-        return (B.T @ s).T.ravel() if x.ndim == 1 else (B[:, None, :] * s[:, :, None]).reshape(x.shape)
+        # Gradient in x of sum_k s_k . _coords(B, x)_k for s (2, K).  With one
+        # action per node the product is asked for in C order: numpy would
+        # lay it out like s, and the reshape would then copy (K, n) again.
+        if x.ndim == 1:
+            return (B.T @ s.T).T.ravel()
+        return np.multiply(B[:, None, :], s.T[:, :, None], order="C").reshape(x.shape)
 
     def _offsets(ts: np.ndarray, x: np.ndarray):
-        P, Pdd, Y = tables(ts)
-        d = _coords(P, x)[:, None, :] - Y                    # (K, m, 2)
-        return P, Pdd, d, np.einsum("kmc,kmc->km", d, d) - r2[None, :]
+        P, Pdd, Y, R2 = tables(ts)
+        d = _coords(P, x)[:, :, None] - Y                    # (2, K, m)
+        dd = d * d
+        return P, Pdd, d, dd[0] + dd[1] - R2
 
     def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
         return _offsets(ts, x)[3]
 
     def batch_evaluate(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
         P, Pdd, d, f = _offsets(ts, x)
-        # G_k mu_k = 2 p_k (d_k . mu_k) per coordinate; black sheep's g0 is
-        # the first constraint's column, so its weight joins mu[:, 0].
-        s = np.einsum("kmc,km->kc", d, mu)
+        # G_k mu_k = 2 p_k (d_k . mu_k) per coordinate (a reduction over the
+        # short m axis would be slower than the loop); black sheep's g0 is the
+        # first constraint's column, so its weight joins mu[:, 0].
+        dmu = d * mu
+        s = np.zeros(dmu.shape[:2])
+        for i in range(scenario.m):
+            s += dmu[:, :, i]
         if objective == "black_sheep":
             f0 = f[:, 0] + r2[0] + shift
-            s = s + w[:, None] * d[:, 0, :]
-        grad = 2.0 * _pullback(P, s, x)
+            s += w * d[:, :, 0]
+        # In place: with one action per node grad is (K, n), and a fresh
+        # array of that size costs more than the arithmetic.
+        grad = _pullback(P, s, x)
+        grad *= 2.0
         if objective == "min_acceleration":
             a = _coords(Pdd, x)
-            f0 = np.linalg.norm(a, axis=1)
+            f0 = np.linalg.norm(a, axis=0)
             # a = 0 wherever f0 = 0, so those nodes add nothing.
-            grad = grad + _pullback(Pdd, (w / np.where(f0 > 0.0, f0, 1.0))[:, None] * a, x)
+            grad += _pullback(Pdd, w / np.where(f0 > 0.0, f0, 1.0) * a, x)
         elif objective == "none":
             f0 = np.zeros(ts.shape[0])
         return f0, f, grad

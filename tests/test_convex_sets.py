@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlesim.convex_sets import (
     MEMBERSHIP_TOL,
@@ -229,3 +230,78 @@ def test_orthant_field_rule():
     x = np.array([0.0, 1.0, 0.0])
     v = np.array([-2.0, -2.0, 3.0])
     assert np.allclose(orth.project_field(x, v), [0.0, -2.0, 3.0])
+
+
+# Property tests for the two field projections the integrators use.  Members
+# are drawn with every coordinate on its lower face, on its upper face or
+# strictly inside, so faces, corners and infinite bounds all occur.
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_field = st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False)),
+                  min_size=5, max_size=5)
+
+
+@st.composite
+def box_and_members(draw, count=1):
+    dim = draw(st.integers(1, 5))
+    lower, upper = [], []
+    for _ in range(dim):
+        lo = draw(st.one_of(st.just(-np.inf), _coord))
+        hi = draw(st.one_of(st.just(np.inf), st.floats(0.1, 3.0).map(
+            lambda w, lo=lo: (0.0 if np.isinf(lo) else lo) + w)))
+        lower.append(lo)
+        upper.append(hi)
+    box = Box(lower, upper)
+    members = []
+    for _ in range(count):
+        x = np.empty(dim)
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
+            where = draw(st.sampled_from([w for w, b in (("lower", lo), ("upper", hi))
+                                          if np.isfinite(b)] + ["inside"]))
+            if where == "lower":
+                x[i] = lo
+            elif where == "upper":
+                x[i] = hi
+            else:
+                # At least 0.05 from a finite bound: 1e-7 * |v| never reaches it.
+                a = lo if np.isfinite(lo) else hi - 3.0 if np.isfinite(hi) else -3.0
+                b = hi if np.isfinite(hi) else a + 3.0
+                x[i] = a + draw(st.floats(0.05, 0.95)) * (b - a)
+        members.append(x)
+    return box, members
+
+
+@st.composite
+def orthant_and_members(draw, count=1):
+    dim = draw(st.integers(1, 5))
+    coord = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    return NonnegativeOrthant(dim), [np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+                                     for _ in range(count)]
+
+
+def check_field_is_the_limit_quotient(cset, x, v):
+    delta = 1e-7
+    quotient = (cset.project_point(x + delta * v) - x) / delta
+    # Blocked components clamp back onto x exactly, so they are exactly 0;
+    # the free ones lose only the rounding of x + delta * v.
+    np.testing.assert_allclose(cset.project_field(x, v), quotient, rtol=0.0, atol=1e-7)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=box_and_members(), field=_field)
+def test_box_field_is_the_limit_quotient(case, field):
+    box, (x,) = case
+    check_field_is_the_limit_quotient(box, x, np.array(field[:box.dim]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=orthant_and_members(), field=_field)
+def test_orthant_field_is_the_limit_quotient(case, field):
+    orth, (x,) = case
+    check_field_is_the_limit_quotient(orth, x, np.array(field[:orth.dim]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=st.one_of(box_and_members(count=2), orthant_and_members(count=2)), field=_field)
+def test_projection_gap_is_nonnegative_for_members(case, field):
+    cset, (x0, x) = case
+    assert projection_gap(cset, x0, x, np.array(field[:cset.dim])) >= -1e-12

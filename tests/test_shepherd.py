@@ -214,8 +214,9 @@ def lagrangian_terms(env, ts, xs, w, mu):
     return np.array([e[0] for e in evals]), np.array([e[2] for e in evals]), terms
 
 
-def check_batch_and_scalar_eval_agree(rng, sc, objective, noise):
-    ts = sc.offline_grid().nodes()
+def check_batch_and_scalar_eval_agree(rng, sc, objective, noise, ts=None):
+    on_grid = ts is None
+    ts = sc.offline_grid().nodes() if on_grid else np.asarray(ts, dtype=float)
     K = ts.shape[0]
     base = shepherd.shepherd_env(sc, objective, noise=noise)
     # 0.1 off the first sheep's path in both coordinates (the constant Legendre
@@ -240,14 +241,30 @@ def check_batch_and_scalar_eval_agree(rng, sc, objective, noise):
             np.testing.assert_allclose(f, r_f, rtol=1e-12, atol=1e-12 * np.abs(r_f).max())
             ref = total(terms)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
-        if env is not base:
+        if env is not base and on_grid:
             assert (f == -0.05).any() and (f > -0.05).any()
 
 
 def test_batch_and_scalar_eval_agree(rng, small_scenario):
-    for objective in shepherd.OBJECTIVES:
-        for noise in shepherd.NOISE_VARIANTS:
-            check_batch_and_scalar_eval_agree(rng, small_scenario, objective, noise)
+    # Also with a shepherd basis smaller than the sheep basis.
+    for sc in (small_scenario, dataclasses.replace(small_scenario, n=6)):
+        for objective in shepherd.OBJECTIVES:
+            for noise in shepherd.NOISE_VARIANTS:
+                check_batch_and_scalar_eval_agree(rng, sc, objective, noise)
+
+
+@pytest.mark.parametrize("nodes", ["one", "unsorted", "repeated"])
+def test_batch_and_scalar_eval_agree_off_the_offline_grid(rng, small_scenario, nodes):
+    # The planar tables on node sets the offline grid never is: a single
+    # node, nodes out of order and a node given twice.
+    T = small_scenario.T
+    ts = {"one": [0.37 * T],
+          "unsorted": rng.permutation(np.concatenate([[0.0, T], rng.uniform(0.0, T, size=9)])),
+          "repeated": np.array([0.2, 0.5, 0.5, 0.9, 0.2]) * T}[nodes]
+    for sc in (small_scenario, dataclasses.replace(small_scenario, n=6)):
+        for objective in shepherd.OBJECTIVES:
+            for noise in shepherd.NOISE_VARIANTS:
+                check_batch_and_scalar_eval_agree(rng, sc, objective, noise, ts)
 
 
 @settings(max_examples=30, deadline=None, database=None)

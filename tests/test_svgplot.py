@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +118,53 @@ def test_line_plot_matches_point_by_point_renderer(name):
     expected = line_plot_reference(lists, "title", "t", "y")
     assert svgplot.line_plot(arrays, "title", "t", "y") == expected
     assert svgplot.line_plot(lists, "title", "t", "y") == expected
+
+
+def ticks_before(lo, hi):
+    """The tick loop before it was bounded, verbatim: the oracle for every
+    range it finishes on."""
+    if hi <= lo:
+        hi = lo + 1.0
+    step = svgplot._nice_step(hi - lo)
+    first = math.ceil(lo / step) * step
+    out = []
+    v = first
+    while v <= hi + 1e-12 * max(1.0, abs(hi)):
+        out.append(0.0 if abs(v) < step * 1e-9 else v)
+        v += step
+    return out
+
+
+def test_ticks_match_the_unbounded_loop_on_ordinary_ranges():
+    rng = np.random.default_rng(8)
+    cases = [(v, v) for v in (0.0, -0.0, 0.25, -3.5, 123456.0, 1e9, -1e9)]
+    cases += [(1.0, 0.5), (-2.0, -7.0)]
+    # Magnitudes 1e-12 to 1e15 and widths of at least 1e-10, absolute and
+    # relative to the magnitude.  Narrower ranges are not ordinary: the old
+    # loop's tolerance of 1e-12 (times the magnitude, if above 1) spans many
+    # steps there and draws ticks far past hi, or never ends.
+    for e in range(-12, 16):
+        for w in range(max(-10, e - 9), e + 5):
+            for sign in (-1.0, 1.0):
+                lo = sign * rng.uniform(1.0, 10.0) * 10.0**e
+                cases.append((lo, lo + rng.uniform(1.0, 10.0) * 10.0**w))
+    for lo, hi in cases:
+        assert _ticks(lo, hi) == ticks_before(lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e20, 1e20), (1e20, np.nextafter(1e20, 2e20)),
+                                    (-3e300, -3e300), (2.0**53, 2.0**53), (0.0, 1e-14)])
+def test_ticks_end_below_float_resolution(lo, hi):
+    # The old loop never ends here (step is below half an ulp of lo), and
+    # on [0, 1e-14] it drew some 500 ticks past hi.
+    ticks = _ticks(lo, hi)
+    assert 2 <= len(ticks) <= 10
+    assert ticks == sorted(set(ticks)) and ticks[0] >= lo
+
+
+def test_constant_series_at_1e20_gives_a_finite_svg():
+    svg = svgplot.line_plot([Series(x=[0.0, 1.0], y=[1e20, 1e20], label="c")], "t", "x", "y")
+    assert "nan" not in svg and "inf" not in svg
+    numbers = [float(v) for v in re.findall(r'[-+]?\d+\.\d+', svg)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+    assert svg.count("<polyline") == 1
