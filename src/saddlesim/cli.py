@@ -204,9 +204,7 @@ def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
     if delta is not None:
         env = env.saturate(delta)
     cfg = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
-    log = simulate(
-        env, cfg, T=T, X=scenario.action_set(), sample_stride=stride, seed=scenario.seed,
-    )
+    log = simulate(env, cfg, T=T, X=scenario.action_set(), sample_stride=stride)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", log)
@@ -504,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=None)
     s.add_argument("--delta", type=float, default=None)
     s.add_argument("--objective", choices=sorted(OBJECTIVE_NAMES), default=None)
-    s.add_argument("--seed", type=int, default=None, help="echoed into outputs")
+    s.add_argument("--seed", type=int, default=None, help="seed for inline scenario parameters")
     s.add_argument("--out", default=None)
     s.add_argument("--sweep", default=None, help='horizon list, e.g. "0.5,1,2"')
     s.add_argument("--stride", type=int, default=None)

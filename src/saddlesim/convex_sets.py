@@ -56,9 +56,6 @@ class ConvexSet:
         x = _check_dim(self.dim, x)
         return float(np.linalg.norm(self.project_point(x) - x))
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.distance(x) <= tol
-
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Tangent-cone projection of v at a member point x.
 
@@ -70,9 +67,6 @@ class ConvexSet:
     def norm_bound(self) -> float:
         """R with ||x|| <= R for every member; inf for unbounded variants."""
         return np.inf
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
 
     def _inside(self, x: np.ndarray) -> bool:
         # Membership within MEMBERSHIP_TOL without the generic
@@ -108,9 +102,6 @@ class FullSpace(ConvexSet):
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         _check_dim(self.dim, x)
         return _check_dim(self.dim, v).copy()
-
-    def to_config(self) -> dict:
-        return {"kind": "full", "dim": self.dim}
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +163,6 @@ class Box(ConvexSet):
             return np.inf
         return float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
 
-    def to_config(self) -> dict:
-        return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Ball(ConvexSet):
@@ -224,9 +212,6 @@ class Ball(ConvexSet):
     def norm_bound(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def to_config(self) -> dict:
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class NonnegativeOrthant(ConvexSet):
@@ -253,9 +238,6 @@ class NonnegativeOrthant(ConvexSet):
         v = _check_dim(self.dim, v)
         return np.where((x <= _BOX_EDGE_TOL) & (v < 0.0), 0.0, v)
 
-    def to_config(self) -> dict:
-        return {"kind": "orthant", "dim": self.dim}
-
 
 def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
     """(x0 - x).v minus (x0 - x).Pi(x0, v), for members x0 and x.
@@ -269,17 +251,3 @@ def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray
     v = _check_dim(cset.dim, v)
     w = x0 - x
     return float(w @ v - w @ cset.project_field(x0, v))
-
-
-def from_config(cfg: dict) -> ConvexSet:
-    """Inverse of ``to_config``; raises on unknown kinds or malformed fields."""
-    kind = cfg.get("kind")
-    if kind == "full":
-        return FullSpace(int(cfg["dim"]))
-    if kind == "box":
-        return Box(cfg["lower"], cfg["upper"])
-    if kind == "ball":
-        return Ball(cfg["center"], cfg["radius"])
-    if kind == "orthant":
-        return NonnegativeOrthant(int(cfg["dim"]))
-    raise ValueError(f"unknown convex set kind: {kind!r}")

@@ -16,7 +16,7 @@ Euler: project the field, take the explicit step, re-project the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -67,8 +67,6 @@ class TrajectoryLog:
     h_eff: float
     lambda_max: np.ndarray     # (m_lam,), max over *every* step, not just samples
     max_field_norm: float      # empirical Lipschitz scale of the state fields
-    seed: Optional[int] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         S = self.t.shape[0]
@@ -96,7 +94,6 @@ def simulate(
     X: ConvexSet,
     x0: Optional[np.ndarray] = None,
     sample_stride: int = 10,
-    seed: Optional[int] = None,
 ) -> TrajectoryLog:
     """Run the configured controller over [0, T] and log the trajectory.
 
@@ -192,5 +189,4 @@ def simulate(
         h_eff=h_eff,
         lambda_max=lam_max,
         max_field_norm=max_field,
-        seed=seed,
     )

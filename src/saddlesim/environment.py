@@ -1,7 +1,7 @@
 """Time-varying cost and constraint evaluators.
 
 An :class:`Environment` bundles, for an action dimension ``n`` and constraint
-count ``m``, a single evaluator producing at ``(t, x)``:
+count ``m``, evaluators producing at ``(t, x)``:
 
 * ``f0(t, x)``   scalar objective value (0 when there is no objective),
 * ``g0(t, x)``   an objective subgradient, shape ``(n,)``,
@@ -13,21 +13,26 @@ deterministic, and thread-safe.  Every constraint and the objective must be
 convex in ``x`` and integrable in ``t`` (sample-and-hold discontinuities are
 fine, the integrator step resolves them).
 
-Grid protocol.  A caller that visits known nodes (the integrator's steps, the
-offline grid) asks :meth:`Environment.grid_evaluator` for ``at(k, x)``, the
-checked evaluation at ``(ts[k], x)``.  The environment owns the time tables:
-its optional ``on_grid(ts)`` builds what depends on ``t`` alone once for all
-nodes and returns an evaluator that does only the x-dependent algebra.  The
-caller owns the nodes and how many it asks for at once.  Without ``on_grid``,
-``evaluate(ts[k], x)`` is called per node; ``eval_full`` is the one-node case.
-Solvers that need all nodes at once call the grid Lagrangian ``batch_evaluate``
-(and ``batch_constraints``); an environment may keep the tables of the last
-node set it was asked for, and must build new ones for any other node set.
-One table serves both kinds of caller.  The shepherd environment's, for
-example, holds the basis rows (K, nb) and the sheep positions as one planar
-(2, K, m) array, all x-coordinates then all y-coordinates: ``at(k, x)`` reads
-column k of it, and the batch evaluators run their elementwise algebra over
-its contiguous (K, m) planes.
+Grid protocol.  Every environment answers the same three calls, and the
+caller owns the nodes and how many it asks for at once:
+
+* ``on_grid(ts)`` builds what depends on ``t`` alone once for all nodes and
+  returns ``raw(k, x)``, the evaluation at ``(ts[k], x)`` doing only the
+  x-dependent algebra.  Callers go through :meth:`Environment.grid_evaluator`,
+  which adds the shape check and the finiteness guard; ``eval_full`` is its
+  one-node case.
+* ``batch_constraints(ts, x)`` and ``batch_evaluate(ts, x, w, mu)``, the grid
+  Lagrangian, serve solvers that need all nodes at once.
+
+An environment may keep the tables of the last node set it was asked for, and
+must build new ones for any other node set.  :func:`pointwise` builds all
+three calls from a per-node ``(t, x) -> (f0, g0, f, G)``: each node goes
+through the checked grid evaluator, so its batch calls carry the same guard.
+The shepherd environment instead keeps one table for both kinds of caller: the
+basis rows (K, nb) and the sheep positions as one planar (2, K, m) array, all
+x-coordinates then all y-coordinates.  Its ``raw(k, x)`` reads column k, and
+its batch calls run their elementwise algebra over the contiguous (K, m)
+planes.
 """
 
 from __future__ import annotations
@@ -38,15 +43,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# Per-node evaluator: (t, x) -> (f0, g0 (n,), f (m,), G (n, m)).
 FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
-# Optional vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
+# Time tables: ts (K,) -> raw(k, x), the unchecked evaluation at (ts[k], x).
+OnGrid = Callable[[np.ndarray], Callable[[int, np.ndarray], tuple]]
+# Vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# Optional grid Lagrangian: (ts (K,), x, w (K,), mu (K, m)) -> (f0 (K,), f (K, m),
+# Grid Lagrangian: (ts (K,), x, w (K,), mu (K, m)) -> (f0 (K,), f (K, m),
 # grad = sum_k w_k g0(t_k, x) + G(t_k, x) mu_k).  In both batch evaluators x is
 # one action (n,), or one per node (K, n), and then grad row k is the k-th term.
 BatchEval = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple]
-# Optional time tables: ts (K,) -> at(k, x), the full evaluation at (ts[k], x).
-OnGrid = Callable[[np.ndarray], Callable[[int, np.ndarray], tuple]]
 
 
 class EvaluatorError(RuntimeError):
@@ -57,21 +63,10 @@ class EvaluatorError(RuntimeError):
 class Environment:
     n: int
     m: int
-    evaluate: FullEval
+    on_grid: OnGrid = field(repr=False)
+    batch_constraints: BatchConstraints = field(repr=False)
+    batch_evaluate: BatchEval = field(repr=False)
     has_objective: bool = True
-    batch_constraints: Optional[BatchConstraints] = field(default=None, repr=False)
-    batch_evaluate: Optional[BatchEval] = field(default=None, repr=False)
-    on_grid: Optional[OnGrid] = field(default=None, repr=False)
-
-    def eval(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective and constraint values at (t, x)."""
-        f0, _, f, _ = self.eval_full(t, x)
-        return f0, f
-
-    def eval_subgradients(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective subgradient (n,) and constraint subgradient matrix (n, m)."""
-        _, g0, _, G = self.eval_full(t, x)
-        return g0, G
 
     def eval_full(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         return self.grid_evaluator([t])(0, x)
@@ -80,7 +75,7 @@ class Environment:
         """Evaluator over the nodes ``ts``: ``at(k, x)`` is the checked evaluation at (ts[k], x)."""
         ts = np.asarray(ts, dtype=float)
         tl = ts.tolist()
-        raw = self.on_grid(ts) if self.on_grid is not None else lambda k, x: self.evaluate(tl[k], x)
+        raw = self.on_grid(ts)
         n = self.n
 
         def at(k: int, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -117,8 +112,7 @@ class Environment:
         if delta <= 0.0:
             raise ValueError("saturation level delta must be positive")
         delta = float(delta)
-        base, batch_con, batch_full, base_grid = (self.evaluate, self.batch_constraints,
-                                                  self.batch_evaluate, self.on_grid)
+        base_grid, batch_con, batch_full = self.on_grid, self.batch_constraints, self.batch_evaluate
 
         def floor(f):
             return np.maximum(f, -delta)
@@ -126,8 +120,9 @@ class Environment:
         def clip(f0, g0, f, G):
             return f0, g0, floor(f), np.where(f >= -delta, G, 0.0)
 
-        def saturated(t: float, x: np.ndarray):
-            return clip(*base(t, x))
+        def sat_on_grid(ts: np.ndarray):
+            at = base_grid(ts)
+            return lambda k, x: clip(*at(k, x))
 
         def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return floor(batch_con(ts, x))
@@ -136,17 +131,39 @@ class Environment:
             f0, f, grad = batch_full(ts, x, w, np.where(batch_con(ts, x) >= -delta, mu, 0.0))
             return f0, floor(f), grad
 
-        def sat_on_grid(ts: np.ndarray):
-            at = base_grid(ts)
-            return lambda k, x: clip(*at(k, x))
+        return replace(self, on_grid=sat_on_grid, batch_constraints=sat_batch_con,
+                       batch_evaluate=sat_batch_full)
 
-        return replace(
-            self,
-            evaluate=saturated,
-            batch_constraints=None if batch_con is None else sat_batch_con,
-            batch_evaluate=None if batch_full is None or batch_con is None else sat_batch_full,
-            on_grid=None if base_grid is None else sat_on_grid,
-        )
+
+def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) -> Environment:
+    """Environment from a per-node evaluator ``evaluate(t, x) -> (f0, g0, f, G)``.
+
+    ``on_grid`` calls it once per node, and the batch evaluators loop over the
+    nodes through the checked grid evaluator, so a non-finite output raises
+    :class:`EvaluatorError` with its node time there too.
+    """
+
+    def on_grid(ts: np.ndarray):
+        tl = ts.tolist()
+        return lambda k, x: evaluate(tl[k], x)
+
+    def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
+        at = env.grid_evaluator(ts)
+        xs = np.broadcast_to(x, (ts.shape[0], n))
+        return np.array([at(k, xs[k])[2] for k in range(ts.shape[0])])
+
+    def batch_evaluate(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
+        at = env.grid_evaluator(ts)
+        xs = np.broadcast_to(x, (ts.shape[0], n))
+        f0s, fs, grads = np.empty(ts.shape[0]), np.empty((ts.shape[0], m)), np.empty(xs.shape)
+        for k in range(ts.shape[0]):
+            f0s[k], g0, fs[k], G = at(k, xs[k])
+            grads[k] = w[k] * g0 + G @ mu[k]
+        return f0s, fs, grads if x.ndim == 2 else grads.sum(axis=0)
+
+    env = Environment(n=n, m=m, on_grid=on_grid, batch_constraints=batch_constraints,
+                      batch_evaluate=batch_evaluate, has_objective=has_objective)
+    return env
 
 
 def from_functions(
@@ -177,7 +194,7 @@ def from_functions(
         Gv = np.asarray(G(t, x), dtype=float) if G is not None else zero_G
         return v0, gv, fv, Gv
 
-    return Environment(n=n, m=m, evaluate=evaluate, has_objective=has_objective)
+    return pointwise(n, m, evaluate, has_objective)
 
 
 def finite_diff_check(env: Environment, t: float, x: np.ndarray, h_fd: float) -> float:

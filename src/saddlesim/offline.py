@@ -87,28 +87,6 @@ class OfflineSolution:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
-def _constraints_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Constraint values at every node, shape (K, m)."""
-    if env.batch_constraints is not None:
-        return env.batch_constraints(ts, x)
-    at = env.grid_evaluator(ts)
-    return np.array([at(k, x)[2] for k in range(ts.shape[0])])
-
-
-def _full_on_grid(env: Environment, ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
-    """The grid Lagrangian ``(f0, f, grad)`` of ``BatchEval``: the environment's
-    ``batch_evaluate``, or the same contraction node by node."""
-    if env.batch_evaluate is not None:
-        return env.batch_evaluate(ts, x, w, mu)
-    at = env.grid_evaluator(ts)
-    xs = np.broadcast_to(x, (ts.shape[0], env.n))
-    f0s, fs, grads = np.empty(ts.shape[0]), np.empty((ts.shape[0], env.m)), np.empty(xs.shape)
-    for k in range(ts.shape[0]):
-        f0s[k], g0, fs[k], G = at(k, xs[k])
-        grads[k] = w[k] * g0 + G @ mu[k]
-    return f0s, fs, grads if x.ndim == 2 else grads.sum(axis=0)
-
-
 def check_viability(
     env: Environment,
     grid: TimeGrid,
@@ -136,7 +114,7 @@ def check_viability(
     x = X.project_point(np.zeros(X.dim)) if x_init is None else X.project_point(np.asarray(x_init, float))
 
     def phi(xv: np.ndarray) -> tuple[float, int, int]:
-        vals = _constraints_on_grid(env, ts, xv)
+        vals = env.batch_constraints(ts, xv)
         k, i = np.unravel_index(np.argmax(vals), vals.shape)
         return float(vals[k, i]), int(k), int(i)
 
@@ -190,12 +168,12 @@ def check_viability(
 def _probe_smoothness(env: Environment, ts, w, x, rng) -> float:
     """Crude Lipschitz estimate of the weighted objective gradient."""
     mu = np.zeros((ts.shape[0], env.m))
-    g_ref = _full_on_grid(env, ts, x, w, mu)[2]
+    g_ref = env.batch_evaluate(ts, x, w, mu)[2]
     L = 0.0
     for _ in range(3):
         d = rng.standard_normal(x.shape[0])
         d *= 1e-4 / np.linalg.norm(d)
-        g_p = _full_on_grid(env, ts, x + d, w, mu)[2]
+        g_p = env.batch_evaluate(ts, x + d, w, mu)[2]
         L = max(L, float(np.linalg.norm(g_p - g_ref)) / 1e-4)
     return L
 
@@ -243,7 +221,7 @@ def solve_offline(
     j0 = max(1.0, max_iter / 4.0)
 
     def cost_and_violation(xv):
-        f0s, fs, _ = _full_on_grid(env, ts, xv, w, np.zeros_like(mu))
+        f0s, fs, _ = env.batch_evaluate(ts, xv, w, np.zeros_like(mu))
         viol = float(np.max(fs)) if m else float("-inf")
         return float(w @ f0s), viol, f0s
 
@@ -254,7 +232,7 @@ def solve_offline(
     a_j = a0
     for j in range(max_iter):
         a_j = a0 / (1.0 + j / j0)
-        f0s, fs, grad = _full_on_grid(env, ts, x, w, mu)
+        f0s, fs, grad = env.batch_evaluate(ts, x, w, mu)
         cost_j = float(w @ f0s)
         viol_j = float(np.max(fs)) if m else float("-inf")
         feas_j = viol_j <= VIABILITY_TOL
@@ -293,7 +271,7 @@ def solve_offline(
     pool = feasible if feasible else restored
     xstar, cost_star, viol_star = min(pool, key=lambda r: r[1])
 
-    f0s, fs, grad = _full_on_grid(env, ts, xstar, w, mu)
+    f0s, fs, grad = env.batch_evaluate(ts, xstar, w, mu)
     kkt_stat = float(np.max(np.abs(X.project_point(xstar - grad) - xstar)))
     comp = float(abs(np.sum(mu * fs))) if m else 0.0
     cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
@@ -338,7 +316,7 @@ def estimate_K(
     ts = grid.nodes()
 
     def objective(xs):  # (f0 (K,), f, g0 (K, n)) with one action per node
-        return _full_on_grid(env, ts, xs, np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m)))
+        return env.batch_evaluate(ts, xs, np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m)))
 
     def project(Z):
         if isinstance(X, Box):

@@ -308,9 +308,6 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         P, Pdd, Y, _ = tables(ts)
         return lambda k, x: _at(P[k], Pdd[k], Y[:, k], x)
 
-    def evaluate(t: float, x: np.ndarray):
-        return on_grid(np.array([t]))(0, x)
-
     # The batch evaluators keep the planar layout: coordinates z and
     # coordinate weights s are (2, K), offsets d = z - Y are (2, K, m), and
     # each step is a plain ufunc over whole planes or one matrix product.
@@ -366,15 +363,9 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
             f0 = np.zeros(ts.shape[0])
         return f0, f, grad
 
-    return Environment(
-        n=2 * nb,
-        m=scenario.m,
-        evaluate=evaluate,
-        has_objective=has_obj,
-        batch_constraints=batch_constraints,
-        batch_evaluate=batch_evaluate,
-        on_grid=on_grid,
-    )
+    return Environment(n=2 * nb, m=scenario.m, on_grid=on_grid,
+                       batch_constraints=batch_constraints, batch_evaluate=batch_evaluate,
+                       has_objective=has_obj)
 
 
 def generate_sheep_paths(
@@ -424,6 +415,7 @@ def generate_sheep_paths(
     con_times = np.concatenate([[0.0], (np.arange(1, L + 1) * T) / (L + 1), [T]])
     con_rows, _, _ = basis_matrices(basis, n_sheep, con_times, T)
 
+    off_box = []  # largest warm-start coefficient of each draw it rejected
     for attempt in range(1, MAX_DRAWS + 1):
         waypoints = rng.uniform(0.0, 1.0, size=(L, 2))
         offsets = np.zeros((m, L, 2))
@@ -463,6 +455,13 @@ def generate_sheep_paths(
             cx, *_ = np.linalg.lstsq(P_shep, center[:, 0], rcond=None)
             cy, *_ = np.linalg.lstsq(P_shep, center[:, 1], rcond=None)
             x_init = np.concatenate([cx, cy])
+        # A warm start outside the action box would be clipped, and the
+        # search from the clipped point runs to its cap (monomial paths at
+        # n = 8 have coefficients in the hundreds); reject the draw at once.
+        coef = float(np.abs(x_init).max())
+        if coef > action_half:
+            off_box.append(coef)
+            continue
         via = check_viability(env, grid, scenario.action_set(),
                               max_iter=viability_max_iter, interior_target=3e-2,
                               x_init=x_init)
@@ -473,6 +472,11 @@ def generate_sheep_paths(
                    "viability_residual": via.residual,
                    "viability_iterations": via.iterations}
             )
+    if len(off_box) == MAX_DRAWS:
+        raise GeneratorError(
+            f"no draw in {MAX_DRAWS} for seed {seed} has its herd-centre path inside the "
+            f"action box: the largest coefficient, {max(off_box):.4g}, exceeds action_half "
+            f"(--action-half) {action_half:g}; use the legendre basis or a larger box")
     raise GeneratorError(f"no viable environment in {MAX_DRAWS} draws for seed {seed}")
 
 

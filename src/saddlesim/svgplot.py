@@ -8,6 +8,7 @@ axes.  Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,14 @@ def _nice_step(span: float, target: int = 8) -> float:
     return 10.0 ** (k + 1)
 
 
+def _half_span(lo: float, hi: float) -> float:
+    """Half of hi - lo, taken from the halves so that it stays finite for any
+    finite lo and hi (hi - lo itself overflows past about 1.8e308).  Halving
+    a normal float is exact, so this is exactly half the rounded difference;
+    ratios of half spans are the ratios of the spans, bit for bit."""
+    return 0.5 * hi - 0.5 * lo
+
+
 def _widen(lo: float, hi: float) -> float:
     """Upper end of the axis range [lo, hi]: hi itself, or, when the range
     holds fewer than 1024 floats, lo plus 1 or plus 1e-9 of |lo|, whichever is
@@ -53,16 +62,16 @@ def _widen(lo: float, hi: float) -> float:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     hi = _widen(lo, hi)
-    step = _nice_step(hi - lo)
+    step = _nice_step(_half_span(lo, hi), target=4)  # 8 intervals per span
     first = math.ceil(lo / step) * step
-    limit = hi + 1e-12 * max(1.0, abs(hi))
+    limit = min(hi + 1e-12 * max(1.0, abs(hi)), sys.float_info.max)
     out = []
     v = first
     # At most the ticks that fit in [first, hi] plus one that rounding may
     # leave just past hi: v += step stands still once step is below half an
     # ulp of v, and limit lies many steps past hi on a range narrower than
     # about 1e-11 (times |hi| above 1).
-    for _ in range(int((hi - first) / step) + 2):
+    for _ in range(int(_half_span(first, hi) / (0.5 * step)) + 2):
         if v > limit:
             break
         out.append(0.0 if abs(v) < step * 1e-9 else v)
@@ -99,18 +108,19 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str
         xlo, xhi, ylo, yhi = 0.0, 1.0, 0.0, 1.0
     xhi = _widen(xlo, xhi)
     yhi = _widen(ylo, yhi)
-    pad = 0.04 * (yhi - ylo)
-    ylo -= pad
-    yhi += pad
+    pad = 0.08 * _half_span(ylo, yhi)
+    ylo = max(ylo - pad, -sys.float_info.max)
+    yhi = min(yhi + pad, sys.float_info.max)
+    xhalf, yhalf = _half_span(xlo, xhi), _half_span(ylo, yhi)
 
     iw = WIDTH - MARGIN_L - MARGIN_R
     ih = HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(x):
-        return MARGIN_L + (x - xlo) / (xhi - xlo) * iw
+        return MARGIN_L + _half_span(xlo, x) / xhalf * iw
 
     def sy(y):
-        return MARGIN_T + (yhi - y) / (yhi - ylo) * ih
+        return MARGIN_T + _half_span(y, yhi) / yhalf * ih
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',

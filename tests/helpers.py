@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant
-from saddlesim.environment import Environment
+from saddlesim.environment import Environment, pointwise
 
 
 def tracking_env(values: np.ndarray, T: float) -> Environment:
@@ -21,7 +21,7 @@ def tracking_env(values: np.ndarray, T: float) -> Environment:
         d = x - values[seg]
         return float(d @ d), 2.0 * d, empty_f, empty_G
 
-    return Environment(n=n, m=0, evaluate=evaluate, has_objective=True)
+    return pointwise(n, 0, evaluate)
 
 
 def quadratic_env(center: np.ndarray) -> Environment:
@@ -35,7 +35,7 @@ def quadratic_env(center: np.ndarray) -> Environment:
         d = x - center
         return float(d @ d), 2.0 * d, empty_f, empty_G
 
-    return Environment(n=n, m=0, evaluate=evaluate, has_objective=True)
+    return pointwise(n, 0, evaluate)
 
 
 def norm_env(A: np.ndarray) -> Environment:
@@ -51,7 +51,7 @@ def norm_env(A: np.ndarray) -> Environment:
         g = A.T @ (Ax / v) if v > 0.0 else np.zeros(n)
         return v, g, empty_f, empty_G
 
-    return Environment(n=n, m=0, evaluate=evaluate, has_objective=True)
+    return pointwise(n, 0, evaluate)
 
 
 def stationary_points_env(points: np.ndarray, radius: float) -> Environment:
@@ -67,13 +67,7 @@ def stationary_points_env(points: np.ndarray, radius: float) -> Environment:
         G = 2.0 * d.T
         return 0.0, zero_g, f, G
 
-    def batch_constraints(ts, x):
-        d = x[None, :] - points
-        f = np.einsum("ij,ij->i", d, d) - r2
-        return np.tile(f, (ts.shape[0], 1))
-
-    return Environment(n=n, m=m, evaluate=evaluate, has_objective=False,
-                       batch_constraints=batch_constraints)
+    return pointwise(n, m, evaluate, has_objective=False)
 
 
 def disc_constrained_env(center: np.ndarray, radius: float, target: np.ndarray) -> Environment:
@@ -93,7 +87,7 @@ def disc_constrained_env(center: np.ndarray, radius: float, target: np.ndarray) 
             (2.0 * dc)[:, None],
         )
 
-    return Environment(n=n, m=1, evaluate=evaluate, has_objective=True)
+    return pointwise(n, 1, evaluate)
 
 
 def random_set(rng: np.random.Generator, dim: int = None, kinds=("box", "ball", "orthant")):

@@ -10,7 +10,6 @@ from saddlesim.convex_sets import (
     FullSpace,
     MembershipError,
     NonnegativeOrthant,
-    from_config,
     projection_gap,
 )
 
@@ -208,21 +207,6 @@ def test_norm_bounds():
     assert np.isinf(FullSpace(2).norm_bound())
     assert np.isinf(NonnegativeOrthant(2).norm_bound())
     assert np.isinf(Box([0.0], [np.inf]).norm_bound())
-
-
-def test_config_round_trip():
-    sets = [
-        Box([-1.0, 0.0], [1.0, 2.0]),
-        Ball([0.5, -0.5], 1.5),
-        NonnegativeOrthant(3),
-        FullSpace(4),
-    ]
-    for cset in sets:
-        clone = from_config(cset.to_config())
-        assert type(clone) is type(cset)
-        assert clone.dim == cset.dim
-    with pytest.raises(ValueError):
-        from_config({"kind": "simplex"})
 
 
 def test_orthant_field_rule():

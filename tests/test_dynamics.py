@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from saddlesim import shepherd
 from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
 from saddlesim.dynamics import GRID_BLOCK, ControllerConfig, DivergenceError, simulate
-from saddlesim.environment import from_functions
+from saddlesim.environment import from_functions, pointwise
 
 from helpers import quadratic_env, stationary_points_env, tracking_env
 
@@ -168,7 +166,7 @@ def test_energy_dissipation_discrete(rng):
     xbar = np.array([0.3, -0.3])
     V = 0.5 * np.einsum("ij,ij->i", log.x - xbar, log.x - xbar)
     f0_x = log.f0[:-1]
-    f0_bar = np.array([env.eval(t, xbar)[0] for t in log.t[:-1]])
+    f0_bar = np.array([env.eval_full(t, xbar)[0] for t in log.t[:-1]])
     total = float(np.sum(np.diff(V) + eps * h * (f0_x - f0_bar)))
     assert total <= 0.5 * h * T * log.max_field_norm**2 + 1e-9
 
@@ -216,11 +214,11 @@ def test_initial_state_defaults():
 @pytest.mark.parametrize("steps", [GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK + 3])
 @pytest.mark.parametrize("mode, objective", [("feasibility", "none"), ("saddle", "black_sheep")])
 def test_time_tables_match_per_step_evaluation(small_scenario, steps, mode, objective):
-    # Blocked time tables against the generic adapter (one evaluate call per step).
+    # Blocked time tables against a one-node table per step.
     env = shepherd.shepherd_env(small_scenario, objective)
     cfg = ControllerConfig(epsilon=50.0, h=1e-3, mode=mode)
     logs = [simulate(e, cfg, T=steps * cfg.h, X=small_scenario.action_set(), sample_stride=7)
-            for e in (env, replace(env, on_grid=None))]
+            for e in (env, pointwise(env.n, env.m, env.eval_full, env.has_objective))]
     for name in ("t", "x", "lam", "f", "f0", "fit_accum", "cost_accum", "lambda_max"):
         assert np.array_equal(getattr(logs[0], name), getattr(logs[1], name)), name
     assert logs[0].max_field_norm == logs[1].max_field_norm

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from saddlesim import shepherd
-from saddlesim.environment import EvaluatorError, Environment, finite_diff_check, from_functions
+from saddlesim.environment import EvaluatorError, finite_diff_check, from_functions, pointwise
 
 from helpers import midpoint_convex, norm_env, quadratic_env, tracking_env
 
 
 def test_quadratic_env_at_center():
     env = quadratic_env(np.array([0.3, -0.7]))
-    f0, f = env.eval(0.0, np.array([0.3, -0.7]))
+    f0, _, f, _ = env.eval_full(0.0, np.array([0.3, -0.7]))
     assert f0 == pytest.approx(0.0)
     assert f.shape == (0,)
 
@@ -17,7 +17,7 @@ def test_quadratic_env_at_center():
 def test_zero_objective_env():
     env = from_functions(n=2, m=0)
     for t in (0.0, 0.5, 1.0):
-        f0, _ = env.eval(t, np.array([1.0, 2.0]))
+        f0 = env.eval_full(t, np.array([1.0, 2.0]))[0]
         assert f0 == 0.0
     assert not env.has_objective
 
@@ -30,7 +30,7 @@ def test_shepherd_constraint_value_on_sheep(small_scenario):
     env = shepherd.shepherd_env(sc, "none", noise="frozen")
     x = shepherd.encode_coeffs(sc.sheep_coeffs[0])
     for t in (0.0, 0.31, 0.77, sc.T):
-        _, f = env.eval(t, x)
+        f = env.eval_full(t, x)[2]
         assert f[0] == pytest.approx(-sc.radii[0] ** 2, abs=1e-10)
 
 
@@ -38,7 +38,7 @@ def test_quadratic_gradient():
     c = np.array([1.0, -2.0])
     env = quadratic_env(c)
     x = np.array([0.5, 0.5])
-    g0, _ = env.eval_subgradients(0.0, x)
+    g0 = env.eval_full(0.0, x)[1]
     assert np.allclose(g0, 2.0 * (x - c))
 
 
@@ -46,11 +46,11 @@ def test_norm_gradient_chain_rule(rng):
     A = rng.standard_normal((3, 4))
     env = norm_env(A)
     x = rng.standard_normal(4)
-    g0, _ = env.eval_subgradients(0.0, x)
+    g0 = env.eval_full(0.0, x)[1]
     Ax = A @ x
     assert np.allclose(g0, A.T @ Ax / np.linalg.norm(Ax))
     # kink convention: zero vector at Ax = 0
-    g0_zero, _ = env.eval_subgradients(0.0, np.zeros(4))
+    g0_zero = env.eval_full(0.0, np.zeros(4))[1]
     assert np.allclose(g0_zero, 0.0)
 
 
@@ -61,9 +61,8 @@ def test_subgradient_inequality_sweep(rng, small_scenario):
         t = rng.uniform(0.0, small_scenario.T)
         x = rng.uniform(-1.0, 1.0, size=n)
         y = rng.uniform(-1.0, 1.0, size=n)
-        f0x, fx = env.eval(t, x)
-        f0y, fy = env.eval(t, y)
-        g0, G = env.eval_subgradients(t, x)
+        f0x, g0, fx, G = env.eval_full(t, x)
+        f0y, _, fy, _ = env.eval_full(t, y)
         assert f0y >= f0x + g0 @ (y - x) - 1e-9
         assert np.all(fy >= fx + G.T @ (y - x) - 1e-9)
 
@@ -75,9 +74,9 @@ def test_saturate_values():
         G=lambda t, x: np.array([[1.0, 3.0]]),
     )
     sat = env.saturate(0.3)
-    _, f = sat.eval(0.0, np.array([0.0]))
+    f = sat.eval_full(0.0, np.array([0.0]))[2]
     assert np.allclose(f, [-0.3, 2.0])
-    _, G = sat.eval_subgradients(0.0, np.array([0.0]))
+    G = sat.eval_full(0.0, np.array([0.0]))[3]
     # below the floor: zero column; above: original
     assert np.allclose(G[:, 0], 0.0)
     assert np.allclose(G[:, 1], 3.0)
@@ -89,7 +88,7 @@ def test_saturate_tie_keeps_active_subgradient():
         f=lambda t, x: np.array([-0.3]),
         G=lambda t, x: np.array([[7.0]]),
     )
-    _, G = env.saturate(0.3).eval_subgradients(0.0, np.array([0.0]))
+    G = env.saturate(0.3).eval_full(0.0, np.array([0.0]))[3]
     assert G[0, 0] == 7.0
 
 
@@ -105,12 +104,12 @@ def test_saturated_constraints_floor_and_convexity(rng, small_scenario):
     t = 0.4
 
     def fun(x):
-        return env.eval(t, x)[1]
+        return env.eval_full(t, x)[2]
 
     assert midpoint_convex(fun, rng, env.n, samples=200)
     for _ in range(100):
         x = rng.uniform(-2.0, 2.0, size=env.n)
-        _, f = env.eval(rng.uniform(0, small_scenario.T), x)
+        f = env.eval_full(rng.uniform(0, small_scenario.T), x)[2]
         assert np.all(f >= -delta)
 
 
@@ -146,7 +145,7 @@ def test_evaluation_deterministic(small_scenario):
 def test_nonfinite_output_raises():
     env = from_functions(n=1, m=0, f0=lambda t, x: float("nan"), g0=lambda t, x: np.zeros(1))
     with pytest.raises(EvaluatorError):
-        env.eval(0.0, np.array([1.0]))
+        env.eval_full(0.0, np.array([1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -160,18 +159,16 @@ def test_nonfinite_output_raises_per_output(output, m, bad):
         outs[output].flat[-1] = bad
         return 1.0, outs["g0"], outs["f"], outs["G"]
 
-    env = Environment(n=n, m=m, evaluate=evaluate)
+    env = pointwise(n, m, evaluate)
     with pytest.raises(EvaluatorError):
         env.eval_full(0.0, np.zeros(n))
 
 
 def test_grid_evaluator_guards():
-    def on_grid(ts):
-        def at(k, x):
-            return (float("nan") if k == 1 else 0.0), np.zeros(2), np.zeros(0), np.zeros((2, 0))
-        return at
+    def evaluate(t, x):
+        return (float("nan") if t == 0.25 else 0.0), np.zeros(2), np.zeros(0), np.zeros((2, 0))
 
-    env = Environment(n=2, m=0, evaluate=lambda t, x: on_grid(None)(0, x), on_grid=on_grid)
+    env = pointwise(2, 0, evaluate)
     at = env.grid_evaluator(np.array([0.0, 0.25]))
     assert at(0, np.zeros(2))[0] == 0.0
     with pytest.raises(EvaluatorError, match=r"at t=0\.25,"):
@@ -185,10 +182,50 @@ def test_grid_evaluator_guards():
     assert str(from_grid.value) == str(from_eval_full.value)
 
 
+def test_pointwise_batch_evaluators_raise_at_the_node():
+    # The batch evaluators of a pointwise environment carry the per-node guard.
+    def evaluate(t, x):
+        f0 = float("nan") if t == 0.5 else float(x @ x)
+        return f0, 2.0 * x, np.array([x[0] - 1.0]), np.array([[1.0], [0.0]])
+
+    env = pointwise(2, 1, evaluate)
+    ts, x = np.array([0.0, 0.25, 0.5, 1.0]), np.zeros(2)
+    for e in (env, env.saturate(0.1)):
+        with pytest.raises(EvaluatorError, match=r"at t=0\.5,"):
+            e.batch_evaluate(ts, x, np.ones(4), np.ones((4, 1)))
+        with pytest.raises(EvaluatorError, match=r"at t=0\.5,"):
+            e.batch_constraints(ts, x)
+    assert np.array_equal(env.batch_constraints(ts[:2], x), [[-1.0], [-1.0]])
+
+
+def test_saturated_pointwise_batch_is_the_clipped_contraction(rng):
+    # Saturation masks mu in the batch Lagrangian and zeroes columns of G per
+    # node; the two agree bit for bit on a pointwise environment.
+    A = rng.standard_normal((3, 4))
+    b = rng.uniform(-1.0, 1.0, size=3)
+
+    def evaluate(t, x):
+        r = A @ x - b * (1.0 + t)
+        return float(x @ x) + t, 2.0 * x + t, r, A.T.copy()
+
+    sat = pointwise(4, 3, evaluate).saturate(0.3)
+    ts = np.linspace(0.0, 1.0, 9)
+    w, mu = rng.uniform(0.0, 1.0, size=9), rng.uniform(0.0, 2.0, size=(9, 3))
+    xs = rng.uniform(-0.5, 0.5, size=(9, 4))
+    at = sat.grid_evaluator(ts)
+    nodes = [at(k, xs[k]) for k in range(9)]
+    terms = np.array([w[k] * g0 + G @ mu[k] for k, (_, g0, _, G) in enumerate(nodes)])
+    f0, f, grad = sat.batch_evaluate(ts, xs, w, mu)
+    assert np.array_equal(f0, [e[0] for e in nodes])
+    assert np.array_equal(f, [e[2] for e in nodes])
+    assert np.array_equal(grad, terms)
+    assert (f == -0.3).any() and (f > -0.3).any()
+
+
 def test_large_finite_output_passes_guard():
     # The guard's probe sum overflows to inf, but every entry is finite.
     big = np.full(2, 1e308)
-    env = Environment(n=2, m=2, evaluate=lambda t, x: (1e308, big, big.copy(), np.full((2, 2), 1e308)))
+    env = pointwise(2, 2, lambda t, x: (1e308, big, big.copy(), np.full((2, 2), 1e308)))
     f0, g0, f, G = env.eval_full(0.0, np.zeros(2))
     assert f0 == 1e308 and np.all(G == 1e308)
 
@@ -196,7 +233,7 @@ def test_large_finite_output_passes_guard():
 def test_tracking_env_piecewise(rng):
     vals = rng.uniform(-1.0, 1.0, size=(8, 2))
     env = tracking_env(vals, 2.0)
-    f0, _ = env.eval(0.0, vals[0])
+    f0 = env.eval_full(0.0, vals[0])[0]
     assert f0 == pytest.approx(0.0)
-    f0, _ = env.eval(1.99, vals[-1])
+    f0 = env.eval_full(1.99, vals[-1])[0]
     assert f0 == pytest.approx(0.0)

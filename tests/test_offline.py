@@ -5,7 +5,7 @@ import pytest
 
 from saddlesim import shepherd
 from saddlesim.convex_sets import Ball, Box
-from saddlesim.environment import EvaluatorError, from_functions
+from saddlesim.environment import EvaluatorError, from_functions, pointwise
 from saddlesim.offline import (
     InconclusiveViabilityError,
     InfeasibleEnvironmentError,
@@ -59,12 +59,10 @@ def test_viability_inconclusive_band_raises():
     env = stationary_points_env(np.array([[0.5, 0.0]]), 0.3)
 
     def shifted(t, x):
-        f0, g0, f, G = env.evaluate(t, x)
+        f0, g0, f, G = env.eval_full(t, x)
         return f0, g0, f + 0.09 + 5e-4, G
 
-    from saddlesim.environment import Environment
-
-    env2 = Environment(n=2, m=1, evaluate=shifted, has_objective=False)
+    env2 = pointwise(2, 1, shifted, has_objective=False)
     grid = TimeGrid.from_step(1.0, 0.25)
     with pytest.raises(InconclusiveViabilityError):
         check_viability(env2, grid, BOX2, max_iter=2000)
@@ -122,12 +120,10 @@ def test_offline_infeasible_raises():
     env_c = stationary_points_env(pts, 0.3)
 
     def with_obj(t, x):
-        f0c, g0c, f, G = env_c.evaluate(t, x)
+        f0c, g0c, f, G = env_c.eval_full(t, x)
         return float(x @ x), 2.0 * x, f, G
 
-    from saddlesim.environment import Environment
-
-    env = Environment(n=2, m=2, evaluate=with_obj, has_objective=True)
+    env = pointwise(2, 2, with_obj)
     with pytest.raises(InfeasibleEnvironmentError):
         solve_offline(env, TimeGrid.from_step(1.0, 0.25), BOX2)
 
@@ -273,8 +269,8 @@ def test_estimate_K_on_a_ball_matches_per_node_loop(rng):
 
 
 def test_estimate_K_rejects_non_finite_objective(small_scenario):
-    # The per-node path raises in grid_evaluator; the batch path has no guard
-    # of its own, so estimate_K checks the gaps it returns.
+    # A pointwise environment raises in grid_evaluator; the shepherd batch path
+    # has no guard of its own, so estimate_K checks the gaps it returns.
     env = from_functions(2, 0, f0=lambda t, x: np.nan if t == 0.5 else float(x @ x),
                          g0=lambda t, x: 2.0 * x)
     with pytest.raises(EvaluatorError, match=r"t=0\.5,"):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_min_acceleration_objective_zero_on_straight_line(small_scenario):
         coeffs[:, 1] = 1.0 / small_scenario.T
     x = shepherd.encode_coeffs(coeffs)
     for t in (0.0, 0.37, small_scenario.T):
-        f0, _ = env.eval(t, x)
+        f0 = env.eval_full(t, x)[0]
         assert f0 == pytest.approx(0.0, abs=1e-9)
 
 
@@ -172,7 +173,7 @@ def test_constraints_convex_in_action(rng, small_scenario):
     t = 0.29
 
     def fun(x):
-        return env.eval(t, x)[1]
+        return env.eval_full(t, x)[2]
 
     assert midpoint_convex(fun, rng, env.n, samples=150)
 
@@ -347,12 +348,11 @@ def test_grid_evaluator_matches_eval_full(rng, small_scenario, objective, noise)
         near = shepherd.encode_coeffs(sc.sheep_coeffs[0, :, :sc.n])
         for e in (env, env.saturate(0.05)):
             at = e.grid_evaluator(ts)
-            # eval_full is the one-node table; the adapter calls evaluate.
-            adapter = dataclasses.replace(e, on_grid=None)
+            # eval_full is the one-node table.
             for k, t in enumerate(ts):
                 x = near + rng.uniform(-0.01, 0.01, size=e.n)
-                for u, v, w in zip(at(k, x), e.eval_full(t, x), adapter.eval_full(t, x)):
-                    assert np.array_equal(u, v) and np.array_equal(u, w)
+                for u, v in zip(at(k, x), e.eval_full(t, x)):
+                    assert np.array_equal(u, v)
 
 
 def test_mean_env_shifts_constraints(small_scenario):
@@ -360,8 +360,8 @@ def test_mean_env_shifts_constraints(small_scenario):
     env_off = shepherd.shepherd_env(sc, "none", noise="off")
     env_mean = shepherd.shepherd_env(sc, "none", noise="mean")
     x = np.zeros(env_off.n)
-    _, f_off = env_off.eval(0.3, x)
-    _, f_mean = env_mean.eval(0.3, x)
+    f_off = env_off.eval_full(0.3, x)[2]
+    f_mean = env_mean.eval_full(0.3, x)[2]
     assert np.allclose(f_mean - f_off, 2.0 * sc.noise_std**2)
 
 
@@ -411,3 +411,13 @@ def test_generator_validations():
         shepherd.generate_sheep_paths(seed=1, basis="chebyshev")
     with pytest.raises(ValueError):
         shepherd.generate_sheep_paths(seed=1, radius=-0.1)
+
+
+def test_monomial_warm_start_outside_the_box_fails_fast():
+    # Monomial sheep paths at n = 8 have coefficients in the hundreds, far
+    # outside the default box of +-5: every draw is rejected before the
+    # viability search, which would otherwise run to its 200,000-step cap.
+    start = time.perf_counter()
+    with pytest.raises(shepherd.GeneratorError, match=r"largest coefficient.*--action-half"):
+        shepherd.generate_sheep_paths(seed=4, n=8, n_sheep=8, basis="monomial", noise_cells=200)
+    assert time.perf_counter() - start < 30.0

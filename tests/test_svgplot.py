@@ -168,3 +168,17 @@ def test_constant_series_at_1e20_gives_a_finite_svg():
     numbers = [float(v) for v in re.findall(r'[-+]?\d+\.\d+', svg)]
     assert numbers and all(math.isfinite(v) for v in numbers)
     assert svg.count("<polyline") == 1
+
+
+@pytest.mark.parametrize("x, y, y_ticks", [([0.0, 1.0], [-1e308, 1e308], 5),
+                                           ([-1.7e308, 1.79e308], [-1.79e308, 1.79e308], 7)])
+def test_spans_past_the_largest_float_give_a_finite_svg(x, y, y_ticks):
+    # hi - lo overflows to inf on these axes; ticks and pixel coordinates
+    # come from half spans instead.
+    svg = svgplot.line_plot([Series(x=x, y=y)], "t", "x", "y")
+    assert "nan" not in svg and "inf" not in svg
+    numbers = [float(v) for v in re.findall(r'[-+]?\d+\.\d+', svg)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+    # One grid line per y tick: -1e308 to 1e308 by 5e307 on the padded range
+    # of +-1.08e308, and up to +-1.5e308 where the padding is clamped.
+    assert svg.count('x2="936"') == y_ticks
