@@ -14,10 +14,13 @@ integrator steps (K=512), and on the regret-chain configuration (seed 1,
 T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
 of the offline grid, one ``batch_evaluate`` call (one action, and one action
 per node) and one ``batch_constraints`` call on that grid, ``estimate_K``,
-``solve_offline`` at 600 iterations, the marginal cost of one solver iteration
-(the 1,200- minus the 600-iteration solve, over 600), and on the 2,501-row log
+``solve_offline`` at 600 iterations, and on the 2,501-row log
 of the workload's saddle run ``write_trajectory_csv`` and ``report``'s figures
-of that CSV (both written next to ``--out`` and removed).  ``coldstart`` runs
+of that CSV (both written next to ``--out`` and removed).  ``offline_cost_gap``
+rows give the relative gap of ``solve_offline``'s cost to a dense SLSQP
+reference solved here with every node constraint: black sheep on the
+regret-chain scenario at the benchmark's 600 iterations, and min-acceleration
+on the C08 T=1 scenario (n=6) at the suite's 1,500.  ``coldstart`` runs
 fresh interpreters on the ``src`` under ``--root`` and records each one's wall
 time and its own peak resident memory: ``import saddlesim.cli``, then the
 benchmark's command lines at seed 1, ``generate`` and ``offline`` of
@@ -85,22 +88,20 @@ def micro(repeats: int, workdir: str) -> dict:
     out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
     out.update(grid_lagrangian_us(sc, env, ts, repeats))
-    k_times, solve_times, per_iter = [], [], []
+    k_times, solve_times = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         estimate_K(env, sc.offline_grid(), sc.action_set(), sc.xdagger)
         k_times.append(time.perf_counter() - t0)
-        solve = {}
-        for iters in (600, 1200):
-            t0 = time.perf_counter()
-            solve_offline(env, sc.offline_grid(), sc.action_set(),
-                          viability=shepherd.viability_certificate(sc), max_iter=iters)
-            solve[iters] = time.perf_counter() - t0
-        solve_times.append(solve[600])
-        per_iter.append(1e3 * (solve[1200] - solve[600]) / 600)
+        t0 = time.perf_counter()
+        solve_offline(env, sc.offline_grid(), sc.action_set(),
+                      viability=shepherd.viability_certificate(sc), max_iter=600)
+        solve_times.append(time.perf_counter() - t0)
     out["estimate_K_s.regret_chain"] = summary(k_times)
     out["solve_offline_s.regret_chain_600"] = summary(solve_times)
-    out["solve_offline_ms_per_iter.regret_chain"] = summary(per_iter)
+    out["offline_cost_gap.black_sheep.regret_chain_600"] = offline_cost_gap(sc, "black_sheep", 600)
+    c08 = shepherd.generate_sheep_paths(seed=1, T=1.0, n=6, n_sheep=30)
+    out["offline_cost_gap.min_acceleration.c08_T1_1500"] = offline_cost_gap(c08, "min_acceleration", 1500)
     log = simulate(shepherd.shepherd_env(sc, "black_sheep"),
                    ControllerConfig(epsilon=50.0, h=1e-4, mode="saddle"),
                    T=sc.T, X=sc.action_set(), sample_stride=1)
@@ -122,6 +123,38 @@ def micro(repeats: int, workdir: str) -> dict:
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
     return out
+
+
+def offline_cost_gap(sc, objective: str, max_iter: int) -> float:
+    """(cost - reference) / reference for solve_offline against SLSQP over
+    every node constraint, both on the noise-mean environment."""
+    from scipy.optimize import minimize
+
+    from saddlesim import shepherd
+    from saddlesim.offline import solve_offline
+
+    env = shepherd.shepherd_env(sc, objective, noise="mean")
+    grid, X = sc.offline_grid(), sc.action_set()
+    sol = solve_offline(env, grid, X, viability=shepherd.viability_certificate(sc),
+                        max_iter=max_iter)
+    ts, w = grid.nodes(), grid.trapezoid_weights()
+    K, m = ts.shape[0], sc.m
+    zero_mu = np.zeros((K, m))
+
+    def cost(x):
+        f0, _, grad = env.batch_evaluate(ts, x, w, zero_mu)
+        return float(w @ f0), grad
+
+    def jacobian(x):  # row (k, i) is grad f_i(t_k, x): a unit multiplier on constraint i alone
+        xs = np.tile(x, (K, 1))
+        return -np.stack([env.batch_evaluate(ts, xs, np.zeros(K), np.eye(m)[[i] * K])[2]
+                          for i in range(m)], axis=1).reshape(K * m, -1)
+
+    ref = minimize(cost, sc.xdagger, jac=True, method="SLSQP", bounds=list(zip(X.lower, X.upper)),
+                   constraints=[{"type": "ineq", "jac": jacobian,
+                                 "fun": lambda x: -env.batch_constraints(ts, x).ravel()}],
+                   options={"maxiter": 500, "ftol": 1e-14}).fun
+    return (sol.offline_cost - ref) / ref
 
 
 def grid_lagrangian_us(sc, env, ts, repeats: int, calls: int = 200) -> dict:

@@ -325,8 +325,18 @@ def _cols(header, prefix):
     return [i for i, name in enumerate(header) if name.startswith(prefix)]
 
 
-def _check_run(run_dir: Path, md: dict, header, data) -> list[str]:
-    """PASS/FAIL lines recomputed from the CSV series."""
+def _offline_solution(md: dict) -> OfflineSolution | None:
+    """The offline solution a run's regret block names, if its file is there."""
+    reg = md.get("regret")
+    if reg and reg.get("offline_file") and Path(reg["offline_file"]).exists():
+        with open(reg["offline_file"]) as fh:
+            return offline_from_dict(json.load(fh))
+    return None
+
+
+def _check_run(run_dir: Path, md: dict, header, data, sol) -> list[str]:
+    """PASS/FAIL lines recomputed from the CSV series, and the certificate of
+    the offline solution ``sol`` that a run with a regret block compares to."""
     lines = []
     slack = metrics.slack(
         max((abs(b) for b in md["fit_bounds"]), default=0.0),
@@ -356,10 +366,18 @@ def _check_run(run_dir: Path, md: dict, header, data) -> list[str]:
         ok = r["regret"] <= r["bound"] + sl
         lines.append(f"regret<=bound+slack: {'PASS' if ok else 'FAIL'} "
                      f"({r['regret']:.4g} vs {r['bound']:.4g}+{sl:.4g})")
+        if sol is None:
+            lines.append("offline certificate: FAIL (offline file unavailable)")
+        else:
+            d = sol.diagnostics
+            lines.append(f"offline certificate: {'PASS' if d.get('converged') else 'FAIL'} "
+                         f"(violation {d.get('violation', np.nan):.4g}, "
+                         f"stationarity {d.get('kkt_stationarity', np.nan):.4g})")
     return lines
 
 
-def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path) -> list[str]:
+def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path,
+                        sol=None) -> list[str]:
     missing = []
     t = data[:, header.index("t")]
     fit_idx = _cols(header, "fit_")
@@ -399,10 +417,7 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path) ->
     else:
         missing.append("path_overlay (scenario file unavailable)")
 
-    reg = md.get("regret")
-    if reg and reg.get("offline_file") and Path(reg["offline_file"]).exists():
-        with open(reg["offline_file"]) as fh:
-            sol = offline_from_dict(json.load(fh))
+    if sol is not None:
         nodes = sol.grid.nodes()
         offline_cum = np.interp(t, nodes, sol.cost_cumulative)
         cost = data[:, header.index("cost_accum")]
@@ -443,8 +458,9 @@ def cmd_report(args) -> int:
         header, data = _read_csv(run_dir / "trajectory.csv")
         out_dir = Path(args.out) / run_dir.name if args.out else run_dir
         out_dir.mkdir(parents=True, exist_ok=True)
-        checks = _check_run(run_dir, md, header, data)
-        missing = _render_run_figures(run_dir, md, header, data, out_dir)
+        sol = _offline_solution(md)
+        checks = _check_run(run_dir, md, header, data, sol)
+        missing = _render_run_figures(run_dir, md, header, data, out_dir, sol)
         print(f"== {run_dir}")
         print(f"   mode={md['mode']} objective={md['objective']} eps={md['epsilon']} "
               f"T={md['T']} h={md['h']:g}")
@@ -512,7 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("offline", help="clairvoyant fixed-action solve")
     o.add_argument("--scenario", required=True)
     o.add_argument("--objective", choices=sorted(OBJECTIVE_NAMES), required=True)
-    o.add_argument("--max-iter", type=int, default=4000)
+    o.add_argument("--max-iter", type=int, default=4000,
+                   help="iteration budget of the solve, all inner solves together; "
+                        "each iteration is one augmented-Lagrangian evaluation")
     o.add_argument("--out", required=True)
     o.set_defaults(func=cmd_offline)
 

@@ -2,8 +2,9 @@
 
 Works on a uniform time grid over [0, T]: certifies that a fixed action
 satisfying every constraint at every grid node exists (viability), solves for
-the optimal fixed action under those constraints, and estimates the uniform
-cost-gap constant K used by the regret floor and the sublinear-fit checks.
+the optimal fixed action under those constraints by a method of multipliers
+started at that viability point, and estimates the uniform cost-gap constant
+K used by the regret floor and the sublinear-fit checks.
 
 The continuous-time requirement "for all t" is sampled at grid nodes only;
 environments built from smooth bases plus sample-and-hold noise aligned to
@@ -22,6 +23,8 @@ from .environment import Environment, EvaluatorError
 
 VIABILITY_TOL = 1e-6
 INCONCLUSIVE_BAND = 1e-3
+KKT_TOL = 1e-8
+INNER_ITER = 100
 
 
 class InconclusiveViabilityError(RuntimeError):
@@ -165,38 +168,31 @@ def check_viability(
     return ViabilityResult(bool(best_phi <= VIABILITY_TOL), best_x, best_phi, it)
 
 
-def _probe_smoothness(env: Environment, ts, w, x, rng) -> float:
-    """Crude Lipschitz estimate of the weighted objective gradient."""
-    mu = np.zeros((ts.shape[0], env.m))
-    g_ref = env.batch_evaluate(ts, x, w, mu)[2]
-    L = 0.0
-    for _ in range(3):
-        d = rng.standard_normal(x.shape[0])
-        d *= 1e-4 / np.linalg.norm(d)
-        g_p = env.batch_evaluate(ts, x + d, w, mu)[2]
-        L = max(L, float(np.linalg.norm(g_p - g_ref)) / 1e-4)
-    return L
-
-
 def solve_offline(
     env: Environment,
     grid: TimeGrid,
     X: ConvexSet,
     viability: Optional[ViabilityResult] = None,
     max_iter: int = 6000,
-    seed: int = 0,
 ) -> OfflineSolution:
     """Optimal fixed action on the grid: min sum_k w_k f0(t_k, x) subject to
     f_i(t_k, x) <= 0 at every node.
 
-    Batch primal-descent / dual-ascent iteration with square-summable
-    diminishing steps ``a_j = a0 / (1 + j / j0)`` and tail primal averaging.
-    Each iteration makes one grid-Lagrangian call (see ``BatchEval``): node
-    costs, constraints and the primal gradient ``sum_k w_k g0_k + G_k mu_k``.
-    Candidates (tail average, last iterate, best feasible-merit iterate) are
-    restored to grid feasibility by blending toward the interior viability
-    point when needed, and the cheapest feasible candidate wins.
-    Non-convergence is reported through the diagnostics, not raised.
+    Method of multipliers warm-started at the viability point x-dagger.  The
+    augmented Lagrangian ``L(x, mu) = sum_k w_k f0 + (|lam|^2 - |mu|^2) / (2 rho)``
+    with ``lam = max(0, mu + rho f)`` costs one ``batch_constraints`` and one
+    ``batch_evaluate`` call, whose gradient at the multipliers ``lam`` is
+    exactly grad_x L.  Each inner solve is a nonmonotone spectral projected
+    gradient (Barzilai-Borwein step, Armijo test against the last 10 values)
+    that stops at stationarity ``KKT_TOL`` or after ``INNER_ITER`` evaluations;
+    then ``mu <- lam``, and ``rho`` grows tenfold unless the violation fell to
+    a quarter.  ``max_iter`` bounds the Lagrangian evaluations of all inner
+    solves together; the loop ends early once violation, stationarity and
+    complementarity clear their tolerances, which ``converged`` reports.  A
+    last iterate violating by v > 0 is blended once toward x-dagger with
+    ``theta = v / (v + margin)`` (feasible by convexity), and the cheaper of
+    that point and x-dagger wins.  Non-convergence is reported through the
+    diagnostics, not raised.
     """
     if not env.has_objective:
         raise ValueError("offline solve requires an environment with an objective")
@@ -210,88 +206,77 @@ def solve_offline(
 
     ts = grid.nodes()
     w = grid.trapezoid_weights()
-    K_nodes = ts.shape[0]
-    m = env.m
-    rng = np.random.default_rng(seed)
+    xd = viability.xdagger
+    mu = np.zeros((ts.shape[0], env.m))
+    rho = 1.0
 
-    x = X.project_point(np.zeros(X.dim))
-    mu = np.zeros((K_nodes, m))
-    L_est = _probe_smoothness(env, ts, w, x, rng)
-    a0 = 1.0 / (4.0 * L_est + 1.0)
-    j0 = max(1.0, max_iter / 4.0)
+    def lagrangian(x):
+        f = env.batch_constraints(ts, x)
+        lam = np.maximum(0.0, mu + rho * f)
+        f0s, _, grad = env.batch_evaluate(ts, x, w, lam)
+        return float(w @ f0s) + (np.sum(lam * lam) - np.sum(mu * mu)) / (2.0 * rho), grad, f
 
-    def cost_and_violation(xv):
-        f0s, fs, _ = env.batch_evaluate(ts, xv, w, np.zeros_like(mu))
-        viol = float(np.max(fs)) if m else float("-inf")
-        return float(w @ f0s), viol, f0s
+    def stationarity(x, grad):
+        return float(np.max(np.abs(X.project_point(x - grad) - x)))
 
-    tail_start = max_iter // 2
-    x_sum = np.zeros_like(x)
-    a_sum = 0.0
-    best_x, best_cost, best_viol = x.copy(), np.inf, np.inf
-    a_j = a0
-    for j in range(max_iter):
-        a_j = a0 / (1.0 + j / j0)
-        f0s, fs, grad = env.batch_evaluate(ts, x, w, mu)
-        cost_j = float(w @ f0s)
-        viol_j = float(np.max(fs)) if m else float("-inf")
-        feas_j = viol_j <= VIABILITY_TOL
-        if (feas_j and (best_viol > VIABILITY_TOL or cost_j < best_cost)) or (
-            not feas_j and best_viol > VIABILITY_TOL and viol_j < best_viol
-        ):
-            best_x, best_cost, best_viol = x.copy(), cost_j, viol_j
-        mu = np.maximum(0.0, mu + a_j * fs)
-        x = X.project_point(x - a_j * grad)
-        if j >= tail_start:
-            x_sum += a_j * x
-            a_sum += a_j
+    def certified(violation, stat, comp):
+        return violation <= VIABILITY_TOL and stat <= KKT_TOL and comp <= KKT_TOL
 
-    margin = max(0.0, -viability.residual)
+    x, it, viol_prev = np.array(xd, dtype=float), 0, np.inf
+    while it < max_iter:
+        val, grad, f = lagrangian(x)
+        it += 1
+        recent, step, stop = [val], 1.0, min(max_iter, it + INNER_ITER)
+        while it < stop and stationarity(x, grad) > KKT_TOL:
+            d = X.project_point(x - step * grad) - x
+            slope, t_ls = float(grad @ d), 1.0
+            while it < stop:
+                val_n, grad_n, f_n = lagrangian(x + t_ls * d)
+                it += 1
+                if val_n <= max(recent) + 1e-4 * t_ls * slope:
+                    break
+                t_ls *= 0.5
+            else:
+                break
+            s, y = t_ls * d, grad_n - grad
+            sy = float(s @ y)
+            step = min(1e10, max(1e-10, float(s @ s) / sy)) if sy > 0.0 else 1e10
+            x, val, grad, f = x + s, val_n, grad_n, f_n
+            recent = (recent + [val])[-10:]
+        mu = np.maximum(0.0, mu + rho * f)
+        viol = float(np.max(f, initial=0.0))
+        if certified(viol, stationarity(x, grad), abs(float(np.sum(mu * f)))):
+            break
+        if viol > 0.25 * viol_prev:
+            rho *= 10.0
+        viol_prev = viol
 
-    def restore(xv):
-        # Convex blend toward the interior point until the grid violation
-        # clears the certificate threshold.
-        cost_v, viol_v, _ = cost_and_violation(xv)
-        if viol_v <= VIABILITY_TOL or margin <= 0.0:
-            return xv, cost_v, viol_v
-        theta = min(1.0, 1.05 * viol_v / (viol_v + margin))
-        for _ in range(8):
-            cand = (1.0 - theta) * xv + theta * viability.xdagger
-            cost_c, viol_c, _ = cost_and_violation(cand)
-            if viol_c <= VIABILITY_TOL:
-                return cand, cost_c, viol_c
-            theta = min(1.0, theta * 1.5 + 1e-6)
-        return viability.xdagger, *cost_and_violation(viability.xdagger)[:2]
+    def cost(xv):
+        return float(w @ env.batch_evaluate(ts, xv, w, np.zeros_like(mu))[0])
 
-    candidates = [x, best_x]
-    if a_sum > 0.0:
-        candidates.append(x_sum / a_sum)
-    restored = [restore(c) for c in candidates]
-    feasible = [r for r in restored if r[2] <= VIABILITY_TOL]
-    pool = feasible if feasible else restored
-    xstar, cost_star, viol_star = min(pool, key=lambda r: r[1])
+    viol = float(np.max(env.batch_constraints(ts, x), initial=-np.inf))
+    margin = -viability.residual
+    if viol > 0.0:
+        theta = viol / (viol + margin) if margin > 0.0 else 1.0
+        x = (1.0 - theta) * x + theta * xd
+    xstar = x if cost(x) <= cost(xd) else np.array(xd, dtype=float)
 
     f0s, fs, grad = env.batch_evaluate(ts, xstar, w, mu)
-    kkt_stat = float(np.max(np.abs(X.project_point(xstar - grad) - xstar)))
-    comp = float(abs(np.sum(mu * fs))) if m else 0.0
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
-
-    K_const = estimate_K(env, grid, X, xstar) if env.has_objective else 0.0
     diagnostics = {
-        "iterations": max_iter,
-        "final_step": a_j,
-        "kkt_stationarity": kkt_stat,
-        "complementarity": comp,
-        "violation": viol_star,
-        "converged": bool(viol_star <= VIABILITY_TOL and kkt_stat <= 1e-5),
-        "smoothness_estimate": L_est,
+        "iterations": it,
+        "kkt_stationarity": stationarity(xstar, grad),
+        "complementarity": abs(float(np.sum(mu * fs))),
+        "violation": float(np.max(fs, initial=-np.inf)),
     }
+    diagnostics["converged"] = certified(diagnostics["violation"], diagnostics["kkt_stationarity"],
+                                         diagnostics["complementarity"])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
     return OfflineSolution(
         xstar=xstar,
-        offline_cost=cost_star,
-        xdagger=viability.xdagger,
+        offline_cost=float(w @ f0s),
+        xdagger=xd,
         viability_residual=viability.residual,
-        K=K_const,
+        K=estimate_K(env, grid, X, xstar),
         grid=grid,
         cost_cumulative=cum,
         diagnostics=diagnostics,

@@ -235,6 +235,42 @@ def test_report_renders_figures(scenario_file, tmp_path):
     assert svg.startswith("<svg") and 'viewBox="0 0 960 600"' in svg
 
 
+@pytest.mark.parametrize("max_iter, verdict", [(600, "PASS"), (1, "FAIL")])
+def test_report_offline_certificate(scenario_file, tmp_path, capsys, max_iter, verdict):
+    # 600 iterations certify the black-sheep optimum; one leaves x-dagger,
+    # which is feasible but not stationary.
+    off = tmp_path / "offline.json"
+    assert run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--max-iter", max_iter, "--out", off) == 0
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle",
+                   "--objective", "blacksheep", "--epsilon", 50, "--step", 1e-3,
+                   "--offline", off, "--out", tmp_path / "bs") == 0
+    capsys.readouterr()
+    assert run_cli("report", "--results", tmp_path) == 0
+    lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+    diag = json.loads(off.read_text())["diagnostics"]
+    assert (f"offline certificate: {verdict} (violation {diag['violation']:.4g}, "
+            f"stationarity {diag['kkt_stationarity']:.4g})") in lines
+    # The certificate is the only check that differs; a FAIL keeps exit code 0.
+    assert lines[-1] == ("report: all checks PASS" if verdict == "PASS" else "report: some checks FAILED")
+
+
+def test_report_without_the_offline_file_fails_the_certificate(scenario_file, tmp_path, capsys):
+    off = tmp_path / "offline.json"
+    assert run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--max-iter", 50, "--out", off) == 0
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle",
+                   "--objective", "blacksheep", "--epsilon", 50, "--step", 1e-3,
+                   "--offline", off, "--out", tmp_path / "bs") == 0
+    off.unlink()
+    capsys.readouterr()
+    assert run_cli("report", "--results", tmp_path) == 0
+    text = capsys.readouterr().out
+    assert "offline certificate: FAIL (offline file unavailable)" in text
+    assert "missing: regret_vs_t (offline solution unavailable)" in text
+    assert text.rstrip().endswith("report: some checks FAILED")
+
+
 def test_report_empty_dir(tmp_path):
     assert run_cli("report", "--results", tmp_path) == cli.EXIT_USAGE
 

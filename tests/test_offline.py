@@ -315,6 +315,98 @@ def test_offline_invariants_on_shepherd(small_scenario):
     assert sol.offline_cost == sol2.offline_cost
 
 
+def grid_cost(env, grid, x):
+    w = grid.trapezoid_weights()
+    return float(w @ env.batch_evaluate(grid.nodes(), x, w, np.zeros((w.shape[0], env.m)))[0])
+
+
+def slsqp_reference(env, grid, X, x0):
+    """Dense SLSQP over every node constraint: the offline problem's optimum."""
+    from scipy.optimize import minimize
+
+    ts, w = grid.nodes(), grid.trapezoid_weights()
+    K, m = ts.shape[0], env.m
+    zero_mu = np.zeros((K, m))
+
+    def cost(x):
+        f0, _, grad = env.batch_evaluate(ts, x, w, zero_mu)
+        return float(w @ f0), grad
+
+    def jacobian(x):  # row (k, i) is grad f_i(t_k, x): a unit multiplier on constraint i alone
+        xs = np.tile(x, (K, 1))
+        return -np.stack([env.batch_evaluate(ts, xs, np.zeros(K), np.eye(m)[[i] * K])[2]
+                          for i in range(m)], axis=1).reshape(K * m, -1)
+
+    res = minimize(cost, x0, jac=True, method="SLSQP", bounds=list(zip(X.lower, X.upper)),
+                   constraints=[{"type": "ineq", "jac": jacobian,
+                                 "fun": lambda x: -env.batch_constraints(ts, x).ravel()}],
+                   options={"maxiter": 500, "ftol": 1e-14})
+    assert env.batch_constraints(ts, res.x).max() <= 1e-9
+    return res.fun
+
+
+@pytest.mark.parametrize("seed, T, max_iter", [(1, 0.25, 600), (7, 0.25, 600), (1, 1.0, 1500)])
+def test_black_sheep_costs_the_noise_floor(seed, T, max_iter):
+    # The optimum follows sheep 1 with every constraint slack, so the mean
+    # environment charges only the noise term 2 sigma^2 per unit time.
+    sc = shepherd.generate_sheep_paths(seed=seed, T=T)
+    env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
+    sol = solve_offline(env, sc.offline_grid(), sc.action_set(),
+                        viability=shepherd.viability_certificate(sc), max_iter=max_iter)
+    assert sol.diagnostics["converged"]
+    assert sol.diagnostics["iterations"] < 100  # stops once certified
+    assert sol.offline_cost == pytest.approx(2.0 * sc.noise_std**2 * T, rel=1e-9)
+
+
+def test_min_acceleration_against_slsqp():
+    # The C08 T=1 configuration.  The optimum sits on a kink of |z''| at a
+    # node, so the solve is not certified, but it lands within 1e-6 of it.
+    sc = shepherd.generate_sheep_paths(seed=1, n=6, n_sheep=30)
+    env = shepherd.shepherd_env(sc, "min_acceleration", noise="mean")
+    grid, X = sc.offline_grid(), sc.action_set()
+    sol = solve_offline(env, grid, X, viability=shepherd.viability_certificate(sc), max_iter=1500)
+    ref = slsqp_reference(env, grid, X, sc.xdagger)
+    assert env.batch_constraints(grid.nodes(), sol.xstar).max() <= 1e-6
+    assert sol.offline_cost < grid_cost(env, grid, sc.xdagger)
+    assert ref * (1.0 - 1e-9) <= sol.offline_cost <= ref * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_offline_budget_keeps_a_feasible_point(small_scenario, max_iter):
+    env = shepherd.shepherd_env(small_scenario, "black_sheep", noise="mean")
+    grid, X = small_scenario.offline_grid(), small_scenario.action_set()
+    via = shepherd.viability_certificate(small_scenario)
+    sol = solve_offline(env, grid, X, viability=via, max_iter=max_iter)
+    assert env.batch_constraints(grid.nodes(), sol.xstar).max() <= 1e-6
+    assert sol.offline_cost <= grid_cost(env, grid, sol.xdagger)
+    assert not sol.diagnostics["converged"]
+    assert sol.diagnostics["iterations"] == max_iter
+    assert np.array_equal(sol.xstar, solve_offline(env, grid, X, viability=via, max_iter=max_iter).xstar)
+
+
+def test_offline_blends_a_violating_iterate_toward_xdagger():
+    # The target lies outside the disc and the first penalty is weak, so the
+    # iterate after a few steps violates; one blend toward x-dagger restores it.
+    env = disc_constrained_env(np.zeros(2), 1.0, np.array([1.5, 0.0]))
+    grid = TimeGrid.from_step(1.0, 0.25)
+    via = check_viability(env, grid, BOX2)
+    probed = []
+
+    def constraints(ts, x):
+        probed.append(x)
+        return env.batch_constraints(ts, x)
+
+    sol = solve_offline(dataclasses.replace(env, batch_constraints=constraints), grid, BOX2,
+                        viability=via, max_iter=5)
+    last = probed[-1]  # the last iterate, checked once after the loop
+    v = float(env.batch_constraints(grid.nodes(), last).max())
+    assert v > 1e-6
+    theta = v / (v - via.residual)
+    assert np.array_equal(sol.xstar, (1.0 - theta) * last + theta * via.xdagger)
+    assert sol.diagnostics["violation"] <= 1e-12
+    assert sol.offline_cost < grid_cost(env, grid, via.xdagger)
+
+
 def test_offline_cost_grid_consistency():
     c = np.array([0.25, -0.75])
     env = quadratic_env(c)
