@@ -3,6 +3,7 @@
 Usage (each side of a comparison runs against its own ``src``):
 
     PYTHONPATH=src python scripts/bench_layers.py micro --out micro.json
+    PYTHONPATH=src python scripts/bench_layers.py viability --out viability.json
     python scripts/bench_layers.py coldstart --root . --out coldstart.json
     python scripts/bench_layers.py fixtures --root . --out fixtures.json
     python scripts/bench_layers.py merge --before B1.json B2.json \\
@@ -20,7 +21,10 @@ of that CSV (both written next to ``--out`` and removed).  ``offline_cost_gap``
 rows give the relative gap of ``solve_offline``'s cost to a dense SLSQP
 reference solved here with every node constraint: black sheep on the
 regret-chain scenario at the benchmark's 600 iterations, and min-acceleration
-on the C08 T=1 scenario (n=6) at the suite's 1,500.  ``coldstart`` runs
+on the C08 T=1 scenario (n=6) at the suite's 1,500.  ``viability`` times
+``generate --n 6 --n-sheep 30`` at seeds 0, 35, 43 and 46, where the
+viability search takes the time, and records its iterations and residual,
+plus the ``estimate_K`` and ``solve_offline`` rows above.  ``coldstart`` runs
 fresh interpreters on the ``src`` under ``--root`` and records each one's wall
 time and its own peak resident memory: ``import saddlesim.cli``, then the
 benchmark's command lines at seed 1, ``generate`` and ``offline`` of
@@ -66,7 +70,6 @@ def micro(repeats: int, workdir: str) -> dict:
     from saddlesim import shepherd
     from saddlesim.cli import _read_csv, _render_run_figures, write_trajectory_csv
     from saddlesim.dynamics import ControllerConfig, simulate
-    from saddlesim.offline import estimate_K, solve_offline
 
     out = {}
     for nb in (6, 30):
@@ -88,17 +91,7 @@ def micro(repeats: int, workdir: str) -> dict:
     out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
     out.update(grid_lagrangian_us(sc, env, ts, repeats))
-    k_times, solve_times = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        estimate_K(env, sc.offline_grid(), sc.action_set(), sc.xdagger)
-        k_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        solve_offline(env, sc.offline_grid(), sc.action_set(),
-                      viability=shepherd.viability_certificate(sc), max_iter=600)
-        solve_times.append(time.perf_counter() - t0)
-    out["estimate_K_s.regret_chain"] = summary(k_times)
-    out["solve_offline_s.regret_chain_600"] = summary(solve_times)
+    out.update(offline_times(sc, repeats))
     out["offline_cost_gap.black_sheep.regret_chain_600"] = offline_cost_gap(sc, "black_sheep", 600)
     c08 = shepherd.generate_sheep_paths(seed=1, T=1.0, n=6, n_sheep=30)
     out["offline_cost_gap.min_acceleration.c08_T1_1500"] = offline_cost_gap(c08, "min_acceleration", 1500)
@@ -122,6 +115,49 @@ def micro(repeats: int, workdir: str) -> dict:
     os.remove(path)
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
+    return out
+
+
+def offline_times(sc, repeats: int) -> dict:
+    """estimate_K at x-dagger and solve_offline at 600 iterations on the
+    black-sheep noise-mean environment of the scenario sc, after one untimed
+    estimate_K that builds the time tables of the offline grid."""
+    from saddlesim import shepherd
+    from saddlesim.offline import estimate_K, solve_offline
+
+    env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
+    estimate_K(env, sc.offline_grid(), sc.action_set(), sc.xdagger)
+    k_times, solve_times = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        estimate_K(env, sc.offline_grid(), sc.action_set(), sc.xdagger)
+        k_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        solve_offline(env, sc.offline_grid(), sc.action_set(),
+                      viability=shepherd.viability_certificate(sc), max_iter=600)
+        solve_times.append(time.perf_counter() - t0)
+    return {"estimate_K_s.regret_chain": summary(k_times),
+            "solve_offline_s.regret_chain_600": summary(solve_times)}
+
+
+def viability(repeats: int) -> dict:
+    """generate at --n 6 --n-sheep 30 for seeds 0, 35, 43 and 46, whose time
+    is the viability search's (its first draw is accepted), with the
+    iterations and residual of that search, and the offline_times rows of the
+    regret-chain scenario."""
+    from saddlesim import shepherd
+
+    out = {}
+    for seed in (0, 35, 43, 46):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            sc = shepherd.generate_sheep_paths(seed=seed, n=6, n_sheep=30)
+            times.append(time.perf_counter() - t0)
+        out[f"viability_s.n6_seed{seed}"] = summary(times)
+        out[f"viability_iterations.n6_seed{seed}"] = sc.viability_iterations
+        out[f"viability_residual.n6_seed{seed}"] = sc.viability_residual
+    out.update(offline_times(shepherd.generate_sheep_paths(seed=1, T=0.25), repeats))
     return out
 
 
@@ -314,7 +350,7 @@ def merge(before: list[str], after: list[str]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("what", choices=("micro", "coldstart", "fixtures", "tier1", "merge"))
+    ap.add_argument("what", choices=("micro", "viability", "coldstart", "fixtures", "tier1", "merge"))
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--root", default=".")
     ap.add_argument("--before", nargs="*", default=[])
@@ -326,6 +362,7 @@ def main() -> None:
     else:
         workdir = os.path.dirname(os.path.abspath(args.out))
         rows = {"micro": lambda: micro(args.repeats, workdir),
+                "viability": lambda: viability(args.repeats),
                 "coldstart": lambda: coldstart(args.root, args.repeats),
                 "fixtures": lambda: fixtures(args.root),
                 "tier1": lambda: tier1(args.root)}[args.what]()

@@ -8,8 +8,8 @@ offline    solve the clairvoyant fixed-action problem; writes offline.json
 report     render SVG figures and a PASS/FAIL summary from result directories
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence, non-finite
-evaluator output or a state that left its set, 4 infeasible or inconclusive
-viability or offline solve.
+evaluator output or a state that left its set, 4 infeasible viability or an
+inconclusive offline solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .convex_sets import MembershipError
 from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate
 from .environment import EvaluatorError
 from .offline import (
-    InconclusiveViabilityError,
     InfeasibleEnvironmentError,
     InnerSolveError,
     OfflineSolution,
@@ -561,8 +560,7 @@ def main(argv=None) -> int:
     except (DivergenceError, EvaluatorError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (InconclusiveViabilityError, InfeasibleEnvironmentError,
-            shepherd.GeneratorError) as exc:
+    except (InfeasibleEnvironmentError, shepherd.GeneratorError) as exc:
         print(f"viability: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InnerSolveError as exc:

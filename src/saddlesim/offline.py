@@ -1,10 +1,17 @@
 """Discretized clairvoyant solver.
 
-Works on a uniform time grid over [0, T]: certifies that a fixed action
-satisfying every constraint at every grid node exists (viability), solves for
-the optimal fixed action under those constraints by a method of multipliers
-started at that viability point, and estimates the uniform cost-gap constant
-K used by the regret floor and the sublinear-fit checks.
+Works on a uniform time grid over [0, T]: searches for a fixed action
+satisfying every constraint at every grid node (viability), solves for the
+optimal fixed action under those constraints, and estimates the uniform
+cost-gap constant K used by the regret floor and the sublinear-fit checks.
+All three run on one routine, :func:`_spg`, nonmonotone spectral projected
+gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 2000) on the rows of a
+(B, n) array; ``estimate_K`` runs it with one row per node, and the other two
+are one method-of-multipliers loop over it, :func:`_multipliers`.  The
+viability search is that loop's phase 1, min s subject to f_i(t_k, x) <= s;
+it stops at ``-interior_target`` or once an outer iteration lowers the best
+residual by less than ``VIABILITY_TOL``.  "Not viable" means only that it
+ended above ``VIABILITY_TOL``, not that no viable action exists.
 
 The continuous-time requirement "for all t" is sampled at grid nodes only;
 environments built from smooth bases plus sample-and-hold noise aligned to
@@ -22,14 +29,10 @@ from .convex_sets import Box, ConvexSet
 from .environment import Environment, EvaluatorError
 
 VIABILITY_TOL = 1e-6
-INCONCLUSIVE_BAND = 1e-3
 KKT_TOL = 1e-8
 INNER_ITER = 100
-
-
-class InconclusiveViabilityError(RuntimeError):
-    """Residual landed between the certificate and rejection thresholds at the
-    iteration cap; refine the grid or raise the iteration budget."""
+MEMORY = 10  # nonmonotone Armijo window
+MIN_STEP = 1e-16  # a row whose line search shrinks below this stops
 
 
 class InfeasibleEnvironmentError(RuntimeError):
@@ -90,6 +93,97 @@ class OfflineSolution:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
+def _row_projection(X: ConvexSet):
+    """Projection onto X of each row of a (B, n) array (a box in one call)."""
+    if isinstance(X, Box):
+        return lambda Z: np.minimum(np.maximum(Z, X.lower), X.upper)  # Box.project_point, row-wise
+    return lambda Z: np.array([X.project_point(z) for z in Z]).reshape(Z.shape)
+
+
+def _gradient_map(project, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(project(x - g) - x), axis=-1)
+
+
+def _spg(fun, project, x: np.ndarray, budget: int, tol: float):
+    """Nonmonotone spectral projected gradient on each row of x (B, n).
+
+    ``fun(x)`` returns per-row values, gradients and one more per-row output.
+    Each row searches along d = P(x - step g) - x, its step starting at
+    1 / max|P(x - g) - x| and then the Barzilai-Borwein s.s / s.y whenever
+    s.y > 0.  It accepts x + frac d once the value is at most the largest of
+    its last ``MEMORY`` values plus 1e-4 frac g.d, else moves frac to the
+    minimizer of the quadratic through both values and the slope, within
+    [0.01, 0.5] frac.  A row stops, holding its point, at stationarity
+    (max|P(x - g) - x| <= tol) or once frac < ``MIN_STEP``.  Each call of
+    ``fun`` covers every row and counts as one of at most ``budget``
+    evaluations, so a row follows the same sequence as alone.  Returns the
+    points, values, gradients, extra outputs, the rows still running and the
+    evaluations made.
+    """
+    x = np.array(x, dtype=float)
+    val, grad, aux = (np.array(a, dtype=float) for a in fun(x))
+    evals, gmap = 1, _gradient_map(project, x, grad)
+    running = gmap > tol
+    step = np.clip(1.0 / np.where(running, gmap, 1.0), 1e-10, 1e10)
+    recent = np.repeat(val[:, None], MEMORY, axis=1)
+    frac = np.ones(x.shape[0])
+    d = project(x - step[:, None] * grad) - x
+    slope = (grad * d).sum(axis=1)
+    while evals < budget and running.any():
+        trial = x + (frac * running)[:, None] * d  # a stopped row evaluates its own point
+        val_n, grad_n, aux_n = fun(trial)
+        evals += 1
+        ok = running & (val_n - recent.max(axis=1) <= 1e-4 * frac * slope)
+        curv = val_n - val - frac * slope  # frac^2 times the curvature of the quadratic through them
+        shrink = -frac * frac * slope / (2.0 * np.where(curv > 0.0, curv, 1.0))
+        shrink = np.where(curv > 0.0, np.clip(shrink, 0.01 * frac, 0.5 * frac), 0.5 * frac)
+        frac = np.where(running & ~ok, shrink, frac)
+        running &= frac >= MIN_STEP
+        a = np.flatnonzero(ok)  # only accepted rows change below
+        xa, ga = trial[a], grad_n[a]
+        s, y = xa - x[a], ga - grad[a]
+        sy = (s * y).sum(axis=1)
+        bb = np.clip((s * s).sum(axis=1) / np.where(sy > 0.0, sy, 1.0), 1e-10, 1e10)
+        step[a] = sa = np.where(sy > 0.0, bb, step[a])
+        x[a], val[a], grad[a], aux[a] = xa, val_n[a], ga, aux_n[a]
+        recent[a] = np.concatenate([recent[a, 1:], val_n[a, None]], axis=1)
+        running[a] = ~(_gradient_map(project, xa, ga) <= tol)
+        frac[a] = 1.0
+        d[a] = da = project(xa - sa[:, None] * ga) - xa
+        slope[a] = (ga * da).sum(axis=1)
+    return x, val, grad, aux, running, evals
+
+
+def _multipliers(constraints, objective, project, z: np.ndarray, mu: np.ndarray, max_iter: int):
+    """Method of multipliers for min F(z) subject to c(z) <= 0 (K, m).
+
+    ``objective(z, lam)`` returns F(z) and the gradient of F + sum lam c.  The
+    augmented Lagrangian ``F + (|lam|^2 - |mu|^2) / (2 rho)``, with ``lam =
+    max(0, mu + rho c)``, is minimized by :func:`_spg` runs of at most
+    ``INNER_ITER`` evaluations, ``max_iter`` in all.  After each, ``mu <- lam``
+    and the loop yields ``(z, grad, c, mu, rho, evaluations)`` until the caller
+    leaves it; ``rho`` then grows tenfold unless the violation fell tenfold or
+    is at most ``VIABILITY_TOL`` (one at rounding level stops falling).
+    """
+    rho, it, viol_prev = 1.0, 0, np.inf
+
+    def lagrangian(Z):
+        c = constraints(Z[0])
+        lam = np.maximum(0.0, mu + rho * c)
+        value, grad = objective(Z[0], lam)
+        return np.array([value + (np.sum(lam * lam) - np.sum(mu * mu)) / (2.0 * rho)]), grad[None], c[None]
+
+    while it < max_iter:
+        Z, _, grad, c, _, used = _spg(lagrangian, project, z[None], min(INNER_ITER, max_iter - it), KKT_TOL)
+        z, grad, c, it = Z[0], grad[0], c[0], it + used
+        mu = np.maximum(0.0, mu + rho * c)
+        yield z, grad, c, mu, rho, it
+        viol = float(np.max(c, initial=0.0))
+        if viol > VIABILITY_TOL and viol > 0.1 * viol_prev:
+            rho *= 10.0
+        viol_prev = viol
+
+
 def check_viability(
     env: Environment,
     grid: TimeGrid,
@@ -100,72 +194,44 @@ def check_viability(
 ) -> ViabilityResult:
     """Search for a fixed action with nonpositive constraints at every node.
 
-    Minimizes ``phi(x) = max_{k,i} f_i(t_k, x)`` by projected subgradient with
-    Polyak-style level steps and running-average tracking, keeping the best
-    point seen.  The environment counts as viable when the best residual is at
-    most 1e-6.  By default the search runs until progress stalls (returning a
-    near-minimal residual); passing a finite ``interior_target`` stops as soon
-    as the residual clears ``-interior_target``, which is enough margin for
-    the downstream solvers and much cheaper.
+    Minimizes the residual ``max_{k,i} f_i(t_k, x)`` as phase 1 of the method
+    of multipliers, min s over X x R subject to f_i(t_k, x) <= s, from the
+    projected ``x_init`` (or zero) and s = its residual: dL/ds = 1 - sum lam,
+    and the x-gradient is one ``batch_evaluate`` with zero weights.  It stops
+    at ``-interior_target`` (a start already there is returned with 0
+    iterations), after ``max_iter`` Lagrangian evaluations (``iterations``
+    counts them), or once an outer iteration lowers the best residual by less
+    than ``VIABILITY_TOL``, and returns the best point.  Viable means that
+    residual is at most ``VIABILITY_TOL``; not viable means only that the
+    search ended above it, not that no viable action exists.
     """
+    ts, n = grid.nodes(), X.dim
+    x = X.project_point(np.zeros(n) if x_init is None else np.asarray(x_init, float))
     if env.m == 0:
-        x0 = X.project_point(np.zeros(X.dim))
-        return ViabilityResult(True, x0, float("-inf"), 0)
+        return ViabilityResult(True, X.project_point(np.zeros(n)), float("-inf"), 0)
+    f = env.batch_constraints(ts, x)
+    best, best_x, it = float(np.max(f)), x, 0
+    if best <= -interior_target:
+        return ViabilityResult(bool(best <= VIABILITY_TOL), best_x, best, it)
+    no_weight, project_x = np.zeros(ts.shape[0]), _row_projection(X)
 
-    ts = grid.nodes()
-    at = env.grid_evaluator(ts)
-    x = X.project_point(np.zeros(X.dim)) if x_init is None else X.project_point(np.asarray(x_init, float))
+    def constraints(z):
+        return env.batch_constraints(ts, z[:n]) - z[n]
 
-    def phi(xv: np.ndarray) -> tuple[float, int, int]:
-        vals = env.batch_constraints(ts, xv)
-        k, i = np.unravel_index(np.argmax(vals), vals.shape)
-        return float(vals[k, i]), int(k), int(i)
+    def objective(z, lam):
+        return z[n], np.append(env.batch_evaluate(ts, z[:n], no_weight, lam)[2], 1.0 - np.sum(lam))
 
-    best_x = x.copy()
-    best_phi, _, _ = phi(x)
-    x_avg = x.copy()
-    stall = 0
-    it = 0
-    while it < max_iter:
-        val, k, i = phi(x)
-        if val < best_phi - 1e-12:
-            best_phi, best_x = val, x.copy()
-            stall = 0
-        else:
-            stall += 1
-        if best_phi <= -interior_target:
-            break
-        # No certified lower bound exists for a subgradient method.  A long
-        # stall with the certificate already in hand just stops improving the
-        # interior margin; a long stall at a clearly positive residual is
-        # treated as non-viable.  Residuals inside the inconclusive band keep
-        # iterating until the cap, which raises.
-        if stall > 1500 and best_phi <= VIABILITY_TOL:
-            break
-        if stall > 3000 and best_phi > INCONCLUSIVE_BAND:
-            break
-        _, _, _, G = at(k, x)
-        g = G[:, i]
-        gn2 = float(g @ g)
-        if gn2 <= 1e-300:
-            break
-        level = best_phi - max(1e-4, 0.1 * abs(best_phi)) / np.sqrt(1.0 + it)
-        step_len = max(val - level, 1e-12) / gn2
-        x = X.project_point(x - step_len * g)
-        x_avg += (x - x_avg) / (it + 2.0)
-        if (it + 1) % 500 == 0:
-            avg_val, _, _ = phi(x_avg)
-            if avg_val < best_phi:
-                best_phi, best_x = avg_val, x_avg.copy()
-        it += 1
+    def project(Z):
+        return np.concatenate([project_x(Z[:, :n]), Z[:, n:]], axis=1)
 
-    if it >= max_iter and VIABILITY_TOL < best_phi <= INCONCLUSIVE_BAND:
-        raise InconclusiveViabilityError(
-            f"residual {best_phi:.3e} after {it} iterations sits between the viability "
-            f"certificate ({VIABILITY_TOL:.0e}) and rejection ({INCONCLUSIVE_BAND:.0e}); "
-            "refine the grid or raise max_iter"
-        )
-    return ViabilityResult(bool(best_phi <= VIABILITY_TOL), best_x, best_phi, it)
+    for z, _, _, _, _, it in _multipliers(constraints, objective, project, np.append(x, best),
+                                          np.zeros_like(f), max_iter):
+        residual, previous = float(np.max(env.batch_constraints(ts, z[:n]))), best
+        if residual < best:
+            best, best_x = residual, z[:n].copy()
+        if best <= -interior_target or previous - best < VIABILITY_TOL:
+            break
+    return ViabilityResult(bool(best <= VIABILITY_TOL), best_x, best, it)
 
 
 def solve_offline(
@@ -178,78 +244,40 @@ def solve_offline(
     """Optimal fixed action on the grid: min sum_k w_k f0(t_k, x) subject to
     f_i(t_k, x) <= 0 at every node.
 
-    Method of multipliers warm-started at the viability point x-dagger.  The
-    augmented Lagrangian ``L(x, mu) = sum_k w_k f0 + (|lam|^2 - |mu|^2) / (2 rho)``
-    with ``lam = max(0, mu + rho f)`` costs one ``batch_constraints`` and one
-    ``batch_evaluate`` call, whose gradient at the multipliers ``lam`` is
-    exactly grad_x L.  Each inner solve is a nonmonotone spectral projected
-    gradient (Barzilai-Borwein step, Armijo test against the last 10 values)
-    that stops at stationarity ``KKT_TOL`` or after ``INNER_ITER`` evaluations;
-    then ``mu <- lam``, and ``rho`` grows tenfold unless the violation fell to
-    a quarter.  ``max_iter`` bounds the Lagrangian evaluations of all inner
-    solves together; the loop ends early once violation, stationarity and
-    complementarity clear their tolerances, which ``converged`` reports.  A
-    last iterate violating by v > 0 is blended once toward x-dagger with
-    ``theta = v / (v + margin)`` (feasible by convexity), and the cheaper of
-    that point and x-dagger wins.  Non-convergence is reported through the
-    diagnostics, not raised.
+    :func:`_multipliers` from the viability point x-dagger, with one
+    ``batch_constraints`` and one ``batch_evaluate`` call per Lagrangian
+    evaluation, ``max_iter`` of them in all.  The loop ends early once
+    violation, stationarity and complementarity clear their tolerances, which
+    ``converged`` reports; ``penalty`` is the last ``rho``.  A last iterate
+    violating by v > 0 is blended once toward x-dagger with ``theta = v / (v +
+    margin)`` (feasible by convexity), and the cheaper of that point and
+    x-dagger wins.  Non-convergence is reported, not raised.
     """
     if not env.has_objective:
         raise ValueError("offline solve requires an environment with an objective")
     if viability is None:
         viability = check_viability(env, grid, X)
     if not viability.viable:
-        raise InfeasibleEnvironmentError(
-            f"viability residual {viability.residual:.3e} exceeds {VIABILITY_TOL:.0e}; "
-            "run check_viability and redraw the scenario"
-        )
+        raise InfeasibleEnvironmentError(f"viability residual {viability.residual:.3e} exceeds "
+                                         f"{VIABILITY_TOL:.0e}; run check_viability and redraw the scenario")
+    ts, w, xd, project = grid.nodes(), grid.trapezoid_weights(), viability.xdagger, _row_projection(X)
 
-    ts = grid.nodes()
-    w = grid.trapezoid_weights()
-    xd = viability.xdagger
-    mu = np.zeros((ts.shape[0], env.m))
-    rho = 1.0
-
-    def lagrangian(x):
-        f = env.batch_constraints(ts, x)
-        lam = np.maximum(0.0, mu + rho * f)
+    def objective(x, lam):
         f0s, _, grad = env.batch_evaluate(ts, x, w, lam)
-        return float(w @ f0s) + (np.sum(lam * lam) - np.sum(mu * mu)) / (2.0 * rho), grad, f
+        return float(w @ f0s), grad
 
-    def stationarity(x, grad):
-        return float(np.max(np.abs(X.project_point(x - grad) - x)))
+    def certificate(x, grad, f, mu):  # grad of the Lagrangian at the multipliers mu
+        c = {"kkt_stationarity": float(_gradient_map(project, x[None], grad[None])[0]),
+             "complementarity": abs(float(np.sum(mu * f))), "violation": float(np.max(f, initial=-np.inf))}
+        c["converged"] = (c["violation"] <= VIABILITY_TOL
+                          and max(c["kkt_stationarity"], c["complementarity"]) <= KKT_TOL)
+        return c
 
-    def certified(violation, stat, comp):
-        return violation <= VIABILITY_TOL and stat <= KKT_TOL and comp <= KKT_TOL
-
-    x, it, viol_prev = np.array(xd, dtype=float), 0, np.inf
-    while it < max_iter:
-        val, grad, f = lagrangian(x)
-        it += 1
-        recent, step, stop = [val], 1.0, min(max_iter, it + INNER_ITER)
-        while it < stop and stationarity(x, grad) > KKT_TOL:
-            d = X.project_point(x - step * grad) - x
-            slope, t_ls = float(grad @ d), 1.0
-            while it < stop:
-                val_n, grad_n, f_n = lagrangian(x + t_ls * d)
-                it += 1
-                if val_n <= max(recent) + 1e-4 * t_ls * slope:
-                    break
-                t_ls *= 0.5
-            else:
-                break
-            s, y = t_ls * d, grad_n - grad
-            sy = float(s @ y)
-            step = min(1e10, max(1e-10, float(s @ s) / sy)) if sy > 0.0 else 1e10
-            x, val, grad, f = x + s, val_n, grad_n, f_n
-            recent = (recent + [val])[-10:]
-        mu = np.maximum(0.0, mu + rho * f)
-        viol = float(np.max(f, initial=0.0))
-        if certified(viol, stationarity(x, grad), abs(float(np.sum(mu * f)))):
+    x, mu, rho, it = np.array(xd, dtype=float), np.zeros((ts.shape[0], env.m)), 1.0, 0
+    for x, grad, f, mu, rho, it in _multipliers(lambda xv: env.batch_constraints(ts, xv), objective,
+                                                project, x, mu, max_iter):
+        if certificate(x, grad, f, mu)["converged"]:
             break
-        if viol > 0.25 * viol_prev:
-            rho *= 10.0
-        viol_prev = viol
 
     def cost(xv):
         return float(w @ env.batch_evaluate(ts, xv, w, np.zeros_like(mu))[0])
@@ -262,25 +290,11 @@ def solve_offline(
     xstar = x if cost(x) <= cost(xd) else np.array(xd, dtype=float)
 
     f0s, fs, grad = env.batch_evaluate(ts, xstar, w, mu)
-    diagnostics = {
-        "iterations": it,
-        "kkt_stationarity": stationarity(xstar, grad),
-        "complementarity": abs(float(np.sum(mu * fs))),
-        "violation": float(np.max(fs, initial=-np.inf)),
-    }
-    diagnostics["converged"] = certified(diagnostics["violation"], diagnostics["kkt_stationarity"],
-                                         diagnostics["complementarity"])
+    diagnostics = {"iterations": it, **certificate(xstar, grad, fs, mu), "penalty": rho}
     cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
-    return OfflineSolution(
-        xstar=xstar,
-        offline_cost=float(w @ f0s),
-        xdagger=xd,
-        viability_residual=viability.residual,
-        K=estimate_K(env, grid, X, xstar),
-        grid=grid,
-        cost_cumulative=cum,
-        diagnostics=diagnostics,
-    )
+    return OfflineSolution(xstar=xstar, offline_cost=float(w @ f0s), xdagger=xd,
+                           viability_residual=viability.residual, K=estimate_K(env, grid, X, xstar),
+                           grid=grid, cost_cumulative=cum, diagnostics=diagnostics)
 
 
 def estimate_K(
@@ -293,49 +307,27 @@ def estimate_K(
 ) -> float:
     """Uniform bound on f0(t, x*) minus the pointwise minimum of f0(t, .) over X.
 
-    Solves the per-node minimization by monotone projected gradient descent
-    (probed step, halving on non-decrease) and returns the largest gap,
-    clamped below at zero.  Nodes run in lockstep on (K, n) arrays: a stopped
-    node holds its point, but each step evaluates all K until the last stops.
+    One :func:`_spg` run from the projection of zero, a row per node, with
+    gradient-map tolerance ``tol`` and ``max_iter`` evaluations; returns the
+    largest gap, clamped below at zero.  A node still running at the budget
+    with a gradient map above 1e-4 raises :class:`InnerSolveError`.
     """
     ts = grid.nodes()
+    ones, no_mu = np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m))
 
-    def objective(xs):  # (f0 (K,), f, g0 (K, n)) with one action per node
-        return env.batch_evaluate(ts, xs, np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m)))
+    def objective(xs):  # one action per node
+        f0, _, g = env.batch_evaluate(ts, xs, ones, no_mu)
+        return f0, g, f0
 
-    def project(Z):
-        if isinstance(X, Box):
-            return np.minimum(np.maximum(Z, X.lower), X.upper)  # Box.project_point, row-wise
-        return np.array([X.project_point(z) for z in Z]).reshape(Z.shape)
-
-    def gradient_map(xs, g):
-        return np.max(np.abs(xs - project(xs - g)), axis=1)
-
-    f_star = objective(np.asarray(xstar, dtype=float))[0]
-    x = np.tile(X.project_point(np.zeros(X.dim)), (ts.shape[0], 1))
-    f_x, _, g = objective(x)
-    gnorm = np.linalg.norm(g, axis=1)
-    g_p = objective(x + g / np.where(gnorm > 0.0, gnorm, 1.0)[:, None] * 1e-4)[2]
-    L = np.linalg.norm(g_p - g, axis=1) / 1e-4
-    step = 1.0 / np.where(L > 1e-12, L, 1.0)
-    running = np.ones(ts.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        running &= gradient_map(x, g) > tol
-        if not running.any():
-            break
-        trial = np.where(running[:, None], project(x - step[:, None] * g), x)
-        f_trial, _, g_trial = objective(trial)
-        worse = running & ~(f_trial < f_x)
-        take = running & ~worse
-        x[take], f_x[take], g[take] = trial[take], f_trial[take], g_trial[take]
-        step[worse] *= 0.5
-        running &= ~(worse & (step < 1e-16))
-    else:
-        gmap = np.where(running, gradient_map(x, g), 0.0)
-        k = int(np.argmax(gmap > 1e-4))
-        if gmap[k] > 1e-4:
-            raise InnerSolveError(f"inner minimization stalled at node t={ts[k]:.6g} "
-                                  f"(gradient map {gmap[k]:.3e})")
+    project = _row_projection(X)
+    f_star = env.batch_evaluate(ts, np.asarray(xstar, dtype=float), ones, no_mu)[0]
+    x0 = np.tile(X.project_point(np.zeros(X.dim)), (ts.shape[0], 1))
+    x, f_x, g, _, running, _ = _spg(objective, project, x0, max_iter, tol)
+    gmap = np.where(running, _gradient_map(project, x, g), 0.0)
+    k = int(np.argmax(gmap > 1e-4))
+    if gmap[k] > 1e-4:
+        raise InnerSolveError(f"inner minimization stalled at node t={ts[k]:.6g} "
+                              f"(gradient map {gmap[k]:.3e})")
     gap = f_star - f_x
     if not np.isfinite(gap).all():
         raise EvaluatorError(f"non-finite objective at node t={ts[np.isfinite(gap).argmin()]:.6g}")

@@ -170,7 +170,7 @@ class ShepherdScenario:
     draws: int
     xdagger: np.ndarray         # viability certificate
     viability_residual: float
-    viability_iterations: int
+    viability_iterations: int   # Lagrangian evaluations of the viability search
     kkt_condition: float
 
     @property
@@ -455,9 +455,9 @@ def generate_sheep_paths(
             cx, *_ = np.linalg.lstsq(P_shep, center[:, 0], rcond=None)
             cy, *_ = np.linalg.lstsq(P_shep, center[:, 1], rcond=None)
             x_init = np.concatenate([cx, cy])
-        # A warm start outside the action box would be clipped, and the
-        # search from the clipped point runs to its cap (monomial paths at
-        # n = 8 have coefficients in the hundreds); reject the draw at once.
+        # A warm start outside the action box would be clipped, far from the
+        # herd-centre path (monomial paths at n = 8 have coefficients in the
+        # hundreds); reject the draw at once.
         coef = float(np.abs(x_init).max())
         if coef > action_half:
             off_box.append(coef)
