@@ -10,11 +10,14 @@ Usage (each side of a comparison runs against its own ``src``):
         --after A1.json A2.json --out BENCH_4.json
 
 ``micro`` times ``simulate`` per step (feasibility and saddle at action
-dimension 12 and 60, m=5), one build of the time tables for a block of
-integrator steps (K=512), and on the regret-chain configuration (seed 1,
+dimension 12 and 60, m=5), a fresh one-step saddle ``simulate`` at the same
+dimensions (a new environment each call, so the time is mostly building its
+start-up tables), one build of the time tables for a block of integrator
+steps (K=512), and on the regret-chain configuration (seed 1,
 T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
 of the offline grid, one ``batch_evaluate`` call (one action, and one action
-per node) and one ``batch_constraints`` call on that grid, ``estimate_K``,
+per node) and one ``batch_constraints`` call on that grid, ``Box.project_point``
+of a (1001, 60) stack of rows onto the action box, ``estimate_K``,
 ``solve_offline`` at 600 iterations, and on the 2,501-row log
 of the workload's saddle run ``write_trajectory_csv`` and ``report``'s figures
 of that CSV (both written next to ``--out`` and removed).  ``offline_cost_gap``
@@ -84,6 +87,7 @@ def micro(repeats: int, workdir: str) -> dict:
                 simulate(env, cfg, T=steps * cfg.h, X=sc.action_set(), sample_stride=10)
                 per_step.append(1e6 * (time.perf_counter() - t0) / steps)
             out[f"simulate_us_per_step.{mode}.n{2 * nb}"] = summary(per_step)
+        out[f"simulate_one_step_fresh_ms.saddle.n{2 * nb}"] = one_step_fresh_ms(sc, repeats)
         ts = np.arange(BLOCK_STEPS) * 1e-4 + 1e-4
         out[f"table_build_ms.K{BLOCK_STEPS}.n{2 * nb}"] = table_build_ms(sc, "frozen", ts, repeats)
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
@@ -91,6 +95,7 @@ def micro(repeats: int, workdir: str) -> dict:
     out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
     env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
     out.update(grid_lagrangian_us(sc, env, ts, repeats))
+    out["box_project_point_us.rows1001_n60"] = rows_projection_us(sc.action_set(), ts.shape[0], repeats)
     out.update(offline_times(sc, repeats))
     out["offline_cost_gap.black_sheep.regret_chain_600"] = offline_cost_gap(sc, "black_sheep", 600)
     c08 = shepherd.generate_sheep_paths(seed=1, T=1.0, n=6, n_sheep=30)
@@ -116,6 +121,36 @@ def micro(repeats: int, workdir: str) -> dict:
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
     return out
+
+
+def one_step_fresh_ms(sc, repeats: int, calls: int = 20) -> dict:
+    """One saddle step of simulate on a fresh black-sheep environment per
+    call, so that every call builds its start-up tables."""
+    from saddlesim import shepherd
+    from saddlesim.dynamics import ControllerConfig, simulate
+
+    cfg = ControllerConfig(epsilon=50.0, h=1e-4, mode="saddle")
+    samples = []
+    for _ in range(repeats):
+        envs = [shepherd.shepherd_env(sc, "black_sheep") for _ in range(calls)]
+        t0 = time.perf_counter()
+        for env in envs:
+            simulate(env, cfg, T=cfg.h, X=sc.action_set())
+        samples.append(1e3 * (time.perf_counter() - t0) / calls)
+    return summary(samples)
+
+
+def rows_projection_us(X, rows: int, repeats: int, calls: int = 200) -> dict:
+    """One X.project_point call on a (rows, X.dim) stack, half its entries
+    outside the box."""
+    Z = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, X.dim)) * X.upper
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            X.project_point(Z)
+        samples.append(1e6 * (time.perf_counter() - t0) / calls)
+    return summary(samples)
 
 
 def offline_times(sc, repeats: int) -> dict:

@@ -92,23 +92,47 @@ def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
 
 
 def offline_from_dict(d: dict) -> OfflineSolution:
-    grid = TimeGrid(T=float(d["grid"]["T"]), num_steps=int(d["grid"]["num_steps"]))
+    if not isinstance(d, dict):
+        raise ValueError("an offline solution must be a JSON object")
+    grid = d.get("grid")
+    missing = [k for k in ("xstar", "offline_cost", "xdagger", "viability_residual", "K", "grid",
+                           "cost_cumulative") if k not in d]
+    missing += [f"grid.{k}" for k in ("T", "num_steps") if not isinstance(grid, dict) or k not in grid]
+    if missing:
+        raise ValueError(f"offline solution lacks keys: {missing}")
     return OfflineSolution(
         xstar=np.asarray(d["xstar"], dtype=float),
         offline_cost=float(d["offline_cost"]),
         xdagger=np.asarray(d["xdagger"], dtype=float),
         viability_residual=float(d["viability_residual"]),
         K=float(d["K"]),
-        grid=grid,
+        grid=TimeGrid(T=float(grid["T"]), num_steps=int(grid["num_steps"])),
         cost_cumulative=np.asarray(d["cost_cumulative"], dtype=float),
         diagnostics=dict(d.get("diagnostics", {})),
     )
 
 
-_CONFIG_KEYS = {
-    "version", "scenario", "mode", "epsilon", "step", "horizon", "delta",
-    "objective", "out", "sweep", "stride", "offline",
+# JSON types of the keys of a config and of its inline scenario; null is none.
+_NUMBER = (int, float)
+_CONFIG_TYPES = {
+    "version": int, "scenario": (str, dict), "mode": str, "epsilon": _NUMBER, "step": _NUMBER,
+    "horizon": _NUMBER, "delta": _NUMBER, "objective": str, "out": str, "sweep": (str, *_NUMBER),
+    "stride": int, "offline": str,
 }
+_INLINE_SCENARIO_TYPES = {  # the parameters of shepherd.generate_sheep_paths
+    "seed": int, "m": int, "T": _NUMBER, "radius": (*_NUMBER, list), "n": int, "n_sheep": int,
+    "basis": str, "L": int, "offset_box": _NUMBER, "noise_std": _NUMBER, "noise_cells": int,
+    "action_half": _NUMBER,
+}
+
+
+def _check_types(what: str, d: dict, types: dict) -> None:
+    unknown = set(d) - set(types)
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise UsageError(f"{what} key {key!r} has the wrong type: {json.dumps(value)}")
 
 
 def load_experiment_config(path) -> dict:
@@ -118,9 +142,7 @@ def load_experiment_config(path) -> dict:
         raise UsageError("experiment config must be a JSON object")
     if cfg.get("version") != CONFIG_VERSION:
         raise UsageError(f"unsupported config version {cfg.get('version')!r}")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    _check_types("config", cfg, _CONFIG_TYPES)
     return cfg
 
 
@@ -252,15 +274,14 @@ def cmd_simulate(args) -> int:
         if not scenario_path.exists():
             raise UsageError(f"scenario file not found: {scenario_path}")
         scenario = shepherd.load_scenario(scenario_path)
-    elif isinstance(scenario_src, dict):
+    else:  # an inline parameter object: the config's types allow no other
         params = dict(scenario_src)
+        _check_types("inline scenario", params, _INLINE_SCENARIO_TYPES)
         if "seed" not in params:
             if args.seed is None:
                 raise UsageError("inline scenario parameters need a seed (--seed)")
             params["seed"] = args.seed
         scenario = shepherd.generate_sheep_paths(**params)
-    else:
-        raise UsageError("scenario must be a file path or inline parameter object")
 
     offline_sol = None
     if offline_path is not None:

@@ -2,9 +2,10 @@
 
 Four variants cover everything the controllers need: the whole space, boxes,
 Euclidean balls, and the nonnegative orthant (the multiplier domain).  Point
-projection ``P(z)`` returns the unique nearest member; field projection
-``Pi(x, v)`` returns the limit quotient ``lim (P(x + d*v) - x) / d`` as
-``d -> 0+``, i.e. the projection of ``v`` onto the tangent cone at ``x``.
+projection ``P(z)`` returns the unique nearest member of each row of z (..., n);
+field projection ``Pi(x, v)`` at one point x returns the limit quotient
+``lim (P(x + d*v) - x) / d`` as ``d -> 0+``, i.e. the projection of ``v`` onto
+the tangent cone at ``x``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ class DimensionError(ValueError):
     """Raised on ambient-dimension mismatch."""
 
 
-def _check_dim(set_dim: int, z: np.ndarray) -> np.ndarray:
+def _check_dim(set_dim: int, z: np.ndarray, rows: bool = False) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.shape[0] != set_dim:
-        raise DimensionError(f"expected vector of dim {set_dim}, got shape {z.shape}")
+    if (z.ndim != 1 and not rows) or z.shape[-1:] != (set_dim,):
+        raise DimensionError(f"expected {'rows' if rows else 'vector'} of dim {set_dim}, got shape {z.shape}")
     return z
 
 
@@ -48,7 +49,8 @@ class ConvexSet:
     dim: int
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
-        """Nearest member of the set (unique minimizer of ||y - z||)."""
+        """Nearest member of the set (unique minimizer of ||y - z||) for each
+        row of z (..., n); a row projects alone, bit for bit."""
         raise NotImplementedError
 
     def distance(self, x: np.ndarray) -> float:
@@ -90,7 +92,7 @@ class ConvexSet:
 @dataclass(frozen=True)
 class FullSpace(ConvexSet):
     def project_point(self, z: np.ndarray) -> np.ndarray:
-        return _check_dim(self.dim, z).copy()
+        return _check_dim(self.dim, z, rows=True).copy()
 
     def distance(self, x: np.ndarray) -> float:
         _check_dim(self.dim, x)
@@ -133,7 +135,7 @@ class Box(ConvexSet):
         object.__setattr__(self, "_edge_upper", upper - _BOX_EDGE_TOL)
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
-        z = _check_dim(self.dim, z)
+        z = _check_dim(self.dim, z, rows=True)
         return np.minimum(np.maximum(z, self.lower), self.upper)
 
     def _inside(self, x: np.ndarray) -> bool:
@@ -179,12 +181,11 @@ class Ball(ConvexSet):
         object.__setattr__(self, "radius", radius)
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
-        z = _check_dim(self.dim, z)
+        z = _check_dim(self.dim, z, rows=True)  # rows inside are returned as they are
         d = z - self.center
-        nrm = np.linalg.norm(d)
-        if nrm <= self.radius:
-            return z.copy()
-        return self.center + d * (self.radius / nrm)
+        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+        out = nrm > self.radius
+        return np.where(out, self.center + d * (self.radius / np.where(out, nrm, 1.0)), z)
 
     def distance(self, x: np.ndarray) -> float:
         x = _check_dim(self.dim, x)
@@ -216,7 +217,7 @@ class Ball(ConvexSet):
 @dataclass(frozen=True)
 class NonnegativeOrthant(ConvexSet):
     def project_point(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(_check_dim(self.dim, z), 0.0)
+        return np.maximum(_check_dim(self.dim, z, rows=True), 0.0)
 
     def _inside(self, x: np.ndarray) -> bool:
         return bool((x >= -MEMBERSHIP_TOL).all())

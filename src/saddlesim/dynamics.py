@@ -27,7 +27,7 @@ from .environment import Environment
 MODES = ("gradient", "feasibility", "saddle")
 
 DIVERGENCE_LIMIT = 1e12
-# Steps per block of environment time tables: big enough to amortise building
+# Nodes per block of environment time tables: big enough to amortise building
 # them, small enough that memory does not grow with the horizon.
 GRID_BLOCK = 512
 
@@ -98,14 +98,15 @@ def simulate(
     """Run the configured controller over [0, T] and log the trajectory.
 
     The action starts at ``x0`` (default: the origin) projected onto X, the
-    multipliers at zero in the nonnegative orthant.  Each step evaluates the
-    environment once and advances by projected Euler:
+    multipliers at zero in the nonnegative orthant.  At each node 0..N the loop
+    evaluates the environment, read from the time tables of the node's block of
+    ``GRID_BLOCK`` nodes, then advances by projected Euler:
     ``xdot = Pi_X(x, -eps (g0 + G lam))`` (``-eps g0`` in gradient mode,
     ``-eps G lam`` in feasibility mode) and ``lamdot = Pi_Lam(lam, eps f)``.
 
-    The number of steps is ``round(T / h)`` and the effective step is adjusted
+    The number of steps N is ``round(T / h)`` and the effective step is adjusted
     to land exactly on T.  Accumulators (fit, cost) advance every step by the
-    trapezoid rule; the stored series keeps every ``sample_stride``-th state
+    trapezoid rule; the stored series keeps every ``sample_stride``-th node
     plus the endpoint.
     """
     if T <= 0.0:
@@ -127,55 +128,46 @@ def simulate(
     cost = 0.0
     lam_max = lam.copy()
     max_field = 0.0
-    f0, g0, f, G = env.eval_full(0.0, x)
 
-    ts, xs, lams, fs, f0s, fits, costs = [], [], [], [], [], [], []
-
-    def record(t, x, lam, f0, f, fit, cost):
-        ts.append(t)
-        xs.append(x.copy())
-        lams.append(lam.copy())
-        fs.append(f.copy())
-        f0s.append(f0)
-        fits.append(fit.copy())
-        costs.append(cost)
-
-    record(0.0, x, lam, f0, f, fit, cost)
+    samples = []  # (t, x, lam, f0, f, fit, cost) at the stored nodes
     half_h = 0.5 * h_eff
-    for k in range(n_steps):
-        t = k * h_eff
-        j = k % GRID_BLOCK
+    for i in range(n_steps + 1):
+        j = i % GRID_BLOCK
         if j == 0:
-            # Nodes t + h_eff of the next block, as the same floats.
-            at = env.grid_evaluator(np.arange(k, min(k + GRID_BLOCK, n_steps)) * h_eff + h_eff)
+            # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
+            at = env.grid_evaluator(np.arange(i - 1, min(i - 1 + GRID_BLOCK, n_steps)) * h_eff + h_eff)
+        f0_i, g0, f_i, G = at(j, x)
+        if i:
+            if m:
+                fit = fit + half_h * (f + f_i)
+            cost = cost + half_h * (f0 + f0_i)
+        f0, f = f0_i, f_i
+        if i % sample_stride == 0 or i == n_steps:
+            samples.append((i * h_eff, x.copy(), lam.copy(), f0, f.copy(), fit.copy(), cost))
+        if i == n_steps:
+            break
         if mode == "gradient":
             xdot = X.project_field(x, -eps * g0)
         else:
             drive = G @ lam if mode == "feasibility" else g0 + G @ lam
             xdot = X.project_field(x, -eps * drive)
             lamdot = Lam.project_field(lam, eps * f)
-        x_new = X.project_point(x + h_eff * xdot)
-        lam_new = Lam.project_point(lam + h_eff * lamdot) if lam.size else lam
-        if np.abs(x_new).max() > DIVERGENCE_LIMIT or (lam_new.size and np.abs(lam_new).max() > DIVERGENCE_LIMIT):
+        x = X.project_point(x + h_eff * xdot)
+        lam = Lam.project_point(lam + h_eff * lamdot) if lam.size else lam
+        if np.abs(x).max() > DIVERGENCE_LIMIT or (lam.size and np.abs(lam).max() > DIVERGENCE_LIMIT):
             raise DivergenceError(
-                f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t + h_eff:.6g}; "
+                f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={i * h_eff + h_eff:.6g}; "
                 "reduce the step h or the epsilon*h product"
             )
-        f0_new, g0, f_new, G = at(j, x_new)
         field_norm = math.sqrt(float(xdot @ xdot))
         if lamdot.size:
             field_norm = max(field_norm, math.sqrt(float(lamdot @ lamdot)))
-        if m:
-            fit = fit + half_h * (f + f_new)
-        cost = cost + half_h * (f0 + f0_new)
-        if lam_new.size:
-            np.maximum(lam_max, lam_new, out=lam_max)
+        if lam.size:
+            np.maximum(lam_max, lam, out=lam_max)
         if field_norm > max_field:
             max_field = field_norm
-        x, lam, f0, f = x_new, lam_new, f0_new, f_new
-        if (k + 1) % sample_stride == 0 or k + 1 == n_steps:
-            record((k + 1) * h_eff, x, lam, f0, f, fit, cost)
 
+    ts, xs, lams, f0s, fs, fits, costs = zip(*samples)
     return TrajectoryLog(
         t=np.array(ts),
         x=np.array(xs),

@@ -6,12 +6,13 @@ optimal fixed action under those constraints, and estimates the uniform
 cost-gap constant K used by the regret floor and the sublinear-fit checks.
 All three run on one routine, :func:`_spg`, nonmonotone spectral projected
 gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 2000) on the rows of a
-(B, n) array; ``estimate_K`` runs it with one row per node, and the other two
-are one method-of-multipliers loop over it, :func:`_multipliers`.  The
-viability search is that loop's phase 1, min s subject to f_i(t_k, x) <= s;
-it stops at ``-interior_target`` or once an outer iteration lowers the best
-residual by less than ``VIABILITY_TOL``.  "Not viable" means only that it
-ended above ``VIABILITY_TOL``, not that no viable action exists.
+(B, n) array, projected by one ``X.project_point`` call; ``estimate_K`` runs it
+with one row per node, and the other two are one method-of-multipliers loop
+over it, :func:`_multipliers`.  The viability search is that loop's phase 1,
+min s subject to f_i(t_k, x) <= s; it stops at ``-interior_target`` or once an
+outer iteration lowers the best residual by less than ``VIABILITY_TOL``.  "Not
+viable" means only that it ended above ``VIABILITY_TOL``, not that no viable
+action exists.
 
 The continuous-time requirement "for all t" is sampled at grid nodes only;
 environments built from smooth bases plus sample-and-hold noise aligned to
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convex_sets import Box, ConvexSet
+from .convex_sets import ConvexSet
 from .environment import Environment, EvaluatorError
 
 VIABILITY_TOL = 1e-6
@@ -91,13 +92,6 @@ class OfflineSolution:
     grid: TimeGrid
     cost_cumulative: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict, repr=False)
-
-
-def _row_projection(X: ConvexSet):
-    """Projection onto X of each row of a (B, n) array (a box in one call)."""
-    if isinstance(X, Box):
-        return lambda Z: np.minimum(np.maximum(Z, X.lower), X.upper)  # Box.project_point, row-wise
-    return lambda Z: np.array([X.project_point(z) for z in Z]).reshape(Z.shape)
 
 
 def _gradient_map(project, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -213,7 +207,7 @@ def check_viability(
     best, best_x, it = float(np.max(f)), x, 0
     if best <= -interior_target:
         return ViabilityResult(bool(best <= VIABILITY_TOL), best_x, best, it)
-    no_weight, project_x = np.zeros(ts.shape[0]), _row_projection(X)
+    no_weight = np.zeros(ts.shape[0])
 
     def constraints(z):
         return env.batch_constraints(ts, z[:n]) - z[n]
@@ -222,7 +216,7 @@ def check_viability(
         return z[n], np.append(env.batch_evaluate(ts, z[:n], no_weight, lam)[2], 1.0 - np.sum(lam))
 
     def project(Z):
-        return np.concatenate([project_x(Z[:, :n]), Z[:, n:]], axis=1)
+        return np.concatenate([X.project_point(Z[:, :n]), Z[:, n:]], axis=1)
 
     for z, _, _, _, _, it in _multipliers(constraints, objective, project, np.append(x, best),
                                           np.zeros_like(f), max_iter):
@@ -260,14 +254,14 @@ def solve_offline(
     if not viability.viable:
         raise InfeasibleEnvironmentError(f"viability residual {viability.residual:.3e} exceeds "
                                          f"{VIABILITY_TOL:.0e}; run check_viability and redraw the scenario")
-    ts, w, xd, project = grid.nodes(), grid.trapezoid_weights(), viability.xdagger, _row_projection(X)
+    ts, w, xd = grid.nodes(), grid.trapezoid_weights(), viability.xdagger
 
     def objective(x, lam):
         f0s, _, grad = env.batch_evaluate(ts, x, w, lam)
         return float(w @ f0s), grad
 
     def certificate(x, grad, f, mu):  # grad of the Lagrangian at the multipliers mu
-        c = {"kkt_stationarity": float(_gradient_map(project, x[None], grad[None])[0]),
+        c = {"kkt_stationarity": float(_gradient_map(X.project_point, x, grad)),
              "complementarity": abs(float(np.sum(mu * f))), "violation": float(np.max(f, initial=-np.inf))}
         c["converged"] = (c["violation"] <= VIABILITY_TOL
                           and max(c["kkt_stationarity"], c["complementarity"]) <= KKT_TOL)
@@ -275,7 +269,7 @@ def solve_offline(
 
     x, mu, rho, it = np.array(xd, dtype=float), np.zeros((ts.shape[0], env.m)), 1.0, 0
     for x, grad, f, mu, rho, it in _multipliers(lambda xv: env.batch_constraints(ts, xv), objective,
-                                                project, x, mu, max_iter):
+                                                X.project_point, x, mu, max_iter):
         if certificate(x, grad, f, mu)["converged"]:
             break
 
@@ -319,11 +313,10 @@ def estimate_K(
         f0, _, g = env.batch_evaluate(ts, xs, ones, no_mu)
         return f0, g, f0
 
-    project = _row_projection(X)
     f_star = env.batch_evaluate(ts, np.asarray(xstar, dtype=float), ones, no_mu)[0]
-    x0 = np.tile(X.project_point(np.zeros(X.dim)), (ts.shape[0], 1))
-    x, f_x, g, _, running, _ = _spg(objective, project, x0, max_iter, tol)
-    gmap = np.where(running, _gradient_map(project, x, g), 0.0)
+    x0 = X.project_point(np.zeros((ts.shape[0], X.dim)))
+    x, f_x, g, _, running, _ = _spg(objective, X.project_point, x0, max_iter, tol)
+    gmap = np.where(running, _gradient_map(X.project_point, x, g), 0.0)
     k = int(np.argmax(gmap > 1e-4))
     if gmap[k] > 1e-4:
         raise InnerSolveError(f"inner minimization stalled at node t={ts[k]:.6g} "

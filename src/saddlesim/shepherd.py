@@ -31,7 +31,7 @@ import numpy as np
 
 from .convex_sets import Box
 from .environment import Environment
-from .offline import TimeGrid, ViabilityResult, check_viability
+from .offline import VIABILITY_TOL, TimeGrid, ViabilityResult, check_viability
 
 BASIS_KINDS = ("legendre", "monomial")
 SCENARIO_VERSION = 1
@@ -381,7 +381,6 @@ def generate_sheep_paths(
     noise_std: float = 0.1,
     noise_cells: int = 1000,
     action_half: float = 5.0,
-    viability_max_iter: int = 200_000,
 ) -> ShepherdScenario:
     """Draw a viable scenario: waypoints, minimum-acceleration sheep paths,
     frozen noise, and the viability certificate.
@@ -462,8 +461,7 @@ def generate_sheep_paths(
         if coef > action_half:
             off_box.append(coef)
             continue
-        via = check_viability(env, grid, scenario.action_set(),
-                              max_iter=viability_max_iter, interior_target=3e-2,
+        via = check_viability(env, grid, scenario.action_set(), interior_target=3e-2,
                               x_init=x_init)
         if via.viable:
             return ShepherdScenario(
@@ -505,7 +503,7 @@ def regenerate(scenario: ShepherdScenario, T: float | None = None,
 
 def viability_certificate(scenario: ShepherdScenario) -> ViabilityResult:
     return ViabilityResult(
-        viable=scenario.viability_residual <= 1e-6,
+        viable=scenario.viability_residual <= VIABILITY_TOL,
         xdagger=scenario.xdagger,
         residual=scenario.viability_residual,
         iterations=scenario.viability_iterations,
@@ -541,6 +539,8 @@ def scenario_to_dict(s: ShepherdScenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ShepherdScenario:
+    if not isinstance(d, dict):
+        raise ValueError("a scenario must be a JSON object")
     unknown = set(d) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
@@ -548,6 +548,9 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
         raise ValueError(f"unsupported scenario version {d.get('version')!r}")
     if d.get("kind") != "shepherd":
         raise ValueError(f"unsupported scenario kind {d.get('kind')!r}")
+    missing = _SCENARIO_KEYS - {"generator_version"} - set(d)
+    if missing:
+        raise ValueError(f"scenario lacks keys: {sorted(missing)}")
     scenario = ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=np.asarray(d["radii"], dtype=float), L=int(d["L"]),

@@ -338,6 +338,53 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run_cli("simulate", "--config", cfg_path) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "offline"])
+def test_scenario_missing_keys_is_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": 1, "kind": "shepherd"}))
+    flags = ["--mode", "feasibility"] if command == "simulate" else ["--objective", "blacksheep"]
+    code = run_cli(command, "--scenario", bad, *flags, "--out", tmp_path / "o")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "scenario lacks keys" in err and "'m'" in err and "'xdagger'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("offline, missing", [
+    ({}, "['xstar', 'offline_cost', 'xdagger', 'viability_residual', 'K', 'grid', "
+         "'cost_cumulative', 'grid.T', 'grid.num_steps']"),
+    ({"xstar": [], "offline_cost": 0, "xdagger": [], "viability_residual": 0, "K": 0,
+      "cost_cumulative": [], "grid": {"T": 1.0}}, "['grid.num_steps']"),
+], ids=["empty", "no_num_steps"])
+def test_offline_file_missing_keys_is_usage_error(scenario_file, tmp_path, capsys, offline, missing):
+    off = tmp_path / "offline.json"
+    off.write_text(json.dumps(offline))
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle", "--objective",
+                   "blacksheep", "--offline", off, "--out", tmp_path / "o")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "offline solution lacks keys" in err and missing in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"scenario": {"seed": 1, "bogus": 3}}, "unknown inline scenario keys: ['bogus']"),
+    ({"scenario": {"seed": None}}, "inline scenario key 'seed' has the wrong type: null"),
+    ({"scenario": {"seed": 1, "m": [5]}}, "inline scenario key 'm' has the wrong type: [5]"),
+    ({"epsilon": None}, "config key 'epsilon' has the wrong type: null"),
+    ({"stride": [10]}, "config key 'stride' has the wrong type: [10]"),
+    ({"objective": ["blacksheep"]}, "config key 'objective' has the wrong type"),
+    ({"delta": True}, "config key 'delta' has the wrong type: true"),
+], ids=["inline_unknown", "inline_null", "inline_list", "null", "list", "unhashable", "bool"])
+def test_config_value_types_are_usage_errors(scenario_file, tmp_path, capsys, cfg, message):
+    cfg = {"version": 1, "scenario": str(scenario_file), "out": str(tmp_path / "o"), **cfg}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", cfg_path, "--mode", "feasibility") == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_saturated_run_records_floor(scenario_file, tmp_path):
     out = tmp_path / "sat"
     assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",

@@ -107,6 +107,29 @@ def test_point_projection_idempotent(rng):
         assert np.linalg.norm(cset.project_point(p) - p) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(1,), (2,), (6,), (2, 3)]))
+def test_point_projection_of_rows_matches_each_row(seed, lead):
+    # A stack (..., n) projects row by row, bit for bit; a member row (and a
+    # ball's centre, whose norm is 0) comes back as it is, without a warning.
+    rng = np.random.default_rng(seed)
+    cset = random_set(rng)
+    Z = rng.standard_normal((*lead, cset.dim)) * rng.uniform(0.1, 4.0)
+    rows = Z.reshape(-1, cset.dim)
+    rows[0] = point_in_set(rng, cset)
+    if isinstance(cset, Ball):
+        rows[-1] = cset.center
+    with np.errstate(all="raise"):
+        P = cset.project_point(Z)
+    assert P.shape == Z.shape
+    assert np.array_equal(P.reshape(-1, cset.dim)[0], rows[0])
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(P[idx], cset.project_point(Z[idx]))
+    for bad in (np.zeros((*lead, cset.dim + 1)), np.zeros((cset.dim, 0)), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            cset.project_point(bad)
+
+
 def test_point_projection_nonexpansive(rng):
     for _ in range(200):
         cset = random_set(rng)

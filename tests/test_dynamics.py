@@ -3,8 +3,8 @@ import pytest
 
 from saddlesim import shepherd
 from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
-from saddlesim.dynamics import GRID_BLOCK, ControllerConfig, DivergenceError, simulate
-from saddlesim.environment import from_functions, pointwise
+from saddlesim.dynamics import GRID_BLOCK, MODES, ControllerConfig, DivergenceError, simulate
+from saddlesim.environment import Environment, from_functions, pointwise
 
 from helpers import quadratic_env, stationary_points_env, tracking_env
 
@@ -211,10 +211,11 @@ def test_initial_state_defaults():
     assert grad.lam.shape == (2, 0) and grad.lambda_max.shape == (0,)
 
 
-@pytest.mark.parametrize("steps", [GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK + 3])
+@pytest.mark.parametrize("steps", [1, 10, GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK + 3])
 @pytest.mark.parametrize("mode, objective", [("feasibility", "none"), ("saddle", "black_sheep")])
 def test_time_tables_match_per_step_evaluation(small_scenario, steps, mode, objective):
-    # Blocked time tables against a one-node table per step.
+    # Blocked time tables against a one-node table per node; the stride 7
+    # divides only 511 of the step counts, and exceeds 1.
     env = shepherd.shepherd_env(small_scenario, objective)
     cfg = ControllerConfig(epsilon=50.0, h=1e-3, mode=mode)
     logs = [simulate(e, cfg, T=steps * cfg.h, X=small_scenario.action_set(), sample_stride=7)
@@ -222,3 +223,17 @@ def test_time_tables_match_per_step_evaluation(small_scenario, steps, mode, obje
     for name in ("t", "x", "lam", "f", "f0", "fit_accum", "cost_accum", "lambda_max"):
         assert np.array_equal(getattr(logs[0], name), getattr(logs[1], name)), name
     assert logs[0].max_field_norm == logs[1].max_field_norm
+
+
+def test_simulate_reads_every_node_from_its_block_tables(small_scenario, monkeypatch):
+    # The start node too: simulate builds no one-node table through eval_full.
+    def refuse(self, t, x):
+        raise AssertionError(f"simulate called eval_full at t={t}")
+
+    monkeypatch.setattr(Environment, "eval_full", refuse)
+    X = small_scenario.action_set()
+    for env in (shepherd.shepherd_env(small_scenario, "black_sheep"),
+                stationary_points_env(np.zeros((1, X.dim)), 1.0)):
+        for mode in MODES:
+            log = simulate(env, ControllerConfig(epsilon=50.0, h=1e-3, mode=mode), T=0.005, X=X)
+            assert log.t.tolist() == [0.0, 0.005]

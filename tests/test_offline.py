@@ -12,7 +12,6 @@ from saddlesim.offline import (
     InnerSolveError,
     TimeGrid,
     ViabilityResult,
-    _row_projection,
     _spg,
     check_viability,
     estimate_K,
@@ -262,7 +261,7 @@ def spg_cases(draw):
         X = Box(lo, lo + rng.uniform(0.5, 3.0, n))
     else:
         X = Ball(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
-    x0 = np.array([X.project_point(z) for z in rng.uniform(-3.0, 3.0, (rows, n))])
+    x0 = X.project_point(rng.uniform(-3.0, 3.0, (rows, n)))
     return (row_problems(kind, A, 3.0 * rng.standard_normal((rows, n)), 2.0 * rng.standard_normal((rows, n))),
             X, x0, draw(st.integers(1, 80)))
 
@@ -271,7 +270,7 @@ def spg_cases(draw):
 @given(case=spg_cases())
 def test_spg_rows_run_alone_bit_for_bit(case):
     fun, X, x0, budget = case
-    project = _row_projection(X)
+    project = X.project_point
     together = _spg(fun, project, x0, budget, 1e-9)
     for j in range(x0.shape[0]):
         alone = _spg(lambda xs: tuple(v[j:j + 1] for v in fun(np.repeat(xs, x0.shape[0], axis=0))),
@@ -290,7 +289,7 @@ def test_spg_iterates_stay_in_the_set(case):
         seen.append(xs.copy())
         return fun(xs)
 
-    x, _, _, _, _, evals = _spg(recorded, _row_projection(X), x0, budget, 1e-9)
+    x, _, _, _, _, evals = _spg(recorded, X.project_point, x0, budget, 1e-9)
     assert evals == len(seen) <= budget
     for z in np.concatenate(seen + [x]):
         assert X.distance(z) <= 1e-12
@@ -300,7 +299,7 @@ def test_spg_iterates_stay_in_the_set(case):
 @given(case=spg_cases())
 def test_spg_stopped_row_holds_its_point(case):
     fun, X, x0, budget = case
-    project = _row_projection(X)
+    project = X.project_point
     x, val, _, _, running, evals = _spg(fun, project, x0, budget, 1e-9)
     seen = []
 
