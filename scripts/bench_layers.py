@@ -10,7 +10,10 @@ Usage (each side of a comparison runs against its own ``src``):
         --after A1.json A2.json --out BENCH_4.json
 
 ``micro`` times ``simulate`` per step (feasibility and saddle at action
-dimension 12 and 60, m=5), a fresh one-step saddle ``simulate`` at the same
+dimension 12 and 60, m=5), ``simulate_rows`` per run-step with B = 1, 2 and 6
+rows (seeds 1..B; feasibility at dimension 60, min-acceleration saddle at 12;
+a tree without ``simulate_rows`` runs the B runs one after another through
+``simulate``), a fresh one-step saddle ``simulate`` at the same
 dimensions (a new environment each call, so the time is mostly building its
 start-up tables), one build of the time tables for a block of integrator
 steps (K=512), and on the regret-chain configuration (seed 1,
@@ -90,6 +93,7 @@ def micro(repeats: int, workdir: str) -> dict:
         out[f"simulate_one_step_fresh_ms.saddle.n{2 * nb}"] = one_step_fresh_ms(sc, repeats)
         ts = np.arange(BLOCK_STEPS) * 1e-4 + 1e-4
         out[f"table_build_ms.K{BLOCK_STEPS}.n{2 * nb}"] = table_build_ms(sc, "frozen", ts, repeats)
+    out.update(rows_us_per_run_step(repeats))
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
     ts = sc.offline_grid().nodes()
     out[f"table_build_ms.K{ts.shape[0]}.regret_chain"] = table_build_ms(sc, "mean", ts, repeats)
@@ -120,6 +124,38 @@ def micro(repeats: int, workdir: str) -> dict:
     os.remove(path)
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
+    return out
+
+
+def rows_us_per_run_step(repeats: int, steps: int = 2000) -> dict:
+    """Microseconds per run-step of B runs as the rows of one simulate_rows
+    call, B in (1, 2, 6): feasibility at action dimension 60 (h = 1e-4) and
+    min-acceleration saddle at 12 (h = 2e-5), on the scenarios of seeds 1..B
+    (n_sheep=30, noise_cells=200), ``steps`` steps each."""
+    from saddlesim import dynamics, shepherd
+
+    rows = getattr(dynamics, "simulate_rows", None)
+    out = {}
+    for nb, mode, objective, h in ((30, "feasibility", "none", 1e-4),
+                                   (6, "saddle", "min_acceleration", 2e-5)):
+        scs = [shepherd.generate_sheep_paths(seed=seed, n=nb, n_sheep=30, noise_cells=200)
+               for seed in range(1, 7)]
+        cfg = dynamics.ControllerConfig(epsilon=50.0, h=h, mode=mode)
+        X = scs[0].action_set()
+        for B in (1, 2, 6):
+            if rows is not None:
+                env = shepherd.shepherd_env(scs[:B], objective)
+                calls = [lambda: rows(env, cfg, [steps * h] * B, X)]
+            else:  # one run after another
+                calls = [lambda e=shepherd.shepherd_env(sc, objective): dynamics.simulate(
+                    e, cfg, T=steps * h, X=X) for sc in scs[:B]]
+            samples = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                for call in calls:
+                    call()
+                samples.append(1e6 * (time.perf_counter() - t0) / (B * steps))
+            out[f"rows_us_per_run_step.{mode}.n{2 * nb}.B{B}"] = summary(samples)
     return out
 
 
@@ -262,7 +298,7 @@ def table_build_ms(sc, noise: str, ts, repeats: int) -> dict:
     for _ in range(repeats):
         env = shepherd.shepherd_env(sc, "black_sheep", noise=noise)
         t0 = time.perf_counter()
-        env.on_grid(ts)
+        env.grid_evaluator(ts)
         build.append(1e3 * (time.perf_counter() - t0))
     return summary(build)
 

@@ -5,7 +5,7 @@ benchmark."""
 
 from . import convex_sets, dynamics, environment, metrics, offline, shepherd
 from .convex_sets import Ball, Box, ConvexSet, FullSpace, NonnegativeOrthant
-from .dynamics import ControllerConfig, TrajectoryLog, simulate
+from .dynamics import ControllerConfig, TrajectoryLog, simulate, simulate_rows
 from .environment import Environment
 from .metrics import FitReport, RegretReport
 from .offline import OfflineSolution, TimeGrid
@@ -19,5 +19,5 @@ __all__ = [
     "OfflineSolution", "RegretReport", "ShepherdScenario", "TimeGrid",
     "TrajectoryLog", "convex_sets", "dynamics", "environment",
     "generate_sheep_paths", "metrics", "offline", "shepherd", "shepherd_env",
-    "simulate",
+    "simulate", "simulate_rows",
 ]

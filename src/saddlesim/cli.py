@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, shepherd, svgplot
 from .convex_sets import MembershipError
-from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate
+from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate, simulate_rows
 from .environment import EvaluatorError
 from .offline import (
     InfeasibleEnvironmentError,
@@ -91,15 +91,24 @@ def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
     }
 
 
+# JSON types of the keys of an offline solution, of a config and of its inline
+# scenario; null is none.
+_NUMBER = (int, float)
+_OFFLINE_TYPES = {"xstar": list, "offline_cost": _NUMBER, "xdagger": list,
+                  "viability_residual": _NUMBER, "K": _NUMBER, "grid": dict, "cost_cumulative": list}
+_OFFLINE_GRID_TYPES = {"T": _NUMBER, "num_steps": int}
+
+
 def offline_from_dict(d: dict) -> OfflineSolution:
     if not isinstance(d, dict):
         raise ValueError("an offline solution must be a JSON object")
     grid = d.get("grid")
-    missing = [k for k in ("xstar", "offline_cost", "xdagger", "viability_residual", "K", "grid",
-                           "cost_cumulative") if k not in d]
-    missing += [f"grid.{k}" for k in ("T", "num_steps") if not isinstance(grid, dict) or k not in grid]
+    missing = [k for k in _OFFLINE_TYPES if k not in d]
+    missing += [f"grid.{k}" for k in _OFFLINE_GRID_TYPES if not isinstance(grid, dict) or k not in grid]
     if missing:
         raise ValueError(f"offline solution lacks keys: {missing}")
+    shepherd.check_types("offline solution", d, _OFFLINE_TYPES)
+    shepherd.check_types("offline solution grid", grid, _OFFLINE_GRID_TYPES)
     return OfflineSolution(
         xstar=np.asarray(d["xstar"], dtype=float),
         offline_cost=float(d["offline_cost"]),
@@ -112,8 +121,6 @@ def offline_from_dict(d: dict) -> OfflineSolution:
     )
 
 
-# JSON types of the keys of a config and of its inline scenario; null is none.
-_NUMBER = (int, float)
 _CONFIG_TYPES = {
     "version": int, "scenario": (str, dict), "mode": str, "epsilon": _NUMBER, "step": _NUMBER,
     "horizon": _NUMBER, "delta": _NUMBER, "objective": str, "out": str, "sweep": (str, *_NUMBER),
@@ -130,9 +137,7 @@ def _check_types(what: str, d: dict, types: dict) -> None:
     unknown = set(d) - set(types)
     if unknown:
         raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in d.items():
-        if isinstance(value, bool) or not isinstance(value, types[key]):
-            raise UsageError(f"{what} key {key!r} has the wrong type: {json.dumps(value)}")
+    shepherd.check_types(what, d, {key: types[key] for key in d})
 
 
 def load_experiment_config(path) -> dict:
@@ -219,14 +224,14 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
     return out
 
 
-def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
-                  objective, stride, out_dir, offline_sol=None, offline_path=None) -> None:
-    env = shepherd.shepherd_env(scenario, objective, noise="frozen")
-    if delta is not None:
-        env = env.saturate(delta)
-    cfg = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
-    log = simulate(env, cfg, T=T, X=scenario.action_set(), sample_stride=stride)
-    out_dir = Path(out_dir)
+def _environment(scenarios, objective, delta):
+    """The run environment of one scenario or, one row each, of several."""
+    env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
+    return env if delta is None else env.saturate(delta)
+
+
+def _write_run(out_dir: Path, log, scenario, scenario_path, mode, delta, objective, stride,
+               offline_sol=None, offline_path=None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", log)
     md = _run_metrics_dict(log, scenario, delta, objective, mode,
@@ -235,6 +240,46 @@ def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
     with open(out_dir / "metrics.json", "w") as fh:
         json.dump(md, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
+                  objective, stride, out_dir, offline_sol=None, offline_path=None) -> None:
+    cfg = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
+    log = simulate(_environment(scenario, objective, delta), cfg, T=T, X=scenario.action_set(),
+                   sample_stride=stride)
+    _write_run(Path(out_dir), log, scenario, scenario_path, mode, delta, objective, stride,
+               offline_sol, offline_path)
+
+
+# What a run can raise for its inputs: each has its exit code in main.
+_RUN_ERRORS = (ValueError, DivergenceError, EvaluatorError, InfeasibleEnvironmentError,
+               shepherd.GeneratorError)
+
+
+def _sweep(scenario, horizons, mode, epsilon, step, delta, objective, stride, out: Path) -> None:
+    """Run every horizon, each on its own regenerated scenario, as the rows of
+    one ``simulate_rows`` call, and write each to ``T_<T>/``.
+
+    A failure in any row stops the whole call, and so does a scenario that
+    fails to regenerate.  The horizons then run again one at a time, so that,
+    as in a loop over the horizons, those before the first failing one are
+    written and its error propagates.
+    """
+    try:
+        # The runs' scenarios are the regenerated ones, which no file holds, so
+        # metrics.json names none and report draws no path overlay for them.
+        scenarios = [shepherd.regenerate(scenario, T=T) for T in horizons]
+        logs = simulate_rows(_environment(scenarios, objective, delta),
+                             ControllerConfig(epsilon=epsilon, h=step, mode=mode), horizons,
+                             scenarios[0].action_set(), sample_stride=stride)
+    except _RUN_ERRORS:
+        if len(horizons) == 1:
+            raise
+        for T in horizons:
+            _sweep(scenario, [T], mode, epsilon, step, delta, objective, stride, out)
+        raise  # not reached: the failing row fails alone too
+    for sc, T, log in zip(scenarios, horizons, logs):
+        _write_run(out / f"T_{T:g}", log, sc, None, mode, delta, objective, stride)
 
 
 def cmd_simulate(args) -> int:
@@ -292,12 +337,7 @@ def cmd_simulate(args) -> int:
         horizons = [float(s) for s in str(sweep).split(",") if s.strip()]
         if not horizons:
             raise UsageError("empty sweep list")
-
-        for T in horizons:
-            # The run's scenario is the regenerated one, which no file holds, so
-            # metrics.json names none and report draws no path overlay for it.
-            _simulate_one(shepherd.regenerate(scenario, T=T), None, mode, epsilon,
-                          step, T, delta, objective, stride, Path(out) / f"T_{T:g}")
+        _sweep(scenario, horizons, mode, epsilon, step, delta, objective, stride, Path(out))
     else:
         T = float(horizon) if horizon is not None else scenario.T
         _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
@@ -334,11 +374,14 @@ def cmd_offline(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _read_csv(path):
+def _read_csv(path, keep=lambda name: True):
+    """The columns of a trajectory.csv whose names ``keep`` accepts: their
+    names in file order, and their values, parsed without the other columns."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
+    cols = [i for i, name in enumerate(header) if keep(name)]
+    return [header[i] for i in cols], np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                                 usecols=cols)
 
 
 def _cols(header, prefix):
@@ -451,6 +494,22 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path,
     return missing
 
 
+def _report_columns(md: dict, sol):
+    """Which trajectory.csv columns report reads: time, fit and multipliers
+    always, the constraint values of a saturated run, the cost of a run with
+    an offline solution, and the actions only for the path overlay."""
+    saturated = md.get("delta") is not None
+    overlay = bool(md.get("scenario_file")) and Path(md["scenario_file"]).exists()
+
+    def keep(name: str) -> bool:
+        return (name == "t" or name.startswith(("fit_", "lambda_"))
+                or (saturated and name.startswith("f_") and name != "f_0val")
+                or (sol is not None and name == "cost_accum")
+                or (overlay and name.startswith("x_")))
+
+    return keep
+
+
 def _sweep_trend_table(summaries) -> list[str]:
     """Fit growth across a horizon sweep: clipped norm against sqrt(T)."""
     rows = sorted(summaries, key=lambda s: s["T"])
@@ -475,10 +534,10 @@ def cmd_report(args) -> int:
     for run_dir in run_dirs:
         with open(run_dir / "metrics.json") as fh:
             md = json.load(fh)
-        header, data = _read_csv(run_dir / "trajectory.csv")
+        sol = _offline_solution(md)
+        header, data = _read_csv(run_dir / "trajectory.csv", _report_columns(md, sol))
         out_dir = Path(args.out) / run_dir.name if args.out else run_dir
         out_dir.mkdir(parents=True, exist_ok=True)
-        sol = _offline_solution(md)
         checks = _check_run(run_dir, md, header, data, sol)
         missing = _render_run_figures(run_dir, md, header, data, out_dir, sol)
         print(f"== {run_dir}")

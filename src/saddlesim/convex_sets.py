@@ -3,9 +3,12 @@
 Four variants cover everything the controllers need: the whole space, boxes,
 Euclidean balls, and the nonnegative orthant (the multiplier domain).  Point
 projection ``P(z)`` returns the unique nearest member of each row of z (..., n);
-field projection ``Pi(x, v)`` at one point x returns the limit quotient
-``lim (P(x + d*v) - x) / d`` as ``d -> 0+``, i.e. the projection of ``v`` onto
-the tangent cone at ``x``.
+field projection ``Pi(x, v)`` returns, for each row of x (..., n) and the
+matching row of v, the limit quotient ``lim (P(x + d*v) - x) / d`` as
+``d -> 0+``, i.e. the projection of ``v`` onto the tangent cone at ``x``.
+Both work row by row, and a row gives the same bits alone as in a stack, so an
+integrator running several trajectories as rows of one array reproduces each
+one run alone.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ class ConvexSet:
         return float(np.linalg.norm(self.project_point(x) - x))
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Tangent-cone projection of v at a member point x.
+        """Tangent-cone projection of each row of v at the matching member row
+        of x (..., n).
 
-        Equals v whenever x is interior; raises :class:`MembershipError` when
-        x lies outside the set beyond the membership tolerance.
+        Equals v on every row where x is interior; raises
+        :class:`MembershipError`, with the distance of the first row outside,
+        when a row of x lies outside the set beyond the membership tolerance.
         """
         raise NotImplementedError
 
@@ -70,21 +75,24 @@ class ConvexSet:
         """R with ||x|| <= R for every member; inf for unbounded variants."""
         return np.inf
 
-    def _inside(self, x: np.ndarray) -> bool:
-        # Membership within MEMBERSHIP_TOL without the generic
-        # project-then-norm round trip; subclasses override with cheaper
-        # direct checks (hot integrator path).  NaN coordinates are outside.
-        return self.distance(x) <= MEMBERSHIP_TOL
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        # Membership of each row of x (..., n) within MEMBERSHIP_TOL, shape
+        # (...); subclasses check directly, without the project-then-norm
+        # round trip (hot integrator path).  NaN coordinates are outside.
+        return np.linalg.norm(self.project_point(x) - x, axis=-1) <= MEMBERSHIP_TOL
 
-    def _require_member(self, x: np.ndarray) -> np.ndarray:
-        x = _check_dim(self.dim, x)
-        if not self._inside(x):
-            raise self._outside_error(x)
+    def _require_member(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        x = _check_dim(self.dim, x, rows)
+        inside = self._inside(x)
+        if not inside.all():
+            raise self._outside_error(x, inside)
         return x
 
-    def _outside_error(self, x: np.ndarray) -> MembershipError:
+    def _outside_error(self, x: np.ndarray, inside: np.ndarray) -> MembershipError:
+        # The first row of x whose membership flag in ``inside`` is false.
+        row = x.reshape(-1, self.dim)[np.flatnonzero(~np.reshape(inside, -1))[0]]
         return MembershipError(
-            f"point at distance {self.distance(x):.3e} from set (tolerance "
+            f"point at distance {self.distance(row):.3e} from set (tolerance "
             f"{MEMBERSHIP_TOL:.0e}); integrator state has drifted outside the domain"
         )
 
@@ -98,12 +106,12 @@ class FullSpace(ConvexSet):
         _check_dim(self.dim, x)
         return 0.0
 
-    def _inside(self, x: np.ndarray) -> bool:
-        return True
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(x.shape[:-1], dtype=bool)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        _check_dim(self.dim, x)
-        return _check_dim(self.dim, v).copy()
+        _check_dim(self.dim, x, rows=True)
+        return _check_dim(self.dim, v, rows=True).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +121,9 @@ class Box(ConvexSet):
     The membership band ``[lower - MEMBERSHIP_TOL, upper + MEMBERSHIP_TOL]``
     and the edge band ``(lower + _BOX_EDGE_TOL, upper - _BOX_EDGE_TOL)`` are
     computed once here, not per call, since the integrators query them every
-    step.
+    step.  Every bound is kept as a vector (n,) for one point and as one row
+    (1, n) for rows (R, n): numpy runs a (1, n) row against a single row of
+    input without its slower broadcasting loop.
     """
 
     lower: np.ndarray
@@ -129,35 +139,40 @@ class Box(ConvexSet):
         object.__setattr__(self, "dim", lower.shape[0])
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "_member_lower", lower - MEMBERSHIP_TOL)
-        object.__setattr__(self, "_member_upper", upper + MEMBERSHIP_TOL)
-        object.__setattr__(self, "_edge_lower", lower + _BOX_EDGE_TOL)
-        object.__setattr__(self, "_edge_upper", upper - _BOX_EDGE_TOL)
+        # Each pair of bounds as (vectors, rows), indexed by "the input has rows".
+        for name, lo, hi in (("_clip", lower, upper),
+                             ("_member", lower - MEMBERSHIP_TOL, upper + MEMBERSHIP_TOL),
+                             ("_edge", lower + _BOX_EDGE_TOL, upper - _BOX_EDGE_TOL)):
+            object.__setattr__(self, name, ((lo, hi), (lo[None], hi[None])))
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)
-        return np.minimum(np.maximum(z, self.lower), self.upper)
+        lower, upper = self._clip[z.ndim > 1]
+        return np.minimum(np.maximum(z, lower), upper)
 
-    def _inside(self, x: np.ndarray) -> bool:
-        return bool(((x >= self._member_lower) & (x <= self._member_upper)).all())
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        lower, upper = self._member[x.ndim > 1]
+        return ((x >= lower) & (x <= upper)).all(axis=-1)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Tangent-cone projection of v at x; raises MembershipError off the box.
+        """Tangent-cone projection of the rows of v at the rows of x; raises
+        MembershipError if a row of x is off the box.
 
-        A point strictly inside the edge band on every coordinate is interior,
-        hence a member, and v is returned (copied) after that one test.  Any
-        other point, NaN coordinates included (they fail every comparison),
-        goes through the full membership check before the boundary rule.
+        When every row is strictly inside the edge band on every coordinate,
+        all are interior, hence members, and v is returned (copied) after that
+        one test over all rows.  Otherwise, NaN coordinates included (they
+        fail every comparison), the rows go through the membership check
+        before the componentwise boundary rule.
         """
-        x = _check_dim(self.dim, x)
-        if ((x > self._edge_lower) & (x < self._edge_upper)).all():
-            return _check_dim(self.dim, v).copy()
-        if not self._inside(x):
-            raise self._outside_error(x)
-        v = _check_dim(self.dim, v)
+        x = _check_dim(self.dim, x, rows=True)
+        edge_lower, edge_upper = self._edge[x.ndim > 1]
+        if ((x > edge_lower) & (x < edge_upper)).all():
+            return _check_dim(self.dim, v, rows=True).copy()
+        x = self._require_member(x, rows=True)
+        v = _check_dim(self.dim, v, rows=True)
         # Per-component half-line rule; the box tangent cone is a product of
         # lines/half-lines so components decouple.
-        blocked = ((x <= self._edge_lower) & (v < 0.0)) | ((x >= self._edge_upper) & (v > 0.0))
+        blocked = ((x <= edge_lower) & (v < 0.0)) | ((x >= edge_upper) & (v > 0.0))
         return np.where(blocked, 0.0, v)
 
     def norm_bound(self) -> float:
@@ -191,24 +206,23 @@ class Ball(ConvexSet):
         x = _check_dim(self.dim, x)
         return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
 
-    def _inside(self, x: np.ndarray) -> bool:
-        return float(np.linalg.norm(x - self.center)) <= self.radius + MEMBERSHIP_TOL
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        return _norm(x - self.center) <= self.radius + MEMBERSHIP_TOL
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = self._require_member(x)
-        v = _check_dim(self.dim, v)
+        x = self._require_member(x, rows=True)
+        v = _check_dim(self.dim, v, rows=True)
         d = x - self.center
-        nrm = np.linalg.norm(d)
-        if nrm < self.radius * (1.0 - BALL_BOUNDARY_RTOL):
+        nrm = _norm(d)
+        edge = nrm >= self.radius * (1.0 - BALL_BOUNDARY_RTOL)
+        if not edge.any():
             return v.copy()
         # On the boundary the tangent cone is the halfspace {w : w.u <= 0}
         # for the outward unit normal u; remove the outward radial component
-        # iff it points out.
-        u = d / nrm
-        radial = float(u @ v)
-        if radial <= 0.0:
-            return v.copy()
-        return v - radial * u
+        # iff it points out.  Interior rows keep v.
+        u = d / np.where(edge, nrm, 1.0)[..., None]
+        radial = np.vecdot(u, v)
+        return np.where((edge & (radial > 0.0))[..., None], v - radial[..., None] * u, v)
 
     def norm_bound(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
@@ -219,25 +233,34 @@ class NonnegativeOrthant(ConvexSet):
     def project_point(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(_check_dim(self.dim, z, rows=True), 0.0)
 
-    def _inside(self, x: np.ndarray) -> bool:
-        return bool((x >= -MEMBERSHIP_TOL).all())
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        return (x >= -MEMBERSHIP_TOL).all(axis=-1)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Tangent-cone projection of v at x; raises MembershipError off the orthant.
+        """Tangent-cone projection of the rows of v at the rows of x; raises
+        MembershipError if a row of x is off the orthant.
 
-        One reduction, the smallest coordinate (NaN if any coordinate is NaN,
-        +inf in dimension 0), decides both interior (v is returned, copied) and
-        membership.  Multipliers often sit exactly at 0, so the boundary rule
+        One reduction over all rows, the smallest coordinate (NaN if any
+        coordinate is NaN, +inf in dimension 0), decides both interior (v is
+        returned, copied) and membership; only a failed membership test looks
+        for the row.  Multipliers often sit exactly at 0, so the boundary rule
         runs on most steps.
         """
-        x = _check_dim(self.dim, x)
-        x_min = np.minimum.reduce(x, initial=np.inf)
+        x = _check_dim(self.dim, x, rows=True)
+        x_min = np.minimum.reduce(x, axis=None, initial=np.inf)
         if x_min > _BOX_EDGE_TOL:
-            return _check_dim(self.dim, v).copy()
+            return _check_dim(self.dim, v, rows=True).copy()
         if not x_min >= -MEMBERSHIP_TOL:
-            raise self._outside_error(x)
-        v = _check_dim(self.dim, v)
+            raise self._outside_error(x, self._inside(x))
+        v = _check_dim(self.dim, v, rows=True)
         return np.where((x <= _BOX_EDGE_TOL) & (v < 0.0), 0.0, v)
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    # Euclidean norm of each row, bit for bit np.linalg.norm of the row alone:
+    # the square root of its dot product, which np.vecdot forms per row with
+    # the 1-D ``@`` kernel.
+    return np.sqrt(np.vecdot(d, d))
 
 
 def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:

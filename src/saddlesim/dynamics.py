@@ -11,13 +11,18 @@ Action fields are projected onto the tangent cone of the action set X, the
 multiplier field onto the tangent cone of the nonnegative orthant, so
 trajectories never leave their domains.  The discretization is projected
 Euler: project the field, take the explicit step, re-project the point.
+
+One loop, :func:`simulate_rows`, integrates every row of an environment at
+once as the rows of (B, n) and (B, m) arrays, each row over its own horizon;
+a run of one scenario, :func:`simulate`, is its one-row case.  Per-step work
+is mostly call overhead on arrays of a few dozen entries, so B rows cost
+little more per step than one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,90 +100,162 @@ def simulate(
     x0: Optional[np.ndarray] = None,
     sample_stride: int = 10,
 ) -> TrajectoryLog:
-    """Run the configured controller over [0, T] and log the trajectory.
+    """Run the configured controller over [0, T] and log the trajectory: the
+    one-row case of :func:`simulate_rows` on a one-row environment."""
+    return simulate_rows(env, config, [T], X, x0, sample_stride)[0]
 
-    The action starts at ``x0`` (default: the origin) projected onto X, the
-    multipliers at zero in the nonnegative orthant.  At each node 0..N the loop
-    evaluates the environment, read from the time tables of the node's block of
-    ``GRID_BLOCK`` nodes, then advances by projected Euler:
-    ``xdot = Pi_X(x, -eps (g0 + G lam))`` (``-eps g0`` in gradient mode,
-    ``-eps G lam`` in feasibility mode) and ``lamdot = Pi_Lam(lam, eps f)``.
 
-    The number of steps N is ``round(T / h)`` and the effective step is adjusted
-    to land exactly on T.  Accumulators (fit, cost) advance every step by the
-    trapezoid rule; the stored series keeps every ``sample_stride``-th node
-    plus the endpoint.
+def simulate_rows(
+    env: Environment,
+    config: ControllerConfig,
+    T: Sequence[float],
+    X: ConvexSet,
+    x0: Optional[np.ndarray] = None,
+    sample_stride: int = 10,
+) -> list[TrajectoryLog]:
+    """Run the configured controller on every row of ``env``, row b over
+    [0, T[b]], as rows of one array, and log each row's trajectory.
+
+    Row b is bit for bit the run of its environment row alone.  It has its
+    own step count N_b = ``round(T[b] / h)`` and effective step
+    ``h_b = T[b] / N_b``, adjusted to land exactly on T[b].  The actions
+    start at ``x0`` (default: the origin; one action for all rows or one per
+    row) projected onto X, the multipliers at zero in the nonnegative orthant.
+    At each node the loop evaluates every running row at once, read from the
+    time tables of the rows' current block of at most ``GRID_BLOCK`` nodes,
+    then advances by projected Euler: ``xdot = Pi_X(x, -eps (g0 + G lam))``
+    (``-eps g0`` in gradient mode, ``-eps G lam`` in feasibility mode) and
+    ``lamdot = Pi_Lam(lam, eps f)``.  Every dot product is a ``np.vecdot``
+    and every ``G lam`` a matmul over the stack of rows; both run the kernel
+    of the 1-D ``@`` on each row, so they reproduce it bit for bit (an
+    ``einsum`` adds in another order).
+
+    Each row keeps its own accumulators (fit, cost; trapezoid rule every
+    step), multiplier maximum and field norm, and stores every
+    ``sample_stride``-th node plus its last one.  A row retires at its last
+    node N_b: blocks end at the next retirement, and the rows left go on
+    with fresh tables.  A failure in any row stops the whole call: a
+    :class:`DivergenceError` with that row's time, an ``EvaluatorError`` with
+    its time and action, or a ``MembershipError`` with its distance.
     """
-    if T <= 0.0:
+    Ts = [float(t) for t in T]
+    if any(t <= 0.0 for t in Ts):
         raise ValueError("horizon T must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    m = env.m
+    if len(Ts) != env.n_rows:
+        raise ValueError(f"{len(Ts)} horizons for an environment of {env.n_rows} rows")
+    B, m = len(Ts), env.m
     Lam = NonnegativeOrthant(m)
-    n_steps = max(1, int(round(T / config.h)))
-    h_eff = T / n_steps
-    cfg = replace(config, h=h_eff)
-    eps = cfg.epsilon
-    mode = cfg.mode
+    steps = [max(1, int(round(t / config.h))) for t in Ts]
+    h = np.array([t / n for t, n in zip(Ts, steps)])
+    eps, mode = config.epsilon, config.mode
+    m_lam = 0 if mode == "gradient" else m
 
-    x = X.project_point(np.zeros(X.dim) if x0 is None else np.asarray(x0, dtype=float))
-    lam = np.zeros(0 if mode == "gradient" else m)
-    lamdot = lam  # gradient mode carries no multipliers: lam and lamdot stay empty
-    fit = np.zeros(m)
-    cost = 0.0
-    lam_max = lam.copy()
-    max_field = 0.0
+    # The state of the rows still running, in the order of ``rows``, their
+    # environment rows; ``ends`` holds their last nodes and hcol their steps.
+    rows, ends, hcol = np.arange(B), np.array(steps), h[:, None]
+    x = X.project_point(np.broadcast_to(np.zeros(X.dim) if x0 is None else x0, (B, X.dim)))
+    lam = np.zeros((B, m_lam))  # gradient mode carries no multipliers: lam stays empty
+    # Trapezoid sums of f0 and f (cost, fit) up to the last node taken in,
+    # and f0 and f at that node.
+    sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
+    # The largest squared field norm: sqrt is monotone and correctly rounded,
+    # so its root is the largest norm.
+    lam_max, max_sq = lam.copy(), np.zeros(B)
+    logs: list = [None] * B
+    parts: list = [[] for _ in range(B)]  # per row: its stored nodes, one chunk per block
 
-    samples = []  # (t, x, lam, f0, f, fit, cost) at the stored nodes
-    half_h = 0.5 * h_eff
-    for i in range(n_steps + 1):
-        j = i % GRID_BLOCK
-        if j == 0:
-            # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
-            at = env.grid_evaluator(np.arange(i - 1, min(i - 1 + GRID_BLOCK, n_steps)) * h_eff + h_eff)
-        f0_i, g0, f_i, G = at(j, x)
-        if i:
+    i = 0
+    while rows.size:
+        first, last = i, min(i + GRID_BLOCK - 1, int(ends.min()))
+        shape = (last - first + 1, rows.size)
+        # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
+        at = env.grid_evaluator(np.arange(first - 1, last) * hcol + hcol, rows)
+        # Each row's step tiled over its actions and multipliers: numpy runs
+        # same-shape products faster than a broadcast (R, 1) column.
+        hx, hlam = np.repeat(hcol, X.dim, axis=1), np.repeat(hcol, m_lam, axis=1)
+        # The fields of the steps into the block's nodes (none into node 0),
+        # and f0 and f at the node before the block and at each of its nodes.
+        sq_x, lamdots = np.zeros(shape), np.zeros((*shape, m_lam))
+        V = np.empty((shape[0] + 1, shape[1], 1 + m))
+        V[0] = prev
+        records = []  # (i, x, lam) at the block's stride nodes and at its last node
+        for i in range(first, last + 1):
+            j = i - first
+            if i:  # the projected Euler step from node i - 1
+                if mode == "gradient":
+                    xdot = X.project_field(x, -eps * g0)
+                else:
+                    drive = (G @ lam[:, :, None])[..., 0]
+                    xdot = X.project_field(x, -eps * (drive if mode == "feasibility" else g0 + drive))
+                    lamdot = lamdots[j] = Lam.project_field(lam, eps * f)
+                    lam = Lam.project_point(lam + hlam * lamdot)
+                np.vecdot(xdot, xdot, out=sq_x[j])
+                x = X.project_point(x + hx * xdot)
+                if not (np.abs(x).max() <= DIVERGENCE_LIMIT
+                        and (not m_lam or np.abs(lam).max() <= DIVERGENCE_LIMIT)):
+                    over = ((np.abs(x).max(axis=1) > DIVERGENCE_LIMIT)
+                            | (np.abs(lam).max(axis=1, initial=0.0) > DIVERGENCE_LIMIT))
+                    if over.any():
+                        hb = float(hcol[int(np.argmax(over)), 0])
+                        raise DivergenceError(
+                            f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at "
+                            f"t={(i - 1) * hb + hb:.6g}; reduce the step h or the epsilon*h product"
+                        )
+                if m_lam:
+                    np.maximum(lam_max, lam, out=lam_max)
+            f0, g0, f, G = at(j, x)
+            V[j + 1, :, 0] = f0
             if m:
-                fit = fit + half_h * (f + f_i)
-            cost = cost + half_h * (f0 + f0_i)
-        f0, f = f0_i, f_i
-        if i % sample_stride == 0 or i == n_steps:
-            samples.append((i * h_eff, x.copy(), lam.copy(), f0, f.copy(), fit.copy(), cost))
-        if i == n_steps:
-            break
-        if mode == "gradient":
-            xdot = X.project_field(x, -eps * g0)
-        else:
-            drive = G @ lam if mode == "feasibility" else g0 + G @ lam
-            xdot = X.project_field(x, -eps * drive)
-            lamdot = Lam.project_field(lam, eps * f)
-        x = X.project_point(x + h_eff * xdot)
-        lam = Lam.project_point(lam + h_eff * lamdot) if lam.size else lam
-        if np.abs(x).max() > DIVERGENCE_LIMIT or (lam.size and np.abs(lam).max() > DIVERGENCE_LIMIT):
-            raise DivergenceError(
-                f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={i * h_eff + h_eff:.6g}; "
-                "reduce the step h or the epsilon*h product"
-            )
-        field_norm = math.sqrt(float(xdot @ xdot))
-        if lamdot.size:
-            field_norm = max(field_norm, math.sqrt(float(lamdot @ lamdot)))
-        if lam.size:
-            np.maximum(lam_max, lam, out=lam_max)
-        if field_norm > max_field:
-            max_field = field_norm
+                V[j + 1, :, 1:] = f
+            if i % sample_stride == 0 or i == last:
+                records.append((i, x, lam))
+        sums, prev = _close_block(V, sums, 0.5 * hcol, first, records, rows, ends,
+                                  sample_stride, parts)
+        np.maximum(max_sq, np.maximum(sq_x, np.vecdot(lamdots, lamdots)).max(axis=0),
+                   out=max_sq)
+        # Rows at their last node retire; the others step on from it in the next block.
+        for r, b in enumerate(rows.tolist()):
+            if ends[r] == last:
+                logs[b] = _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
+                               float(np.sqrt(max_sq[r])))
+        keep = ends > last
+        if not keep.all():
+            (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq) = (
+                a[keep] for a in (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq))
+        i = last + 1
+    return logs
 
-    ts, xs, lams, f0s, fs, fits, costs = zip(*samples)
-    return TrajectoryLog(
-        t=np.array(ts),
-        x=np.array(xs),
-        lam=np.array(lams) if lams[0].size else np.zeros((len(ts), 0)),
-        f=np.array(fs),
-        f0=np.array(f0s),
-        fit_accum=np.array(fits),
-        cost_accum=np.array(costs),
-        config=cfg,
-        T=T,
-        h_eff=h_eff,
-        lambda_max=lam_max,
-        max_field_norm=max_field,
-    )
+
+def _close_block(V, sums, half, first: int, records, rows, ends, stride: int, parts):
+    """Take a block's nodes into the trapezoid sums and store each running
+    row's nodes of the block: those on the stride and its last node.
+
+    ``V`` holds f0 and f at the node before the block and at its nodes, and
+    ``half`` each row's half step.  Each node adds ``half (v_prev + v)`` to
+    the sums in node order (``np.add.accumulate`` adds one term at a time,
+    with the rounding of a running sum).  Returns the sums and the values at
+    the block's last node.
+    """
+    terms = half * (V[:-1] + V[1:])
+    if first == 0:
+        terms[0] = 0.0  # node 0 starts the sums
+    acc = np.add.accumulate(np.concatenate([sums[None], terms]), axis=0)[1:]
+    I = np.array([rec[0] for rec in records])
+    xs = np.array([rec[1] for rec in records])
+    lams = np.array([rec[2] for rec in records])
+    for r, b in enumerate(rows.tolist()):
+        sel = (I % stride == 0) | (I == ends[r])
+        k = I[sel] - first
+        parts[b].append((I[sel], xs[sel, r], lams[sel, r], V[k + 1, r, 0], V[k + 1, r, 1:],
+                         acc[k, r, 1:], acc[k, r, 0]))
+    return acc[-1], V[-1]
+
+
+def _log(parts, config: ControllerConfig, T: float, h: float, lam_max: np.ndarray,
+         max_field: float) -> TrajectoryLog:
+    I, x, lam, f0, f, fit, cost = (np.concatenate(c) for c in zip(*parts))
+    return TrajectoryLog(t=I * h, x=x, lam=lam, f=f, f0=f0, fit_accum=fit, cost_accum=cost,
+                         config=replace(config, h=h), T=T, h_eff=h, lambda_max=lam_max,
+                         max_field_norm=max_field)

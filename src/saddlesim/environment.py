@@ -13,26 +13,35 @@ deterministic, and thread-safe.  Every constraint and the objective must be
 convex in ``x`` and integrable in ``t`` (sample-and-hold discontinuities are
 fine, the integrator step resolves them).
 
+Rows.  An environment has ``n_rows`` rows, independent problems of the same
+shape (one scenario each, for instance one horizon of a sweep), so that an
+integrator can run one trajectory per row as rows of one array.  Most
+environments have one row.
+
 Grid protocol.  Every environment answers the same three calls, and the
 caller owns the nodes and how many it asks for at once:
 
-* ``on_grid(ts)`` builds what depends on ``t`` alone once for all nodes and
-  returns ``raw(k, x)``, the evaluation at ``(ts[k], x)`` doing only the
-  x-dependent algebra.  Callers go through :meth:`Environment.grid_evaluator`,
-  which adds the shape check and the finiteness guard; ``eval_full`` is its
-  one-node case.
+* ``on_grid(ts, rows)`` builds what depends on ``t`` alone once for all nodes
+  of the environment rows ``rows`` (R,), row r at its own nodes ``ts[r]`` of
+  ``ts`` (R, K), and returns ``raw(k, X)``: the evaluation of each row at
+  ``(ts[r, k], X[r])`` for actions X (R, n), doing only the x-dependent
+  algebra.  It returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).
+  Callers go through :meth:`Environment.grid_evaluator`, which adds the shape
+  check and the finiteness guard; ``eval_full`` is its one-node case.
 * ``batch_constraints(ts, x)`` and ``batch_evaluate(ts, x, w, mu)``, the grid
-  Lagrangian, serve solvers that need all nodes at once.
+  Lagrangian, serve solvers that need all nodes (K,) of a one-row
+  environment at once.
 
 An environment may keep the tables of the last node set it was asked for, and
 must build new ones for any other node set.  :func:`pointwise` builds all
-three calls from a per-node ``(t, x) -> (f0, g0, f, G)``: each node goes
-through the checked grid evaluator, so its batch calls carry the same guard.
-The shepherd environment instead keeps one table for both kinds of caller: the
-basis rows (K, nb) and the sheep positions as one planar (2, K, m) array, all
-x-coordinates then all y-coordinates.  Its ``raw(k, x)`` reads column k, and
-its batch calls run their elementwise algebra over the contiguous (K, m)
-planes.
+three calls from a per-node ``(t, x) -> (f0, g0, f, G)``, with one row: each
+node goes through the checked grid evaluator, so its batch calls carry the
+same guard.  The shepherd environment instead keeps one table per scenario
+for both kinds of caller: the basis rows (K, nb) and the sheep positions as
+one planar (2, K, m) array, all x-coordinates then all y-coordinates.  Its
+``on_grid`` stacks the tables of its rows node by node, its ``raw(k, X)``
+reads node k of every row at once, and its batch calls run their elementwise
+algebra over the contiguous (K, m) planes.
 """
 
 from __future__ import annotations
@@ -45,8 +54,9 @@ import numpy as np
 
 # Per-node evaluator: (t, x) -> (f0, g0 (n,), f (m,), G (n, m)).
 FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
-# Time tables: ts (K,) -> raw(k, x), the unchecked evaluation at (ts[k], x).
-OnGrid = Callable[[np.ndarray], Callable[[int, np.ndarray], tuple]]
+# Time tables: (ts (R, K), rows (R,)) -> raw(k, X), the unchecked evaluation
+# of environment row rows[r] at (ts[r, k], X[r]) for every r.
+OnGrid = Callable[[np.ndarray, np.ndarray], Callable[[int, np.ndarray], tuple]]
 # Vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Grid Lagrangian: (ts (K,), x, w (K,), mu (K, m)) -> (f0 (K,), f (K, m),
@@ -67,36 +77,54 @@ class Environment:
     batch_constraints: BatchConstraints = field(repr=False)
     batch_evaluate: BatchEval = field(repr=False)
     has_objective: bool = True
+    n_rows: int = 1
 
     def eval_full(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         return self.grid_evaluator([t])(0, x)
 
-    def grid_evaluator(self, ts: np.ndarray) -> Callable[[int, np.ndarray], tuple]:
-        """Evaluator over the nodes ``ts``: ``at(k, x)`` is the checked evaluation at (ts[k], x)."""
-        ts = np.asarray(ts, dtype=float)
-        tl = ts.tolist()
-        raw = self.on_grid(ts)
-        n = self.n
+    def grid_evaluator(self, ts: np.ndarray, rows=None) -> Callable[[int, np.ndarray], tuple]:
+        """Checked evaluator over the nodes ``ts`` (R, K) of the environment
+        rows ``rows`` (default: the first R).
 
-        def at(k: int, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (n,):
-                raise ValueError(f"expected action of shape ({n},), got {x.shape}")
-            f0, g0, f, G = raw(k, x)
-            # One-pass finiteness guard: any nan/inf poisons the total (inf - inf
-            # gives nan), so a single scalar check covers all four outputs.  An
-            # empty f or G (m == 0) adds nothing to the total, so its sum is
-            # skipped.
-            total = f0 + g0.sum()
+        ``at(k, X)`` evaluates row r at (ts[r, k], X[r]) for actions X (R, n)
+        and returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).  Nodes ts
+        (K,) are the one-row case of row 0: ``at(k, x)`` takes one action x
+        (n,) and returns f0 as a float and g0, f, G without the row axis.
+        """
+        ts = np.asarray(ts, dtype=float)
+        one = ts.ndim == 1
+        if one:
+            ts = ts[None]
+        tl = ts.tolist()
+        raw = self.on_grid(ts, np.arange(ts.shape[0]) if rows is None else np.asarray(rows))
+        shape = (ts.shape[0], self.n)
+
+        def at(k: int, X: np.ndarray) -> tuple:
+            X = np.asarray(X, dtype=float)
+            if one:
+                if X.shape != shape[1:]:
+                    raise ValueError(f"expected action of shape {shape[1:]}, got {X.shape}")
+                X = X[None]
+            elif X.shape != shape:
+                raise ValueError(f"expected actions of shape {shape}, got {X.shape}")
+            f0, g0, f, G = raw(k, X)
+            # One-pass finiteness guard over all rows: any nan/inf poisons the
+            # total (inf - inf gives nan), so a single scalar check covers all
+            # four outputs.  The few f0 values are summed as Python floats,
+            # cheaper than one more reduction; empty f and G (m == 0) add
+            # nothing to the total, so their sums are skipped.
+            total = np.add.reduce(g0, None) + sum(f0.tolist())
             if f.size:
-                total += f.sum()
-            if G.size:
-                total += G.sum()
+                total += np.add.reduce(f, None) + np.add.reduce(G, None)
             if not math.isfinite(total):
-                if np.isfinite(f0) and np.all(np.isfinite(g0)) and np.all(np.isfinite(f)) and np.all(np.isfinite(G)):
-                    return float(f0), g0, f, G  # benign overflow of the probe sum
-                raise EvaluatorError(f"non-finite evaluator output at t={tl[k]!r}, x={x!r}")
-            return float(f0), g0, f, G
+                bad = ~(np.isfinite(f0) & np.isfinite(g0).all(axis=-1) & np.isfinite(f).all(axis=-1)
+                        & np.isfinite(G).all(axis=(-2, -1)))
+                if bad.any():  # else a benign overflow of the probe sum
+                    r = int(np.argmax(bad))
+                    raise EvaluatorError(f"non-finite evaluator output at t={tl[r][k]!r}, x={X[r]!r}")
+            if one:
+                return float(f0[0]), g0[0], f[0], G[0]
+            return f0, g0, f, G
 
         return at
 
@@ -107,7 +135,7 @@ class Environment:
         active branch: the original column where ``f_i >= -delta`` (including
         the tie, which keeps the controller responsive at the kink), zero
         where ``f_i < -delta``; the grid Lagrangian zeroes ``mu`` there.  The
-        objective is untouched.
+        objective is untouched.  Every row is floored alike.
         """
         if delta <= 0.0:
             raise ValueError("saturation level delta must be positive")
@@ -118,11 +146,11 @@ class Environment:
             return np.maximum(f, -delta)
 
         def clip(f0, g0, f, G):
-            return f0, g0, floor(f), np.where(f >= -delta, G, 0.0)
+            return f0, g0, floor(f), np.where((f >= -delta)[..., None, :], G, 0.0)
 
-        def sat_on_grid(ts: np.ndarray):
-            at = base_grid(ts)
-            return lambda k, x: clip(*at(k, x))
+        def sat_on_grid(ts: np.ndarray, rows: np.ndarray):
+            at = base_grid(ts, rows)
+            return lambda k, X: clip(*at(k, X))
 
         def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return floor(batch_con(ts, x))
@@ -136,16 +164,21 @@ class Environment:
 
 
 def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) -> Environment:
-    """Environment from a per-node evaluator ``evaluate(t, x) -> (f0, g0, f, G)``.
+    """One-row environment from a per-node evaluator ``evaluate(t, x) -> (f0, g0, f, G)``.
 
     ``on_grid`` calls it once per node, and the batch evaluators loop over the
     nodes through the checked grid evaluator, so a non-finite output raises
     :class:`EvaluatorError` with its node time there too.
     """
 
-    def on_grid(ts: np.ndarray):
-        tl = ts.tolist()
-        return lambda k, x: evaluate(tl[k], x)
+    def on_grid(ts: np.ndarray, rows: np.ndarray):
+        tl = ts[0].tolist()
+
+        def raw(k: int, X: np.ndarray):
+            f0, g0, f, G = evaluate(tl[k], X[0])
+            return np.array([f0], dtype=float), g0[None], f[None], G[None]
+
+        return raw
 
     def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
         at = env.grid_evaluator(ts)

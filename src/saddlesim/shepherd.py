@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -235,9 +235,16 @@ OBJECTIVES = ("none", "black_sheep", "min_acceleration")
 NOISE_VARIANTS = ("frozen", "mean", "off")
 
 
-def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
-                 noise: str = "frozen") -> Environment:
+def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
+                 objective: str = "none", noise: str = "frozen") -> Environment:
     """Environment with the m proximity constraints and the chosen objective.
+
+    ``scenario`` is one scenario, or a sequence of scenarios that share ``m``,
+    ``n``, ``n_sheep`` and ``basis``, one environment row each (for instance
+    one horizon of a sweep).  Each row's time tables are built at that row's
+    node times with that row's horizon, radii and paths, exactly as for its
+    scenario alone, and then stacked.  The grid Lagrangian (the ``batch_*``
+    evaluators) serves one-row environments only.
 
     ``noise`` picks the path variant:
 
@@ -253,60 +260,65 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     if noise not in NOISE_VARIANTS:
         raise ValueError(f"noise must be one of {NOISE_VARIANTS}")
+    scenarios = [scenario] if isinstance(scenario, ShepherdScenario) else list(scenario)
+    scenario = scenarios[0]  # the shape of every row, and the one-row grid Lagrangian's
+    if any((s.m, s.n, s.n_sheep, s.basis) != (scenario.m, scenario.n, scenario.n_sheep,
+                                                scenario.basis) for s in scenarios):
+        raise ValueError("the scenarios of one environment must share m, n, n_sheep and basis")
     nb = scenario.n
-    T = scenario.T
-    kind = scenario.basis
-    use_noise = noise == "frozen" and scenario.noise_std > 0.0
-    shift = 2.0 * scenario.noise_std**2 if noise == "mean" else 0.0
-    r2 = scenario.radii**2 - shift
+    shifts = np.array([2.0 * s.noise_std**2 if noise == "mean" else 0.0 for s in scenarios])
+    r2s = np.stack([s.radii**2 - shift for s, shift in zip(scenarios, shifts)])
+    noisy = [noise == "frozen" and s.noise_std > 0.0 for s in scenarios]
+    shift, r2 = float(shifts[0]), r2s[0]
     has_obj = objective != "none"
-    zero_g = np.zeros(2 * nb)
-    same_basis = scenario.n_sheep == nb
     last = (None, None)  # the last node set (a copy) and its tables
 
     def tables(ts: np.ndarray):
-        # Basis rows P, P'' (K, nb) and the planar sheep table Y (2, K, m) at
-        # ts.  The offline solvers call the batch evaluators on one grid
-        # thousands of times, so the last node set's tables are kept and
-        # reused for an equal one.  The slot is one tuple, read and replaced
-        # whole, so concurrent callers at worst rebuild.
+        # The first row's tables at ts, for the batch evaluators.  The offline
+        # solvers call them on one grid thousands of times, so the last node
+        # set's tables are kept and reused for an equal one.  The slot is one
+        # tuple, read and replaced whole, so concurrent callers at worst rebuild.
         nonlocal last
         key, tab = last
         if key is None or not np.array_equal(key, ts):
-            P, _, Pdd = basis_matrices(kind, nb, ts, T)
-            Ps = P if same_basis else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
-            # r2 tiled over the nodes, so that f = |d|^2 - r2 runs as one flat loop.
-            tab = (P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1)))
+            tab = _tables(scenario, ts, noisy[0], r2)
             last = (np.array(ts, dtype=float), tab)
         return tab
 
-    def _at(p: np.ndarray, pdd: np.ndarray, y: np.ndarray, x: np.ndarray):
-        # The x-dependent algebra at one node: basis rows p, p'' and the sheep
-        # coordinates y (2, m) come from the time tables.
-        z1 = float(p @ x[:nb])
-        z2 = float(p @ x[nb:])
-        d1 = z1 - y[0]
-        d2 = z2 - y[1]
-        f = d1 * d1 + d2 * d2 - r2
-        G = 2.0 * np.concatenate([p[:, None] * d1[None, :], p[:, None] * d2[None, :]])
-        if objective == "black_sheep":
-            f0 = float(f[0] + r2[0] + shift)
-            g0 = G[:, 0].copy()
-        elif objective == "min_acceleration":
-            a1 = float(pdd @ x[:nb])
-            a2 = float(pdd @ x[nb:])
-            f0 = float(np.hypot(a1, a2))
-            if f0 > 0.0:
-                g0 = np.concatenate([pdd * (a1 / f0), pdd * (a2 / f0)])
-            else:
-                g0 = zero_g
-        else:
-            f0, g0 = 0.0, zero_g
-        return f0, g0, f, G
+    def on_grid(ts: np.ndarray, rows: np.ndarray):
+        # Row r's tables at its nodes ts[r], stacked node by node: basis rows
+        # B (K, R, q, nb), P and for the acceleration objective P'' (q = 2),
+        # and sheep coordinates Y (K, R, 2, m).  An integrator asks for each
+        # block once, so nothing is kept.
+        tabs = [_tables(scenarios[i], t, noisy[i], r2s[i]) for i, t in zip(rows.tolist(), ts)]
+        q = 2 if objective == "min_acceleration" else 1
+        B = np.stack([np.stack(tab[:q], axis=1) for tab in tabs], axis=1)
+        Y = np.stack([tab[2].transpose(1, 0, 2) for tab in tabs], axis=1)
+        rr, sh = r2s[rows], shifts[rows]
+        zeros = np.zeros((len(tabs), 2 * nb))
 
-    def on_grid(ts: np.ndarray):
-        P, Pdd, Y, _ = tables(ts)
-        return lambda k, x: _at(P[k], Pdd[k], Y[:, k], x)
+        def raw(k: int, X: np.ndarray):
+            # The x-dependent algebra at node k of every row.  The position z
+            # and the acceleration a, each coordinate of each row one dot
+            # product, come from one np.vecdot, bit for bit the 1-D products.
+            b, Xc = B[k], X.reshape(-1, 2, nb)
+            za = np.vecdot(Xc[:, None], b[:, :, None, :])                        # (R, q, 2)
+            d = za[:, 0, :, None] - Y[k]                                         # (R, 2, m)
+            dd = d * d
+            f = dd[:, 0] + dd[:, 1] - rr
+            # G = p (x) 2d: the same bits as doubling p (x) d, since doubling is exact.
+            G = (b[:, 0, None, :, None] * (2.0 * d)[:, :, None, :]).reshape(-1, 2 * nb, d.shape[2])
+            if objective == "black_sheep":
+                return f[:, 0] + rr[:, 0] + sh, G[:, :, 0], f, G
+            if objective == "min_acceleration":
+                a = za[:, 1]
+                f0 = np.hypot(a[:, 0], a[:, 1])
+                moving = f0 > 0.0
+                g0 = b[:, 1, None, :] * (a / np.where(moving, f0, 1.0)[:, None])[..., None]
+                return f0, np.where(moving[:, None], g0.reshape(zeros.shape), 0.0), f, G
+            return zeros[:, 0], zeros, f, G
+
+        return raw
 
     # The batch evaluators keep the planar layout: coordinates z and
     # coordinate weights s are (2, K), offsets d = z - Y are (2, K, m), and
@@ -330,6 +342,8 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
         return np.multiply(B[:, None, :], s.T[:, :, None], order="C").reshape(x.shape)
 
     def _offsets(ts: np.ndarray, x: np.ndarray):
+        if len(scenarios) > 1:
+            raise ValueError("the grid Lagrangian serves a one-row environment")
         P, Pdd, Y, R2 = tables(ts)
         d = _coords(P, x)[:, :, None] - Y                    # (2, K, m)
         dd = d * d
@@ -365,7 +379,17 @@ def shepherd_env(scenario: ShepherdScenario, objective: str = "none",
 
     return Environment(n=2 * nb, m=scenario.m, on_grid=on_grid,
                        batch_constraints=batch_constraints, batch_evaluate=batch_evaluate,
-                       has_objective=has_obj)
+                       has_objective=has_obj, n_rows=len(scenarios))
+
+
+def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.ndarray):
+    """Time tables of one scenario at the nodes ts: basis rows P, P'' (K, nb),
+    the planar sheep table Y (2, K, m) and r2 tiled (K, m), so that
+    f = |d|^2 - r2 runs as one flat loop."""
+    kind, nb, T = scenario.basis, scenario.n, scenario.T
+    P, _, Pdd = basis_matrices(kind, nb, ts, T)
+    Ps = P if scenario.n_sheep == nb else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
+    return P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1))
 
 
 def generate_sheep_paths(
@@ -514,13 +538,16 @@ def viability_certificate(scenario: ShepherdScenario) -> ViabilityResult:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "version", "kind", "m", "n", "n_sheep", "basis", "T", "radii", "L",
-    "offset_box", "noise_std", "seed", "noise_cells", "sheep_coeffs", "noise",
-    "waypoints", "offsets", "action_half", "draws", "xdagger",
-    "viability_residual", "viability_iterations", "kkt_condition",
-    "generator_version",
+# JSON types of the scenario keys that feed a field; bool is not a number.
+_NUMBER = (int, float)
+_SCENARIO_TYPES = {
+    "m": int, "n": int, "n_sheep": int, "basis": str, "T": _NUMBER, "radii": list, "L": int,
+    "offset_box": _NUMBER, "noise_std": _NUMBER, "seed": int, "noise_cells": int,
+    "sheep_coeffs": list, "noise": list, "waypoints": list, "offsets": list,
+    "action_half": _NUMBER, "draws": int, "xdagger": list, "viability_residual": _NUMBER,
+    "viability_iterations": int, "kkt_condition": _NUMBER,
 }
+_SCENARIO_KEYS = {"version", "kind", "generator_version", *_SCENARIO_TYPES}
 # Fields that feed the environment or the action set and so must be finite
 # (viability_residual may be infinite).
 _FINITE_FIELDS = ("T", "radii", "noise_std", "sheep_coeffs", "noise", "waypoints",
@@ -538,6 +565,15 @@ def scenario_to_dict(s: ShepherdScenario) -> dict:
     return d
 
 
+def check_types(what: str, d: dict, types: dict) -> None:
+    """Raise a ValueError naming the first key of ``types`` whose value in the
+    JSON object d has another type (one type or a tuple of them)."""
+    for key, kind in types.items():
+        value = d[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{what} key {key!r} has the wrong type: {json.dumps(value)}")
+
+
 def scenario_from_dict(d: dict) -> ShepherdScenario:
     if not isinstance(d, dict):
         raise ValueError("a scenario must be a JSON object")
@@ -551,6 +587,7 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     missing = _SCENARIO_KEYS - {"generator_version"} - set(d)
     if missing:
         raise ValueError(f"scenario lacks keys: {sorted(missing)}")
+    check_types("scenario", d, _SCENARIO_TYPES)
     scenario = ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=np.asarray(d["radii"], dtype=float), L=int(d["L"]),

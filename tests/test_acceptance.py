@@ -13,7 +13,7 @@ import pytest
 
 from saddlesim import cli, metrics, shepherd
 from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant, projection_gap
-from saddlesim.dynamics import ControllerConfig, simulate
+from saddlesim.dynamics import ControllerConfig, simulate, simulate_rows
 from saddlesim.environment import finite_diff_check
 from saddlesim.offline import OfflineSolution, TimeGrid, estimate_K, solve_offline
 
@@ -148,20 +148,28 @@ FEAS_HORIZONS = (0.5, 1.0, 2.0)
 FEAS_GAINS = (5.0, 50.0)
 
 
+def _feasibility_runs(scenarios, delta=None):
+    """Feasibility runs keyed (seed, T, eps): per (T, eps), the seeds' scenarios
+    as the rows of one simulate_rows call (saturated at delta if given)."""
+    runs = {}
+    for T in FEAS_HORIZONS:
+        rows = [scenarios[(seed, T)] for seed in FEAS_SEEDS]
+        env = shepherd.shepherd_env(rows, "none", noise="frozen")
+        if delta is not None:
+            env = env.saturate(delta)
+        for eps in FEAS_GAINS:
+            cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
+            logs = simulate_rows(env, cfg, [T] * len(rows), rows[0].action_set(), sample_stride=10)
+            runs.update({(seed, T, eps): log for seed, log in zip(FEAS_SEEDS, logs)})
+    return runs
+
+
 @pytest.fixture(scope="module")
 def feasibility_suite():
     t0 = time.perf_counter()
-    scenarios = {}
-    runs = {}
-    for seed in FEAS_SEEDS:
-        for T in FEAS_HORIZONS:
-            sc = shepherd.generate_sheep_paths(seed=seed, T=T)
-            scenarios[(seed, T)] = sc
-            env = shepherd.shepherd_env(sc, "none", noise="frozen")
-            for eps in FEAS_GAINS:
-                cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
-                runs[(seed, T, eps)] = simulate(
-                    env, cfg, T=T, X=sc.action_set(), sample_stride=10)
+    scenarios = {(seed, T): shepherd.generate_sheep_paths(seed=seed, T=T)
+                 for seed in FEAS_SEEDS for T in FEAS_HORIZONS}
+    runs = _feasibility_runs(scenarios)
     return {"scenarios": scenarios, "runs": runs, "elapsed": time.perf_counter() - t0}
 
 
@@ -298,14 +306,7 @@ DELTA = 0.1
 @pytest.fixture(scope="module")
 def saturated_feasibility_suite(feasibility_suite):
     t0 = time.perf_counter()
-    runs = {}
-    for (seed, T) in feasibility_suite["scenarios"]:
-        sc = feasibility_suite["scenarios"][(seed, T)]
-        env = shepherd.shepherd_env(sc, "none", noise="frozen").saturate(DELTA)
-        for eps in FEAS_GAINS:
-            cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
-            runs[(seed, T, eps)] = simulate(
-                env, cfg, T=T, X=sc.action_set(), sample_stride=10)
+    runs = _feasibility_runs(feasibility_suite["scenarios"], DELTA)
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 
 

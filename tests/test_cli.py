@@ -117,6 +117,18 @@ def test_sweep_matches_single_runs(scenario_file, tmp_path):
                 == (single / "trajectory.csv").read_bytes())
 
 
+def test_sweep_writes_the_horizons_before_a_diverging_one(scenario_file, tmp_path, capsys):
+    # The horizons run as rows of one call; the second diverges.  As in a loop
+    # over the horizons, the first is written, the second is not, exit 3.
+    out = tmp_path / "sweep"
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 1e9, "--step", 0.5, "--sweep", "0.25,40", "--out", out)
+    assert code == cli.EXIT_DIVERGENCE
+    assert "state magnitude exceeded" in capsys.readouterr().err
+    assert (out / "T_0.25" / "trajectory.csv").exists() and (out / "T_0.25" / "metrics.json").exists()
+    assert not (out / "T_40").exists()
+
+
 def test_sweep_with_offline_is_usage_error(scenario_file, tmp_path, capsys):
     # A valid offline file: the pair is refused, not the file.
     sol = OfflineSolution(xstar=np.zeros(24), offline_cost=0.0, xdagger=np.zeros(24),
@@ -291,6 +303,23 @@ def test_report_sweep_trend_table(scenario_file, tmp_path, capsys):
     assert text.count("missing: path_overlay (scenario file unavailable)") == 2
 
 
+def test_report_parses_only_the_columns_it_reads(scenario_file, tmp_path):
+    # A saturated sweep run: no scenario file for the path overlay and no
+    # offline solution, so neither the actions nor the cost are parsed.
+    out = tmp_path / "sweep"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 2e-3, "--delta", 0.1, "--sweep", "0.25",
+                   "--out", out) == 0
+    run = out / "T_0.25"
+    md = json.loads((run / "metrics.json").read_text())
+    header, data = cli._read_csv(run / "trajectory.csv", cli._report_columns(md, None))
+    full_header, full = cli._read_csv(run / "trajectory.csv")
+    m = len(md["fit_bounds"])
+    assert header == (["t"] + [f"lambda_{i}" for i in range(m)] + [f"f_{i}" for i in range(1, m + 1)]
+                      + [f"fit_{i}" for i in range(1, m + 1)])
+    assert np.array_equal(data, full[:, [full_header.index(name) for name in header]])
+
+
 def test_commands_without_a_path_fit_do_not_load_scipy(scenario_file, tmp_path):
     # Only generate's sheep-path QP needs scipy.linalg; offline, simulate and
     # report start without it.
@@ -348,6 +377,33 @@ def test_scenario_missing_keys_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "scenario lacks keys" in err and "'m'" in err and "'xdagger'" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_scenario_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
+    data = json.loads(Path(scenario_file).read_text())
+    data["m"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run_cli("simulate", "--scenario", bad, "--mode", "feasibility", "--out", tmp_path / "o")
+    assert code == cli.EXIT_USAGE
+    assert "scenario key 'm' has the wrong type: null" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_offline_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
+    sol = OfflineSolution(xstar=np.zeros(24), offline_cost=0.0, xdagger=np.zeros(24),
+                          viability_residual=-1.0, K=0.0, grid=TimeGrid(T=1.0, num_steps=1),
+                          cost_cumulative=np.zeros(2))
+    for key, value, message in (("K", None, "offline solution key 'K' has the wrong type: null"),
+                                ("grid", {"T": 1.0, "num_steps": 1.5},
+                                 "offline solution grid key 'num_steps' has the wrong type: 1.5")):
+        off = tmp_path / "offline.json"
+        off.write_text(json.dumps({**cli.offline_to_dict(sol, "black_sheep"), key: value}))
+        code = run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle", "--objective",
+                       "blacksheep", "--offline", off, "--out", tmp_path / "o")
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("offline, missing", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,3 +314,22 @@ def test_orthant_field_is_the_limit_quotient(case, field):
 def test_projection_gap_is_nonnegative_for_members(case, field):
     cset, (x0, x) = case
     assert projection_gap(cset, x0, x, np.array(field[:cset.dim])) >= -1e-12
+
+
+def test_rows_field_projection_is_each_row_alone(rng):
+    # Rows of members, interior and on the boundary, with their fields: a
+    # stack projects each row to the bits of the row alone, and one row off
+    # the set raises with that row's distance.
+    for _ in range(300):
+        cset = random_set(rng)
+        R = int(rng.integers(1, 5))
+        X = np.array([point_in_set(rng, cset, boundary=bool(rng.random() < 0.5)) for _ in range(R)])
+        V = rng.standard_normal((R, cset.dim)) * 3.0
+        out = cset.project_field(X, V)
+        assert out.shape == X.shape
+        for r in range(R):
+            assert np.array_equal(out[r], cset.project_field(X[r], V[r]))
+        bad = int(rng.integers(R))
+        X[bad] = X[bad] - 5.0 if isinstance(cset, NonnegativeOrthant) else X[bad] + 5.0
+        with pytest.raises(MembershipError, match=re.escape(f"distance {cset.distance(X[bad]):.3e} ")):
+            cset.project_field(X, V)

@@ -3,7 +3,9 @@ import pytest
 
 from saddlesim import shepherd
 from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
-from saddlesim.dynamics import GRID_BLOCK, MODES, ControllerConfig, DivergenceError, simulate
+from saddlesim.cli import write_trajectory_csv
+from saddlesim.dynamics import (GRID_BLOCK, MODES, ControllerConfig, DivergenceError, simulate,
+                                simulate_rows)
 from saddlesim.environment import Environment, from_functions, pointwise
 
 from helpers import quadratic_env, stationary_points_env, tracking_env
@@ -237,3 +239,62 @@ def test_simulate_reads_every_node_from_its_block_tables(small_scenario, monkeyp
         for mode in MODES:
             log = simulate(env, ControllerConfig(epsilon=50.0, h=1e-3, mode=mode), T=0.005, X=X)
             assert log.t.tolist() == [0.0, 0.005]
+
+
+LOG_ARRAYS = ("t", "x", "lam", "f", "f0", "fit_accum", "cost_accum", "lambda_max")
+
+
+@pytest.fixture(scope="module")
+def horizon_rows(small_scenario):
+    # Two horizons whose steps round differently: 0.3/1500 is not 0.1/500 in
+    # the last bit, and the rows retire at different nodes, one inside a block.
+    return [shepherd.regenerate(small_scenario, T=T) for T in (0.1, 0.3)]
+
+
+@pytest.mark.parametrize("mode, objective, delta", [
+    ("feasibility", "none", None), ("feasibility", "none", 0.1),
+    ("saddle", "black_sheep", None), ("saddle", "min_acceleration", None)],
+    ids=["feasibility", "saturated", "black_sheep", "min_acceleration"])
+def test_rows_are_their_single_runs_bit_for_bit(horizon_rows, tmp_path, mode, objective, delta):
+    # Min-acceleration amplifies a last-bit difference far past 1e-9 within a
+    # few thousand steps, so equality here is the bit-for-bit test it needs.
+    def env_of(scenarios):
+        env = shepherd.shepherd_env(scenarios, objective)
+        return env if delta is None else env.saturate(delta)
+
+    cfg = ControllerConfig(epsilon=50.0, h=2e-4, mode=mode)
+    X = horizon_rows[0].action_set()
+    Ts = [sc.T for sc in horizon_rows]
+    rows = simulate_rows(env_of(horizon_rows), cfg, Ts, X, sample_stride=7)
+    assert rows[0].h_eff != rows[1].h_eff and rows[0].t.size != rows[1].t.size
+    for k, (sc, row) in enumerate(zip(horizon_rows, rows)):
+        single = simulate(env_of(sc), cfg, T=sc.T, X=X, sample_stride=7)
+        for name in LOG_ARRAYS:
+            assert np.array_equal(getattr(row, name), getattr(single, name)), name
+        assert row.max_field_norm == single.max_field_norm
+        assert (row.T, row.h_eff, row.config) == (single.T, single.h_eff, single.config)
+        write_trajectory_csv(tmp_path / f"row{k}.csv", row)
+        write_trajectory_csv(tmp_path / f"single{k}.csv", single)
+        assert (tmp_path / f"row{k}.csv").read_bytes() == (tmp_path / f"single{k}.csv").read_bytes()
+
+
+def test_rows_divergence_names_the_row(horizon_rows):
+    # The second row diverges (a large step on the longer horizon); the error
+    # carries that row's time, as its single run's does.
+    env = shepherd.shepherd_env(horizon_rows, "none")
+    cfg = ControllerConfig(epsilon=1e9, h=0.05, mode="feasibility")
+    X = horizon_rows[0].action_set()
+    with pytest.raises(DivergenceError) as single:
+        simulate(shepherd.shepherd_env(horizon_rows[1], "none"), cfg, T=3.0, X=X)
+    with pytest.raises(DivergenceError) as rows:
+        simulate_rows(env, cfg, [0.1, 3.0], X)
+    assert str(rows.value) == str(single.value)
+
+
+def test_rows_check_their_count(horizon_rows):
+    env = shepherd.shepherd_env(horizon_rows, "none")
+    cfg = ControllerConfig(epsilon=50.0, h=1e-3, mode="feasibility")
+    with pytest.raises(ValueError, match="1 horizons for an environment of 2 rows"):
+        simulate_rows(env, cfg, [0.1], horizon_rows[0].action_set())
+    with pytest.raises(ValueError, match="serves a one-row environment"):
+        env.batch_constraints(np.array([0.0, 0.1]), horizon_rows[0].xdagger)

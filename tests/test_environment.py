@@ -182,6 +182,25 @@ def test_grid_evaluator_guards():
     assert str(from_grid.value) == str(from_eval_full.value)
 
 
+def test_rows_evaluator_matches_each_row_and_names_the_failing_row(small_scenario):
+    # Two scenarios as the rows of one environment, each at its own nodes:
+    # every output row is the row's own one-row evaluation, bit for bit, and
+    # a non-finite row is reported with its own node time and action.
+    scs = [small_scenario, shepherd.regenerate(small_scenario, T=0.5)]
+    ts = np.array([[0.1, 0.3], [0.05, 0.45]])
+    X = np.stack([scs[0].xdagger, scs[1].xdagger])
+    for objective in shepherd.OBJECTIVES:
+        env = shepherd.shepherd_env(scs, objective).saturate(0.05)
+        out = env.grid_evaluator(ts)(1, X)
+        for r, sc in enumerate(scs):
+            alone = shepherd.shepherd_env(sc, objective).saturate(0.05).grid_evaluator(ts[r])(1, X[r])
+            for u, v in zip(out, alone):
+                assert np.array_equal(u[r], v)
+    X[1, 3] = np.nan
+    with pytest.raises(EvaluatorError, match=r"at t=0\.45, x=array\(\[.*nan"):
+        shepherd.shepherd_env(scs).grid_evaluator(ts)(1, X)
+
+
 def test_pointwise_batch_evaluators_raise_at_the_node():
     # The batch evaluators of a pointwise environment carry the per-node guard.
     def evaluate(t, x):
