@@ -9,8 +9,12 @@ Usage (each side of a comparison runs against its own ``src``):
     python scripts/bench_layers.py merge --before B1.json B2.json \\
         --after A1.json A2.json --out BENCH_4.json
 
-``micro`` times ``simulate`` per step (feasibility and saddle at action
-dimension 12 and 60, m=5), ``simulate_rows`` per run-step with B = 1, 2 and 6
+``micro`` times ``simulate`` per step (gradient, feasibility and saddle at
+action dimension 12 and 60, m=5), the layers of one step (``step_layers_us``:
+the shepherd ``raw`` and the checked ``at`` per objective, the Box and orthant
+field and point projections), a C03 tracking run per step (a one-row
+``pointwise`` environment), in-process ``generate_sheep_paths``,
+``simulate_rows`` per run-step with B = 1, 2 and 6
 rows (seeds 1..B; feasibility at dimension 60, min-acceleration saddle at 12;
 a tree without ``simulate_rows`` runs the B runs one after another through
 ``simulate``), a fresh one-step saddle ``simulate`` at the same
@@ -80,7 +84,8 @@ def micro(repeats: int, workdir: str) -> dict:
     out = {}
     for nb in (6, 30):
         sc = shepherd.generate_sheep_paths(seed=1, n=nb, n_sheep=30, noise_cells=200)
-        for mode, objective in (("feasibility", "none"), ("saddle", "black_sheep")):
+        for mode, objective in (("gradient", "black_sheep"), ("feasibility", "none"),
+                                ("saddle", "black_sheep")):
             env = shepherd.shepherd_env(sc, objective)
             cfg = ControllerConfig(epsilon=50.0, h=1e-4, mode=mode)
             steps = 2000
@@ -93,6 +98,9 @@ def micro(repeats: int, workdir: str) -> dict:
         out[f"simulate_one_step_fresh_ms.saddle.n{2 * nb}"] = one_step_fresh_ms(sc, repeats)
         ts = np.arange(BLOCK_STEPS) * 1e-4 + 1e-4
         out[f"table_build_ms.K{BLOCK_STEPS}.n{2 * nb}"] = table_build_ms(sc, "frozen", ts, repeats)
+        out.update(step_layers_us(sc, repeats))
+    out.update(generate_ms(repeats))
+    out["simulate_us_per_step.gradient.c03_tracking"] = c03_us_per_step(repeats)
     out.update(rows_us_per_run_step(repeats))
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
     ts = sc.offline_grid().nodes()
@@ -124,6 +132,93 @@ def micro(repeats: int, workdir: str) -> dict:
     os.remove(path)
     out[f"write_trajectory_csv_s.regret_chain_{log.t.shape[0]}"] = summary(writes)
     out[f"render_run_figures_ms.regret_chain_{log.t.shape[0]}"] = summary(renders)
+    return out
+
+
+def per_call_us(call, repeats: int, calls: int = 2000) -> dict:
+    """Microseconds per call of ``call()``, after one untimed call."""
+    call()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            call()
+        samples.append(1e6 * (time.perf_counter() - t0) / calls)
+    return summary(samples)
+
+
+def step_layers_us(sc, repeats: int) -> dict:
+    """The layers of one integrator step at the scenario's action dimension,
+    each timed alone on the inputs a step gives it: the shepherd ``raw(k, X)``
+    and the checked ``at(k, X)`` of every objective at x-dagger, node 7 of a
+    one-row block of BLOCK_STEPS nodes (h = 2e-5); Box.project_field and
+    project_point of one (1, n) row inside the action box; and
+    NonnegativeOrthant.project_field of one (1, 5) row of multipliers with
+    two at 0 (its boundary rule) and with none, and its project_point."""
+    from saddlesim import shepherd
+    from saddlesim.convex_sets import NonnegativeOrthant
+
+    n, out = sc.action_dim, {}
+    ts = (np.arange(BLOCK_STEPS) * 2e-5 + 2e-5)[None]
+    x = sc.xdagger[None].copy()
+    for objective in shepherd.OBJECTIVES:
+        env = shepherd.shepherd_env(sc, objective)
+        raw, at = env.on_grid(ts, np.arange(1)), env.grid_evaluator(ts, np.arange(1))
+        out[f"raw_us.{objective}.n{n}"] = per_call_us(lambda: raw(7, x), repeats)
+        out[f"at_us.{objective}.n{n}"] = per_call_us(lambda: at(7, x), repeats)
+    X, Lam = sc.action_set(), NonnegativeOrthant(sc.m)
+    v = np.random.default_rng(0).standard_normal((1, n))
+    out[f"box_project_field_us.interior.n{n}"] = per_call_us(lambda: X.project_field(x, v), repeats)
+    out[f"box_project_point_us.n{n}"] = per_call_us(lambda: X.project_point(x + 1e-4 * v), repeats)
+    if n == 12:  # the multipliers do not depend on the action dimension
+        lam, lv = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), np.array([[-1.0, 0.5, 2.0, -0.3, 0.1]])
+        out["orthant_project_field_us.boundary.m5"] = per_call_us(
+            lambda: Lam.project_field(lam, lv), repeats)
+        out["orthant_project_field_us.interior.m5"] = per_call_us(
+            lambda: Lam.project_field(lam + 0.1, lv), repeats)
+        out["orthant_project_point_us.m5"] = per_call_us(
+            lambda: Lam.project_point(lam + 1e-4 * lv), repeats)
+    return out
+
+
+def c03_us_per_step(repeats: int, steps: int = 10000) -> dict:
+    """Per step of a C03 tracking run: gradient mode on a one-row pointwise
+    environment f0 = |x - c(t)|^2 (n=2, m=0, c piecewise constant over 16
+    segments of [0, 1]), on the box [-2, 2]^2 at eps = 5, h = 1e-4."""
+    from saddlesim.convex_sets import Box
+    from saddlesim.dynamics import ControllerConfig, simulate
+    from saddlesim.environment import pointwise
+
+    values = np.random.default_rng(2024).uniform(-1.5, 1.5, (16, 2))
+    none_f, none_G = np.zeros(0), np.zeros((2, 0))
+
+    def evaluate(t, x):
+        d = x - values[min(int(t * 16), 15)]
+        return float(d @ d), 2.0 * d, none_f, none_G
+
+    env, X = pointwise(2, 0, evaluate), Box([-2.0, -2.0], [2.0, 2.0])
+    cfg = ControllerConfig(epsilon=5.0, h=1e-4, mode="gradient")
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        simulate(env, cfg, T=steps * cfg.h, X=X, sample_stride=20)
+        samples.append(1e6 * (time.perf_counter() - t0) / steps)
+    return summary(samples)
+
+
+def generate_ms(repeats: int) -> dict:
+    """In-process generate_sheep_paths at seed 1: the default configuration
+    and minaccel-fine's (n=6, n_sheep=30), both accepting their first draw."""
+    from saddlesim import shepherd
+
+    out = {}
+    for name, kw in (("default", {}), ("minaccel_fine", {"n": 6, "n_sheep": 30})):
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            shepherd.generate_sheep_paths(seed=1, **kw)
+            samples.append(1e3 * (time.perf_counter() - t0))
+        out[f"generate_ms.seed1_{name}"] = summary(samples)
     return out
 
 
@@ -180,13 +275,7 @@ def rows_projection_us(X, rows: int, repeats: int, calls: int = 200) -> dict:
     """One X.project_point call on a (rows, X.dim) stack, half its entries
     outside the box."""
     Z = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, X.dim)) * X.upper
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            X.project_point(Z)
-        samples.append(1e6 * (time.perf_counter() - t0) / calls)
-    return summary(samples)
+    return per_call_us(lambda: X.project_point(Z), repeats, calls)
 
 
 def offline_times(sc, repeats: int) -> dict:
@@ -276,17 +365,8 @@ def grid_lagrangian_us(sc, env, ts, repeats: int, calls: int = 200) -> dict:
     cases = {"batch_evaluate_us.one_action": lambda: env.batch_evaluate(ts, sc.xdagger, w, mu),
              "batch_evaluate_us.per_node": lambda: env.batch_evaluate(ts, xs, w, mu),
              "batch_constraints_us.one_action": lambda: env.batch_constraints(ts, sc.xdagger)}
-    out = {}
-    for name, call in cases.items():
-        call()
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                call()
-            samples.append(1e6 * (time.perf_counter() - t0) / calls)
-        out[f"{name}.regret_chain"] = summary(samples)
-    return out
+    return {f"{name}.regret_chain": per_call_us(call, repeats, calls)
+            for name, call in cases.items()}
 
 
 def table_build_ms(sc, noise: str, ts, repeats: int) -> dict:

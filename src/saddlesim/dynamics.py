@@ -132,7 +132,12 @@ def simulate_rows(
 
     Each row keeps its own accumulators (fit, cost; trapezoid rule every
     step), multiplier maximum and field norm, and stores every
-    ``sample_stride``-th node plus its last one.  A row retires at its last
+    ``sample_stride``-th node plus its last one.  The fields of a block's
+    steps are kept in block arrays, and their norms taken with one
+    ``np.vecdot`` per field and block.  The divergence check looks at the
+    multipliers every step, and at the actions only when X's norm bound
+    exceeds ``DIVERGENCE_LIMIT``: the point projection keeps every action
+    within a bounded set's norm bound.  A row retires at its last
     node N_b: blocks end at the next retirement, and the rows left go on
     with fresh tables.  A failure in any row stops the whole call: a
     :class:`DivergenceError` with that row's time, an ``EvaluatorError`` with
@@ -157,6 +162,13 @@ def simulate_rows(
     rows, ends, hcol = np.arange(B), np.array(steps), h[:, None]
     x = X.project_point(np.broadcast_to(np.zeros(X.dim) if x0 is None else x0, (B, X.dim)))
     lam = np.zeros((B, m_lam))  # gradient mode carries no multipliers: lam stays empty
+    # The mode, decided once: multipliers move unless in gradient mode, and
+    # the action field carries the objective unless in feasibility mode.
+    dual, saddle = mode != "gradient", mode == "saddle"
+    # The point projection keeps every |x_i| within the set's norm bound, and
+    # a NaN never counted as over the limit, so on a set bounded within the
+    # limit the action half of the divergence check can never fire.
+    check_x = not X.norm_bound() <= DIVERGENCE_LIMIT
     # Trapezoid sums of f0 and f (cost, fit) up to the last node taken in,
     # and f0 and f at that node.
     sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
@@ -177,24 +189,25 @@ def simulate_rows(
         hx, hlam = np.repeat(hcol, X.dim, axis=1), np.repeat(hcol, m_lam, axis=1)
         # The fields of the steps into the block's nodes (none into node 0),
         # and f0 and f at the node before the block and at each of its nodes.
-        sq_x, lamdots = np.zeros(shape), np.zeros((*shape, m_lam))
+        xdots, lamdots = np.zeros((*shape, X.dim)), np.zeros((*shape, m_lam))
         V = np.empty((shape[0] + 1, shape[1], 1 + m))
         V[0] = prev
         records = []  # (i, x, lam) at the block's stride nodes and at its last node
         for i in range(first, last + 1):
             j = i - first
             if i:  # the projected Euler step from node i - 1
-                if mode == "gradient":
-                    xdot = X.project_field(x, -eps * g0)
-                else:
+                if dual:
                     drive = (G @ lam[:, :, None])[..., 0]
-                    xdot = X.project_field(x, -eps * (drive if mode == "feasibility" else g0 + drive))
+                    xdot = xdots[j] = X.project_field(x, -eps * (g0 + drive if saddle else drive))
                     lamdot = lamdots[j] = Lam.project_field(lam, eps * f)
                     lam = Lam.project_point(lam + hlam * lamdot)
-                np.vecdot(xdot, xdot, out=sq_x[j])
+                else:
+                    xdot = xdots[j] = X.project_field(x, -eps * g0)
                 x = X.project_point(x + hx * xdot)
-                if not (np.abs(x).max() <= DIVERGENCE_LIMIT
-                        and (not m_lam or np.abs(lam).max() <= DIVERGENCE_LIMIT)):
+                # The orthant projection leaves lam >= 0 or NaN, so its
+                # largest entry is its largest magnitude.
+                if ((check_x and not np.abs(x).max() <= DIVERGENCE_LIMIT)
+                        or (m_lam and not lam.max() <= DIVERGENCE_LIMIT)):
                     over = ((np.abs(x).max(axis=1) > DIVERGENCE_LIMIT)
                             | (np.abs(lam).max(axis=1, initial=0.0) > DIVERGENCE_LIMIT))
                     if over.any():
@@ -213,8 +226,8 @@ def simulate_rows(
                 records.append((i, x, lam))
         sums, prev = _close_block(V, sums, 0.5 * hcol, first, records, rows, ends,
                                   sample_stride, parts)
-        np.maximum(max_sq, np.maximum(sq_x, np.vecdot(lamdots, lamdots)).max(axis=0),
-                   out=max_sq)
+        np.maximum(max_sq, np.maximum(np.vecdot(xdots, xdots), np.vecdot(lamdots, lamdots))
+                   .max(axis=0), out=max_sq)
         # Rows at their last node retire; the others step on from it in the next block.
         for r, b in enumerate(rows.tolist()):
             if ends[r] == last:

@@ -39,8 +39,9 @@ node goes through the checked grid evaluator, so its batch calls carry the
 same guard.  The shepherd environment instead keeps one table per scenario
 for both kinds of caller: the basis rows (K, nb) and the sheep positions as
 one planar (2, K, m) array, all x-coordinates then all y-coordinates.  Its
-``on_grid`` stacks the tables of its rows node by node, its ``raw(k, X)``
-reads node k of every row at once, and its batch calls run their elementwise
+``on_grid`` stacks the tables of its rows node by node and builds the
+broadcast views of the basis rows once per block, its ``raw(k, X)`` reads
+node k of every row at once, and its batch calls run their elementwise
 algebra over the contiguous (K, m) planes.
 """
 
@@ -175,8 +176,10 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
         tl = ts[0].tolist()
 
         def raw(k: int, X: np.ndarray):
+            # The outputs as one-row arrays.  A list of one Python float
+            # builds a float64 array without numpy's dtype argument handling.
             f0, g0, f, G = evaluate(tl[k], X[0])
-            return np.array([f0], dtype=float), g0[None], f[None], G[None]
+            return np.array([float(f0)]), g0[None], f[None], G[None]
 
         return raw
 

@@ -116,11 +116,19 @@ def _solve_path_qp(G: np.ndarray, con_rows: np.ndarray, b: np.ndarray):
     """Equality-constrained QP min c'Gc s.t. con_rows c = b via the bordered
     KKT system, with symmetric equilibration and iterative refinement.
 
-    Returns (coefficients, condition number of the scaled KKT matrix).
-    scipy is imported here, not at module level, so that the commands that
-    never fit a sheep path start without loading it.
+    ``b`` is one right-hand side (p,) or k of them as the columns of (p, k).
+    The KKT matrix is equilibrated, its condition number taken and its
+    Bunch-Kaufman factorization (LAPACK ``dsytrf``) formed once for all of
+    them.  Each column is then solved and refined on its own with ``dsytrs``,
+    the bits of a symmetric ``scipy.linalg.solve`` of that column alone (one
+    solve of all columns at once rounds differently).
+
+    Returns (coefficients, condition number of the scaled KKT matrix): the
+    coefficients are (n,) for one right-hand side and a C-contiguous (k, n)
+    array for k.  scipy is imported here, not at module level, so that the
+    commands that never fit a sheep path start without loading it.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
 
     n = G.shape[0]
     p = con_rows.shape[0]
@@ -128,21 +136,28 @@ def _solve_path_qp(G: np.ndarray, con_rows: np.ndarray, b: np.ndarray):
     kkt[:n, :n] = 2.0 * G
     kkt[:n, n:] = con_rows.T
     kkt[n:, :n] = con_rows
-    rhs = np.concatenate([np.zeros(n), b])
     scale = np.sqrt(np.maximum(np.abs(kkt).max(axis=1), 1e-30))
     S = 1.0 / scale
     kkt_s = kkt * S[:, None] * S[None, :]
     cond = float(np.linalg.cond(kkt_s))
-    try:
-        y = S * scipy.linalg.solve(kkt_s, S * rhs, assume_a="sym")
+    # The blocked factorization at its queried work size, as scipy.linalg.solve runs it.
+    lwork = int(lapack.dsytrf_lwork(n + p)[0])
+    factor, pivots, info = lapack.dsytrf(kkt_s, lwork=lwork)
+    if info > 0:
+        raise GeneratorError("singular path QP system (rank-deficient constraints): "
+                             f"zero pivot {info} of the factorization")
+    b = np.asarray(b, dtype=float)
+    coeffs = np.empty((b.size // p, n))
+    for c, col in enumerate(b.reshape(p, -1).T):
+        rhs = np.concatenate([np.zeros(n), col])
+        y = S * lapack.dsytrs(factor, pivots, S * rhs)[0]
         for _ in range(2):
             r = rhs - kkt @ y
-            y = y + S * scipy.linalg.solve(kkt_s, S * r, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise GeneratorError(f"singular path QP system (rank-deficient constraints): {exc}") from exc
-    if not np.all(np.isfinite(y)):
-        raise GeneratorError("path QP solve produced non-finite coefficients")
-    return y[:n], cond
+            y = y + S * lapack.dsytrs(factor, pivots, S * r)[0]
+        if not np.all(np.isfinite(y)):
+            raise GeneratorError("path QP solve produced non-finite coefficients")
+        coeffs[c] = y[:n]
+    return (coeffs[0] if b.ndim == 1 else coeffs), cond
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +303,17 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
     def on_grid(ts: np.ndarray, rows: np.ndarray):
         # Row r's tables at its nodes ts[r], stacked node by node: basis rows
         # B (K, R, q, nb), P and for the acceleration objective P'' (q = 2),
-        # and sheep coordinates Y (K, R, 2, m).  An integrator asks for each
+        # and sheep coordinates Y (K, R, 2, m).  The broadcast views that
+        # raw(k, X) multiplies with are built here, once per block, so that
+        # each node indexes each of them once.  An integrator asks for each
         # block once, so nothing is kept.
         tabs = [_tables(scenarios[i], t, noisy[i], r2s[i]) for i, t in zip(rows.tolist(), ts)]
         q = 2 if objective == "min_acceleration" else 1
         B = np.stack([np.stack(tab[:q], axis=1) for tab in tabs], axis=1)
         Y = np.stack([tab[2].transpose(1, 0, 2) for tab in tabs], axis=1)
+        rows_dot = B[:, :, :, None, :]       # (K, R, q, 1, nb): z and z'' rows
+        g_basis = B[:, :, 0, None, :, None]  # (K, R, 1, nb, 1): G's factor p
+        a_basis = B[:, :, -1, None, :]       # (K, R, 1, nb): min-acceleration g0's factor p''
         rr, sh = r2s[rows], shifts[rows]
         zeros = np.zeros((len(tabs), 2 * nb))
 
@@ -301,20 +321,26 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
             # The x-dependent algebra at node k of every row.  The position z
             # and the acceleration a, each coordinate of each row one dot
             # product, come from one np.vecdot, bit for bit the 1-D products.
-            b, Xc = B[k], X.reshape(-1, 2, nb)
-            za = np.vecdot(Xc[:, None], b[:, :, None, :])                        # (R, q, 2)
+            za = np.vecdot(X.reshape(-1, 1, 2, nb), rows_dot[k])                 # (R, q, 2)
             d = za[:, 0, :, None] - Y[k]                                         # (R, 2, m)
             dd = d * d
             f = dd[:, 0] + dd[:, 1] - rr
             # G = p (x) 2d: the same bits as doubling p (x) d, since doubling is exact.
-            G = (b[:, 0, None, :, None] * (2.0 * d)[:, :, None, :]).reshape(-1, 2 * nb, d.shape[2])
+            G = (g_basis[k] * (2.0 * d)[:, :, None, :]).reshape(-1, 2 * nb, d.shape[2])
             if objective == "black_sheep":
                 return f[:, 0] + rr[:, 0] + sh, G[:, :, 0], f, G
             if objective == "min_acceleration":
                 a = za[:, 1]
                 f0 = np.hypot(a[:, 0], a[:, 1])
+                # Every row moving (a NaN row too, which the guard rejects):
+                # no row needs the zero subgradient, and the masks are skipped.
+                # The test reads the few norms as Python floats, cheaper than
+                # a numpy reduction.
+                if all(f0.tolist()):
+                    g0 = a_basis[k] * (a / f0[:, None])[..., None]
+                    return f0, g0.reshape(zeros.shape), f, G
                 moving = f0 > 0.0
-                g0 = b[:, 1, None, :] * (a / np.where(moving, f0, 1.0)[:, None])[..., None]
+                g0 = a_basis[k] * (a / np.where(moving, f0, 1.0)[:, None])[..., None]
                 return f0, np.where(moving[:, None], g0.reshape(zeros.shape), 0.0), f, G
             return zeros[:, 0], zeros, f, G
 
@@ -446,14 +472,13 @@ def generate_sheep_paths(
             offsets[1:] = rng.uniform(-offset_box, offset_box, size=(m - 1, L, 2))
         noise = noise_std * rng.standard_normal((m, 2, noise_cells))
 
-        coeffs = np.zeros((m, 2, n_sheep))
-        cond_max = 0.0
-        for i in range(m):
-            targets = waypoints + offsets[i]
-            for c in range(2):
-                b = np.concatenate([[0.0], targets[:, c], [1.0]])
-                coeffs[i, c], cond = _solve_path_qp(G, con_rows, b)
-                cond_max = max(cond_max, cond)
+        # One path per sheep and coordinate, column 2i + c for sheep i's
+        # coordinate c: start 0, its waypoints, end 1.  All 2m paths share
+        # the KKT matrix, so one call factors it once.
+        targets = (waypoints + offsets).transpose(1, 0, 2).reshape(L, 2 * m)
+        b = np.concatenate([np.zeros((1, 2 * m)), targets, np.ones((1, 2 * m))])
+        coeffs, cond = _solve_path_qp(G, con_rows, b)
+        coeffs = coeffs.reshape(m, 2, n_sheep)
 
         scenario = ShepherdScenario(
             m=m, n=n, n_sheep=n_sheep, basis=basis, T=T, radii=radii, L=L,
@@ -461,7 +486,7 @@ def generate_sheep_paths(
             noise_cells=noise_cells, sheep_coeffs=coeffs, noise=noise,
             waypoints=waypoints, offsets=offsets, action_half=action_half,
             draws=attempt, xdagger=np.zeros(2 * n), viability_residual=np.inf,
-            viability_iterations=0, kkt_condition=cond_max,
+            viability_iterations=0, kkt_condition=cond if m else 0.0,  # no sheep, no path QP
         )
         env = shepherd_env(scenario, "none", noise="mean")
         # Warm start at the herd-center path: the mean of polynomial paths is

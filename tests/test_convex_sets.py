@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saddlesim.convex_sets import (
+    _BOX_EDGE_TOL,
     MEMBERSHIP_TOL,
     Ball,
     Box,
@@ -333,3 +334,57 @@ def test_rows_field_projection_is_each_row_alone(rng):
         X[bad] = X[bad] - 5.0 if isinstance(cset, NonnegativeOrthant) else X[bad] + 5.0
         with pytest.raises(MembershipError, match=re.escape(f"distance {cset.distance(X[bad]):.3e} ")):
             cset.project_field(X, V)
+
+
+# Bit patterns of the field projections.  The boundary rule writes +0.0
+# where it blocks a component and keeps v's own bits (-0.0, NaN payloads,
+# infinities) everywhere else; the reference is that np.where rule written
+# out.  Fields hold signed zeros, NaN and infinities; members hold signed
+# zeros on faces at 0.
+_special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300])
+_field_entry = st.one_of(_special, st.floats(-3.0, 3.0, allow_nan=False))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def box_rows(draw):
+    dim, R = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lower = draw(st.lists(st.sampled_from([-np.inf, -1.0, 0.0]), min_size=dim, max_size=dim))
+    upper = [lo + 1.0 if np.isfinite(lo) else draw(st.sampled_from([0.0, 1.0, np.inf]))
+             for lo in lower]
+    X = np.empty((R, dim))
+    for r in range(R):
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
+            faces = [b for b in (lo, hi) if np.isfinite(b)] + [-0.0] * (0.0 in (lo, hi))
+            inside = (lo + hi) / 2.0 if np.isfinite(lo + hi) else (lo + 1.0 if np.isfinite(lo)
+                                                                  else hi - 1.0 if np.isfinite(hi)
+                                                                  else 0.5)
+            X[r, i] = draw(st.sampled_from(faces + [inside]))
+    V = np.array(draw(st.lists(_field_entry, min_size=R * dim, max_size=R * dim))).reshape(R, dim)
+    return Box(lower, upper), X, V
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=box_rows())
+def test_box_field_bits_are_the_where_rule(case):
+    box, X, V = case
+    lo, hi = box.lower + _BOX_EDGE_TOL, box.upper - _BOX_EDGE_TOL
+    ref = np.where(((X <= lo) & (V < 0.0)) | ((X >= hi) & (V > 0.0)), 0.0, V)
+    assert np.array_equal(_bits(box.project_field(X, V)), _bits(ref))
+    assert np.array_equal(_bits(box.project_field(X[0], V[0])), _bits(ref[0]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data(), dim=st.integers(1, 5), R=st.integers(1, 3))
+def test_orthant_field_bits_are_the_where_rule(data, dim, R):
+    coord = st.sampled_from([0.0, -0.0, 1e-13, 0.5, 2.0])
+    X = np.array(data.draw(st.lists(coord, min_size=R * dim, max_size=R * dim))).reshape(R, dim)
+    V = np.array(data.draw(st.lists(_field_entry, min_size=R * dim, max_size=R * dim)))
+    V = V.reshape(R, dim)
+    orth = NonnegativeOrthant(dim)
+    ref = np.where((X <= _BOX_EDGE_TOL) & (V < 0.0), 0.0, V)
+    assert np.array_equal(_bits(orth.project_field(X, V)), _bits(ref))
+    assert np.array_equal(_bits(orth.project_field(X[0], V[0])), _bits(ref[0]))

@@ -4,9 +4,9 @@ import pytest
 from saddlesim import shepherd
 from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
 from saddlesim.cli import write_trajectory_csv
-from saddlesim.dynamics import (GRID_BLOCK, MODES, ControllerConfig, DivergenceError, simulate,
-                                simulate_rows)
-from saddlesim.environment import Environment, from_functions, pointwise
+from saddlesim.dynamics import (DIVERGENCE_LIMIT, GRID_BLOCK, MODES, ControllerConfig,
+                                DivergenceError, simulate, simulate_rows)
+from saddlesim.environment import Environment, EvaluatorError, from_functions, pointwise
 
 from helpers import quadratic_env, stationary_points_env, tracking_env
 
@@ -298,3 +298,63 @@ def test_rows_check_their_count(horizon_rows):
         simulate_rows(env, cfg, [0.1], horizon_rows[0].action_set())
     with pytest.raises(ValueError, match="serves a one-row environment"):
         env.batch_constraints(np.array([0.0, 0.1]), horizon_rows[0].xdagger)
+
+
+def test_rows_with_a_still_row_keep_the_moving_row_bit_for_bit(horizon_rows):
+    # Row 0 starts on a straight line (only the degree 0 and 1 coefficients,
+    # whose second derivatives are exactly 0), so its acceleration is 0 at
+    # node 0 and its g0 row there is exactly zero: with lam = 0 the first
+    # step leaves it in place.  Row 1 takes that node through the masked
+    # branch, and still gives the bits of its single run, which does not.
+    sc = horizon_rows[1]
+    X = sc.action_set()
+    line = np.zeros(X.dim)
+    line[[0, 1, sc.n, sc.n + 1]] = [0.3, 0.2, -0.1, 0.4]
+    x0 = np.stack([line, sc.xdagger])
+    env = shepherd.shepherd_env(horizon_rows, "min_acceleration")
+    f0, g0, _, _ = env.grid_evaluator(np.zeros((2, 1)))(0, x0)
+    assert f0[0] == 0.0 and f0[1] > 0.0
+    assert g0[0].tolist() == [0.0] * X.dim
+    cfg = ControllerConfig(epsilon=50.0, h=2e-4, mode="saddle")
+    rows = simulate_rows(env, cfg, [0.01, 0.02], X, x0=x0, sample_stride=1)
+    assert rows[0].f0[0] == 0.0 and np.array_equal(rows[0].x[1], rows[0].x[0])
+    single = simulate(shepherd.shepherd_env(sc, "min_acceleration"), cfg, T=0.02, X=X,
+                      x0=sc.xdagger, sample_stride=1)
+    for name in LOG_ARRAYS:
+        assert np.array_equal(getattr(rows[1], name), getattr(single, name)), name
+    assert rows[1].max_field_norm == single.max_field_norm
+
+
+@pytest.mark.parametrize("still", [False, True], ids=["moving", "still_row"])
+def test_nan_row_names_its_time_and_action(horizon_rows, still):
+    # A NaN action gives a NaN acceleration norm: the guard names that row's
+    # node time and action, whether or not another row is still.
+    env = shepherd.shepherd_env(horizon_rows, "min_acceleration")
+    ts = np.array([[0.0, 0.01, 0.02], [0.0, 0.03, 0.06]])
+    at = env.grid_evaluator(ts)
+    good = horizon_rows[0].xdagger.copy()
+    if still:
+        good[:] = 0.0
+    bad = horizon_rows[1].xdagger.copy()
+    bad[3] = np.nan
+    with pytest.raises(EvaluatorError) as err:
+        at(2, np.stack([good, bad]))
+    assert str(err.value) == f"non-finite evaluator output at t={0.06!r}, x={bad!r}"
+
+
+def test_divergence_on_a_box_beyond_the_limit(horizon_rows):
+    # Bounds of +-1e13 put the box's norm bound above DIVERGENCE_LIMIT, so
+    # the loop keeps checking the actions, and the run stops where the same
+    # run on the whole space does.
+    sc = horizon_rows[0]
+    n = sc.action_dim
+    big = Box(np.full(n, -1e13), np.full(n, 1e13))
+    assert big.norm_bound() > DIVERGENCE_LIMIT
+    env = shepherd.shepherd_env(sc, "none")
+    cfg = ControllerConfig(epsilon=1e9, h=0.05, mode="feasibility")
+    with pytest.raises(DivergenceError) as free:
+        simulate(env, cfg, T=3.0, X=FullSpace(n))
+    with pytest.raises(DivergenceError) as boxed:
+        simulate(env, cfg, T=3.0, X=big)
+    assert str(boxed.value) == str(free.value)
+    assert "exceeded 1e+12 at t=" in str(boxed.value)

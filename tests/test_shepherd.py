@@ -421,3 +421,32 @@ def test_monomial_warm_start_outside_the_box_fails_fast():
     with pytest.raises(shepherd.GeneratorError, match=r"largest coefficient.*--action-half"):
         shepherd.generate_sheep_paths(seed=4, n=8, n_sheep=8, basis="monomial", noise_cells=200)
     assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("kind, n, L",
+                         [("legendre", 12, 2), ("legendre", 80, 5), ("monomial", 8, 3)])
+def test_path_qp_columns_are_their_single_calls(rng, kind, n, L):
+    # One factorization serves k right-hand sides: each column of the result
+    # is bit for bit the call on that column alone, in a C-contiguous (k, n)
+    # array, and all report the same condition number.  n = 80 takes the
+    # blocked factorization.
+    G = shepherd.acceleration_gram(kind, n, 1.0)
+    rows, _, _ = shepherd.basis_matrices(kind, n, np.linspace(0.0, 1.0, L + 2), 1.0)
+    b = rng.uniform(-1.0, 2.0, size=(L + 2, 7))
+    coeffs, cond = shepherd._solve_path_qp(G, rows, b)
+    assert coeffs.shape == (7, n) and coeffs.flags.c_contiguous
+    for c in range(7):
+        single, cond_c = shepherd._solve_path_qp(G, rows, b[:, c])
+        assert single.shape == (n,) and np.array_equal(coeffs[c], single)
+        assert cond_c == cond
+    assert np.max(np.abs(rows @ coeffs.T - b)) < 1e-8
+
+
+def test_path_qp_rank_deficient_rows_raise():
+    # Two equal constraint rows (the same time twice) leave the KKT matrix singular.
+    G = shepherd.acceleration_gram("legendre", 8, 1.0)
+    rows, _, _ = shepherd.basis_matrices("legendre", 8, np.array([0.0, 0.5, 0.5, 1.0]), 1.0)
+    b = np.array([0.0, 0.3, 0.3, 1.0])
+    for rhs in (b, np.stack([b, b], axis=1)):
+        with pytest.raises(shepherd.GeneratorError, match="singular path QP system"):
+            shepherd._solve_path_qp(G, rows, rhs)
