@@ -8,6 +8,7 @@ Usage (each side of a comparison runs against its own ``src``):
     python scripts/bench_layers.py fixtures --root . --out fixtures.json
     python scripts/bench_layers.py merge --before B1.json B2.json \\
         --after A1.json A2.json --out BENCH_4.json
+    python scripts/bench_layers.py ab --before ../parent --after . --out ab.json
 
 ``micro`` times ``simulate`` per step (gradient, feasibility and saddle at
 action dimension 12 and 60, m=5), the layers of one step (``step_layers_us``:
@@ -22,10 +23,10 @@ dimensions (a new environment each call, so the time is mostly building its
 start-up tables), one build of the time tables for a block of integrator
 steps (K=512), and on the regret-chain configuration (seed 1,
 T=0.25, black sheep, noise-mean environment, 1,001-node grid) one table build
-of the offline grid, one ``batch_evaluate`` call (one action, and one action
-per node) and one ``batch_constraints`` call on that grid, ``Box.project_point``
-of a (1001, 60) stack of rows onto the action box, ``estimate_K``,
-``solve_offline`` at 600 iterations, and on the 2,501-row log
+of the offline grid, one ``batch_evaluate`` call with its pullback (one action,
+and one action per node) and one ``batch_constraints`` call on that grid,
+``Box.project_point`` of a (1001, 60) stack of rows onto the action box,
+``estimate_K``, ``solve_offline`` at 600 iterations, and on the 2,501-row log
 of the workload's saddle run ``write_trajectory_csv`` and ``report``'s figures
 of that CSV (both written next to ``--out`` and removed).  ``offline_cost_gap``
 rows give the relative gap of ``solve_offline``'s cost to a dense SLSQP
@@ -40,13 +41,26 @@ time and its own peak resident memory: ``import saddlesim.cli``, then the
 benchmark's command lines at seed 1, ``generate`` and ``offline`` of
 regret-chain and ``simulate`` and ``report`` of minaccel-fine.  ``fixtures``
 runs the C05, C08 and C09 acceptance tests and reads the fixture times they
-print.  ``tier1`` times the whole test suite once.  Every figure is a median
-with its quartiles over the repeats.
+print.  ``tier1`` times the whole test suite once.  ``ab`` imports the
+``src/saddlesim`` of the two trees ``--before`` and ``--after`` into one
+process under two package names and times the offline solver's layers on the
+regret-chain configuration, both trees once per repeat with the tree that
+runs first alternating, so that both sides see the same phases of the host's
+speed: one Lagrangian evaluation of the multiplier loop (values, constraints
+and the gradient at multipliers, at x-dagger) for black sheep and
+min-acceleration, plain and saturated at 0.1, then ``solve_offline`` at 600
+iterations, ``estimate_K`` at x-dagger and a viability search of the
+scenario run to its own stop (``check_viability`` from the herd-centre path
+with no interior target, 500 Lagrangian evaluations).  Each ``ab`` row
+carries ``after_better``, the repeats in which the after tree was faster.
+Every figure is a median with its quartiles over the repeats.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -338,13 +352,13 @@ def offline_cost_gap(sc, objective: str, max_iter: int) -> float:
     zero_mu = np.zeros((K, m))
 
     def cost(x):
-        f0, _, grad = env.batch_evaluate(ts, x, w, zero_mu)
-        return float(w @ f0), grad
+        f0, _, pull = env.batch_evaluate(ts, x)
+        return float(w @ f0), pull(w, zero_mu)
 
     def jacobian(x):  # row (k, i) is grad f_i(t_k, x): a unit multiplier on constraint i alone
-        xs = np.tile(x, (K, 1))
-        return -np.stack([env.batch_evaluate(ts, xs, np.zeros(K), np.eye(m)[[i] * K])[2]
-                          for i in range(m)], axis=1).reshape(K * m, -1)
+        pull = env.batch_evaluate(ts, np.tile(x, (K, 1)))[2]
+        return -np.stack([pull(np.zeros(K), np.eye(m)[[i] * K]) for i in range(m)],
+                         axis=1).reshape(K * m, -1)
 
     ref = minimize(cost, sc.xdagger, jac=True, method="SLSQP", bounds=list(zip(X.lower, X.upper)),
                    constraints=[{"type": "ineq", "jac": jacobian,
@@ -354,16 +368,17 @@ def offline_cost_gap(sc, objective: str, max_iter: int) -> float:
 
 
 def grid_lagrangian_us(sc, env, ts, repeats: int, calls: int = 200) -> dict:
-    """One call of the grid Lagrangian on the nodes ts with the tables built:
-    at x-dagger (one action), at x-dagger on every node (one action per node,
-    the form estimate_K uses), and the constraints alone at x-dagger."""
+    """One call of the grid Lagrangian on the nodes ts with the tables built,
+    its values and its pullback at multipliers mu: at x-dagger (one action),
+    at x-dagger on every node (one action per node, the form estimate_K
+    uses), and the constraints alone at x-dagger."""
     rng = np.random.default_rng(0)
     K = ts.shape[0]
     w = sc.offline_grid().trapezoid_weights()
     mu = rng.uniform(0.0, 1.0, size=(K, sc.m))
     xs = np.tile(sc.xdagger, (K, 1))
-    cases = {"batch_evaluate_us.one_action": lambda: env.batch_evaluate(ts, sc.xdagger, w, mu),
-             "batch_evaluate_us.per_node": lambda: env.batch_evaluate(ts, xs, w, mu),
+    cases = {"batch_evaluate_us.one_action": lambda: env.batch_evaluate(ts, sc.xdagger)[2](w, mu),
+             "batch_evaluate_us.per_node": lambda: env.batch_evaluate(ts, xs)[2](w, mu),
              "batch_constraints_us.one_action": lambda: env.batch_constraints(ts, sc.xdagger)}
     return {f"{name}.regret_chain": per_call_us(call, repeats, calls)
             for name, call in cases.items()}
@@ -478,6 +493,78 @@ def tier1(root: str) -> dict:
             "tier1_failed": counts.get("failed", 0)}
 
 
+def import_tree(root: str, name: str):
+    """The ``saddlesim`` package under ``root/src``, imported as the package
+    ``name``; its modules import one another relatively, so two trees can be
+    loaded side by side."""
+    path = os.path.join(os.path.abspath(root), "src", "saddlesim")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(path, "__init__.py"),
+                                                  submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def lagrangian_evaluation(env, ts, x, w, mu):
+    """One Lagrangian evaluation of the multiplier loop at x: the grid values,
+    the constraints and the gradient at the multipliers mu.  A tree whose
+    ``batch_evaluate`` takes (ts, x, w, mu) makes it as its loop did, with
+    one ``batch_constraints`` call and one ``batch_evaluate`` call."""
+    if len(inspect.signature(env.batch_evaluate).parameters) == 4:
+        return env.batch_constraints(ts, x), env.batch_evaluate(ts, x, w, mu)
+    f0, f, pull = env.batch_evaluate(ts, x)
+    return f0, f, pull(w, mu)
+
+
+def ab_cases(package) -> dict:
+    """name -> (call, unit scale, calls per sample) for one tree."""
+    shepherd, offline = package.shepherd, package.offline
+    sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
+    grid, X = sc.offline_grid(), sc.action_set()
+    ts, w = grid.nodes(), grid.trapezoid_weights()
+    mu = np.random.default_rng(0).uniform(0.0, 1.0, size=(ts.shape[0], sc.m))
+    cases = {}
+    for objective in ("black_sheep", "min_acceleration"):
+        for label, delta in (("plain", None), ("sat0.1", 0.1)):
+            env = shepherd.shepherd_env(sc, objective, noise="mean")
+            env = env if delta is None else env.saturate(delta)
+            cases[f"lagrangian_eval_us.{objective}.{label}.regret_chain"] = (
+                lambda env=env: lagrangian_evaluation(env, ts, sc.xdagger, w, mu), 1e6, 200)
+    env = shepherd.shepherd_env(sc, "black_sheep", noise="mean")
+    via = shepherd.viability_certificate(sc)
+    cases["solve_offline_s.regret_chain_600"] = (
+        lambda: offline.solve_offline(env, grid, X, viability=via, max_iter=600), 1.0, 1)
+    cases["estimate_K_s.regret_chain"] = (
+        lambda: offline.estimate_K(env, grid, X, sc.xdagger), 1.0, 1)
+    none = shepherd.shepherd_env(sc, "none", noise="mean")
+    x_init = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0))
+    cases["check_viability_s.regret_chain"] = (
+        lambda: offline.check_viability(none, grid, X, x_init=x_init), 1.0, 1)
+    for call, _, _ in cases.values():  # builds the tables of the offline grid
+        call()
+    return cases
+
+
+def ab(before_root: str, after_root: str, repeats: int) -> dict:
+    sides = {"before": ab_cases(import_tree(before_root, "saddlesim_before")),
+             "after": ab_cases(import_tree(after_root, "saddlesim_after"))}
+    samples = {side: {name: [] for name in cases} for side, cases in sides.items()}
+    for r in range(repeats):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            for name, (call, scale, calls) in sides[side].items():
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    call()
+                samples[side][name].append(scale * (time.perf_counter() - t0) / calls)
+    rows = {}
+    for name in sides["after"]:
+        b, a = samples["before"][name], samples["after"][name]
+        rows[name] = {"before": summary(b), "after": summary(a),
+                      "after_better": int(sum(x < y for x, y in zip(a, b)))}
+    return rows
+
+
 def merge(before: list[str], after: list[str]) -> dict:
     """Pool the samples of several runs per side (run the sides alternately)
     into before/after rows."""
@@ -501,7 +588,8 @@ def merge(before: list[str], after: list[str]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("what", choices=("micro", "viability", "coldstart", "fixtures", "tier1", "merge"))
+    ap.add_argument("what", choices=("micro", "viability", "coldstart", "fixtures", "tier1", "merge",
+                                     "ab"))
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--root", default=".")
     ap.add_argument("--before", nargs="*", default=[])
@@ -516,7 +604,8 @@ def main() -> None:
                 "viability": lambda: viability(args.repeats),
                 "coldstart": lambda: coldstart(args.root, args.repeats),
                 "fixtures": lambda: fixtures(args.root),
-                "tier1": lambda: tier1(args.root)}[args.what]()
+                "tier1": lambda: tier1(args.root),
+                "ab": lambda: ab(args.before[0], args.after[0], args.repeats)}[args.what]()
         result = {"machine": machine(), "rows": rows}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -28,21 +28,17 @@ caller owns the nodes and how many it asks for at once:
   algebra.  It returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).
   Callers go through :meth:`Environment.grid_evaluator`, which adds the shape
   check and the finiteness guard; ``eval_full`` is its one-node case.
-* ``batch_constraints(ts, x)`` and ``batch_evaluate(ts, x, w, mu)``, the grid
-  Lagrangian, serve solvers that need all nodes (K,) of a one-row
-  environment at once.
+* ``batch_evaluate(ts, x)``, the grid Lagrangian, serves solvers that need
+  all nodes (K,) of a one-row environment at once.  One call returns f0 (K,),
+  f (K, m) and ``pull(w, mu)``, the gradient of ``sum_k w_k f0_k + mu_k . f_k``
+  at x.  ``batch_constraints(ts, x)`` is its f alone.
 
 An environment may keep the tables of the last node set it was asked for, and
 must build new ones for any other node set.  :func:`pointwise` builds all
 three calls from a per-node ``(t, x) -> (f0, g0, f, G)``, with one row: each
 node goes through the checked grid evaluator, so its batch calls carry the
 same guard.  The shepherd environment instead keeps one table per scenario
-for both kinds of caller: the basis rows (K, nb) and the sheep positions as
-one planar (2, K, m) array, all x-coordinates then all y-coordinates.  Its
-``on_grid`` stacks the tables of its rows node by node and builds the
-broadcast views of the basis rows once per block, its ``raw(k, X)`` reads
-node k of every row at once, and its batch calls run their elementwise
-algebra over the contiguous (K, m) planes.
+for both kinds of caller.
 """
 
 from __future__ import annotations
@@ -60,10 +56,10 @@ FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np
 OnGrid = Callable[[np.ndarray, np.ndarray], Callable[[int, np.ndarray], tuple]]
 # Vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# Grid Lagrangian: (ts (K,), x, w (K,), mu (K, m)) -> (f0 (K,), f (K, m),
-# grad = sum_k w_k g0(t_k, x) + G(t_k, x) mu_k).  In both batch evaluators x is
-# one action (n,), or one per node (K, n), and then grad row k is the k-th term.
-BatchEval = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple]
+# Grid Lagrangian: (ts (K,), x) -> (f0 (K,), f (K, m), pull), with pull(w (K,),
+# mu (K, m)) = sum_k w_k g0(t_k, x) + G(t_k, x) mu_k.  In both batch evaluators
+# x is one action (n,), or one per node (K, n), and then pull's row k is term k.
+BatchEval = Callable[[np.ndarray, np.ndarray], tuple]
 
 
 class EvaluatorError(RuntimeError):
@@ -156,9 +152,10 @@ class Environment:
         def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return floor(batch_con(ts, x))
 
-        def sat_batch_full(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
-            f0, f, grad = batch_full(ts, x, w, np.where(batch_con(ts, x) >= -delta, mu, 0.0))
-            return f0, floor(f), grad
+        def sat_batch_full(ts: np.ndarray, x: np.ndarray):
+            f0, f, pull = batch_full(ts, x)
+            active = f >= -delta
+            return f0, floor(f), lambda w, mu: pull(w, np.where(active, mu, 0.0))
 
         return replace(self, on_grid=sat_on_grid, batch_constraints=sat_batch_con,
                        batch_evaluate=sat_batch_full)
@@ -167,7 +164,7 @@ class Environment:
 def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) -> Environment:
     """One-row environment from a per-node evaluator ``evaluate(t, x) -> (f0, g0, f, G)``.
 
-    ``on_grid`` calls it once per node, and the batch evaluators loop over the
+    ``on_grid`` calls it once per node, and the grid Lagrangian loops over the
     nodes through the checked grid evaluator, so a non-finite output raises
     :class:`EvaluatorError` with its node time there too.
     """
@@ -183,21 +180,22 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
 
         return raw
 
-    def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def batch_evaluate(ts: np.ndarray, x: np.ndarray):
         at = env.grid_evaluator(ts)
         xs = np.broadcast_to(x, (ts.shape[0], n))
-        return np.array([at(k, xs[k])[2] for k in range(ts.shape[0])])
-
-    def batch_evaluate(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
-        at = env.grid_evaluator(ts)
-        xs = np.broadcast_to(x, (ts.shape[0], n))
-        f0s, fs, grads = np.empty(ts.shape[0]), np.empty((ts.shape[0], m)), np.empty(xs.shape)
+        f0s, fs, subgradients = np.empty(ts.shape[0]), np.empty((ts.shape[0], m)), []
         for k in range(ts.shape[0]):
             f0s[k], g0, fs[k], G = at(k, xs[k])
-            grads[k] = w[k] * g0 + G @ mu[k]
-        return f0s, fs, grads if x.ndim == 2 else grads.sum(axis=0)
+            subgradients.append((g0, G))
 
-    env = Environment(n=n, m=m, on_grid=on_grid, batch_constraints=batch_constraints,
+        def pull(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
+            grads = np.array([w[k] * g0 + G @ mu[k] for k, (g0, G) in enumerate(subgradients)])
+            return grads if x.ndim == 2 else grads.sum(axis=0)
+
+        return f0s, fs, pull
+
+    env = Environment(n=n, m=m, on_grid=on_grid,
+                      batch_constraints=lambda ts, x: batch_evaluate(ts, x)[1],
                       batch_evaluate=batch_evaluate, has_objective=has_objective)
     return env
 

@@ -8,7 +8,8 @@ All three run on one routine, :func:`_spg`, nonmonotone spectral projected
 gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 2000) on the rows of a
 (B, n) array, projected by one ``X.project_point`` call; ``estimate_K`` runs it
 with one row per node, and the other two are one method-of-multipliers loop
-over it, :func:`_multipliers`.  The viability search is that loop's phase 1,
+over it, :func:`_multipliers`; each of their evaluations is one grid call,
+``batch_evaluate``.  The viability search is that loop's phase 1,
 min s subject to f_i(t_k, x) <= s; it stops at ``-interior_target`` or once an
 outer iteration lowers the best residual by less than ``VIABILITY_TOL``.  "Not
 viable" means only that it ended above ``VIABILITY_TOL``, not that no viable
@@ -148,24 +149,25 @@ def _spg(fun, project, x: np.ndarray, budget: int, tol: float):
     return x, val, grad, aux, running, evals
 
 
-def _multipliers(constraints, objective, project, z: np.ndarray, mu: np.ndarray, max_iter: int):
+def _multipliers(evaluate, project, z: np.ndarray, mu: np.ndarray, max_iter: int):
     """Method of multipliers for min F(z) subject to c(z) <= 0 (K, m).
 
-    ``objective(z, lam)`` returns F(z) and the gradient of F + sum lam c.  The
-    augmented Lagrangian ``F + (|lam|^2 - |mu|^2) / (2 rho)``, with ``lam =
-    max(0, mu + rho c)``, is minimized by :func:`_spg` runs of at most
-    ``INNER_ITER`` evaluations, ``max_iter`` in all.  After each, ``mu <- lam``
-    and the loop yields ``(z, grad, c, mu, rho, evaluations)`` until the caller
-    leaves it; ``rho`` then grows tenfold unless the violation fell tenfold or
-    is at most ``VIABILITY_TOL`` (one at rounding level stops falling).
+    ``evaluate(z)`` returns F(z), c(z) and ``pull(lam)``, the gradient of F +
+    sum lam c at z, so one grid call serves each evaluation.  The augmented
+    Lagrangian ``F + (|lam|^2 - |mu|^2) / (2 rho)``, with ``lam = max(0, mu +
+    rho c)``, is minimized by :func:`_spg` runs of at most ``INNER_ITER``
+    evaluations, ``max_iter`` in all.  After each, ``mu <- lam`` and the loop
+    yields ``(z, grad, c, mu, rho, evaluations)`` until the caller leaves it;
+    ``rho`` then grows tenfold unless the violation fell tenfold or is at most
+    ``VIABILITY_TOL`` (one at rounding level stops falling).
     """
     rho, it, viol_prev = 1.0, 0, np.inf
 
     def lagrangian(Z):
-        c = constraints(Z[0])
+        value, c, pull = evaluate(Z[0])
         lam = np.maximum(0.0, mu + rho * c)
-        value, grad = objective(Z[0], lam)
-        return np.array([value + (np.sum(lam * lam) - np.sum(mu * mu)) / (2.0 * rho)]), grad[None], c[None]
+        value += (np.sum(lam * lam) - np.sum(mu * mu)) / (2.0 * rho)
+        return np.array([value]), pull(lam)[None], c[None]
 
     while it < max_iter:
         Z, _, grad, c, _, used = _spg(lagrangian, project, z[None], min(INNER_ITER, max_iter - it), KKT_TOL)
@@ -190,14 +192,16 @@ def check_viability(
 
     Minimizes the residual ``max_{k,i} f_i(t_k, x)`` as phase 1 of the method
     of multipliers, min s over X x R subject to f_i(t_k, x) <= s, from the
-    projected ``x_init`` (or zero) and s = its residual: dL/ds = 1 - sum lam,
-    and the x-gradient is one ``batch_evaluate`` with zero weights.  It stops
-    at ``-interior_target`` (a start already there is returned with 0
-    iterations), after ``max_iter`` Lagrangian evaluations (``iterations``
-    counts them), or once an outer iteration lowers the best residual by less
-    than ``VIABILITY_TOL``, and returns the best point.  Viable means that
-    residual is at most ``VIABILITY_TOL``; not viable means only that the
-    search ended above it, not that no viable action exists.
+    projected ``x_init`` (or zero) and s = its residual.  Each Lagrangian
+    evaluation is one ``batch_evaluate``: its f gives the constraints, its
+    pullback with zero weights the x-gradient, and dL/ds = 1 - sum lam.
+    ``batch_constraints`` gives the residual of the start and of each outer
+    iteration.  It stops at ``-interior_target`` (a start already there is
+    returned with 0 iterations), after ``max_iter`` Lagrangian evaluations
+    (``iterations`` counts them), or once an outer iteration lowers the best
+    residual by less than ``VIABILITY_TOL``, and returns the best point.
+    Viable means that residual is at most ``VIABILITY_TOL``; not viable means
+    only that the search ended above it, not that no viable action exists.
     """
     ts, n = grid.nodes(), X.dim
     x = X.project_point(np.zeros(n) if x_init is None else np.asarray(x_init, float))
@@ -209,17 +213,15 @@ def check_viability(
         return ViabilityResult(bool(best <= VIABILITY_TOL), best_x, best, it)
     no_weight = np.zeros(ts.shape[0])
 
-    def constraints(z):
-        return env.batch_constraints(ts, z[:n]) - z[n]
-
-    def objective(z, lam):
-        return z[n], np.append(env.batch_evaluate(ts, z[:n], no_weight, lam)[2], 1.0 - np.sum(lam))
+    def evaluate(z):
+        _, f, pull = env.batch_evaluate(ts, z[:n])
+        return z[n], f - z[n], lambda lam: np.append(pull(no_weight, lam), 1.0 - np.sum(lam))
 
     def project(Z):
         return np.concatenate([X.project_point(Z[:, :n]), Z[:, n:]], axis=1)
 
-    for z, _, _, _, _, it in _multipliers(constraints, objective, project, np.append(x, best),
-                                          np.zeros_like(f), max_iter):
+    for z, _, _, _, _, it in _multipliers(evaluate, project, np.append(x, best), np.zeros_like(f),
+                                          max_iter):
         residual, previous = float(np.max(env.batch_constraints(ts, z[:n]))), best
         if residual < best:
             best, best_x = residual, z[:n].copy()
@@ -239,13 +241,14 @@ def solve_offline(
     f_i(t_k, x) <= 0 at every node.
 
     :func:`_multipliers` from the viability point x-dagger, with one
-    ``batch_constraints`` and one ``batch_evaluate`` call per Lagrangian
-    evaluation, ``max_iter`` of them in all.  The loop ends early once
-    violation, stationarity and complementarity clear their tolerances, which
-    ``converged`` reports; ``penalty`` is the last ``rho``.  A last iterate
-    violating by v > 0 is blended once toward x-dagger with ``theta = v / (v +
-    margin)`` (feasible by convexity), and the cheaper of that point and
-    x-dagger wins.  Non-convergence is reported, not raised.
+    ``batch_evaluate`` call per Lagrangian evaluation, ``max_iter`` of them in
+    all.  The loop ends early once violation, stationarity and complementarity
+    clear their tolerances, which ``converged`` reports; ``penalty`` is the
+    last ``rho``.  A last iterate violating by v > 0 (one ``batch_constraints``
+    call) is blended once toward x-dagger with ``theta = v / (v + margin)``
+    (feasible by convexity), and the cheaper of that point and x-dagger wins;
+    its grid call gives the cost and the certificate.  Non-convergence is
+    reported, not raised.
     """
     if not env.has_objective:
         raise ValueError("offline solve requires an environment with an objective")
@@ -256,9 +259,9 @@ def solve_offline(
                                          f"{VIABILITY_TOL:.0e}; run check_viability and redraw the scenario")
     ts, w, xd = grid.nodes(), grid.trapezoid_weights(), viability.xdagger
 
-    def objective(x, lam):
-        f0s, _, grad = env.batch_evaluate(ts, x, w, lam)
-        return float(w @ f0s), grad
+    def evaluate(x):
+        f0s, f, pull = env.batch_evaluate(ts, x)
+        return float(w @ f0s), f, lambda lam: pull(w, lam)
 
     def certificate(x, grad, f, mu):  # grad of the Lagrangian at the multipliers mu
         c = {"kkt_stationarity": float(_gradient_map(X.project_point, x, grad)),
@@ -268,23 +271,19 @@ def solve_offline(
         return c
 
     x, mu, rho, it = np.array(xd, dtype=float), np.zeros((ts.shape[0], env.m)), 1.0, 0
-    for x, grad, f, mu, rho, it in _multipliers(lambda xv: env.batch_constraints(ts, xv), objective,
-                                                X.project_point, x, mu, max_iter):
+    for x, grad, f, mu, rho, it in _multipliers(evaluate, X.project_point, x, mu, max_iter):
         if certificate(x, grad, f, mu)["converged"]:
             break
-
-    def cost(xv):
-        return float(w @ env.batch_evaluate(ts, xv, w, np.zeros_like(mu))[0])
 
     viol = float(np.max(env.batch_constraints(ts, x), initial=-np.inf))
     margin = -viability.residual
     if viol > 0.0:
         theta = viol / (viol + margin) if margin > 0.0 else 1.0
         x = (1.0 - theta) * x + theta * xd
-    xstar = x if cost(x) <= cost(xd) else np.array(xd, dtype=float)
-
-    f0s, fs, grad = env.batch_evaluate(ts, xstar, w, mu)
-    diagnostics = {"iterations": it, **certificate(xstar, grad, fs, mu), "penalty": rho}
+    at_x, at_xd = env.batch_evaluate(ts, x), env.batch_evaluate(ts, xd)
+    xstar, (f0s, fs, pull) = ((x, at_x) if w @ at_x[0] <= w @ at_xd[0]
+                              else (np.array(xd, dtype=float), at_xd))
+    diagnostics = {"iterations": it, **certificate(xstar, pull(w, mu), fs, mu), "penalty": rho}
     cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (f0s[:-1] + f0s[1:]))])
     return OfflineSolution(xstar=xstar, offline_cost=float(w @ f0s), xdagger=xd,
                            viability_residual=viability.residual, K=estimate_K(env, grid, X, xstar),
@@ -310,10 +309,10 @@ def estimate_K(
     ones, no_mu = np.ones(ts.shape[0]), np.zeros((ts.shape[0], env.m))
 
     def objective(xs):  # one action per node
-        f0, _, g = env.batch_evaluate(ts, xs, ones, no_mu)
-        return f0, g, f0
+        f0, _, pull = env.batch_evaluate(ts, xs)
+        return f0, pull(ones, no_mu), f0
 
-    f_star = env.batch_evaluate(ts, np.asarray(xstar, dtype=float), ones, no_mu)[0]
+    f_star = env.batch_evaluate(ts, np.asarray(xstar, dtype=float))[0]
     x0 = X.project_point(np.zeros((ts.shape[0], X.dim)))
     x, f_x, g, _, running, _ = _spg(objective, X.project_point, x0, max_iter, tol)
     gmap = np.where(running, _gradient_map(X.project_point, x, g), 0.0)

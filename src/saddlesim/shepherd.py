@@ -24,7 +24,7 @@ reduced size; everything downstream is basis-agnostic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -367,44 +367,45 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
             return (B.T @ s.T).T.ravel()
         return np.multiply(B[:, None, :], s.T[:, :, None], order="C").reshape(x.shape)
 
-    def _offsets(ts: np.ndarray, x: np.ndarray):
+    def batch_evaluate(ts: np.ndarray, x: np.ndarray):
         if len(scenarios) > 1:
             raise ValueError("the grid Lagrangian serves a one-row environment")
         P, Pdd, Y, R2 = tables(ts)
         d = _coords(P, x)[:, :, None] - Y                    # (2, K, m)
         dd = d * d
-        return P, Pdd, d, dd[0] + dd[1] - R2
-
-    def batch_constraints(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _offsets(ts, x)[3]
-
-    def batch_evaluate(ts: np.ndarray, x: np.ndarray, w: np.ndarray, mu: np.ndarray):
-        P, Pdd, d, f = _offsets(ts, x)
-        # G_k mu_k = 2 p_k (d_k . mu_k) per coordinate (a reduction over the
-        # short m axis would be slower than the loop); black sheep's g0 is the
-        # first constraint's column, so its weight joins mu[:, 0].
-        dmu = d * mu
-        s = np.zeros(dmu.shape[:2])
-        for i in range(scenario.m):
-            s += dmu[:, :, i]
+        f = dd[0] + dd[1] - R2
         if objective == "black_sheep":
             f0 = f[:, 0] + r2[0] + shift
-            s += w * d[:, :, 0]
-        # In place: with one action per node grad is (K, n), and a fresh
-        # array of that size costs more than the arithmetic.
-        grad = _pullback(P, s, x)
-        grad *= 2.0
-        if objective == "min_acceleration":
+        elif objective == "min_acceleration":
             a = _coords(Pdd, x)
             f0 = np.linalg.norm(a, axis=0)
-            # a = 0 wherever f0 = 0, so those nodes add nothing.
-            grad += _pullback(Pdd, w / np.where(f0 > 0.0, f0, 1.0) * a, x)
-        elif objective == "none":
+        else:
             f0 = np.zeros(ts.shape[0])
-        return f0, f, grad
+
+        def pull(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
+            # G_k mu_k = 2 p_k (d_k . mu_k) per coordinate (a reduction over
+            # the short m axis would be slower than the loop); black sheep's
+            # g0 is the first constraint's column, so its weight joins mu[:, 0].
+            dmu = d * mu
+            s = np.zeros(dmu.shape[:2])
+            for i in range(scenario.m):
+                s += dmu[:, :, i]
+            if objective == "black_sheep":
+                s += w * d[:, :, 0]
+            # In place: with one action per node grad is (K, n), and a fresh
+            # array of that size costs more than the arithmetic.
+            grad = _pullback(P, s, x)
+            grad *= 2.0
+            if objective == "min_acceleration":
+                # a = 0 wherever f0 = 0, so those nodes add nothing.
+                grad += _pullback(Pdd, w / np.where(f0 > 0.0, f0, 1.0) * a, x)
+            return grad
+
+        return f0, f, pull
 
     return Environment(n=2 * nb, m=scenario.m, on_grid=on_grid,
-                       batch_constraints=batch_constraints, batch_evaluate=batch_evaluate,
+                       batch_constraints=lambda ts, x: batch_evaluate(ts, x)[1],
+                       batch_evaluate=batch_evaluate,
                        has_objective=has_obj, n_rows=len(scenarios))
 
 
@@ -450,6 +451,12 @@ def generate_sheep_paths(
     """
     if basis not in BASIS_KINDS:
         raise ValueError(f"basis must be one of {BASIS_KINDS}")
+    if m < 1:
+        raise ValueError("sheep count m must be at least 1")
+    if not T > 0.0:
+        raise ValueError("horizon T must be positive")
+    if not noise_std >= 0.0:
+        raise ValueError("noise_std must be nonnegative")
     n_sheep = n if n_sheep is None else n_sheep
     if L < 0:
         raise ValueError("waypoint count L must be nonnegative")
@@ -486,7 +493,7 @@ def generate_sheep_paths(
             noise_cells=noise_cells, sheep_coeffs=coeffs, noise=noise,
             waypoints=waypoints, offsets=offsets, action_half=action_half,
             draws=attempt, xdagger=np.zeros(2 * n), viability_residual=np.inf,
-            viability_iterations=0, kkt_condition=cond if m else 0.0,  # no sheep, no path QP
+            viability_iterations=0, kkt_condition=cond,
         )
         env = shepherd_env(scenario, "none", noise="mean")
         # Warm start at the herd-center path: the mean of polynomial paths is
@@ -513,22 +520,14 @@ def generate_sheep_paths(
         via = check_viability(env, grid, scenario.action_set(), interior_target=3e-2,
                               x_init=x_init)
         if via.viable:
-            return ShepherdScenario(
-                **{**_scenario_fields(scenario),
-                   "xdagger": via.xdagger,
-                   "viability_residual": via.residual,
-                   "viability_iterations": via.iterations}
-            )
+            return replace(scenario, xdagger=via.xdagger, viability_residual=via.residual,
+                           viability_iterations=via.iterations)
     if len(off_box) == MAX_DRAWS:
         raise GeneratorError(
             f"no draw in {MAX_DRAWS} for seed {seed} has its herd-centre path inside the "
             f"action box: the largest coefficient, {max(off_box):.4g}, exceeds action_half "
             f"(--action-half) {action_half:g}; use the legendre basis or a larger box")
     raise GeneratorError(f"no viable environment in {MAX_DRAWS} draws for seed {seed}")
-
-
-def _scenario_fields(s: ShepherdScenario) -> dict:
-    return {f: getattr(s, f) for f in s.__dataclass_fields__}
 
 
 def regenerate(scenario: ShepherdScenario, T: float | None = None,

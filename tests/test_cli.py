@@ -49,6 +49,26 @@ def test_generate_trivial_herd(tmp_path):
     assert data["viability_residual"] <= -0.089  # straight-line herd: full margin
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--m", 0, "sheep count m must be at least 1"),
+    ("--horizon", 0, "horizon T must be positive"),
+    ("--sigma", -0.1, "noise_std must be nonnegative"),
+])
+def test_generate_rejects_out_of_range_parameters(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "scenario.json"
+    assert run_cli("generate", "--seed", 1, "--n", 8, "--n-sheep", 8, "--noise-cells", 100,
+                   flag, value, "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_a_zero_horizon_is_usage_error(scenario_file, tmp_path, capsys):
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 2e-3, "--sweep", "0,0.1", "--out", tmp_path / "sweep")
+    assert code == cli.EXIT_USAGE
+    assert "horizon T must be positive" in capsys.readouterr().err
+
+
 def test_simulate_writes_expected_csv_schema(scenario_file, tmp_path):
     out = tmp_path / "run"
     code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",

@@ -211,7 +211,7 @@ def test_pointwise_batch_evaluators_raise_at_the_node():
     ts, x = np.array([0.0, 0.25, 0.5, 1.0]), np.zeros(2)
     for e in (env, env.saturate(0.1)):
         with pytest.raises(EvaluatorError, match=r"at t=0\.5,"):
-            e.batch_evaluate(ts, x, np.ones(4), np.ones((4, 1)))
+            e.batch_evaluate(ts, x)
         with pytest.raises(EvaluatorError, match=r"at t=0\.5,"):
             e.batch_constraints(ts, x)
     assert np.array_equal(env.batch_constraints(ts[:2], x), [[-1.0], [-1.0]])
@@ -234,7 +234,8 @@ def test_saturated_pointwise_batch_is_the_clipped_contraction(rng):
     at = sat.grid_evaluator(ts)
     nodes = [at(k, xs[k]) for k in range(9)]
     terms = np.array([w[k] * g0 + G @ mu[k] for k, (_, g0, _, G) in enumerate(nodes)])
-    f0, f, grad = sat.batch_evaluate(ts, xs, w, mu)
+    f0, f, pull = sat.batch_evaluate(ts, xs)
+    grad = pull(w, mu)
     assert np.array_equal(f0, [e[0] for e in nodes])
     assert np.array_equal(f, [e[2] for e in nodes])
     assert np.array_equal(grad, terms)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saddlesim import shepherd
+from saddlesim import offline, shepherd
 from saddlesim.convex_sets import Ball, Box
 from saddlesim.environment import EvaluatorError, from_functions, pointwise
 from saddlesim.offline import (
@@ -159,12 +159,12 @@ def test_estimate_K_on_shepherd_nodes(small_scenario, objective, n):
     # acceleration.  Saturation leaves the objective alone.
     sc = dataclasses.replace(small_scenario, n=n)
     grid, X = sc.offline_grid(), sc.action_set()
-    ts, ones = grid.nodes(), np.ones(grid.num_steps + 1)
+    ts = grid.nodes()
     xstar = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0)[:, :n])
     for noise in ("mean", "frozen"):
         env = shepherd.shepherd_env(sc, objective, noise=noise)
         floor = 2.0 * sc.noise_std**2 if (objective, noise) == ("black_sheep", "mean") else 0.0
-        f_star = env.batch_evaluate(ts, xstar, ones, np.zeros((ts.shape[0], env.m)))[0]
+        f_star = env.batch_evaluate(ts, xstar)[0]
         for e in (env, env.saturate(0.05)):
             assert estimate_K(e, grid, X, xstar) == pytest.approx(f_star.max() - floor, abs=1e-9)
 
@@ -325,9 +325,9 @@ def test_estimate_K_rejects_non_finite_objective(small_scenario):
     sh = shepherd.shepherd_env(small_scenario, "black_sheep", noise="mean")
     grid = small_scenario.offline_grid()
 
-    def poisoned(ts, x, w, mu):
-        f0, f, grad = sh.batch_evaluate(ts, x, w, mu)
-        return np.where(np.arange(ts.shape[0]) == 3, np.nan, f0), f, grad
+    def poisoned(ts, x):
+        f0, f, pull = sh.batch_evaluate(ts, x)
+        return np.where(np.arange(ts.shape[0]) == 3, np.nan, f0), f, pull
 
     env = dataclasses.replace(sh, batch_evaluate=poisoned)
     xstar = shepherd.encode_coeffs(small_scenario.sheep_coeffs.mean(axis=0))
@@ -353,8 +353,7 @@ def test_offline_invariants_on_shepherd(small_scenario):
     vals = env.batch_constraints(grid.nodes(), sol.xstar)
     assert vals.max() <= 1e-6
     w = grid.trapezoid_weights()
-    zero_mu = np.zeros((grid.num_steps + 1, env.m))
-    cost_dagger = float(w @ env.batch_evaluate(grid.nodes(), sol.xdagger, w, zero_mu)[0])
+    cost_dagger = float(w @ env.batch_evaluate(grid.nodes(), sol.xdagger)[0])
     assert sol.offline_cost <= cost_dagger + 1e-5
     # determinism
     sol2 = solve_offline(env, grid, small_scenario.action_set(), viability=via, max_iter=1500)
@@ -364,7 +363,7 @@ def test_offline_invariants_on_shepherd(small_scenario):
 
 def grid_cost(env, grid, x):
     w = grid.trapezoid_weights()
-    return float(w @ env.batch_evaluate(grid.nodes(), x, w, np.zeros((w.shape[0], env.m)))[0])
+    return float(w @ env.batch_evaluate(grid.nodes(), x)[0])
 
 
 def slsqp_reference(env, grid, X, x0):
@@ -376,13 +375,13 @@ def slsqp_reference(env, grid, X, x0):
     zero_mu = np.zeros((K, m))
 
     def cost(x):
-        f0, _, grad = env.batch_evaluate(ts, x, w, zero_mu)
-        return float(w @ f0), grad
+        f0, _, pull = env.batch_evaluate(ts, x)
+        return float(w @ f0), pull(w, zero_mu)
 
     def jacobian(x):  # row (k, i) is grad f_i(t_k, x): a unit multiplier on constraint i alone
-        xs = np.tile(x, (K, 1))
-        return -np.stack([env.batch_evaluate(ts, xs, np.zeros(K), np.eye(m)[[i] * K])[2]
-                          for i in range(m)], axis=1).reshape(K * m, -1)
+        pull = env.batch_evaluate(ts, np.tile(x, (K, 1)))[2]
+        return -np.stack([pull(np.zeros(K), np.eye(m)[[i] * K]) for i in range(m)],
+                         axis=1).reshape(K * m, -1)
 
     res = minimize(cost, x0, jac=True, method="SLSQP", bounds=list(zip(X.lower, X.upper)),
                    constraints=[{"type": "ineq", "jac": jacobian,
@@ -506,6 +505,62 @@ def test_offline_keeps_xdagger_when_it_is_cheaper():
     assert grid_cost(env, grid, last) > grid_cost(env, grid, xd)
     assert np.array_equal(sol.xstar, xd)
     assert not sol.diagnostics["converged"]
+
+
+def counted(env, log, where):
+    """env with batch_evaluate and batch_constraints rebound through
+    dataclasses.replace, as the benchmark tracer rebinds them, so that each
+    call appends (name, where at the call) to log."""
+    def wrap(name, fn):
+        def call(*args):
+            log.append((name, tuple(where)))
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(env, batch_evaluate=wrap("evaluate", env.batch_evaluate),
+                               batch_constraints=wrap("constraints", env.batch_constraints))
+
+
+@pytest.mark.parametrize("delta", [None, 0.05])
+def test_one_grid_call_per_lagrangian_evaluation(small_scenario, monkeypatch, delta):
+    # ``where`` holds the routines running at each grid call: "spg" for an
+    # inner solve, "K" for estimate_K.  Each evaluation of an inner solve of
+    # the multiplier loop is one batch_evaluate call and calls no
+    # batch_constraints, and a saturated environment passes each call to its
+    # base environment as one call of the same name.
+    where, log, base_log = [], [], []
+    for name, tag in (("_spg", "spg"), ("estimate_K", "K")):
+        def tagged(*args, fn=getattr(offline, name), tag=tag):
+            where.append(tag)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        monkeypatch.setattr(offline, name, tagged)
+
+    def calls(name, at):
+        return sum(entry == (name, at) for entry in log)
+
+    sc = small_scenario
+    grid, X = sc.offline_grid(), sc.action_set()
+    for objective in ("none", "black_sheep"):
+        log.clear()
+        base_log.clear()
+        base = shepherd.shepherd_env(sc, objective, noise="mean")
+        env = counted(base if delta is None else counted(base, base_log, where).saturate(delta),
+                      log, where)
+        if objective == "none":
+            via = check_viability(env, grid, X, max_iter=300)
+            assert via.iterations > 0 and calls("evaluate", ("spg",)) == via.iterations
+        else:
+            sol = solve_offline(env, grid, X, viability=shepherd.viability_certificate(sc),
+                                max_iter=300)
+            assert calls("evaluate", ("spg",)) == sol.diagnostics["iterations"]
+            assert calls("constraints", ()) == 1  # the violation of the last iterate
+        assert calls("evaluate", ()) == (0 if objective == "none" else 2)  # x* and x-dagger
+        assert not any(name == "constraints" and "spg" in at for name, at in log)
+        if delta is not None:
+            assert [name for name, _ in base_log] == [name for name, _ in log]
 
 
 def test_offline_cost_grid_consistency():

@@ -233,7 +233,8 @@ def check_batch_and_scalar_eval_agree(rng, sc, objective, noise, ts=None):
         xs = x + rng.uniform(-0.01, 0.01, size=(K, env.n))
         # One action for every node, then one action per node.
         for xb, total in ((x, lambda t: t.sum(axis=0)), (xs, lambda t: t)):
-            f0, f, grad = env.batch_evaluate(ts, xb, w, mu)
+            f0, f, pull = env.batch_evaluate(ts, xb)
+            grad = pull(w, mu)
             r_f0, r_f, terms = lagrangian_terms(env, ts, np.broadcast_to(xb, xs.shape), w, mu)
             assert f0.shape == (K,) and f.shape == (K, env.m) and grad.shape == xb.shape
             # The batch sums run in another order than the per-node dots, so
@@ -284,10 +285,10 @@ def test_grid_lagrangian_gradient_matches_finite_difference(small_scenario, seed
     x = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0)) + spread * rng.standard_normal(env.n)
 
     def lagrangian(xv):
-        f0, f, _ = env.batch_evaluate(ts, xv, w, mu)
+        f0, f, _ = env.batch_evaluate(ts, xv)
         return w @ f0 + np.sum(mu * f)
 
-    grad = env.batch_evaluate(ts, x, w, mu)[2]
+    grad = env.batch_evaluate(ts, x)[2](w, mu)
     h = 1e-6
     fd = np.array([(lagrangian(x + h * e) - lagrangian(x - h * e)) / (2.0 * h)
                    for e in np.eye(env.n)])
@@ -306,8 +307,9 @@ def test_batch_tables_follow_the_node_set(small_scenario):
         fresh = shepherd.shepherd_env(sc)
         assert np.array_equal(env.batch_constraints(ts, sc.xdagger),
                               fresh.batch_constraints(ts, sc.xdagger))
-        for u, v in zip(env.batch_evaluate(ts, sc.xdagger, w, mu),
-                        fresh.batch_evaluate(ts, sc.xdagger, w, mu)):
+        (f0, f, pull), (f0_fresh, f_fresh, pull_fresh) = (
+            e.batch_evaluate(ts, sc.xdagger) for e in (env, fresh))
+        for u, v in ((f0, f0_fresh), (f, f_fresh), (pull(w, mu), pull_fresh(w, mu))):
             assert np.array_equal(u, v)
 
 
@@ -331,7 +333,8 @@ def test_sheep_positions_are_the_evaluator_tables(rng, small_scenario, noise):
         for i in range(sc.m):
             mu = np.zeros((K, sc.m))
             mu[:, i] = 1.0
-            _, f, grad = env.batch_evaluate(ts, xs, np.zeros(K), mu)
+            _, f, pull = env.batch_evaluate(ts, xs)
+            grad = pull(np.zeros(K), mu)
             assert np.array_equal(grad[:, [0, sc.n]] / -2.0, Y[:, i])
             assert np.array_equal(env.batch_constraints(ts, xs), f)
 
