@@ -13,7 +13,8 @@ Usage (each side of a comparison runs against its own ``src``):
 ``micro`` times ``simulate`` per step (gradient, feasibility and saddle at
 action dimension 12 and 60, m=5), the layers of one step (``step_layers_us``:
 the shepherd ``raw`` and the checked ``at`` per objective, the Box and orthant
-field and point projections), a C03 tracking run per step (a one-row
+point projections of one step and their field projections of one block of
+BLOCK_STEPS steps), a C03 tracking run per step (a one-row
 ``pointwise`` environment), in-process ``generate_sheep_paths``,
 ``simulate_rows`` per run-step with B = 1, 2 and 6
 rows (seeds 1..B; feasibility at dimension 60, min-acceleration saddle at 12;
@@ -51,7 +52,9 @@ and the gradient at multipliers, at x-dagger) for black sheep and
 min-acceleration, plain and saturated at 0.1, then ``solve_offline`` at 600
 iterations, ``estimate_K`` at x-dagger and a viability search of the
 scenario run to its own stop (``check_viability`` from the herd-centre path
-with no interior target, 500 Lagrangian evaluations).  Each ``ab`` row
+with no interior target, 500 Lagrangian evaluations), and ``simulate_rows``
+per step on the benchmark's three run configurations at seed 1 (see
+``ab_simulate_cases``).  Each ``ab`` row
 carries ``after_better``, the repeats in which the after tree was faster.
 Every figure is a median with its quartiles over the repeats.
 """
@@ -165,10 +168,12 @@ def step_layers_us(sc, repeats: int) -> dict:
     """The layers of one integrator step at the scenario's action dimension,
     each timed alone on the inputs a step gives it: the shepherd ``raw(k, X)``
     and the checked ``at(k, X)`` of every objective at x-dagger, node 7 of a
-    one-row block of BLOCK_STEPS nodes (h = 2e-5); Box.project_field and
-    project_point of one (1, n) row inside the action box; and
-    NonnegativeOrthant.project_field of one (1, 5) row of multipliers with
-    two at 0 (its boundary rule) and with none, and its project_point."""
+    one-row block of BLOCK_STEPS nodes (h = 2e-5); Box.project_point of one
+    (1, n) row inside the action box and NonnegativeOrthant.project_point of
+    one (1, 5) row of multipliers, the per-step calls; and the per-block
+    calls, Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows
+    and NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of
+    multiplier rows with two at 0, each with random fields."""
     from saddlesim import shepherd
     from saddlesim.convex_sets import NonnegativeOrthant
 
@@ -181,17 +186,19 @@ def step_layers_us(sc, repeats: int) -> dict:
         out[f"raw_us.{objective}.n{n}"] = per_call_us(lambda: raw(7, x), repeats)
         out[f"at_us.{objective}.n{n}"] = per_call_us(lambda: at(7, x), repeats)
     X, Lam = sc.action_set(), NonnegativeOrthant(sc.m)
-    v = np.random.default_rng(0).standard_normal((1, n))
-    out[f"box_project_field_us.interior.n{n}"] = per_call_us(lambda: X.project_field(x, v), repeats)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((1, n))
     out[f"box_project_point_us.n{n}"] = per_call_us(lambda: X.project_point(x + 1e-4 * v), repeats)
+    xs, vs = np.tile(x, (BLOCK_STEPS, 1, 1)), rng.standard_normal((BLOCK_STEPS, 1, n))
+    out[f"box_project_field_us.block{BLOCK_STEPS}.n{n}"] = per_call_us(
+        lambda: X.project_field(xs, vs), repeats, calls=200)
     if n == 12:  # the multipliers do not depend on the action dimension
         lam, lv = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), np.array([[-1.0, 0.5, 2.0, -0.3, 0.1]])
-        out["orthant_project_field_us.boundary.m5"] = per_call_us(
-            lambda: Lam.project_field(lam, lv), repeats)
-        out["orthant_project_field_us.interior.m5"] = per_call_us(
-            lambda: Lam.project_field(lam + 0.1, lv), repeats)
         out["orthant_project_point_us.m5"] = per_call_us(
             lambda: Lam.project_point(lam + 1e-4 * lv), repeats)
+        lams, ws = np.tile(lam, (BLOCK_STEPS, 1, 1)), rng.standard_normal((BLOCK_STEPS, 1, 5))
+        out[f"orthant_project_field_us.block{BLOCK_STEPS}.m5"] = per_call_us(
+            lambda: Lam.project_field(lams, ws), repeats, calls=200)
     return out
 
 
@@ -541,8 +548,36 @@ def ab_cases(package) -> dict:
     x_init = shepherd.encode_coeffs(sc.sheep_coeffs.mean(axis=0))
     cases["check_viability_s.regret_chain"] = (
         lambda: offline.check_viability(none, grid, X, x_init=x_init), 1.0, 1)
+    cases.update(ab_simulate_cases(package))
     for call, _, _ in cases.values():  # builds the tables of the offline grid
         call()
+    return cases
+
+
+def ab_simulate_cases(package) -> dict:
+    """Microseconds per run-step (the steps of every row) of one
+    ``simulate_rows`` call on each of the benchmark's run configurations at
+    seed 1, in the frozen-noise environment the CLI runs: minaccel-fine's
+    saddle run (5,000 steps, stride 20), regret-chain's saddle run (2,500
+    steps, stride 1) and ensemble's plain feasibility sweep, its horizons 0.1
+    and 0.2 as the two rows of one call (3,000 run-steps, stride 10)."""
+    shepherd, dynamics = package.shepherd, package.dynamics
+    fine = shepherd.generate_sheep_paths(seed=1, n=6, n_sheep=30)
+    chain = shepherd.generate_sheep_paths(seed=1, T=0.25)
+    sweep = shepherd.generate_sheep_paths(seed=1)
+    sweep = [shepherd.regenerate(sweep, T=T) for T in (0.1, 0.2)]
+    runs = {"minaccel_fine": (fine, "min_acceleration", "saddle", 2e-5, [0.1], 20),
+            "regret_chain_saddle": (chain, "black_sheep", "saddle", 1e-4, [chain.T], 1),
+            "ensemble_feasibility_rows": (sweep, "none", "feasibility", 1e-4, [0.1, 0.2], 10)}
+    cases = {}
+    for name, (scenarios, objective, mode, h, Ts, stride) in runs.items():
+        env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
+        cfg = dynamics.ControllerConfig(epsilon=50.0, h=h, mode=mode)
+        X = (scenarios[0] if isinstance(scenarios, list) else scenarios).action_set()
+        steps = sum(round(T / h) for T in Ts)
+        cases[f"simulate_us_per_step.{name}"] = (
+            lambda env=env, cfg=cfg, Ts=Ts, X=X, stride=stride: dynamics.simulate_rows(
+                env, cfg, Ts, X, sample_stride=stride), 1e6 / steps, 1)
     return cases
 
 

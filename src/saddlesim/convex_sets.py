@@ -78,23 +78,19 @@ class ConvexSet:
     def _inside(self, x: np.ndarray) -> np.ndarray:
         # Membership of each row of x (..., n) within MEMBERSHIP_TOL, shape
         # (...); subclasses check directly, without the project-then-norm
-        # round trip (hot integrator path).  NaN coordinates are outside.
+        # round trip.  NaN coordinates are outside.
         return np.linalg.norm(self.project_point(x) - x, axis=-1) <= MEMBERSHIP_TOL
 
     def _require_member(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
         x = _check_dim(self.dim, x, rows)
         inside = self._inside(x)
         if not inside.all():
-            raise self._outside_error(x, inside)
+            row = x.reshape(-1, self.dim)[np.flatnonzero(~np.reshape(inside, -1))[0]]
+            raise MembershipError(
+                f"point at distance {self.distance(row):.3e} from set (tolerance "
+                f"{MEMBERSHIP_TOL:.0e}); integrator state has drifted outside the domain"
+            )
         return x
-
-    def _outside_error(self, x: np.ndarray, inside: np.ndarray) -> MembershipError:
-        # The first row of x whose membership flag in ``inside`` is false.
-        row = x.reshape(-1, self.dim)[np.flatnonzero(~np.reshape(inside, -1))[0]]
-        return MembershipError(
-            f"point at distance {self.distance(row):.3e} from set (tolerance "
-            f"{MEMBERSHIP_TOL:.0e}); integrator state has drifted outside the domain"
-        )
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,13 @@ class FullSpace(ConvexSet):
 class Box(ConvexSet):
     """Componentwise bounds ``lower <= x <= upper`` (infinite bounds allowed).
 
-    The membership band ``[lower - MEMBERSHIP_TOL, upper + MEMBERSHIP_TOL]``
-    and the edge band ``(lower + _BOX_EDGE_TOL, upper - _BOX_EDGE_TOL)`` are
-    computed once here, not per call, since the integrators query them every
-    step.  Every bound is kept as a vector (n,) for one point and as one row
-    (1, n) for rows (R, n): numpy runs a (1, n) row against a single row of
-    input without its slower broadcasting loop.
+    From a member whose blocked coordinates sit exactly on their faces,
+    ``project_point(x + h v)`` is bit for bit ``project_point(x + h
+    project_field(x, v))``: the tangent cone is a product of half-lines and
+    lines, and a blocked coordinate clamps back onto its face.  The clip
+    bounds are kept as a vector (n,) for one point and as one row (1, n) for
+    rows (R, n): numpy runs a (1, n) row against a single row of input
+    without its slower broadcasting loop.
     """
 
     lower: np.ndarray
@@ -139,11 +136,8 @@ class Box(ConvexSet):
         object.__setattr__(self, "dim", lower.shape[0])
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        # Each pair of bounds as (vectors, rows), indexed by "the input has rows".
-        for name, lo, hi in (("_clip", lower, upper),
-                             ("_member", lower - MEMBERSHIP_TOL, upper + MEMBERSHIP_TOL),
-                             ("_edge", lower + _BOX_EDGE_TOL, upper - _BOX_EDGE_TOL)):
-            object.__setattr__(self, name, ((lo, hi), (lo[None], hi[None])))
+        # The bounds as (vectors, rows), indexed by "the input has rows".
+        object.__setattr__(self, "_clip", ((lower, upper), (lower[None], upper[None])))
 
     def project_point(self, z: np.ndarray) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)
@@ -151,28 +145,16 @@ class Box(ConvexSet):
         return np.minimum(np.maximum(z, lower), upper)
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
-        lower, upper = self._member[x.ndim > 1]
-        return ((x >= lower) & (x <= upper)).all(axis=-1)
+        return ((x >= self.lower - MEMBERSHIP_TOL)
+                & (x <= self.upper + MEMBERSHIP_TOL)).all(axis=-1)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Tangent-cone projection of the rows of v at the rows of x; raises
-        MembershipError if a row of x is off the box.
-
-        When every row is strictly inside the edge band on every coordinate,
-        all are interior, hence members, and v is returned (copied) after that
-        one test over all rows.  Otherwise, NaN coordinates included (they
-        fail every comparison), the rows go through the membership check
-        before the componentwise boundary rule.
-        """
-        x = _check_dim(self.dim, x, rows=True)
-        edge_lower, edge_upper = self._edge[x.ndim > 1]
-        if ((x > edge_lower) & (x < edge_upper)).all():
-            return _check_dim(self.dim, v, rows=True).copy()
         x = self._require_member(x, rows=True)
         v = _check_dim(self.dim, v, rows=True)
-        # Per-component half-line rule; the box tangent cone is a product of
-        # lines/half-lines so components decouple.
-        blocked = ((x <= edge_lower) & (v < 0.0)) | ((x >= edge_upper) & (v > 0.0))
+        # Per-component half-line rule: a coordinate within _BOX_EDGE_TOL of
+        # a face counts as on it, and loses its outward component.
+        blocked = (((x <= self.lower + _BOX_EDGE_TOL) & (v < 0.0))
+                   | ((x >= self.upper - _BOX_EDGE_TOL) & (v > 0.0)))
         return np.where(blocked, 0.0, v)
 
     def norm_bound(self) -> float:
@@ -230,6 +212,9 @@ class Ball(ConvexSet):
 
 @dataclass(frozen=True)
 class NonnegativeOrthant(ConvexSet):
+    """``x >= 0``, the multiplier domain: a box with lower bounds 0 and no
+    upper bounds, so the step identity of :class:`Box` holds here too."""
+
     def project_point(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(_check_dim(self.dim, z, rows=True), 0.0)
 
@@ -237,21 +222,7 @@ class NonnegativeOrthant(ConvexSet):
         return (x >= -MEMBERSHIP_TOL).all(axis=-1)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Tangent-cone projection of the rows of v at the rows of x; raises
-        MembershipError if a row of x is off the orthant.
-
-        One reduction over all rows, the smallest coordinate (NaN if any
-        coordinate is NaN, +inf in dimension 0), decides both interior (v is
-        returned, copied) and membership; only a failed membership test looks
-        for the row.  Multipliers often sit exactly at 0, so the boundary rule
-        runs on most steps.
-        """
-        x = _check_dim(self.dim, x, rows=True)
-        x_min = np.minimum.reduce(x, axis=None, initial=np.inf)
-        if x_min > _BOX_EDGE_TOL:
-            return _check_dim(self.dim, v, rows=True).copy()
-        if not x_min >= -MEMBERSHIP_TOL:
-            raise self._outside_error(x, self._inside(x))
+        x = self._require_member(x, rows=True)
         v = _check_dim(self.dim, v, rows=True)
         return np.where((x <= _BOX_EDGE_TOL) & (v < 0.0), 0.0, v)
 

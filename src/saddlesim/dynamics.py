@@ -7,10 +7,12 @@ Three controller modes over a horizon [0, T]:
 * ``saddle``       full primal descent / dual ascent on the running Lagrangian
                    ``f0 + lambda . f``.
 
-Action fields are projected onto the tangent cone of the action set X, the
-multiplier field onto the tangent cone of the nonnegative orthant, so
-trajectories never leave their domains.  The discretization is projected
-Euler: project the field, take the explicit step, re-project the point.
+The controllers are projected dynamical systems: the action field is
+projected onto the tangent cone of the action set X, the multiplier field onto
+that of the nonnegative orthant.  The discretization is the projected step
+``Pi_X(x + h v)`` along the raw field v, whose h -> 0 limit is the tangent-cone
+field; on a box or an orthant it is bit for bit the step along that field from
+a state whose blocked coordinates sit on their faces.
 
 One loop, :func:`simulate_rows`, integrates every row of an environment at
 once as the rows of (B, n) and (B, m) arrays, each row over its own horizon;
@@ -123,25 +125,30 @@ def simulate_rows(
     row) projected onto X, the multipliers at zero in the nonnegative orthant.
     At each node the loop evaluates every running row at once, read from the
     time tables of the rows' current block of at most ``GRID_BLOCK`` nodes,
-    then advances by projected Euler: ``xdot = Pi_X(x, -eps (g0 + G lam))``
+    then steps by ``x -> Pi_X(x + h v)`` with ``v = -eps (g0 + G lam)``
     (``-eps g0`` in gradient mode, ``-eps G lam`` in feasibility mode) and
-    ``lamdot = Pi_Lam(lam, eps f)``.  Every dot product is a ``np.vecdot``
-    and every ``G lam`` a matmul over the stack of rows; both run the kernel
-    of the 1-D ``@`` on each row, so they reproduce it bit for bit (an
-    ``einsum`` adds in another order).
+    ``lam -> Pi_Lam(lam + h w)`` with ``w = eps f``.  Every ``G lam`` is a
+    matmul over the stack of rows; it runs the kernel of the 1-D ``@`` on
+    each row, so it reproduces it bit for bit (an ``einsum`` adds in another
+    order).
 
     Each row keeps its own accumulators (fit, cost; trapezoid rule every
     step), multiplier maximum and field norm, and stores every
-    ``sample_stride``-th node plus its last one.  The fields of a block's
-    steps are kept in block arrays, and their norms taken with one
-    ``np.vecdot`` per field and block.  The divergence check looks at the
-    multipliers every step, and at the actions only when X's norm bound
+    ``sample_stride``-th node plus its last one.  The raw fields of a block's
+    steps and the states at its nodes are kept in block arrays.  At the
+    block's end one ``project_field`` call per set (none for the multipliers
+    in gradient mode) takes the tangent-cone fields for the field-norm
+    maximum and checks that every state stepped from is a member, the actions
+    before the multipliers; the stored nodes are picked from the state
+    arrays.  The divergence check looks at
+    the multipliers every step, and at the actions only when X's norm bound
     exceeds ``DIVERGENCE_LIMIT``: the point projection keeps every action
     within a bounded set's norm bound.  A row retires at its last
     node N_b: blocks end at the next retirement, and the rows left go on
     with fresh tables.  A failure in any row stops the whole call: a
     :class:`DivergenceError` with that row's time, an ``EvaluatorError`` with
-    its time and action, or a ``MembershipError`` with its distance.
+    its time and action, or a ``MembershipError`` with the distance of the
+    block's first state off its set.
     """
     Ts = [float(t) for t in T]
     if any(t <= 0.0 for t in Ts):
@@ -187,23 +194,24 @@ def simulate_rows(
         # Each row's step tiled over its actions and multipliers: numpy runs
         # same-shape products faster than a broadcast (R, 1) column.
         hx, hlam = np.repeat(hcol, X.dim, axis=1), np.repeat(hcol, m_lam, axis=1)
-        # The fields of the steps into the block's nodes (none into node 0),
-        # and f0 and f at the node before the block and at each of its nodes.
-        xdots, lamdots = np.zeros((*shape, X.dim)), np.zeros((*shape, m_lam))
+        # The raw fields of the steps into the block's nodes (none into node 0),
+        # and the states and f0 and f at the node before the block and its nodes.
+        vs, ws = np.zeros((*shape, X.dim)), np.zeros((*shape, m_lam))
+        xs, lams = np.empty((shape[0] + 1, *x.shape)), np.empty((shape[0] + 1, *lam.shape))
+        xs[0], lams[0] = x, lam
         V = np.empty((shape[0] + 1, shape[1], 1 + m))
         V[0] = prev
-        records = []  # (i, x, lam) at the block's stride nodes and at its last node
         for i in range(first, last + 1):
             j = i - first
             if i:  # the projected Euler step from node i - 1
                 if dual:
                     drive = (G @ lam[:, :, None])[..., 0]
-                    xdot = xdots[j] = X.project_field(x, -eps * (g0 + drive if saddle else drive))
-                    lamdot = lamdots[j] = Lam.project_field(lam, eps * f)
-                    lam = Lam.project_point(lam + hlam * lamdot)
+                    v = vs[j] = -eps * (g0 + drive if saddle else drive)
+                    w = ws[j] = eps * f
+                    lam = Lam.project_point(lam + hlam * w)
                 else:
-                    xdot = xdots[j] = X.project_field(x, -eps * g0)
-                x = X.project_point(x + hx * xdot)
+                    v = vs[j] = -eps * g0
+                x = X.project_point(x + hx * v)
                 # The orthant projection leaves lam >= 0 or NaN, so its
                 # largest entry is its largest magnitude.
                 if ((check_x and not np.abs(x).max() <= DIVERGENCE_LIMIT)
@@ -218,13 +226,16 @@ def simulate_rows(
                         )
                 if m_lam:
                     np.maximum(lam_max, lam, out=lam_max)
+            xs[j + 1], lams[j + 1] = x, lam
             f0, g0, f, G = at(j, x)
             V[j + 1, :, 0] = f0
             if m:
                 V[j + 1, :, 1:] = f
-            if i % sample_stride == 0 or i == last:
-                records.append((i, x, lam))
-        sums, prev = _close_block(V, sums, 0.5 * hcol, first, records, rows, ends,
+        # The tangent-cone fields at the states the block stepped from, which
+        # also checks that each state is a member of its set.
+        xdots = X.project_field(xs[:-1], vs)
+        lamdots = Lam.project_field(lams[:-1], ws) if dual else ws
+        sums, prev = _close_block(V, xs[1:], lams[1:], sums, 0.5 * hcol, first, rows, ends,
                                   sample_stride, parts)
         np.maximum(max_sq, np.maximum(np.vecdot(xdots, xdots), np.vecdot(lamdots, lamdots))
                    .max(axis=0), out=max_sq)
@@ -241,12 +252,13 @@ def simulate_rows(
     return logs
 
 
-def _close_block(V, sums, half, first: int, records, rows, ends, stride: int, parts):
+def _close_block(V, xs, lams, sums, half, first: int, rows, ends, stride: int, parts):
     """Take a block's nodes into the trapezoid sums and store each running
     row's nodes of the block: those on the stride and its last node.
 
-    ``V`` holds f0 and f at the node before the block and at its nodes, and
-    ``half`` each row's half step.  Each node adds ``half (v_prev + v)`` to
+    ``V`` holds f0 and f at the node before the block and at its nodes,
+    ``xs`` and ``lams`` the states at its nodes, and ``half`` each row's half
+    step.  Each node adds ``half (v_prev + v)`` to
     the sums in node order (``np.add.accumulate`` adds one term at a time,
     with the rounding of a running sum).  Returns the sums and the values at
     the block's last node.
@@ -255,13 +267,10 @@ def _close_block(V, sums, half, first: int, records, rows, ends, stride: int, pa
     if first == 0:
         terms[0] = 0.0  # node 0 starts the sums
     acc = np.add.accumulate(np.concatenate([sums[None], terms]), axis=0)[1:]
-    I = np.array([rec[0] for rec in records])
-    xs = np.array([rec[1] for rec in records])
-    lams = np.array([rec[2] for rec in records])
+    I = np.arange(first, first + xs.shape[0])
     for r, b in enumerate(rows.tolist()):
-        sel = (I % stride == 0) | (I == ends[r])
-        k = I[sel] - first
-        parts[b].append((I[sel], xs[sel, r], lams[sel, r], V[k + 1, r, 0], V[k + 1, r, 1:],
+        k = np.flatnonzero((I % stride == 0) | (I == ends[r]))
+        parts[b].append((I[k], xs[k, r], lams[k, r], V[k + 1, r, 0], V[k + 1, r, 1:],
                          acc[k, r, 1:], acc[k, r, 0]))
     return acc[-1], V[-1]
 

@@ -419,6 +419,28 @@ def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.
     return P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1))
 
 
+def _check_ranges(basis: str, m: int, T: float, noise_std: float, L: int, n_sheep: int,
+                  radius) -> np.ndarray:
+    """Raise a ValueError naming the first scenario parameter out of its
+    range; return the radii, one per sheep (a scalar radius is shared)."""
+    if basis not in BASIS_KINDS:
+        raise ValueError(f"basis must be one of {BASIS_KINDS}")
+    if m < 1:
+        raise ValueError("sheep count m must be at least 1")
+    if not T > 0.0:
+        raise ValueError("horizon T must be positive")
+    if not noise_std >= 0.0:
+        raise ValueError("noise_std must be nonnegative")
+    if L < 0:
+        raise ValueError("waypoint count L must be nonnegative")
+    if n_sheep <= L + 2:
+        raise ValueError("sheep basis size n_sheep must exceed L + 2 equality constraints")
+    radii = np.full(m, float(radius)) if np.isscalar(radius) else np.asarray(radius, dtype=float)
+    if radii.shape != (m,) or np.any(radii <= 0.0):
+        raise ValueError("radii must be m positive reals")
+    return radii
+
+
 def generate_sheep_paths(
     seed: int,
     m: int = 5,
@@ -449,22 +471,8 @@ def generate_sheep_paths(
     the exact expected constraints instead, and the online bound checks carry
     the noise fluctuation inside their discretization slack.
     """
-    if basis not in BASIS_KINDS:
-        raise ValueError(f"basis must be one of {BASIS_KINDS}")
-    if m < 1:
-        raise ValueError("sheep count m must be at least 1")
-    if not T > 0.0:
-        raise ValueError("horizon T must be positive")
-    if not noise_std >= 0.0:
-        raise ValueError("noise_std must be nonnegative")
     n_sheep = n if n_sheep is None else n_sheep
-    if L < 0:
-        raise ValueError("waypoint count L must be nonnegative")
-    if n_sheep <= L + 2:
-        raise ValueError("sheep basis size must exceed L + 2 equality constraints")
-    radii = np.full(m, float(radius)) if np.isscalar(radius) else np.asarray(radius, dtype=float)
-    if radii.shape != (m,) or np.any(radii <= 0.0):
-        raise ValueError("radii must be m positive reals")
+    radii = _check_ranges(basis, m, T, noise_std, L, n_sheep, radius)
 
     rng = np.random.default_rng(seed)
     G = acceleration_gram(basis, n_sheep, T)
@@ -612,9 +620,11 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     if missing:
         raise ValueError(f"scenario lacks keys: {sorted(missing)}")
     check_types("scenario", d, _SCENARIO_TYPES)
+    radii = _check_ranges(d["basis"], d["m"], d["T"], d["noise_std"], d["L"], d["n_sheep"],
+                          d["radii"])
     scenario = ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
-        T=float(d["T"]), radii=np.asarray(d["radii"], dtype=float), L=int(d["L"]),
+        T=float(d["T"]), radii=radii, L=int(d["L"]),
         offset_box=float(d["offset_box"]), noise_std=float(d["noise_std"]),
         seed=int(d["seed"]), noise_cells=int(d["noise_cells"]),
         sheep_coeffs=np.asarray(d["sheep_coeffs"], dtype=float),

@@ -410,6 +410,29 @@ def test_scenario_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("m", 0, "sheep count m must be at least 1"),
+    ("T", 0, "horizon T must be positive"),
+    ("noise_std", -0.1, "noise_std must be nonnegative"),
+    ("radii", 0.0, "radii must be m positive reals"),
+])
+def test_scenario_value_ranges_are_usage_errors(scenario_file, tmp_path, capsys, key, value,
+                                                message):
+    # Types alone would pass these: a negative noise_std would run, and the
+    # frozen environment would drop its noise without a word.
+    data = json.loads(Path(scenario_file).read_text())
+    if key == "radii":
+        data[key][1] = value
+    else:
+        data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run_cli("simulate", "--scenario", bad, "--mode", "feasibility", "--out", tmp_path / "o")
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_offline_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
     sol = OfflineSolution(xstar=np.zeros(24), offline_cost=0.0, xdagger=np.zeros(24),
                           viability_residual=-1.0, K=0.0, grid=TimeGrid(T=1.0, num_steps=1),

@@ -388,3 +388,48 @@ def test_orthant_field_bits_are_the_where_rule(data, dim, R):
     ref = np.where((X <= _BOX_EDGE_TOL) & (V < 0.0), 0.0, V)
     assert np.array_equal(_bits(orth.project_field(X, V)), _bits(ref))
     assert np.array_equal(_bits(orth.project_field(X[0], V[0])), _bits(ref[0]))
+
+
+# The integrator steps by project_point(x + h * v) and takes the tangent-cone
+# field only for its norm.  On a box or an orthant the two steps agree bit for
+# bit from a member whose near-face coordinates sit exactly on their faces: a
+# blocked coordinate clamps back onto the face's own bits either way, and a
+# free one takes the same x + h * v.
+_h = st.floats(1e-6, 1.0)
+
+
+def check_raw_step_is_tangent_step(cset, X, V, h):
+    tangent = cset.project_point(X + h * cset.project_field(X, V))
+    assert np.array_equal(_bits(cset.project_point(X + h * V)), _bits(tangent))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=box_and_members(), field=_field, h=_h)
+def test_box_raw_step_is_the_tangent_step(case, field, h):
+    box, (x,) = case
+    check_raw_step_is_tangent_step(box, x, np.array(field[:box.dim]), h)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=box_rows(), h=_h)
+def test_box_raw_step_is_the_tangent_step_on_signed_zeros_and_specials(case, h):
+    check_raw_step_is_tangent_step(*case, h)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), dim=st.integers(1, 5), R=st.integers(1, 3), h=_h)
+def test_orthant_raw_step_is_the_tangent_step(data, dim, R, h):
+    coord = st.sampled_from([0.0, -0.0, 0.5, 2.0])
+    X = np.array(data.draw(st.lists(coord, min_size=R * dim, max_size=R * dim))).reshape(R, dim)
+    V = np.array(data.draw(st.lists(_field_entry, min_size=R * dim, max_size=R * dim)))
+    check_raw_step_is_tangent_step(NonnegativeOrthant(dim), X, V.reshape(R, dim), h)
+
+
+def test_raw_step_differs_off_the_face_inside_the_edge_band():
+    # Within _BOX_EDGE_TOL of a face but not on it, the tangent field counts
+    # the coordinate as on the face and holds it in place; the raw step clips
+    # it onto the face.
+    x, v = np.array([0.5 * _BOX_EDGE_TOL, 0.5]), np.array([-1.0, -1.0])
+    for cset in (Box([0.0, 0.0], [1.0, 1.0]), NonnegativeOrthant(2)):
+        assert cset.project_point(x + 0.1 * cset.project_field(x, v)).tolist() == [x[0], 0.4]
+        assert cset.project_point(x + 0.1 * v).tolist() == [0.0, 0.4]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from saddlesim import shepherd
-from saddlesim.convex_sets import Box, FullSpace, NonnegativeOrthant
+from saddlesim.convex_sets import Ball, Box, FullSpace, MembershipError, NonnegativeOrthant
 from saddlesim.cli import write_trajectory_csv
 from saddlesim.dynamics import (DIVERGENCE_LIMIT, GRID_BLOCK, MODES, ControllerConfig,
                                 DivergenceError, simulate, simulate_rows)
@@ -34,9 +34,44 @@ def test_gradient_field_clipped_at_box_bound():
     X = Box([-1.0, -1.0], [1.0, 1.0])
     cfg = ControllerConfig(epsilon=1.0, h=1e-3, mode="gradient")
     log = run_steps(env, cfg, X, x0=np.array([-1.0, 0.0]))
-    # the outward component is removed from the field, not clamped afterwards
+    # the step clamps the outward move back onto the face, and the
+    # tangent-cone field, whose norm the log keeps, has no outward component
     assert log.x[1, 0] == -1.0
     assert log.max_field_norm == 0.0
+
+
+def test_ball_step_projects_the_point_of_the_raw_step():
+    # From a boundary point with an outward field, the step is the ball's
+    # point projection of x0 + h v (not of x0 + h Pi(x0, v)), and the field
+    # norm is that of the tangent-cone field.
+    a = np.array([1.0, 1.0])
+    env = pointwise(2, 0, lambda t, x: (float(-a @ x), -a, np.zeros(0), np.zeros((2, 0))))
+    X, x0 = Ball([0.0, 0.0], 1.0), np.array([1.0, 0.0])
+    cfg = ControllerConfig(epsilon=2.0, h=0.01, mode="gradient")
+    log = run_steps(env, cfg, X, x0=x0)
+    v = cfg.epsilon * a
+    assert np.array_equal(log.x[1], X.project_point(x0 + cfg.h * v))
+    assert not np.array_equal(log.x[1], X.project_point(x0 + cfg.h * X.project_field(x0, v)))
+    assert log.max_field_norm == np.linalg.norm(X.project_field(x0, v)) == cfg.epsilon
+
+
+def test_state_off_the_set_raises_membership_error(monkeypatch):
+    # A point projection that leaves the box by 1e-6 on the third step: the
+    # block's field projection finds that state and reports its distance.
+    project_point, calls = Box.project_point, []
+
+    def leaky(self, z):
+        out = project_point(self, z)
+        calls.append(z)
+        if len(calls) == 4:  # the start, then steps 1, 2 and 3
+            out[..., 0] = self.upper[0] + 1e-6
+        return out
+
+    monkeypatch.setattr(Box, "project_point", leaky)
+    cfg = ControllerConfig(epsilon=1.0, h=1e-3, mode="gradient")
+    with pytest.raises(MembershipError, match=r"point at distance 1\.000e-06 from set"):
+        run_steps(quadratic_env(np.array([0.5, 0.0])), cfg, Box([-1.0, -1.0], [1.0, 1.0]),
+                  steps=10)
 
 
 def test_saddle_field_zero_lagrangian():
