@@ -10,12 +10,11 @@ Usage (each side of a comparison runs against its own ``src``):
         --after A1.json A2.json --out BENCH_4.json
     python scripts/bench_layers.py ab --before ../parent --after . --out ab.json
 
-``micro`` times ``simulate`` per step (gradient, feasibility and saddle at
-action dimension 12 and 60, m=5), the layers of one step (``step_layers_us``:
-the shepherd ``raw`` and the checked ``at`` per objective, the Box and orthant
+``micro`` times the layers of one step at action dimension 12 and 60
+(``step_layers_us``: the shepherd ``raw`` per objective, the Box and orthant
 point projections of one step and their field projections of one block of
-BLOCK_STEPS steps), a C03 tracking run per step (a one-row
-``pointwise`` environment), in-process ``generate_sheep_paths``,
+BLOCK_STEPS steps), one block check of the integrator (``block_check_us``),
+in-process ``generate_sheep_paths``,
 ``simulate_rows`` per run-step with B = 1, 2 and 6
 rows (seeds 1..B; feasibility at dimension 60, min-acceleration saddle at 12;
 a tree without ``simulate_rows`` runs the B runs one after another through
@@ -53,9 +52,12 @@ min-acceleration, plain and saturated at 0.1, then ``solve_offline`` at 600
 iterations, ``estimate_K`` at x-dagger and a viability search of the
 scenario run to its own stop (``check_viability`` from the herd-centre path
 with no interior target, 500 Lagrangian evaluations), and ``simulate_rows``
-per step on the benchmark's three run configurations at seed 1 (see
-``ab_simulate_cases``).  Each ``ab`` row
-carries ``after_better``, the repeats in which the after tree was faster.
+per step on the benchmark's three run configurations at seed 1 and on a C03
+tracking run (see ``ab_simulate_cases``); compare the step times of two
+trees with these rows, since separate runs of one tree scatter by up to 2x
+on a shared host.  Each ``ab`` row carries ``after_better``, the repeats in
+which the after tree was faster, and ``after_over_before``, the after/before
+time ratio of each repeat.
 Every figure is a median with its quartiles over the repeats.
 """
 
@@ -101,23 +103,12 @@ def micro(repeats: int, workdir: str) -> dict:
     out = {}
     for nb in (6, 30):
         sc = shepherd.generate_sheep_paths(seed=1, n=nb, n_sheep=30, noise_cells=200)
-        for mode, objective in (("gradient", "black_sheep"), ("feasibility", "none"),
-                                ("saddle", "black_sheep")):
-            env = shepherd.shepherd_env(sc, objective)
-            cfg = ControllerConfig(epsilon=50.0, h=1e-4, mode=mode)
-            steps = 2000
-            per_step = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                simulate(env, cfg, T=steps * cfg.h, X=sc.action_set(), sample_stride=10)
-                per_step.append(1e6 * (time.perf_counter() - t0) / steps)
-            out[f"simulate_us_per_step.{mode}.n{2 * nb}"] = summary(per_step)
         out[f"simulate_one_step_fresh_ms.saddle.n{2 * nb}"] = one_step_fresh_ms(sc, repeats)
         ts = np.arange(BLOCK_STEPS) * 1e-4 + 1e-4
         out[f"table_build_ms.K{BLOCK_STEPS}.n{2 * nb}"] = table_build_ms(sc, "frozen", ts, repeats)
         out.update(step_layers_us(sc, repeats))
+    out.update(block_check_us(repeats))
     out.update(generate_ms(repeats))
-    out["simulate_us_per_step.gradient.c03_tracking"] = c03_us_per_step(repeats)
     out.update(rows_us_per_run_step(repeats))
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
     ts = sc.offline_grid().nodes()
@@ -167,8 +158,8 @@ def per_call_us(call, repeats: int, calls: int = 2000) -> dict:
 def step_layers_us(sc, repeats: int) -> dict:
     """The layers of one integrator step at the scenario's action dimension,
     each timed alone on the inputs a step gives it: the shepherd ``raw(k, X)``
-    and the checked ``at(k, X)`` of every objective at x-dagger, node 7 of a
-    one-row block of BLOCK_STEPS nodes (h = 2e-5); Box.project_point of one
+    of every objective at x-dagger, node 7 of a one-row block of BLOCK_STEPS
+    nodes (h = 2e-5); Box.project_point of one
     (1, n) row inside the action box and NonnegativeOrthant.project_point of
     one (1, 5) row of multipliers, the per-step calls; and the per-block
     calls, Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows
@@ -182,9 +173,8 @@ def step_layers_us(sc, repeats: int) -> dict:
     x = sc.xdagger[None].copy()
     for objective in shepherd.OBJECTIVES:
         env = shepherd.shepherd_env(sc, objective)
-        raw, at = env.on_grid(ts, np.arange(1)), env.grid_evaluator(ts, np.arange(1))
+        raw = env.on_grid(ts, np.arange(1))
         out[f"raw_us.{objective}.n{n}"] = per_call_us(lambda: raw(7, x), repeats)
-        out[f"at_us.{objective}.n{n}"] = per_call_us(lambda: at(7, x), repeats)
     X, Lam = sc.action_set(), NonnegativeOrthant(sc.m)
     rng = np.random.default_rng(0)
     v = rng.standard_normal((1, n))
@@ -202,14 +192,28 @@ def step_layers_us(sc, repeats: int) -> dict:
     return out
 
 
-def c03_us_per_step(repeats: int, steps: int = 10000) -> dict:
-    """Per step of a C03 tracking run: gradient mode on a one-row pointwise
-    environment f0 = |x - c(t)|^2 (n=2, m=0, c piecewise constant over 16
-    segments of [0, 1]), on the box [-2, 2]^2 at eps = 5, h = 1e-4."""
-    from saddlesim.convex_sets import Box
-    from saddlesim.dynamics import ControllerConfig, simulate
-    from saddlesim.environment import pointwise
+def block_check_us(repeats: int) -> dict:
+    """One block check of the integrator, ``dynamics._check_block``, on a
+    block of BLOCK_STEPS nodes that passes it (every output finite, no state
+    past the limit), so the whole pass runs: (nodes, rows, n) = (512, 1, 12)
+    and (512, 2, 60), with m = 5 constraints."""
+    from saddlesim.dynamics import _check_block
 
+    rng, m, out = np.random.default_rng(0), 5, {}
+    for R, n in ((1, 12), (2, 60)):
+        ts = np.tile(np.arange(BLOCK_STEPS) * 1e-4 + 1e-4, (R, 1))
+        xs = rng.uniform(-1.0, 1.0, (BLOCK_STEPS, R, n))
+        lams, V = rng.uniform(0.0, 1.0, (BLOCK_STEPS, R, m)), rng.standard_normal((BLOCK_STEPS, R, 1 + m))
+        g0_ok, G_ok = np.ones((BLOCK_STEPS, R, n), bool), np.ones((BLOCK_STEPS, R, n, m), bool)
+        out[f"check_block_us.block{BLOCK_STEPS}.R{R}.n{n}"] = per_call_us(
+            lambda: _check_block(ts, xs, lams, V, g0_ok, G_ok, 1), repeats, calls=200)
+    return out
+
+
+def c03_pointwise_env(package):
+    """The C03 tracking problem: a one-row pointwise environment f0 = |x -
+    c(t)|^2 (n=2, m=0, c piecewise constant over 16 segments of [0, 1]) and
+    the box [-2, 2]^2."""
     values = np.random.default_rng(2024).uniform(-1.5, 1.5, (16, 2))
     none_f, none_G = np.zeros(0), np.zeros((2, 0))
 
@@ -217,14 +221,8 @@ def c03_us_per_step(repeats: int, steps: int = 10000) -> dict:
         d = x - values[min(int(t * 16), 15)]
         return float(d @ d), 2.0 * d, none_f, none_G
 
-    env, X = pointwise(2, 0, evaluate), Box([-2.0, -2.0], [2.0, 2.0])
-    cfg = ControllerConfig(epsilon=5.0, h=1e-4, mode="gradient")
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        simulate(env, cfg, T=steps * cfg.h, X=X, sample_stride=20)
-        samples.append(1e6 * (time.perf_counter() - t0) / steps)
-    return summary(samples)
+    box = package.convex_sets.Box([-2.0, -2.0], [2.0, 2.0])
+    return package.environment.pointwise(2, 0, evaluate), box
 
 
 def generate_ms(repeats: int) -> dict:
@@ -560,7 +558,9 @@ def ab_simulate_cases(package) -> dict:
     seed 1, in the frozen-noise environment the CLI runs: minaccel-fine's
     saddle run (5,000 steps, stride 20), regret-chain's saddle run (2,500
     steps, stride 1) and ensemble's plain feasibility sweep, its horizons 0.1
-    and 0.2 as the two rows of one call (3,000 run-steps, stride 10)."""
+    and 0.2 as the two rows of one call (3,000 run-steps, stride 10); and a
+    C03 tracking run, gradient mode on the one-row pointwise environment of
+    ``c03_pointwise_env`` at eps = 5, h = 1e-4, T = 1 (stride 20)."""
     shepherd, dynamics = package.shepherd, package.dynamics
     fine = shepherd.generate_sheep_paths(seed=1, n=6, n_sheep=30)
     chain = shepherd.generate_sheep_paths(seed=1, T=0.25)
@@ -569,7 +569,10 @@ def ab_simulate_cases(package) -> dict:
     runs = {"minaccel_fine": (fine, "min_acceleration", "saddle", 2e-5, [0.1], 20),
             "regret_chain_saddle": (chain, "black_sheep", "saddle", 1e-4, [chain.T], 1),
             "ensemble_feasibility_rows": (sweep, "none", "feasibility", 1e-4, [0.1, 0.2], 10)}
-    cases = {}
+    c03, box = c03_pointwise_env(package)
+    c03_cfg = dynamics.ControllerConfig(epsilon=5.0, h=1e-4, mode="gradient")
+    cases = {"simulate_us_per_step.c03_tracking": (
+        lambda: dynamics.simulate(c03, c03_cfg, T=1.0, X=box, sample_stride=20), 1e6 / 10000, 1)}
     for name, (scenarios, objective, mode, h, Ts, stride) in runs.items():
         env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
         cfg = dynamics.ControllerConfig(epsilon=50.0, h=h, mode=mode)
@@ -596,6 +599,7 @@ def ab(before_root: str, after_root: str, repeats: int) -> dict:
     for name in sides["after"]:
         b, a = samples["before"][name], samples["after"][name]
         rows[name] = {"before": summary(b), "after": summary(a),
+                      "after_over_before": summary([x / y for x, y in zip(a, b)]),
                       "after_better": int(sum(x < y for x, y in zip(a, b)))}
     return rows
 

@@ -1,0 +1,159 @@
+"""SHA-256 digests of every integrator run in a pytest session, to show that
+a change keeps each run bit for bit.
+
+Record, as a pytest plugin (``src`` and ``scripts`` on the path), once per
+source tree:
+
+    PYTHONPATH=src:scripts python -m pytest -q -p log_hashes --log-hashes before.json
+    PYTHONPATH=src:scripts python -m pytest -q -p log_hashes --log-hashes after.json
+
+Compare:
+
+    python scripts/log_hashes.py diff before.json after.json
+
+The plugin wraps ``saddlesim.dynamics.simulate_rows``, which every
+``simulate`` call runs through, before any test module imports it.  Each
+call records, per returned ``TrajectoryLog``, a digest of every array
+(``t``, ``x``, ``lam``, ``f``, ``f0``, ``fit_accum``, ``cost_accum``,
+``lambda_max``: dtype, shape and bytes) and ``max_field_norm`` and ``h_eff``
+as exact hex floats; a call that raises records the error's class and
+message.  Records are keyed by the test id, its file relative to the working
+directory (a call made while a fixture is set up belongs to the test that set
+it up), and listed in call order.
+``diff`` prints each test id and call index whose record differs, and the
+tests that only the second file has, and exits 1 when a record differs or a
+test of the first file is missing from the second.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import sys
+import threading
+
+ARRAYS = ("t", "x", "lam", "f", "f0", "fit_accum", "cost_accum", "lambda_max")
+
+_records: dict[str, list] = {}
+_lock = threading.Lock()
+_current = ["<collection>"]
+
+
+def digest(array) -> str:
+    h = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def log_record(log) -> dict:
+    out = {name: digest(getattr(log, name)) for name in ARRAYS}
+    out["max_field_norm"] = float(log.max_field_norm).hex()
+    out["h_eff"] = float(log.h_eff).hex()
+    return out
+
+
+def _record(entry: dict) -> None:
+    with _lock:
+        _records.setdefault(_current[0], []).append(entry)
+
+
+def _recorded(run):
+    @functools.wraps(run)
+    def simulate_rows(*args, **kwargs):
+        try:
+            logs = run(*args, **kwargs)
+        except Exception as exc:
+            _record({"error": f"{type(exc).__name__}: {exc}"})
+            raise
+        _record({"logs": [log_record(log) for log in logs]})
+        return logs
+    return simulate_rows
+
+
+def _install() -> None:
+    """Replace simulate_rows wherever a loaded saddlesim module holds it."""
+    from saddlesim import dynamics
+
+    original = dynamics.simulate_rows
+    wrapped = _recorded(original)
+    for name, module in list(sys.modules.items()):
+        if name == "saddlesim" or name.startswith("saddlesim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, attr, wrapped)
+
+
+# ---------------------------------------------------------------------------
+# pytest hooks: active when this module is loaded with ``-p log_hashes``.
+# ---------------------------------------------------------------------------
+
+def pytest_addoption(parser):
+    parser.addoption("--log-hashes", metavar="PATH", default=None,
+                     help="write the digests of every simulate_rows call to PATH")
+
+
+def pytest_configure(config):
+    if config.getoption("--log-hashes"):
+        _install()
+
+
+def pytest_runtest_setup(item):
+    # The test id with its file relative to the working directory, which does
+    # not depend on where pytest puts its rootdir.
+    path = os.path.relpath(item.path, item.config.invocation_params.dir)
+    _current[0] = "::".join([path, *item.nodeid.split("::")[1:]])
+
+
+def pytest_unconfigure(config):
+    path = config.getoption("--log-hashes")
+    if path:
+        with open(path, "w") as fh:
+            json.dump(_records, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+def diff(before: str, after: str) -> int:
+    with open(before) as fh:
+        a = json.load(fh)
+    with open(after) as fh:
+        b = json.load(fh)
+    calls = differ = 0
+    for test in sorted(set(a) | set(b)):
+        ra, rb = a.get(test), b.get(test)
+        if ra is None:
+            print(f"{test}: new in {after}")
+            continue
+        if rb is None:
+            print(f"{test}: only in {before}")
+            differ += 1
+            continue
+        for k in range(max(len(ra), len(rb))):
+            calls += 1
+            if k >= len(ra) or k >= len(rb):
+                print(f"{test} [{k}]: call missing on one side")
+                differ += 1
+            elif ra[k] != rb[k]:
+                print(f"{test} [{k}]: {json.dumps(ra[k])} != {json.dumps(rb[k])}")
+                differ += 1
+    raising = sum("error" in r for test in a if test in b for r in a[test])
+    print(f"{len(set(a) & set(b))} tests in both, {calls} calls compared ({raising} raising), "
+          f"{differ} differ; {len(set(b) - set(a))} tests new in {after}")
+    return 1 if differ else 0
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="what", required=True)
+    d = sub.add_parser("diff", help="compare two digest files")
+    d.add_argument("before")
+    d.add_argument("after")
+    args = ap.parse_args()
+    sys.exit(diff(args.before, args.after))
+
+
+if __name__ == "__main__":
+    main()

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex_sets import ConvexSet, NonnegativeOrthant
-from .environment import Environment
+from .environment import Environment, require_finite
 
 MODES = ("gradient", "feasibility", "saddle")
 
@@ -107,6 +107,7 @@ def simulate(
     return simulate_rows(env, config, [T], X, x0, sample_stride)[0]
 
 
+@np.errstate(all="ignore")
 def simulate_rows(
     env: Environment,
     config: ControllerConfig,
@@ -134,21 +135,19 @@ def simulate_rows(
 
     Each row keeps its own accumulators (fit, cost; trapezoid rule every
     step), multiplier maximum and field norm, and stores every
-    ``sample_stride``-th node plus its last one.  The raw fields of a block's
-    steps and the states at its nodes are kept in block arrays.  At the
-    block's end one ``project_field`` call per set (none for the multipliers
-    in gradient mode) takes the tangent-cone fields for the field-norm
-    maximum and checks that every state stepped from is a member, the actions
-    before the multipliers; the stored nodes are picked from the state
-    arrays.  The divergence check looks at
-    the multipliers every step, and at the actions only when X's norm bound
-    exceeds ``DIVERGENCE_LIMIT``: the point projection keeps every action
-    within a bounded set's norm bound.  A row retires at its last
-    node N_b: blocks end at the next retirement, and the rows left go on
-    with fresh tables.  A failure in any row stops the whole call: a
-    :class:`DivergenceError` with that row's time, an ``EvaluatorError`` with
-    its time and action, or a ``MembershipError`` with the distance of the
-    block's first state off its set.
+    ``sample_stride``-th node plus its last one.  A block's steps run
+    unchecked and silently (a NaN or a huge state runs on to the block's end),
+    keeping their raw fields, states and outputs' finiteness in block arrays.
+    At the block's end one pass raises the first error that a check after
+    every step would have met, a state past ``DIVERGENCE_LIMIT``
+    (:class:`DivergenceError` with the row's time) and then a non-finite
+    output (``EvaluatorError`` with its time and action); one ``project_field``
+    call per set (none for the multipliers in gradient mode) takes the
+    tangent-cone fields for the field-norm maximum and raises
+    ``MembershipError`` at the first state stepped from outside its set, the
+    actions before the multipliers.  A row retires at its last node N_b:
+    blocks end at the next retirement, and the rows left go on with fresh
+    tables.  A failure in any row stops the whole call.
     """
     Ts = [float(t) for t in T]
     if any(t <= 0.0 for t in Ts):
@@ -168,14 +167,12 @@ def simulate_rows(
     # environment rows; ``ends`` holds their last nodes and hcol their steps.
     rows, ends, hcol = np.arange(B), np.array(steps), h[:, None]
     x = X.project_point(np.broadcast_to(np.zeros(X.dim) if x0 is None else x0, (B, X.dim)))
+    if X.dim != env.n:
+        raise ValueError(f"expected actions of shape {(B, env.n)}, got {x.shape}")
     lam = np.zeros((B, m_lam))  # gradient mode carries no multipliers: lam stays empty
     # The mode, decided once: multipliers move unless in gradient mode, and
     # the action field carries the objective unless in feasibility mode.
     dual, saddle = mode != "gradient", mode == "saddle"
-    # The point projection keeps every |x_i| within the set's norm bound, and
-    # a NaN never counted as over the limit, so on a set bounded within the
-    # limit the action half of the divergence check can never fire.
-    check_x = not X.norm_bound() <= DIVERGENCE_LIMIT
     # Trapezoid sums of f0 and f (cost, fit) up to the last node taken in,
     # and f0 and f at that node.
     sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
@@ -190,7 +187,8 @@ def simulate_rows(
         first, last = i, min(i + GRID_BLOCK - 1, int(ends.min()))
         shape = (last - first + 1, rows.size)
         # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
-        at = env.grid_evaluator(np.arange(first - 1, last) * hcol + hcol, rows)
+        ts = np.arange(first - 1, last) * hcol + hcol
+        raw = env.on_grid(ts, rows)
         # Each row's step tiled over its actions and multipliers: numpy runs
         # same-shape products faster than a broadcast (R, 1) column.
         hx, hlam = np.repeat(hcol, X.dim, axis=1), np.repeat(hcol, m_lam, axis=1)
@@ -198,9 +196,10 @@ def simulate_rows(
         # and the states and f0 and f at the node before the block and its nodes.
         vs, ws = np.zeros((*shape, X.dim)), np.zeros((*shape, m_lam))
         xs, lams = np.empty((shape[0] + 1, *x.shape)), np.empty((shape[0] + 1, *lam.shape))
-        xs[0], lams[0] = x, lam
         V = np.empty((shape[0] + 1, shape[1], 1 + m))
-        V[0] = prev
+        xs[0], lams[0], V[0] = x, lam, prev
+        # Which entries of g0 and G are finite at the block's nodes.
+        g0_ok, G_ok = np.empty((*shape, X.dim), dtype=bool), np.empty((*shape, X.dim, m), dtype=bool)
         for i in range(first, last + 1):
             j = i - first
             if i:  # the projected Euler step from node i - 1
@@ -212,31 +211,19 @@ def simulate_rows(
                 else:
                     v = vs[j] = -eps * g0
                 x = X.project_point(x + hx * v)
-                # The orthant projection leaves lam >= 0 or NaN, so its
-                # largest entry is its largest magnitude.
-                if ((check_x and not np.abs(x).max() <= DIVERGENCE_LIMIT)
-                        or (m_lam and not lam.max() <= DIVERGENCE_LIMIT)):
-                    over = ((np.abs(x).max(axis=1) > DIVERGENCE_LIMIT)
-                            | (np.abs(lam).max(axis=1, initial=0.0) > DIVERGENCE_LIMIT))
-                    if over.any():
-                        hb = float(hcol[int(np.argmax(over)), 0])
-                        raise DivergenceError(
-                            f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at "
-                            f"t={(i - 1) * hb + hb:.6g}; reduce the step h or the epsilon*h product"
-                        )
-                if m_lam:
-                    np.maximum(lam_max, lam, out=lam_max)
             xs[j + 1], lams[j + 1] = x, lam
-            f0, g0, f, G = at(j, x)
-            V[j + 1, :, 0] = f0
-            if m:
-                V[j + 1, :, 1:] = f
+            f0, g0, f, G = raw(j, x)
+            V[j + 1, :, 0], V[j + 1, :, 1:] = f0, f
+            np.isfinite(g0, out=g0_ok[j])
+            np.isfinite(G, out=G_ok[j])
+        _check_block(ts, xs[1:], lams[1:], V[1:], g0_ok, G_ok, first)
         # The tangent-cone fields at the states the block stepped from, which
         # also checks that each state is a member of its set.
         xdots = X.project_field(xs[:-1], vs)
         lamdots = Lam.project_field(lams[:-1], ws) if dual else ws
         sums, prev = _close_block(V, xs[1:], lams[1:], sums, 0.5 * hcol, first, rows, ends,
                                   sample_stride, parts)
+        np.maximum(lam_max, lams.max(axis=0), out=lam_max)
         np.maximum(max_sq, np.maximum(np.vecdot(xdots, xdots), np.vecdot(lamdots, lamdots))
                    .max(axis=0), out=max_sq)
         # Rows at their last node retire; the others step on from it in the next block.
@@ -250,6 +237,23 @@ def simulate_rows(
                 a[keep] for a in (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq))
         i = last + 1
     return logs
+
+
+def _check_block(ts, xs, lams, V, g0_ok, G_ok, first: int) -> None:
+    """Raise the first error that a check after every step would have met in
+    a block, node by node and row by row: at node j, a step into it (none into
+    a run's node 0) that took ``xs[j]`` or ``lams[j]`` past the limit (a row
+    holding a NaN is not past it), then a non-finite f0 or f (``V[j]``), g0
+    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``)."""
+    over = ((np.abs(xs).max(axis=-1) > DIVERGENCE_LIMIT)
+            | (np.abs(lams).max(axis=-1, initial=0.0) > DIVERGENCE_LIMIT))
+    over[0] &= first > 0
+    j = int(np.argmax(np.append(over.any(axis=1), True)))  # first node past the limit, or len(over)
+    require_finite(ts.T[:j], xs[:j], np.isfinite(V[:j]), g0_ok[:j], G_ok[:j])
+    if j < len(over):
+        r = int(np.argmax(over[j]))
+        raise DivergenceError(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={ts[r, j]:.6g}; "
+                              "reduce the step h or the epsilon*h product")
 
 
 def _close_block(V, xs, lams, sums, half, first: int, rows, ends, stride: int, parts):

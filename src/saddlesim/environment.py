@@ -25,9 +25,9 @@ caller owns the nodes and how many it asks for at once:
   of the environment rows ``rows`` (R,), row r at its own nodes ``ts[r]`` of
   ``ts`` (R, K), and returns ``raw(k, X)``: the evaluation of each row at
   ``(ts[r, k], X[r])`` for actions X (R, n), doing only the x-dependent
-  algebra.  It returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).
-  Callers go through :meth:`Environment.grid_evaluator`, which adds the shape
-  check and the finiteness guard; ``eval_full`` is its one-node case.
+  algebra.  It returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m)
+  unchecked: the integrator checks a block of them with :func:`require_finite`,
+  other callers use :meth:`Environment.grid_evaluator` (one node: ``eval_full``).
 * ``batch_evaluate(ts, x)``, the grid Lagrangian, serves solvers that need
   all nodes (K,) of a one-row environment at once.  One call returns f0 (K,),
   f (K, m) and ``pull(w, mu)``, the gradient of ``sum_k w_k f0_k + mu_k . f_k``
@@ -43,7 +43,6 @@ for both kinds of caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -66,6 +65,17 @@ class EvaluatorError(RuntimeError):
     """Non-finite evaluator output, reported with its location."""
 
 
+def require_finite(ts: np.ndarray, X: np.ndarray, *finite: np.ndarray) -> None:
+    """The finiteness guard: raise :class:`EvaluatorError` at the first
+    evaluation, in C order of the axes (any number) of their times ``ts``, with
+    a non-finite output.  ``X`` (..., n) holds the actions, and ``finite`` the
+    ``np.isfinite`` masks of the outputs f0, g0, f and G, the axes of ts first."""
+    bad = ~np.all([ok.all(axis=tuple(range(ts.ndim, ok.ndim))) for ok in finite], axis=0)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise EvaluatorError(f"non-finite evaluator output at t={float(ts[i])!r}, x={X[i]!r}")
+
+
 @dataclass(frozen=True)
 class Environment:
     n: int
@@ -79,9 +89,10 @@ class Environment:
     def eval_full(self, t: float, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         return self.grid_evaluator([t])(0, x)
 
-    def grid_evaluator(self, ts: np.ndarray, rows=None) -> Callable[[int, np.ndarray], tuple]:
-        """Checked evaluator over the nodes ``ts`` (R, K) of the environment
-        rows ``rows`` (default: the first R).
+    def grid_evaluator(self, ts: np.ndarray) -> Callable[[int, np.ndarray], tuple]:
+        """Checked evaluator over the nodes ``ts`` (R, K) of the first R
+        environment rows, for callers that evaluate node by node: the raw
+        evaluator of ``on_grid`` behind a shape check and :func:`require_finite`.
 
         ``at(k, X)`` evaluates row r at (ts[r, k], X[r]) for actions X (R, n)
         and returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).  Nodes ts
@@ -92,36 +103,20 @@ class Environment:
         one = ts.ndim == 1
         if one:
             ts = ts[None]
-        tl = ts.tolist()
-        raw = self.on_grid(ts, np.arange(ts.shape[0]) if rows is None else np.asarray(rows))
+        raw = self.on_grid(ts, np.arange(ts.shape[0]))
         shape = (ts.shape[0], self.n)
+        want = shape[1:] if one else shape
 
         def at(k: int, X: np.ndarray) -> tuple:
             X = np.asarray(X, dtype=float)
-            if one:
-                if X.shape != shape[1:]:
-                    raise ValueError(f"expected action of shape {shape[1:]}, got {X.shape}")
-                X = X[None]
-            elif X.shape != shape:
-                raise ValueError(f"expected actions of shape {shape}, got {X.shape}")
-            f0, g0, f, G = raw(k, X)
-            # One-pass finiteness guard over all rows: any nan/inf poisons the
-            # total (inf - inf gives nan), so a single scalar check covers all
-            # four outputs.  The few f0 values are summed as Python floats,
-            # cheaper than one more reduction; empty f and G (m == 0) add
-            # nothing to the total, so their sums are skipped.
-            total = np.add.reduce(g0, None) + sum(f0.tolist())
-            if f.size:
-                total += np.add.reduce(f, None) + np.add.reduce(G, None)
-            if not math.isfinite(total):
-                bad = ~(np.isfinite(f0) & np.isfinite(g0).all(axis=-1) & np.isfinite(f).all(axis=-1)
-                        & np.isfinite(G).all(axis=(-2, -1)))
-                if bad.any():  # else a benign overflow of the probe sum
-                    r = int(np.argmax(bad))
-                    raise EvaluatorError(f"non-finite evaluator output at t={tl[r][k]!r}, x={X[r]!r}")
+            if X.shape != want:
+                raise ValueError(f"expected action{'' if one else 's'} of shape {want}, got {X.shape}")
+            X = X.reshape(shape)
+            f0, g0, f, G = out = raw(k, X)
+            require_finite(ts[:, k], X, *map(np.isfinite, out))
             if one:
                 return float(f0[0]), g0[0], f[0], G[0]
-            return f0, g0, f, G
+            return out
 
         return at
 
@@ -166,7 +161,8 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
 
     ``on_grid`` calls it once per node, and the grid Lagrangian loops over the
     nodes through the checked grid evaluator, so a non-finite output raises
-    :class:`EvaluatorError` with its node time there too.
+    :class:`EvaluatorError` with its node time there too.  ``evaluate`` must
+    return at any action, NaN included: the integrator checks a block at its end.
     """
 
     def on_grid(ts: np.ndarray, rows: np.ndarray):

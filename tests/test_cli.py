@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,22 @@ def test_simulate_divergence_exit_code(scenario_file, tmp_path):
                    "--epsilon", 1e9, "--step", 0.5, "--horizon", 40.0,
                    "--out", tmp_path / "boom")
     assert code == cli.EXIT_DIVERGENCE
+
+
+def test_divergence_prints_one_line_and_no_warning(scenario_file, tmp_path, capsys):
+    # The multipliers leave the limit at node 2 of an 81-node block; the
+    # block runs on to its end through overflows, none of which warns.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                       "--epsilon", 1e300, "--step", 0.5, "--horizon", 40.0,
+                       "--out", tmp_path / "boom")
+    assert code == cli.EXIT_DIVERGENCE
+    assert capsys.readouterr().err == (
+        "divergence: state magnitude exceeded 1e+12 at t=1; "
+        "reduce the step h or the epsilon*h product\n")
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "boom").exists()
 
 
 def test_sweep_creates_per_horizon_dirs(scenario_file, tmp_path):

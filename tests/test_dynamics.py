@@ -393,3 +393,62 @@ def test_divergence_on_a_box_beyond_the_limit(horizon_rows):
         simulate(env, cfg, T=3.0, X=big)
     assert str(boxed.value) == str(free.value)
     assert "exceeded 1e+12 at t=" in str(boxed.value)
+
+
+
+# The block checks.  Steps of h = 0.125 (exact in binary, as is every node
+# time k h) under eps = 1 along g0 = -72 x multiply the action by
+# 1 + 0.125 * 72 = 10 exactly: x_k = 10**k from x_0 = 1, so the step into
+# node 13 (t = 1.625) is the first past DIVERGENCE_LIMIT, in the middle of a
+# one-block run of 65 nodes.
+TENFOLD = ControllerConfig(epsilon=1.0, h=0.125, mode="gradient")
+DIVERGED = ("state magnitude exceeded 1e+12 at t=1.625; "
+            "reduce the step h or the epsilon*h product")
+
+
+def poisoned_env(g0_of, nan_at, output):
+    """One action and one constraint f = -1 with G = 0: f0 = 0 and g0 =
+    g0_of(x), with the output ``output`` all NaN at time ``nan_at``."""
+    def evaluate(t, x):
+        outs = {"f0": np.zeros(1), "g0": g0_of(x), "f": np.array([-1.0]), "G": np.zeros((1, 1))}
+        if t == nan_at:
+            outs[output] = np.full_like(outs[output], np.nan)
+        return float(outs["f0"][0]), outs["g0"], outs["f"], outs["G"]
+
+    return pointwise(1, 1, evaluate)
+
+
+@pytest.mark.parametrize("nan_at, error, message", [
+    (None, DivergenceError, DIVERGED),
+    (0.625, EvaluatorError, "non-finite evaluator output at t=0.625, x=array([100000.])"),
+    (1.625, DivergenceError, DIVERGED)],
+    ids=["divergence_inside_a_block", "nan_before_a_later_divergence", "nan_at_the_divergence"])
+def test_block_check_raises_the_first_error_a_check_per_step_meets(nan_at, error, message):
+    # f0 is NaN at node nan_at / h: at node 5 (x = 1e5) it comes before the
+    # divergence at node 13 and wins; at node 13 itself the step into the
+    # node is checked before the evaluation at it.
+    env = poisoned_env(lambda x: -72.0 * x, nan_at, "f0")
+    with pytest.raises(error) as err:
+        simulate(env, TENFOLD, T=8.0, X=FullSpace(1), x0=np.ones(1))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode, output, t", [
+    ("gradient", "G", 0.375), ("feasibility", "g0", 0.375), ("gradient", "g0", 1.0)],
+    ids=["G_in_gradient_mode", "g0_in_feasibility_mode", "g0_at_the_last_node"])
+def test_nan_in_an_output_no_step_reads_still_raises(mode, output, t):
+    # The action stands still at 0.5 (g0 = 0, and the multiplier stays 0
+    # under f = -1); the NaN output at node 3 or at the last node (T = 1)
+    # feeds no step, and the guard still names it.
+    env = poisoned_env(np.zeros_like, t, output)
+    cfg = ControllerConfig(epsilon=1.0, h=0.125, mode=mode)
+    with pytest.raises(EvaluatorError) as err:
+        simulate(env, cfg, T=1.0, X=Box([-1.0], [1.0]), x0=np.array([0.5]))
+    assert str(err.value) == f"non-finite evaluator output at t={t}, x=array([0.5])"
+
+
+def test_set_of_the_wrong_dimension_is_a_value_error():
+    cfg = ControllerConfig(epsilon=1.0, h=0.1, mode="gradient")
+    with pytest.raises(ValueError) as err:
+        simulate(quadratic_env(np.zeros(2)), cfg, T=1.0, X=Box(-np.ones(3), np.ones(3)))
+    assert str(err.value) == "expected actions of shape (1, 2), got (1, 3)"

@@ -243,7 +243,8 @@ def test_saturated_pointwise_batch_is_the_clipped_contraction(rng):
 
 
 def test_large_finite_output_passes_guard():
-    # The guard's probe sum overflows to inf, but every entry is finite.
+    # Every entry is finite, though their sum overflows to inf: the guard
+    # tests the entries, not a sum of them.
     big = np.full(2, 1e308)
     env = pointwise(2, 2, lambda t, x: (1e308, big, big.copy(), np.full((2, 2), 1e308)))
     f0, g0, f, G = env.eval_full(0.0, np.zeros(2))
