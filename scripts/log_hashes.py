@@ -13,14 +13,18 @@ Compare:
 
 The plugin wraps ``saddlesim.dynamics.simulate_rows``, which every
 ``simulate`` call runs through, before any test module imports it.  Each
-call records, per returned ``TrajectoryLog``, a digest of every array
-(``t``, ``x``, ``lam``, ``f``, ``f0``, ``fit_accum``, ``cost_accum``,
-``lambda_max``: dtype, shape and bytes) and ``max_field_norm`` and ``h_eff``
-as exact hex floats; a call that raises records the error's class and
-message.  Records are keyed by the test id, its file relative to the working
-directory (a call made while a fixture is set up belongs to the test that set
-it up), and listed in call order.
-``diff`` prints each test id and call index whose record differs, and the
+call records, per returned row, a digest of every array of its
+``TrajectoryLog`` (``t``, ``x``, ``lam``, ``f``, ``f0``, ``fit_accum``,
+``cost_accum``, ``lambda_max``: dtype, shape and bytes) and
+``max_field_norm`` and ``h_eff`` as exact hex floats, or, for a row that
+failed, ``{"error": "Class: message"}`` in that row's place; a call that
+raises records the error's class and message in the same form.  Records are
+keyed by the test id, its file relative to the working directory (a call made
+while a fixture is set up belongs to the test that set it up), and listed in
+call order.
+``diff`` compares each test's runs in order, row by row across its calls (a
+call that raised is one run), so that runs regrouped into other calls still
+compare.  It prints each test id and run index whose record differs, and the
 tests that only the second file has, and exits 1 when a record differs or a
 test of the first file is missing from the second.
 """
@@ -48,7 +52,13 @@ def digest(array) -> str:
     return h.hexdigest()
 
 
+def error_record(exc: BaseException) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def log_record(log) -> dict:
+    if isinstance(log, Exception):
+        return error_record(log)
     out = {name: digest(getattr(log, name)) for name in ARRAYS}
     out["max_field_norm"] = float(log.max_field_norm).hex()
     out["h_eff"] = float(log.h_eff).hex()
@@ -66,7 +76,7 @@ def _recorded(run):
         try:
             logs = run(*args, **kwargs)
         except Exception as exc:
-            _record({"error": f"{type(exc).__name__}: {exc}"})
+            _record(error_record(exc))
             raise
         _record({"logs": [log_record(log) for log in logs]})
         return logs
@@ -115,31 +125,36 @@ def pytest_unconfigure(config):
             fh.write("\n")
 
 
+def _runs(calls: list) -> list:
+    """A test's runs in order: the rows of each call, or its raised error."""
+    return [run for call in calls for run in call.get("logs", [call])]
+
+
 def diff(before: str, after: str) -> int:
     with open(before) as fh:
         a = json.load(fh)
     with open(after) as fh:
         b = json.load(fh)
-    calls = differ = 0
+    runs = differ = 0
     for test in sorted(set(a) | set(b)):
-        ra, rb = a.get(test), b.get(test)
-        if ra is None:
+        if test not in a:
             print(f"{test}: new in {after}")
             continue
-        if rb is None:
+        if test not in b:
             print(f"{test}: only in {before}")
             differ += 1
             continue
+        ra, rb = _runs(a[test]), _runs(b[test])
         for k in range(max(len(ra), len(rb))):
-            calls += 1
+            runs += 1
             if k >= len(ra) or k >= len(rb):
-                print(f"{test} [{k}]: call missing on one side")
+                print(f"{test} [{k}]: run missing on one side")
                 differ += 1
             elif ra[k] != rb[k]:
                 print(f"{test} [{k}]: {json.dumps(ra[k])} != {json.dumps(rb[k])}")
                 differ += 1
-    raising = sum("error" in r for test in a if test in b for r in a[test])
-    print(f"{len(set(a) & set(b))} tests in both, {calls} calls compared ({raising} raising), "
+    failed = sum("error" in r for test in a if test in b for r in _runs(a[test]))
+    print(f"{len(set(a) & set(b))} tests in both, {runs} runs compared ({failed} failed), "
           f"{differ} differ; {len(set(b) - set(a))} tests new in {after}")
     return 1 if differ else 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, shepherd, svgplot
 from .convex_sets import MembershipError
-from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate, simulate_rows
+from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate_rows
 from .environment import EvaluatorError
 from .offline import (
     InfeasibleEnvironmentError,
@@ -184,7 +184,7 @@ def cmd_generate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
+def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stride,
                       scenario_path, offline_sol, offline_path) -> dict:
     fits = metrics.fit_report(log, scenario.xdagger, delta)
     R = scenario.action_set().norm_bound()
@@ -198,7 +198,7 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
         "h": log.h_eff,
         "T": log.T,
         "delta": delta,
-        "sample_stride": None,
+        "sample_stride": stride,
         "fit": fits.fit.tolist(),
         "fit_final_accum": log.final_fit.tolist(),
         "clipped_fit_norm": fits.clipped_fit_norm,
@@ -224,62 +224,25 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode,
     return out
 
 
-def _environment(scenarios, objective, delta):
-    """The run environment of one scenario or, one row each, of several."""
+def _run(scenarios, horizons, outs, mode, epsilon, step, delta, objective, stride,
+         scenario_path=None, offline_sol=None, offline_path=None) -> None:
+    """Run each scenario over its horizon as the rows of one ``simulate_rows``
+    call, and write row b's run (trajectory.csv, metrics.json) to ``outs[b]``:
+    the runs in row order up to the first failed one, whose error propagates."""
     env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
-    return env if delta is None else env.saturate(delta)
-
-
-def _write_run(out_dir: Path, log, scenario, scenario_path, mode, delta, objective, stride,
-               offline_sol=None, offline_path=None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / "trajectory.csv", log)
-    md = _run_metrics_dict(log, scenario, delta, objective, mode,
-                           scenario_path, offline_sol, offline_path)
-    md["sample_stride"] = stride
-    with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(md, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
-                  objective, stride, out_dir, offline_sol=None, offline_path=None) -> None:
-    cfg = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
-    log = simulate(_environment(scenario, objective, delta), cfg, T=T, X=scenario.action_set(),
-                   sample_stride=stride)
-    _write_run(Path(out_dir), log, scenario, scenario_path, mode, delta, objective, stride,
-               offline_sol, offline_path)
-
-
-# What a run can raise for its inputs: each has its exit code in main.
-_RUN_ERRORS = (ValueError, DivergenceError, EvaluatorError, InfeasibleEnvironmentError,
-               shepherd.GeneratorError)
-
-
-def _sweep(scenario, horizons, mode, epsilon, step, delta, objective, stride, out: Path) -> None:
-    """Run every horizon, each on its own regenerated scenario, as the rows of
-    one ``simulate_rows`` call, and write each to ``T_<T>/``.
-
-    A failure in any row stops the whole call, and so does a scenario that
-    fails to regenerate.  The horizons then run again one at a time, so that,
-    as in a loop over the horizons, those before the first failing one are
-    written and its error propagates.
-    """
-    try:
-        # The runs' scenarios are the regenerated ones, which no file holds, so
-        # metrics.json names none and report draws no path overlay for them.
-        scenarios = [shepherd.regenerate(scenario, T=T) for T in horizons]
-        logs = simulate_rows(_environment(scenarios, objective, delta),
-                             ControllerConfig(epsilon=epsilon, h=step, mode=mode), horizons,
-                             scenarios[0].action_set(), sample_stride=stride)
-    except _RUN_ERRORS:
-        if len(horizons) == 1:
-            raise
-        for T in horizons:
-            _sweep(scenario, [T], mode, epsilon, step, delta, objective, stride, out)
-        raise  # not reached: the failing row fails alone too
-    for sc, T, log in zip(scenarios, horizons, logs):
-        _write_run(out / f"T_{T:g}", log, sc, None, mode, delta, objective, stride)
+    logs = simulate_rows(env if delta is None else env.saturate(delta),
+                         ControllerConfig(epsilon=epsilon, h=step, mode=mode), horizons,
+                         scenarios[0].action_set(), sample_stride=stride)
+    for sc, out, log in zip(scenarios, outs, logs):
+        if isinstance(log, Exception):
+            raise log
+        out.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(out / "trajectory.csv", log)
+        md = _run_metrics_dict(log, sc, delta, objective, mode, stride, scenario_path,
+                               offline_sol, offline_path)
+        with open(out / "metrics.json", "w") as fh:
+            json.dump(md, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
@@ -333,15 +296,29 @@ def cmd_simulate(args) -> int:
         with open(offline_path) as fh:
             offline_sol = offline_from_dict(json.load(fh))
 
+    failure = None
     if sweep:
         horizons = [float(s) for s in str(sweep).split(",") if s.strip()]
         if not horizons:
             raise UsageError("empty sweep list")
-        _sweep(scenario, horizons, mode, epsilon, step, delta, objective, stride, Path(out))
+        outs = [Path(out) / f"T_{T:g}" for T in horizons]
+        # Each horizon runs a scenario regenerated for it, which no file holds.  A
+        # horizon whose scenario fails to regenerate fails as its row would: the
+        # horizons before it run and are written, then its error propagates.
+        scenarios, scenario_path = [], None
+        try:
+            for T in horizons:
+                scenarios.append(shepherd.regenerate(scenario, T=T))
+        except (ValueError, shepherd.GeneratorError) as err:  # out of range, or no viable draw
+            failure = err
     else:
         T = float(horizon) if horizon is not None else scenario.T
-        _simulate_one(scenario, scenario_path, mode, epsilon, step, T, delta,
-                      objective, stride, out, offline_sol, offline_path)
+        scenarios, horizons, outs = [scenario], [T], [Path(out)]
+    if scenarios:
+        _run(scenarios, horizons[:len(scenarios)], outs, mode, epsilon, step, delta, objective,
+             stride, scenario_path, offline_sol, offline_path)
+    if failure:
+        raise failure
     print(f"simulation results written to {out}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ One loop, :func:`simulate_rows`, integrates every row of an environment at
 once as the rows of (B, n) and (B, m) arrays, each row over its own horizon;
 a run of one scenario, :func:`simulate`, is its one-row case.  Per-step work
 is mostly call overhead on arrays of a few dozen entries, so B rows cost
-little more per step than one.
+little more per step than one.  A row that fails retires with its error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex_sets import ConvexSet, NonnegativeOrthant
-from .environment import Environment, require_finite
+from .environment import Environment, EvaluatorError, require_finite
 
 MODES = ("gradient", "feasibility", "saddle")
 
@@ -103,8 +103,11 @@ def simulate(
     sample_stride: int = 10,
 ) -> TrajectoryLog:
     """Run the configured controller over [0, T] and log the trajectory: the
-    one-row case of :func:`simulate_rows` on a one-row environment."""
-    return simulate_rows(env, config, [T], X, x0, sample_stride)[0]
+    one-row case of :func:`simulate_rows`, raising its one row's error."""
+    log, = simulate_rows(env, config, [T], X, x0, sample_stride)
+    if isinstance(log, Exception):
+        raise log
+    return log
 
 
 @np.errstate(all="ignore")
@@ -115,7 +118,7 @@ def simulate_rows(
     X: ConvexSet,
     x0: Optional[np.ndarray] = None,
     sample_stride: int = 10,
-) -> list[TrajectoryLog]:
+) -> list[TrajectoryLog | DivergenceError | EvaluatorError]:
     """Run the configured controller on every row of ``env``, row b over
     [0, T[b]], as rows of one array, and log each row's trajectory.
 
@@ -138,16 +141,17 @@ def simulate_rows(
     ``sample_stride``-th node plus its last one.  A block's steps run
     unchecked and silently (a NaN or a huge state runs on to the block's end),
     keeping their raw fields, states and outputs' finiteness in block arrays.
-    At the block's end one pass raises the first error that a check after
-    every step would have met, a state past ``DIVERGENCE_LIMIT``
+    At the block's end one pass per row finds the first error that a check
+    after every step would have met, a state past ``DIVERGENCE_LIMIT``
     (:class:`DivergenceError` with the row's time) and then a non-finite
-    output (``EvaluatorError`` with its time and action); one ``project_field``
-    call per set (none for the multipliers in gradient mode) takes the
-    tangent-cone fields for the field-norm maximum and raises
+    output (``EvaluatorError`` with its time and action); the row then retires
+    with it in its place in the returned list.  One ``project_field`` call per
+    set (none for the multipliers in gradient mode) takes the tangent-cone
+    fields of the rows that passed for the field-norm maximum and raises
     ``MembershipError`` at the first state stepped from outside its set, the
-    actions before the multipliers.  A row retires at its last node N_b:
-    blocks end at the next retirement, and the rows left go on with fresh
-    tables.  A failure in any row stops the whole call.
+    actions before the multipliers: a broken projection, like a raising
+    evaluator, stops the call.  A row retires at its last node N_b: blocks end
+    at the next row's last node, and the rows left go on with fresh tables.
     """
     Ts = [float(t) for t in T]
     if any(t <= 0.0 for t in Ts):
@@ -216,22 +220,32 @@ def simulate_rows(
             V[j + 1, :, 0], V[j + 1, :, 1:] = f0, f
             np.isfinite(g0, out=g0_ok[j])
             np.isfinite(G, out=G_ok[j])
-        _check_block(ts, xs[1:], lams[1:], V[1:], g0_ok, G_ok, first)
-        # The tangent-cone fields at the states the block stepped from, which
-        # also checks that each state is a member of its set.
-        xdots = X.project_field(xs[:-1], vs)
-        lamdots = Lam.project_field(lams[:-1], ws) if dual else ws
+        errors = []
+        for r in range(rows.size):  # each row's check on that row alone
+            try:
+                _check_block(ts[r:r + 1], xs[1:, r:r + 1], lams[1:, r:r + 1], V[1:, r:r + 1],
+                             g0_ok[:, r:r + 1], G_ok[:, r:r + 1], first)
+                errors.append(None)
+            except (DivergenceError, EvaluatorError) as err:
+                errors.append(err)
+        ok = np.array([e is None for e in errors])
+        # The tangent-cone fields at the states the rows that passed stepped
+        # from, which also checks that each state is a member of its set.
+        sel = slice(None) if ok.all() else ok  # a view unless a row failed
+        xdots = X.project_field(xs[:-1, sel], vs[:, sel])
+        lamdots = Lam.project_field(lams[:-1, sel], ws[:, sel]) if dual else ws[:, sel]
         sums, prev = _close_block(V, xs[1:], lams[1:], sums, 0.5 * hcol, first, rows, ends,
                                   sample_stride, parts)
         np.maximum(lam_max, lams.max(axis=0), out=lam_max)
-        np.maximum(max_sq, np.maximum(np.vecdot(xdots, xdots), np.vecdot(lamdots, lamdots))
-                   .max(axis=0), out=max_sq)
-        # Rows at their last node retire; the others step on from it in the next block.
+        max_sq[sel] = np.maximum(max_sq[sel], np.maximum(
+            np.vecdot(xdots, xdots), np.vecdot(lamdots, lamdots)).max(axis=0))
+        # Failed rows retire with their error, and rows at their last node with
+        # their log; the others step on from it in the next block.
         for r, b in enumerate(rows.tolist()):
-            if ends[r] == last:
-                logs[b] = _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
-                               float(np.sqrt(max_sq[r])))
-        keep = ends > last
+            if errors[r] or ends[r] == last:
+                logs[b] = errors[r] or _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
+                                            float(np.sqrt(max_sq[r])))
+        keep = ok & (ends > last)
         if not keep.all():
             (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq) = (
                 a[keep] for a in (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq))

@@ -35,10 +35,9 @@ caller owns the nodes and how many it asks for at once:
 
 An environment may keep the tables of the last node set it was asked for, and
 must build new ones for any other node set.  :func:`pointwise` builds all
-three calls from a per-node ``(t, x) -> (f0, g0, f, G)``, with one row: each
-node goes through the checked grid evaluator, so its batch calls carry the
-same guard.  The shepherd environment instead keeps one table per scenario
-for both kinds of caller.
+three calls from a per-node ``(t, x) -> (f0, g0, f, G)``, with one row: its
+batch calls evaluate every node raw and carry the same guard.  The shepherd
+environment instead keeps one table per scenario for both kinds of caller.
 """
 
 from __future__ import annotations
@@ -159,10 +158,11 @@ class Environment:
 def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) -> Environment:
     """One-row environment from a per-node evaluator ``evaluate(t, x) -> (f0, g0, f, G)``.
 
-    ``on_grid`` calls it once per node, and the grid Lagrangian loops over the
-    nodes through the checked grid evaluator, so a non-finite output raises
-    :class:`EvaluatorError` with its node time there too.  ``evaluate`` must
-    return at any action, NaN included: the integrator checks a block at its end.
+    ``on_grid`` calls it once per node.  The grid Lagrangian evaluates every
+    node that way and checks them all with one :func:`require_finite` call, so
+    a non-finite output raises :class:`EvaluatorError` with its node time there
+    too.  ``evaluate`` must return at any action, NaN included: the integrator
+    checks a block at its end.
     """
 
     def on_grid(ts: np.ndarray, rows: np.ndarray):
@@ -177,23 +177,22 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
         return raw
 
     def batch_evaluate(ts: np.ndarray, x: np.ndarray):
-        at = env.grid_evaluator(ts)
-        xs = np.broadcast_to(x, (ts.shape[0], n))
-        f0s, fs, subgradients = np.empty(ts.shape[0]), np.empty((ts.shape[0], m)), []
-        for k in range(ts.shape[0]):
-            f0s[k], g0, fs[k], G = at(k, xs[k])
-            subgradients.append((g0, G))
+        ts = np.asarray(ts, dtype=float)
+        xs = np.broadcast_to(np.asarray(x, dtype=float), (ts.shape[0], n))
+        raw = on_grid(ts[None], np.arange(1))
+        f0, g0, f, G = map(np.concatenate, zip(*(raw(k, xs[k:k + 1]) for k in range(ts.shape[0]))))
+        require_finite(ts, xs, *map(np.isfinite, (f0, g0, f, G)))
 
         def pull(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-            grads = np.array([w[k] * g0 + G @ mu[k] for k, (g0, G) in enumerate(subgradients)])
+            # A matmul over the stack of nodes runs the kernel of each node's 1-D G @ mu.
+            grads = w[:, None] * g0 + (G @ mu[:, :, None])[..., 0]
             return grads if x.ndim == 2 else grads.sum(axis=0)
 
-        return f0s, fs, pull
+        return f0, f, pull
 
-    env = Environment(n=n, m=m, on_grid=on_grid,
-                      batch_constraints=lambda ts, x: batch_evaluate(ts, x)[1],
-                      batch_evaluate=batch_evaluate, has_objective=has_objective)
-    return env
+    return Environment(n=n, m=m, on_grid=on_grid,
+                       batch_constraints=lambda ts, x: batch_evaluate(ts, x)[1],
+                       batch_evaluate=batch_evaluate, has_objective=has_objective)
 
 
 def from_functions(

@@ -148,6 +148,15 @@ FEAS_HORIZONS = (0.5, 1.0, 2.0)
 FEAS_GAINS = (5.0, 50.0)
 
 
+def _rows(*args, **kwargs):
+    """The logs of one simulate_rows call; a failed row raises its error."""
+    logs = simulate_rows(*args, **kwargs)
+    for log in logs:
+        if isinstance(log, Exception):
+            raise log
+    return logs
+
+
 def _feasibility_runs(scenarios, delta=None):
     """Feasibility runs keyed (seed, T, eps): per (T, eps), the seeds' scenarios
     as the rows of one simulate_rows call (saturated at delta if given)."""
@@ -159,7 +168,7 @@ def _feasibility_runs(scenarios, delta=None):
             env = env.saturate(delta)
         for eps in FEAS_GAINS:
             cfg = ControllerConfig(epsilon=eps, h=1e-4, mode="feasibility")
-            logs = simulate_rows(env, cfg, [T] * len(rows), rows[0].action_set(), sample_stride=10)
+            logs = _rows(env, cfg, [T] * len(rows), rows[0].action_set(), sample_stride=10)
             runs.update({(seed, T, eps): log for seed, log in zip(FEAS_SEEDS, logs)})
     return runs
 
@@ -234,19 +243,22 @@ def test_c07_multiplier_range(feasibility_suite):
 SWEEP_HORIZONS = (1.0, 2.0, 4.0)
 
 
-def _objective_suite(objective, n, n_sheep, h):
-    runs = {}
-    for T in SWEEP_HORIZONS:
-        sc = shepherd.generate_sheep_paths(seed=1, T=T, n=n, n_sheep=n_sheep)
-        env_run = shepherd.shepherd_env(sc, objective, noise="frozen")
-        env_mean = shepherd.shepherd_env(sc, objective, noise="mean")
-        sol = solve_offline(env_mean, sc.offline_grid(), sc.action_set(),
-                            viability=shepherd.viability_certificate(sc),
-                            max_iter=1500)
-        cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
-        log = simulate(env_run, cfg, T=T, X=sc.action_set(), sample_stride=20)
-        runs[T] = (sc, log, sol)
-    return runs
+def _objective_suite(objective, n, n_sheep, h, delta=None):
+    """(scenario, log, offline solution) keyed by T: each horizon's own
+    scenario and offline solve, and the horizons' saddle runs as the rows of
+    one simulate_rows call (saturated at delta if given)."""
+    scenarios = [shepherd.generate_sheep_paths(seed=1, T=T, n=n, n_sheep=n_sheep)
+                 for T in SWEEP_HORIZONS]
+    sols = [solve_offline(shepherd.shepherd_env(sc, objective, noise="mean"), sc.offline_grid(),
+                          sc.action_set(), viability=shepherd.viability_certificate(sc),
+                          max_iter=1500)
+            for sc in scenarios]
+    env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
+    if delta is not None:
+        env = env.saturate(delta)
+    cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
+    logs = _rows(env, cfg, list(SWEEP_HORIZONS), scenarios[0].action_set(), sample_stride=20)
+    return {T: (sc, log, sol) for T, sc, log, sol in zip(SWEEP_HORIZONS, scenarios, logs, sols)}
 
 
 @pytest.fixture(scope="module")
@@ -313,21 +325,8 @@ def saturated_feasibility_suite(feasibility_suite):
 @pytest.fixture(scope="module")
 def saturated_objective_suites():
     t0 = time.perf_counter()
-    out = {}
-    for name, n, n_sheep, h in (("blacksheep", 30, 30, 1e-4), ("minaccel", 6, 30, 2e-5)):
-        objective = "black_sheep" if name == "blacksheep" else "min_acceleration"
-        runs = {}
-        for T in SWEEP_HORIZONS:
-            sc = shepherd.generate_sheep_paths(seed=1, T=T, n=n, n_sheep=n_sheep)
-            env_run = shepherd.shepherd_env(sc, objective, noise="frozen").saturate(DELTA)
-            env_mean = shepherd.shepherd_env(sc, objective, noise="mean")
-            sol = solve_offline(env_mean, sc.offline_grid(), sc.action_set(),
-                                viability=shepherd.viability_certificate(sc),
-                                max_iter=1500)
-            cfg = ControllerConfig(epsilon=50.0, h=h, mode="saddle")
-            log = simulate(env_run, cfg, T=T, X=sc.action_set(), sample_stride=20)
-            runs[T] = (sc, log, sol)
-        out[name] = runs
+    out = {"blacksheep": _objective_suite("black_sheep", 30, 30, 1e-4, DELTA),
+           "minaccel": _objective_suite("min_acceleration", 6, 30, 2e-5, DELTA)}
     return {"suites": out, "elapsed": time.perf_counter() - t0}
 
 

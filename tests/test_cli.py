@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddlesim import cli
+from saddlesim import cli, shepherd
 from saddlesim.convex_sets import DimensionError, MembershipError
+from saddlesim.dynamics import simulate_rows
 from saddlesim.environment import EvaluatorError
-from saddlesim.offline import InnerSolveError, OfflineSolution, TimeGrid
+from saddlesim.offline import InfeasibleEnvironmentError, InnerSolveError, OfflineSolution, TimeGrid
 
 
 def run_cli(*argv):
@@ -166,6 +167,44 @@ def test_sweep_writes_the_horizons_before_a_diverging_one(scenario_file, tmp_pat
     assert not (out / "T_40").exists()
 
 
+@pytest.mark.parametrize("sweep, code, written", [
+    ("40,0.25", cli.EXIT_DIVERGENCE, []),
+    ("0.25,0", cli.EXIT_USAGE, ["T_0.25"]),
+], ids=["first_row_diverges", "last_fails_to_regenerate"])
+def test_sweep_writes_the_runs_before_its_first_failure(scenario_file, tmp_path, capsys,
+                                                        sweep, code, written):
+    # The rows after a failed one are not written, although they ran; a horizon
+    # whose scenario fails to regenerate fails in its place, after those before it.
+    out = tmp_path / "sweep"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 1e9, "--step", 0.5, "--sweep", sweep, "--out", out) == code
+    err = capsys.readouterr().err
+    assert ("state magnitude exceeded" if code == cli.EXIT_DIVERGENCE
+            else "horizon T must be positive") in err
+    assert sorted(p.name for p in out.glob("*")) == written
+    for name in written:
+        assert {p.name for p in (out / name).iterdir()} == {"trajectory.csv", "metrics.json"}
+
+
+@pytest.mark.parametrize("flags, rows, code", [
+    (("--epsilon", 5, "--step", 2e-3, "--horizon", 0.5), 1, cli.EXIT_OK),
+    (("--epsilon", 5, "--step", 2e-3, "--sweep", "0.25,0.5"), 2, cli.EXIT_OK),
+    (("--epsilon", 1e9, "--step", 0.5, "--sweep", "0.25,40"), 2, cli.EXIT_DIVERGENCE),
+], ids=["single", "sweep", "diverging_sweep"])
+def test_each_simulate_command_makes_one_simulate_rows_call(scenario_file, tmp_path,
+                                                           monkeypatch, flags, rows, code):
+    calls = []
+
+    def counted(env, config, T, *args, **kwargs):
+        calls.append(len(T))
+        return simulate_rows(env, config, T, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_rows", counted)
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility", *flags,
+                   "--out", tmp_path / "run") == code
+    assert calls == [rows]
+
+
 def test_sweep_with_offline_is_usage_error(scenario_file, tmp_path, capsys):
     # A valid offline file: the pair is refused, not the file.
     sol = OfflineSolution(xstar=np.zeros(24), offline_cost=0.0, xdagger=np.zeros(24),
@@ -224,10 +263,11 @@ def test_offline_and_regret_flow(scenario_file, tmp_path):
 
 
 def test_evaluator_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys):
-    def raiser(*args, **kwargs):
-        raise EvaluatorError("non-finite evaluator output at t=0.25, x=array([nan])")
+    # A row's error comes back in its place in the list of runs.
+    def failed_row(*args, **kwargs):
+        return [EvaluatorError("non-finite evaluator output at t=0.25, x=array([nan])")]
 
-    monkeypatch.setattr(cli, "simulate", raiser)
+    monkeypatch.setattr(cli, "simulate_rows", failed_row)
     code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
                    "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run")
     assert code == cli.EXIT_DIVERGENCE == 3
@@ -244,10 +284,26 @@ def test_convex_set_error_exit_codes(scenario_file, tmp_path, monkeypatch, capsy
     def raiser(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "simulate", raiser)
+    monkeypatch.setattr(cli, "simulate_rows", raiser)
     assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
                    "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run") == code
     assert str(error) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    InfeasibleEnvironmentError("viability residual 1.000e-02 exceeds 1e-06"),
+    shepherd.GeneratorError("no viable environment in 50 draws for seed 1"),
+], ids=["infeasible", "generator"])
+def test_viability_error_exit_codes(scenario_file, tmp_path, monkeypatch, capsys, error):
+    def raiser(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate_rows", raiser)
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "run")
+    assert code == cli.EXIT_INFEASIBLE == 4
+    assert capsys.readouterr().err == f"viability: {error}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_inner_solve_error_exit_code(scenario_file, tmp_path, monkeypatch, capsys):
@@ -511,3 +567,56 @@ def test_saturated_run_records_floor(scenario_file, tmp_path):
     header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
     f_cols = [i for i, h in enumerate(header) if h.startswith("f_") and h != "f_0val"]
     assert np.all(data[:, f_cols] >= -0.1 - 1e-9)
+
+
+def test_saturated_report_checks_the_floor(scenario_file, tmp_path, capsys):
+    # report recomputes the floor check from the CSV: a value below -delta fails it.
+    out = tmp_path / "sat"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--delta", 0.1, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--results", out) == 0
+    lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+    floor = [ln for ln in lines if ln.startswith("saturated values >= -delta: ")]
+    assert len(floor) == 1 and floor[0].startswith("saturated values >= -delta: PASS (min ")
+    assert float(floor[0].rsplit(" ", 1)[1].rstrip(")")) >= -0.1
+    csv = out / "trajectory.csv"
+    header, *rows = csv.read_text().splitlines()
+    col = header.split(",").index("f_1")
+    cells = rows[-1].split(",")
+    cells[col] = "-0.2"
+    csv.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+    assert run_cli("report", "--results", out) == 0
+    text = capsys.readouterr().out
+    assert "saturated values >= -delta: FAIL (min -0.2)" in text
+    assert text.rstrip().endswith("report: some checks FAILED")
+
+
+def test_gradient_report_has_no_multiplier_figure(scenario_file, tmp_path, capsys):
+    out = tmp_path / "grad"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "gradient",
+                   "--objective", "blacksheep", "--epsilon", 5, "--step", 1e-3, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--results", out) == 0
+    text = capsys.readouterr().out
+    assert "missing: lambda_vs_t (no multiplier columns)" in text
+    assert "multipliers in [0, 4R^2+1]" not in text
+    assert (out / "fit_vs_t.svg").exists() and not (out / "lambda_vs_t.svg").exists()
+
+
+def test_config_inline_scenario_takes_the_seed_flag(scenario_file, tmp_path, capsys):
+    # The inline parameters with --seed 1 draw the scenario of scenario_file.
+    cfg = {"version": 1, "scenario": {"n": 12, "n_sheep": 12, "noise_cells": 200},
+           "mode": "feasibility", "epsilon": 5.0, "step": 1e-3}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert "inline scenario parameters need a seed (--seed)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run_cli("simulate", "--config", cfg_path, "--seed", 1, "--out", tmp_path / "inline") == 0
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 1e-3, "--out", tmp_path / "file") == 0
+    assert ((tmp_path / "inline" / "trajectory.csv").read_bytes()
+            == (tmp_path / "file" / "trajectory.csv").read_bytes())
+    md = json.loads((tmp_path / "inline" / "metrics.json").read_text())
+    assert md["scenario_seed"] == 1 and md["scenario_file"] is None

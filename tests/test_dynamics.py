@@ -314,16 +314,39 @@ def test_rows_are_their_single_runs_bit_for_bit(horizon_rows, tmp_path, mode, ob
 
 
 def test_rows_divergence_names_the_row(horizon_rows):
-    # The second row diverges (a large step on the longer horizon); the error
-    # carries that row's time, as its single run's does.
+    # The second row diverges (a large step on the longer horizon): it retires
+    # with its single run's error, and the first row runs on to its end.
     env = shepherd.shepherd_env(horizon_rows, "none")
     cfg = ControllerConfig(epsilon=1e9, h=0.05, mode="feasibility")
     X = horizon_rows[0].action_set()
     with pytest.raises(DivergenceError) as single:
         simulate(shepherd.shepherd_env(horizon_rows[1], "none"), cfg, T=3.0, X=X)
-    with pytest.raises(DivergenceError) as rows:
-        simulate_rows(env, cfg, [0.1, 3.0], X)
-    assert str(rows.value) == str(single.value)
+    good, failed = simulate_rows(env, cfg, [0.1, 3.0], X)
+    assert type(failed) is DivergenceError and str(failed) == str(single.value)
+    alone = simulate(shepherd.shepherd_env(horizon_rows[0], "none"), cfg, T=0.1, X=X)
+    for name in LOG_ARRAYS:
+        assert np.array_equal(getattr(good, name), getattr(alone, name)), name
+    assert (good.max_field_norm, good.h_eff) == (alone.max_field_norm, alone.h_eff)
+
+
+def test_row_with_a_nan_start_retires_with_its_evaluator_error(horizon_rows):
+    # Row 1 starts at NaN, so its first evaluation is not finite: it retires
+    # with its single run's error at the end of the first block, which ends
+    # at row 0's last node, and row 0 is bit for bit its run alone.
+    cfg = ControllerConfig(epsilon=50.0, h=2e-3, mode="saddle")
+    X = horizon_rows[0].action_set()
+    good, bad = horizon_rows[0].xdagger, horizon_rows[1].xdagger.copy()
+    bad[2] = np.nan
+    with pytest.raises(EvaluatorError) as single:
+        simulate(shepherd.shepherd_env(horizon_rows[1], "black_sheep"), cfg, T=0.3, X=X, x0=bad)
+    env = shepherd.shepherd_env(horizon_rows, "black_sheep")
+    row, failed = simulate_rows(env, cfg, [0.1, 0.3], X, x0=np.stack([good, bad]))
+    assert type(failed) is EvaluatorError and str(failed) == str(single.value)
+    alone = simulate(shepherd.shepherd_env(horizon_rows[0], "black_sheep"), cfg, T=0.1, X=X,
+                     x0=good)
+    for name in LOG_ARRAYS:
+        assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+    assert row.max_field_norm == alone.max_field_norm
 
 
 def test_rows_check_their_count(horizon_rows):
