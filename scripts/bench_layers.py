@@ -39,7 +39,10 @@ plus the ``estimate_K`` and ``solve_offline`` rows above.  ``coldstart`` runs
 fresh interpreters on the ``src`` under ``--root`` and records each one's wall
 time and its own peak resident memory: ``import saddlesim.cli``, then the
 benchmark's command lines at seed 1, ``generate`` and ``offline`` of
-regret-chain and ``simulate`` and ``report`` of minaccel-fine.  ``fixtures``
+regret-chain, ``simulate`` and ``report`` of minaccel-fine, ensemble's
+set-up (its two ``generate`` commands in one interpreter, as the benchmark
+runs them) and its saturated ``simulate --sweep``, which regenerates the
+scenario at each horizon in process.  ``fixtures``
 runs the C05, C08 and C09 acceptance tests and reads the fixture times they
 print.  ``tier1`` times the whole test suite once.  ``ab`` imports the
 ``src/saddlesim`` of the two trees ``--before`` and ``--after`` into one
@@ -435,9 +438,15 @@ def coldstart(root: str, repeats: int) -> dict:
     cli = [*py, "-m", "saddlesim"]
     tmp = tempfile.mkdtemp(prefix="bench_layers_coldstart_")
     try:
-        chain, fine, rep = (os.path.join(tmp, name) for name in ("chain.json", "fine.json", "rep"))
+        chain, fine, ens, rep = (os.path.join(tmp, name)
+                                 for name in ("chain.json", "fine.json", "ens.json", "rep"))
         _fresh_interpreter([*cli, "generate", "--seed", "1", "--n", "6", "--n-sheep", "30",
                             "--out", fine], env)
+        _fresh_interpreter([*cli, "generate", "--seed", "1", "--out", ens], env)
+        ens_setup = ("from saddlesim import cli\n"
+                     "for seed in '1', '2':\n"
+                     f"    assert cli.main(['generate', '--seed', seed, '--out', {tmp!r} + '/ens' "
+                     "+ seed + '.json']) == 0\n")
         commands = {
             "import_cli": [*py, "-c", "import saddlesim.cli"],
             "generate.regret_chain": [*cli, "generate", "--seed", "1", "--horizon", "0.25",
@@ -450,6 +459,10 @@ def coldstart(root: str, repeats: int) -> dict:
                                        "--step", "2e-5", "--horizon", "0.1", "--stride", "20",
                                        "--out", os.path.join(rep, "minaccel")],
             "report.minaccel_fine": [*cli, "report", "--results", rep],
+            "generate.ensemble": [*py, "-c", ens_setup],
+            "simulate.ensemble_sat_sweep": [*cli, "simulate", "--scenario", ens, "--mode",
+                                            "feasibility", "--epsilon", "50", "--sweep", "0.1,0.2",
+                                            "--delta", "0.1", "--out", os.path.join(tmp, "sweep")],
         }
         wall = {name: [] for name in commands}
         rss = {name: [] for name in commands}

@@ -149,9 +149,12 @@ def simulate_rows(
     set (none for the multipliers in gradient mode) takes the tangent-cone
     fields of the rows that passed for the field-norm maximum and raises
     ``MembershipError`` at the first state stepped from outside its set, the
-    actions before the multipliers: a broken projection, like a raising
-    evaluator, stops the call.  A row retires at its last node N_b: blocks end
-    at the next row's last node, and the rows left go on with fresh tables.
+    actions before the multipliers: a broken projection stops the call.  So
+    does an evaluator that raises, with the first error that the block's
+    check meets in the nodes and the step before it (over all rows, node by
+    node), or else with its own exception.  A row retires at its last node
+    N_b: blocks end at the next row's last node, and the rows left go on with
+    fresh tables.
     """
     Ts = [float(t) for t in T]
     if any(t <= 0.0 for t in Ts):
@@ -216,7 +219,13 @@ def simulate_rows(
                     v = vs[j] = -eps * g0
                 x = X.project_point(x + hx * v)
             xs[j + 1], lams[j + 1] = x, lam
-            f0, g0, f, G = raw(j, x)
+            try:
+                f0, g0, f, G = raw(j, x)
+            except Exception:
+                # An evaluator that raises stops the call, after the first
+                # error of the nodes stepped so far and of the step into node j.
+                _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], g0_ok[:j], G_ok[:j], first)
+                raise
             V[j + 1, :, 0], V[j + 1, :, 1:] = f0, f
             np.isfinite(g0, out=g0_ok[j])
             np.isfinite(G, out=G_ok[j])
@@ -258,7 +267,8 @@ def _check_block(ts, xs, lams, V, g0_ok, G_ok, first: int) -> None:
     a block, node by node and row by row: at node j, a step into it (none into
     a run's node 0) that took ``xs[j]`` or ``lams[j]`` past the limit (a row
     holding a NaN is not past it), then a non-finite f0 or f (``V[j]``), g0
-    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``)."""
+    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``).  The outputs may end a
+    node before the states: that node's step is checked, not its outputs."""
     over = ((np.abs(xs).max(axis=-1) > DIVERGENCE_LIMIT)
             | (np.abs(lams).max(axis=-1, initial=0.0) > DIVERGENCE_LIMIT))
     over[0] &= first > 0

@@ -161,8 +161,9 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
     ``on_grid`` calls it once per node.  The grid Lagrangian evaluates every
     node that way and checks them all with one :func:`require_finite` call, so
     a non-finite output raises :class:`EvaluatorError` with its node time there
-    too.  ``evaluate`` must return at any action, NaN included: the integrator
-    checks a block at its end.
+    too.  The integrator checks a block at its end; if ``evaluate`` raises
+    (at a NaN action, say), it raises the first error that check meets in
+    the nodes before, or else ``evaluate``'s exception.
     """
 
     def on_grid(ts: np.ndarray, rows: np.ndarray):

@@ -23,7 +23,11 @@ reduced size; everything downstream is basis-agnostic.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -112,6 +116,31 @@ def acceleration_gram(kind: str, n: int, T: float) -> np.ndarray:
     return (2.0 / T) ** 3 * (A.T * w) @ A
 
 
+def _flapack():
+    """scipy's compiled LAPACK wrappers, the extension module
+    ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package
+    around it (its import costs more than the module and loads code that is
+    never used here).
+
+    The module is found by the import system's own path finder in scipy's
+    ``linalg`` directory, which ``find_spec("scipy")`` names without importing
+    scipy, and registered in ``sys.modules`` under its own name, so that a
+    later ``import scipy.linalg`` re-exports this module object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find the extension module {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _solve_path_qp(G: np.ndarray, con_rows: np.ndarray, b: np.ndarray):
     """Equality-constrained QP min c'Gc s.t. con_rows c = b via the bordered
     KKT system, with symmetric equilibration and iterative refinement.
@@ -125,10 +154,11 @@ def _solve_path_qp(G: np.ndarray, con_rows: np.ndarray, b: np.ndarray):
 
     Returns (coefficients, condition number of the scaled KKT matrix): the
     coefficients are (n,) for one right-hand side and a C-contiguous (k, n)
-    array for k.  scipy is imported here, not at module level, so that the
-    commands that never fit a sheep path start without loading it.
+    array for k.  The LAPACK wrappers come from :func:`_flapack` at the first
+    call: only scipy's LAPACK extension module is loaded, and only by the
+    commands that fit a sheep path.
     """
-    from scipy.linalg import lapack
+    lapack = _flapack()
 
     n = G.shape[0]
     p = con_rows.shape[0]

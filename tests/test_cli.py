@@ -413,9 +413,11 @@ def test_report_parses_only_the_columns_it_reads(scenario_file, tmp_path):
     assert np.array_equal(data, full[:, [full_header.index(name) for name in header]])
 
 
-def test_commands_without_a_path_fit_do_not_load_scipy(scenario_file, tmp_path):
-    # Only generate's sheep-path QP needs scipy.linalg; offline, simulate and
-    # report start without it.
+def test_only_path_fits_load_scipy_and_only_its_lapack_module(scenario_file, tmp_path):
+    # offline, simulate of a scenario file and report load no scipy.  The
+    # sheep-path fits of generate and simulate --sweep load scipy's LAPACK
+    # extension module alone, and a later import of scipy.linalg re-exports
+    # that one module object.
     code = f"""
 import sys
 import saddlesim
@@ -427,7 +429,16 @@ assert cli.main(["simulate", "--scenario", scn, "--mode", "saddle", "--objective
                  "blacksheep", "--epsilon", "50", "--step", "1e-3", "--offline",
                  tmp + "/offline.json", "--out", tmp + "/run"]) == 0
 assert cli.main(["report", "--results", tmp]) == 0
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+assert cli.main(["generate", "--seed", "2", "--n", "6", "--n-sheep", "12",
+                 "--noise-cells", "50", "--out", tmp + "/gen.json"]) == 0
+assert cli.main(["simulate", "--scenario", scn, "--mode", "feasibility", "--epsilon", "5",
+                 "--step", "2e-3", "--sweep", "0.1", "--out", tmp + "/sweep"]) == 0
 assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+assert scipy.linalg.lapack._flapack is flapack
+assert scipy.linalg.lapack.dsytrf is flapack.dsytrf
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -435,6 +446,7 @@ assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scip
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "path_overlay.svg").exists()
+    assert (tmp_path / "sweep" / "T_0.1" / "trajectory.csv").exists()
 
 
 def test_config_file_flow(scenario_file, tmp_path):

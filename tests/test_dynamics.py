@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -468,6 +470,24 @@ def test_nan_in_an_output_no_step_reads_still_raises(mode, output, t):
     with pytest.raises(EvaluatorError) as err:
         simulate(env, cfg, T=1.0, X=Box([-1.0], [1.0]), x0=np.array([0.5]))
     assert str(err.value) == f"non-finite evaluator output at t={t}, x=array([0.5])"
+
+
+@pytest.mark.parametrize("raise_at, error, message", [
+    (None, DivergenceError, DIVERGED),
+    (0.5, ValueError, "math domain error")],
+    ids=["divergence_before_the_raise", "raise_before_any_failure"])
+def test_raising_evaluator_meets_the_blocks_first_failure_first(raise_at, error, message):
+    # f0 takes math.sqrt(-1.0) once the action is no longer finite: x = 10**k
+    # overflows at node 309 of the one-block run, long after the step into
+    # node 13 went past the limit.  A raise at node 4 comes before any failure
+    # and propagates as it is.
+    def evaluate(t, x):
+        bad = t == raise_at or not np.isfinite(x).all()
+        return (math.sqrt(-1.0) if bad else 0.0), -72.0 * x, np.array([-1.0]), np.zeros((1, 1))
+
+    with pytest.raises(error) as err:
+        simulate(pointwise(1, 1, evaluate), TENFOLD, T=40.0, X=FullSpace(1), x0=np.ones(1))
+    assert str(err.value) == message
 
 
 def test_set_of_the_wrong_dimension_is_a_value_error():
