@@ -11,10 +11,10 @@ Usage (each side of a comparison runs against its own ``src``):
     python scripts/bench_layers.py ab --before ../parent --after . --out ab.json
 
 ``micro`` times the layers of one step at action dimension 12 and 60
-(``step_layers_us``: the shepherd ``raw`` per objective, the Box and orthant
-point projections of one step and their field projections of one block of
-BLOCK_STEPS steps), one block check of the integrator (``block_check_us``),
-in-process ``generate_sheep_paths``,
+(``step_layers_us``: the shepherd ``raw`` per objective, the projected step
+of one joined state row [x | lam] and the Box and orthant field projections
+of one block of BLOCK_STEPS steps), one block check of the integrator
+(``block_check_us``), in-process ``generate_sheep_paths``,
 ``simulate_rows`` per run-step with B = 1, 2 and 6
 rows (seeds 1..B; feasibility at dimension 60, min-acceleration saddle at 12;
 a tree without ``simulate_rows`` runs the B runs one after another through
@@ -162,14 +162,16 @@ def step_layers_us(sc, repeats: int) -> dict:
     """The layers of one integrator step at the scenario's action dimension,
     each timed alone on the inputs a step gives it: the shepherd ``raw(k, X)``
     of every objective at x-dagger, node 7 of a one-row block of BLOCK_STEPS
-    nodes (h = 2e-5); Box.project_point of one
-    (1, n) row inside the action box and NonnegativeOrthant.project_point of
-    one (1, 5) row of multipliers, the per-step calls; and the per-block
-    calls, Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows
-    and NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of
-    multiplier rows with two at 0, each with random fields."""
-    from saddlesim import shepherd
-    from saddlesim.convex_sets import NonnegativeOrthant
+    nodes (h = 2e-5); the projected step of one (1, n + 5) state row [x |
+    lam] (x-dagger, multipliers with two at 0) along a random field at
+    h = 1e-4, written in place and projected onto X x R+^5 as
+    ``simulate_rows`` steps it (in a tree without the joined state, its two
+    steps, Box.project_point of x + h v and NonnegativeOrthant.project_point
+    of lam + h w); and the per-block calls, Box.project_field of a
+    (BLOCK_STEPS, 1, n) stack of x-dagger rows and
+    NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of those
+    multiplier rows, each with random fields."""
+    from saddlesim import convex_sets, shepherd
 
     n, out = sc.action_dim, {}
     ts = (np.arange(BLOCK_STEPS) * 2e-5 + 2e-5)[None]
@@ -178,17 +180,28 @@ def step_layers_us(sc, repeats: int) -> dict:
         env = shepherd.shepherd_env(sc, objective)
         raw = env.on_grid(ts, np.arange(1))
         out[f"raw_us.{objective}.n{n}"] = per_call_us(lambda: raw(7, x), repeats)
-    X, Lam = sc.action_set(), NonnegativeOrthant(sc.m)
+    X, Lam = sc.action_set(), convex_sets.NonnegativeOrthant(sc.m)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((1, n))
-    out[f"box_project_point_us.n{n}"] = per_call_us(lambda: X.project_point(x + 1e-4 * v), repeats)
+    lam, u = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), rng.standard_normal((1, n + 5))
+    z0, hz = np.hstack([x, lam]), np.full((1, n + 5), 1e-4)
+    if hasattr(convex_sets, "StateSet"):
+        S, z = convex_sets.StateSet(X, 5), z0.copy()
+
+        def step():
+            np.multiply(hz, u, out=z)
+            np.add(z0, z, out=z)
+            z[...] = S.project_point(z)
+    else:
+        (hx, hl), (v, w) = np.split(hz, [n], axis=1), np.split(u, [n], axis=1)
+
+        def step():
+            X.project_point(x + hx * v)
+            Lam.project_point(lam + hl * w)
+    out[f"state_step_us.n{n}_m5"] = per_call_us(step, repeats)
     xs, vs = np.tile(x, (BLOCK_STEPS, 1, 1)), rng.standard_normal((BLOCK_STEPS, 1, n))
     out[f"box_project_field_us.block{BLOCK_STEPS}.n{n}"] = per_call_us(
         lambda: X.project_field(xs, vs), repeats, calls=200)
     if n == 12:  # the multipliers do not depend on the action dimension
-        lam, lv = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), np.array([[-1.0, 0.5, 2.0, -0.3, 0.1]])
-        out["orthant_project_point_us.m5"] = per_call_us(
-            lambda: Lam.project_point(lam + 1e-4 * lv), repeats)
         lams, ws = np.tile(lam, (BLOCK_STEPS, 1, 1)), rng.standard_normal((BLOCK_STEPS, 1, 5))
         out[f"orthant_project_field_us.block{BLOCK_STEPS}.m5"] = per_call_us(
             lambda: Lam.project_field(lams, ws), repeats, calls=200)

@@ -1,7 +1,7 @@
 """Closed convex sets with exact point projection and tangent-cone field projection.
 
-Four variants cover everything the controllers need: the whole space, boxes,
-Euclidean balls, and the nonnegative orthant (the multiplier domain).  Point
+The controllers need the whole space, boxes, Euclidean balls, the nonnegative
+orthant (the multiplier domain) and the product of an action set with it.  Point
 projection ``P(z)`` returns the unique nearest member of each row of z (..., n);
 field projection ``Pi(x, v)`` returns, for each row of x (..., n) and the
 matching row of v, the limit quotient ``lim (P(x + d*v) - x) / d`` as
@@ -225,6 +225,41 @@ class NonnegativeOrthant(ConvexSet):
         x = self._require_member(x, rows=True)
         v = _check_dim(self.dim, v, rows=True)
         return np.where((x <= _BOX_EDGE_TOL) & (v < 0.0), 0.0, v)
+
+
+@dataclass(frozen=True, eq=False)
+class StateSet(ConvexSet):
+    """The saddle state set X x R+^m on joined rows [x | lam] (..., n + m).
+
+    A joined row projects to the bits of its x slice projected onto X and its
+    lam slice onto the orthant: for a box X (or the whole space) that is one
+    clip onto the box [lower | 0], [upper | +inf], as min(y, +inf) is y.
+    Field projection goes factor by factor, the actions first, so a state
+    off the set raises the first factor's :class:`MembershipError`."""
+
+    factors: tuple
+
+    def __init__(self, X: ConvexSet, m: int):
+        whole = np.full(X.dim, np.inf)  # the whole space is the box with infinite bounds
+        box = isinstance(X, (Box, FullSpace)) and Box(
+            np.append(getattr(X, "lower", -whole), np.zeros(m)),
+            np.append(getattr(X, "upper", whole), np.full(m, np.inf)))
+        for name, value in (("dim", X.dim + m), ("factors", (X, NonnegativeOrthant(m))),
+                            ("_box", box)):
+            object.__setattr__(self, name, value)
+
+    def project_point(self, z: np.ndarray) -> np.ndarray:
+        if self._box:
+            return self._box.project_point(z)
+        return np.concatenate([s.project_point(p) for s, p in zip(self.factors, self._split(z))],
+                              axis=-1)
+
+    def project_field(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        parts = zip(self.factors, self._split(z), self._split(v))
+        return np.concatenate([s.project_field(x, w) for s, x, w in parts], axis=-1)
+
+    def _split(self, z) -> list:
+        return np.split(_check_dim(self.dim, z, rows=True), [self.factors[0].dim], axis=-1)
 
 
 def _norm(d: np.ndarray) -> np.ndarray:

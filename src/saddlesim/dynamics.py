@@ -7,15 +7,15 @@ Three controller modes over a horizon [0, T]:
 * ``saddle``       full primal descent / dual ascent on the running Lagrangian
                    ``f0 + lambda . f``.
 
-The controllers are projected dynamical systems: the action field is
-projected onto the tangent cone of the action set X, the multiplier field onto
-that of the nonnegative orthant.  The discretization is the projected step
-``Pi_X(x + h v)`` along the raw field v, whose h -> 0 limit is the tangent-cone
-field; on a box or an orthant it is bit for bit the step along that field from
-a state whose blocked coordinates sit on their faces.
+The controllers are one projected dynamical system on the state set
+S = X x R+^m of joined rows z = [x | lam] (:class:`~.convex_sets.StateSet`):
+the field is projected onto the tangent cone of S.  The discretization is the
+projected step ``Pi_S(z + h u)`` along the raw field u, whose h -> 0 limit is
+the tangent-cone field; on a box or an orthant it is bit for bit the step
+along that field from a state whose blocked coordinates sit on their faces.
 
 One loop, :func:`simulate_rows`, integrates every row of an environment at
-once as the rows of (B, n) and (B, m) arrays, each row over its own horizon;
+once as the rows of one (B, n + m) state array, each row over its own horizon;
 a run of one scenario, :func:`simulate`, is its one-row case.  Per-step work
 is mostly call overhead on arrays of a few dozen entries, so B rows cost
 little more per step than one.  A row that fails retires with its error.
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex_sets import ConvexSet, NonnegativeOrthant
+from .convex_sets import ConvexSet, StateSet
 from .environment import Environment, EvaluatorError, require_finite
 
 MODES = ("gradient", "feasibility", "saddle")
@@ -129,12 +129,12 @@ def simulate_rows(
     row) projected onto X, the multipliers at zero in the nonnegative orthant.
     At each node the loop evaluates every running row at once, read from the
     time tables of the rows' current block of at most ``GRID_BLOCK`` nodes,
-    then steps by ``x -> Pi_X(x + h v)`` with ``v = -eps (g0 + G lam)``
-    (``-eps g0`` in gradient mode, ``-eps G lam`` in feasibility mode) and
-    ``lam -> Pi_Lam(lam + h w)`` with ``w = eps f``.  Every ``G lam`` is a
-    matmul over the stack of rows; it runs the kernel of the 1-D ``@`` on
-    each row, so it reproduces it bit for bit (an ``einsum`` adds in another
-    order).
+    then steps the joined state z = [x | lam] in place by ``Pi_S(z + h u)``
+    onto S = X x R+^m (X in gradient mode: no multipliers) along u = [v | w],
+    ``v = -eps (g0 + G lam)`` (``-eps g0`` in gradient mode, ``-eps G lam``
+    in feasibility mode) and ``w = eps f``.  Every ``G lam`` is a matmul over
+    the stack of rows; it runs the kernel of the 1-D ``@`` on each row, so it
+    reproduces it bit for bit (an ``einsum`` adds in another order).
 
     Each row keeps its own accumulators (fit, cost; trapezoid rule every
     step), multiplier maximum and field norm, and stores every
@@ -146,8 +146,9 @@ def simulate_rows(
     (:class:`DivergenceError` with the row's time) and then a non-finite
     output (``EvaluatorError`` with its time and action); the row then retires
     with it in its place in the returned list.  One ``project_field`` call per
-    set (none for the multipliers in gradient mode) takes the tangent-cone
-    fields of the rows that passed for the field-norm maximum and raises
+    factor of S (none for the multipliers in gradient mode) takes the
+    tangent-cone fields of the rows that passed for the field-norm maximum
+    (of the action and multiplier fields) and raises
     ``MembershipError`` at the first state stepped from outside its set, the
     actions before the multipliers: a broken projection stops the call.  So
     does an evaluator that raises, with the first error that the block's
@@ -164,19 +165,19 @@ def simulate_rows(
     if len(Ts) != env.n_rows:
         raise ValueError(f"{len(Ts)} horizons for an environment of {env.n_rows} rows")
     B, m = len(Ts), env.m
-    Lam = NonnegativeOrthant(m)
     steps = [max(1, int(round(t / config.h))) for t in Ts]
     h = np.array([t / n for t, n in zip(Ts, steps)])
     eps, mode = config.epsilon, config.mode
-    m_lam = 0 if mode == "gradient" else m
+    n, m_lam = X.dim, 0 if mode == "gradient" else m
+    S = StateSet(X, m_lam) if m_lam else X  # X alone when there are no multipliers
 
     # The state of the rows still running, in the order of ``rows``, their
     # environment rows; ``ends`` holds their last nodes and hcol their steps.
     rows, ends, hcol = np.arange(B), np.array(steps), h[:, None]
-    x = X.project_point(np.broadcast_to(np.zeros(X.dim) if x0 is None else x0, (B, X.dim)))
-    if X.dim != env.n:
+    x = X.project_point(np.broadcast_to(np.zeros(n) if x0 is None else x0, (B, n)))
+    if n != env.n:
         raise ValueError(f"expected actions of shape {(B, env.n)}, got {x.shape}")
-    lam = np.zeros((B, m_lam))  # gradient mode carries no multipliers: lam stays empty
+    z = np.concatenate([x, np.zeros((B, m_lam))], axis=1)  # the multipliers start at 0
     # The mode, decided once: multipliers move unless in gradient mode, and
     # the action field carries the objective unless in feasibility mode.
     dual, saddle = mode != "gradient", mode == "saddle"
@@ -185,7 +186,7 @@ def simulate_rows(
     sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
     # The largest squared field norm: sqrt is monotone and correctly rounded,
     # so its root is the largest norm.
-    lam_max, max_sq = lam.copy(), np.zeros(B)
+    lam_max, max_sq = z[:, n:].copy(), np.zeros(B)
     logs: list = [None] * B
     parts: list = [[] for _ in range(B)]  # per row: its stored nodes, one chunk per block
 
@@ -196,37 +197,43 @@ def simulate_rows(
         # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
         ts = np.arange(first - 1, last) * hcol + hcol
         raw = env.on_grid(ts, rows)
-        # Each row's step tiled over its actions and multipliers: numpy runs
-        # same-shape products faster than a broadcast (R, 1) column.
-        hx, hlam = np.repeat(hcol, X.dim, axis=1), np.repeat(hcol, m_lam, axis=1)
-        # The raw fields of the steps into the block's nodes (none into node 0),
-        # and the states and f0 and f at the node before the block and its nodes.
-        vs, ws = np.zeros((*shape, X.dim)), np.zeros((*shape, m_lam))
-        xs, lams = np.empty((shape[0] + 1, *x.shape)), np.empty((shape[0] + 1, *lam.shape))
-        V = np.empty((shape[0] + 1, shape[1], 1 + m))
-        xs[0], lams[0], V[0] = x, lam, prev
+        # Each row's step tiled over its state: numpy runs same-shape products
+        # faster than a broadcast (R, 1) column.
+        hz = np.repeat(hcol, S.dim, axis=1)
+        # The raw fields [v | w] of the steps into the block's nodes (none into
+        # node 0), the states [x | lam] and f0 and f at the node before the
+        # block and its nodes, and views of their parts; binding each array's
+        # views as soon as it exists frees the last block's.
+        us = np.zeros((*shape, S.dim))
+        vs, ws = np.split(us, [n], axis=-1)
+        zs = np.empty((shape[0] + 1, *z.shape))
+        xs, lams = np.split(zs, [n], axis=-1)
+        V, drive = np.empty((shape[0] + 1, shape[1], 1 + m)), np.empty((shape[1], n, 1))
+        zs[:2], V[0] = z, prev  # node 0 takes no step; a later block's first step overwrites zs[1]
+        lam3, F0, F, d0, z = lams[..., None], V[..., 0], V[..., 1:], drive[..., 0], zs[0]
         # Which entries of g0 and G are finite at the block's nodes.
-        g0_ok, G_ok = np.empty((*shape, X.dim), dtype=bool), np.empty((*shape, X.dim, m), dtype=bool)
+        g0_ok, G_ok = np.empty((*shape, n), dtype=bool), np.empty((*shape, n, m), dtype=bool)
         for i in range(first, last + 1):
             j = i - first
-            if i:  # the projected Euler step from node i - 1
+            zp, z = z, zs[j + 1]
+            if i:  # the projected Euler step from node i - 1, written in place
+                v = vs[j]
                 if dual:
-                    drive = (G @ lam[:, :, None])[..., 0]
-                    v = vs[j] = -eps * (g0 + drive if saddle else drive)
-                    w = ws[j] = eps * f
-                    lam = Lam.project_point(lam + hlam * w)
-                else:
-                    v = vs[j] = -eps * g0
-                x = X.project_point(x + hx * v)
-            xs[j + 1], lams[j + 1] = x, lam
+                    np.matmul(G, lam3[j], out=drive)
+                    np.multiply(f, eps, out=ws[j])
+                # v = -eps (g0 + G lam), or -eps G lam, or -eps g0 (see the mode above)
+                np.multiply(np.add(g0, d0, out=v) if saddle else d0 if dual else g0, -eps, out=v)
+                np.multiply(hz, us[j], out=z)
+                np.add(zp, z, out=z)
+                z[...] = S.project_point(z)
             try:
-                f0, g0, f, G = raw(j, x)
+                f0, g0, f, G = raw(j, xs[j + 1])
             except Exception:
                 # An evaluator that raises stops the call, after the first
                 # error of the nodes stepped so far and of the step into node j.
                 _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], g0_ok[:j], G_ok[:j], first)
                 raise
-            V[j + 1, :, 0], V[j + 1, :, 1:] = f0, f
+            F0[j + 1], F[j + 1] = f0, f
             np.isfinite(g0, out=g0_ok[j])
             np.isfinite(G, out=G_ok[j])
         errors = []
@@ -239,10 +246,12 @@ def simulate_rows(
                 errors.append(err)
         ok = np.array([e is None for e in errors])
         # The tangent-cone fields at the states the rows that passed stepped
-        # from, which also checks that each state is a member of its set.
+        # from, which also checks that each state is a member of its set: factor
+        # by factor, the actions first, as S.project_field goes, but with no
+        # joined copy, which would add a block-sized array to the peak memory.
         sel = slice(None) if ok.all() else ok  # a view unless a row failed
         xdots = X.project_field(xs[:-1, sel], vs[:, sel])
-        lamdots = Lam.project_field(lams[:-1, sel], ws[:, sel]) if dual else ws[:, sel]
+        lamdots = S.factors[1].project_field(lams[:-1, sel], ws[:, sel]) if m_lam else ws[:, sel]
         sums, prev = _close_block(V, xs[1:], lams[1:], sums, 0.5 * hcol, first, rows, ends,
                                   sample_stride, parts)
         np.maximum(lam_max, lams.max(axis=0), out=lam_max)
@@ -254,10 +263,12 @@ def simulate_rows(
             if errors[r] or ends[r] == last:
                 logs[b] = errors[r] or _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
                                             float(np.sqrt(max_sq[r])))
-        keep = ok & (ends > last)
+        # Step on from a copy of the last state: no view of this block's arrays
+        # may keep them alive while the next block allocates its own.
+        z, zp, v, keep = zs[-1].copy(), None, None, ok & (ends > last)
         if not keep.all():
-            (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq) = (
-                a[keep] for a in (rows, ends, hcol, x, lam, f, g0, G, sums, prev, lam_max, max_sq))
+            (rows, ends, hcol, z, f, g0, G, sums, prev, lam_max, max_sq) = (
+                a[keep] for a in (rows, ends, hcol, z, f, g0, G, sums, prev, lam_max, max_sq))
         i = last + 1
     return logs
 

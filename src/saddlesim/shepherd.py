@@ -450,21 +450,21 @@ def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.
 
 
 def _check_ranges(basis: str, m: int, T: float, noise_std: float, L: int, n_sheep: int,
-                  radius) -> np.ndarray:
+                  radius, offset_box: float, noise_cells: int, action_half: float) -> np.ndarray:
     """Raise a ValueError naming the first scenario parameter out of its
     range; return the radii, one per sheep (a scalar radius is shared)."""
-    if basis not in BASIS_KINDS:
-        raise ValueError(f"basis must be one of {BASIS_KINDS}")
-    if m < 1:
-        raise ValueError("sheep count m must be at least 1")
-    if not T > 0.0:
-        raise ValueError("horizon T must be positive")
-    if not noise_std >= 0.0:
-        raise ValueError("noise_std must be nonnegative")
-    if L < 0:
-        raise ValueError("waypoint count L must be nonnegative")
-    if n_sheep <= L + 2:
-        raise ValueError("sheep basis size n_sheep must exceed L + 2 equality constraints")
+    for ok, message in ((basis in BASIS_KINDS, f"basis must be one of {BASIS_KINDS}"),
+                        (m >= 1, "sheep count m must be at least 1"),
+                        (T > 0.0, "horizon T must be positive"),
+                        (noise_std >= 0.0, "noise_std must be nonnegative"),
+                        (offset_box >= 0.0, "offset_box must be nonnegative"),
+                        (noise_cells >= 1, "noise_cells must be at least 1"),
+                        (action_half > 0.0, "action_half must be positive"),
+                        (L >= 0, "waypoint count L must be nonnegative"),
+                        (n_sheep > L + 2, "sheep basis size n_sheep must exceed L + 2 equality "
+                                          "constraints")):
+        if not ok:
+            raise ValueError(message)
     radii = np.full(m, float(radius)) if np.isscalar(radius) else np.asarray(radius, dtype=float)
     if radii.shape != (m,) or np.any(radii <= 0.0):
         raise ValueError("radii must be m positive reals")
@@ -502,7 +502,8 @@ def generate_sheep_paths(
     the noise fluctuation inside their discretization slack.
     """
     n_sheep = n if n_sheep is None else n_sheep
-    radii = _check_ranges(basis, m, T, noise_std, L, n_sheep, radius)
+    radii = _check_ranges(basis, m, T, noise_std, L, n_sheep, radius, offset_box, noise_cells,
+                          action_half)
 
     rng = np.random.default_rng(seed)
     G = acceleration_gram(basis, n_sheep, T)
@@ -651,7 +652,7 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
         raise ValueError(f"scenario lacks keys: {sorted(missing)}")
     check_types("scenario", d, _SCENARIO_TYPES)
     radii = _check_ranges(d["basis"], d["m"], d["T"], d["noise_std"], d["L"], d["n_sheep"],
-                          d["radii"])
+                          d["radii"], d["offset_box"], d["noise_cells"], d["action_half"])
     scenario = ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=radii, L=int(d["L"]),

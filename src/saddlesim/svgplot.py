@@ -153,7 +153,7 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str
 
     for idx, (s, (x, y)) in enumerate(zip(series, finite)):
         color = s.color or PALETTE[idx % len(PALETTE)]
-        coords = " ".join(map("{:.2f},{:.2f}".format, sx(x).tolist(), sy(y).tolist()))
+        coords = ("%.2f,%.2f " * x.size % tuple(np.c_[sx(x), sy(y)].ravel().tolist()))[:-1]
         if coords:
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        f'stroke-width="1.5"/>')

@@ -55,6 +55,12 @@ def test_generate_trivial_herd(tmp_path):
     ("--m", 0, "sheep count m must be at least 1"),
     ("--horizon", 0, "horizon T must be positive"),
     ("--sigma", -0.1, "noise_std must be nonnegative"),
+    # Checked before any draw: a box of half-width 0 spent all 100 draws and
+    # exited 4, and no noise cell or a negative offset failed inside numpy.
+    ("--action-half", 0, "action_half must be positive"),
+    ("--action-half", -1, "action_half must be positive"),
+    ("--noise-cells", 0, "noise_cells must be at least 1"),
+    ("--offset", -0.1, "offset_box must be nonnegative"),
 ])
 def test_generate_rejects_out_of_range_parameters(tmp_path, capsys, flag, value, message):
     out = tmp_path / "scenario.json"
@@ -500,6 +506,9 @@ def test_scenario_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
     ("T", 0, "horizon T must be positive"),
     ("noise_std", -0.1, "noise_std must be nonnegative"),
     ("radii", 0.0, "radii must be m positive reals"),
+    ("action_half", 0.0, "action_half must be positive"),
+    ("noise_cells", 0, "noise_cells must be at least 1"),
+    ("offset_box", -0.1, "offset_box must be nonnegative"),
 ])
 def test_scenario_value_ranges_are_usage_errors(scenario_file, tmp_path, capsys, key, value,
                                                 message):

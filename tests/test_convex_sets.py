@@ -13,6 +13,7 @@ from saddlesim.convex_sets import (
     FullSpace,
     MembershipError,
     NonnegativeOrthant,
+    StateSet,
     projection_gap,
 )
 
@@ -433,3 +434,67 @@ def test_raw_step_differs_off_the_face_inside_the_edge_band():
     for cset in (Box([0.0, 0.0], [1.0, 1.0]), NonnegativeOrthant(2)):
         assert cset.project_point(x + 0.1 * cset.project_field(x, v)).tolist() == [x[0], 0.4]
         assert cset.project_point(x + 0.1 * v).tolist() == [0.0, 0.4]
+
+
+# The saddle state set X x R+^m on joined rows [x | lam].  A joined row
+# projects to the bits of its x slice projected onto X and its lam slice onto
+# the orthant (on a box or the whole space by one clip of the joined row), and
+# a field projection raises the error of the first factor a state leaves, the
+# actions before the multipliers.  States sit on faces, inside, off the set,
+# at -0.0, NaN or an infinity, on boxes with infinite bounds.
+_off = st.sampled_from([5.0, -5.0, -1e-6, -0.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def joined_rows(draw):
+    box, X, V = draw(box_rows())
+    (R, dim), m = X.shape, draw(st.integers(1, 3))
+    cset = draw(st.sampled_from([box, FullSpace(dim), Ball(np.zeros(dim), 2.0)]))
+    lam = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0]), min_size=R * m,
+                                 max_size=R * m))).reshape(R, m)
+    W = np.array(draw(st.lists(_field_entry, min_size=R * m, max_size=R * m))).reshape(R, m)
+    Z, U = np.hstack([X, lam]), np.hstack([V, W])
+    for _ in range(draw(st.integers(0, 3))):  # entries moved off their set
+        Z[draw(st.integers(0, R - 1)), draw(st.integers(0, dim + m - 1))] = draw(_off)
+    return cset, Z, U
+
+
+def _factors(cset, Z):
+    m = Z.shape[-1] - cset.dim
+    return StateSet(cset, m), NonnegativeOrthant(m), cset.dim
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=joined_rows())
+def test_state_set_projects_each_factor_bit_for_bit(case):
+    cset, Z, _ = case
+    S, Lam, n = _factors(cset, Z)
+    with np.errstate(all="ignore"):  # a ball meets inf / inf
+        ref = np.concatenate([cset.project_point(Z[:, :n]), Lam.project_point(Z[:, n:])], axis=1)
+        assert np.array_equal(_bits(S.project_point(Z)), _bits(ref))
+        assert np.array_equal(_bits(S.project_point(Z[0])), _bits(ref[0]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=joined_rows())
+def test_state_set_field_raises_the_first_factors_error(case):
+    cset, Z, U = case
+    S, Lam, n = _factors(cset, Z)
+    with np.errstate(all="ignore"):  # the distance of an infinite state meets inf - inf
+        try:
+            ref = np.concatenate([cset.project_field(Z[:, :n], U[:, :n]),
+                                  Lam.project_field(Z[:, n:], U[:, n:])], axis=1)
+        except MembershipError as err:
+            with pytest.raises(MembershipError, match=re.escape(str(err))):
+                S.project_field(Z, U)
+        else:
+            assert np.array_equal(_bits(S.project_field(Z, U)), _bits(ref))
+
+
+def test_state_set_on_a_box_is_the_joined_box():
+    S = StateSet(Box([-1.0, 0.0], [1.0, np.inf]), 2)
+    assert S.dim == 4
+    assert S.project_point(np.array([2.0, -1.0, -3.0, 4.0])).tolist() == [1.0, 0.0, 0.0, 4.0]
+    # Both factors off: the actions' distance is named, not the joined row's.
+    with pytest.raises(MembershipError, match=r"distance 1\.000e\+00 "):
+        S.project_field(np.array([2.0, 0.0, -2.0, 0.0]), np.zeros(4))

@@ -182,3 +182,21 @@ def test_spans_past_the_largest_float_give_a_finite_svg(x, y, y_ticks):
     # One grid line per y tick: -1e308 to 1e308 by 5e307 on the padded range
     # of +-1.08e308, and up to +-1.5e308 where the padding is clamped.
     assert svg.count('x2="936"') == y_ticks
+
+
+def test_regret_chain_figures_match_point_by_point_renderer():
+    # The benchmark's regret-chain run (seed 1, T = 0.25, black-sheep saddle,
+    # every one of its 2,501 nodes stored): its fit and multiplier figures
+    # are byte-identical to the point-by-point renderer's.
+    from saddlesim import shepherd
+    from saddlesim.dynamics import ControllerConfig, simulate
+
+    sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
+    log = simulate(shepherd.shepherd_env(sc, "black_sheep"),
+                   ControllerConfig(epsilon=50.0, h=1e-4, mode="saddle"),
+                   T=sc.T, X=sc.action_set(), sample_stride=1)
+    assert log.t.shape == (2501,)
+    for name, values in (("fit", log.fit_accum), ("lambda", log.lam)):
+        series = [Series(x=log.t, y=values[:, i], label=f"{name}_{i}") for i in range(sc.m)]
+        expected = line_plot_reference(series, name, "t", name)
+        assert svgplot.line_plot(series, name, "t", name) == expected
