@@ -160,9 +160,9 @@ def per_call_us(call, repeats: int, calls: int = 2000) -> dict:
 
 def step_layers_us(sc, repeats: int) -> dict:
     """The layers of one integrator step at the scenario's action dimension,
-    each timed alone on the inputs a step gives it: the shepherd ``raw(k, X)``
-    of every objective at x-dagger, node 7 of a one-row block of BLOCK_STEPS
-    nodes (h = 2e-5); the projected step of one (1, n + 5) state row [x |
+    each timed alone on the inputs a step gives it: the shepherd per-node
+    evaluator ``raw`` of every objective at x-dagger (see ``raw_call``), node
+    7 of a one-row block of BLOCK_STEPS nodes (h = 2e-5); the projected step of one (1, n + 5) state row [x |
     lam] (x-dagger, multipliers with two at 0) along a random field at
     h = 1e-4, written in place and projected onto X x R+^5 as
     ``simulate_rows`` steps it (in a tree without the joined state, its two
@@ -179,7 +179,7 @@ def step_layers_us(sc, repeats: int) -> dict:
     for objective in shepherd.OBJECTIVES:
         env = shepherd.shepherd_env(sc, objective)
         raw = env.on_grid(ts, np.arange(1))
-        out[f"raw_us.{objective}.n{n}"] = per_call_us(lambda: raw(7, x), repeats)
+        out[f"raw_us.{objective}.n{n}"] = per_call_us(raw_call(raw, x, sc.m), repeats)
     X, Lam = sc.action_set(), convex_sets.NonnegativeOrthant(sc.m)
     rng = np.random.default_rng(0)
     lam, u = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), rng.standard_normal((1, n + 5))
@@ -206,6 +206,16 @@ def step_layers_us(sc, repeats: int) -> dict:
         out[f"orthant_project_field_us.block{BLOCK_STEPS}.m5"] = per_call_us(
             lambda: Lam.project_field(lams, ws), repeats, calls=200)
     return out
+
+
+def raw_call(raw, x, m: int):
+    """One call of the per-node evaluator ``raw`` at node 7 and the actions
+    x, under either protocol: ``raw(k, X, out)``, which writes f0 and f into a
+    row buffer out (R, 1 + m), or ``raw(k, X)``, which returns them."""
+    if len(inspect.signature(raw).parameters) == 3:
+        row = np.empty((x.shape[0], 1 + m))
+        return lambda: raw(7, x, row)
+    return lambda: raw(7, x)
 
 
 def block_check_us(repeats: int) -> dict:

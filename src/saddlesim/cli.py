@@ -224,21 +224,20 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stri
     return out
 
 
-def _run(scenarios, horizons, outs, mode, epsilon, step, delta, objective, stride,
+def _run(scenarios, horizons, outs, config, delta, objective, stride,
          scenario_path=None, offline_sol=None, offline_path=None) -> None:
     """Run each scenario over its horizon as the rows of one ``simulate_rows``
     call, and write row b's run (trajectory.csv, metrics.json) to ``outs[b]``:
     the runs in row order up to the first failed one, whose error propagates."""
     env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
-    logs = simulate_rows(env if delta is None else env.saturate(delta),
-                         ControllerConfig(epsilon=epsilon, h=step, mode=mode), horizons,
+    logs = simulate_rows(env if delta is None else env.saturate(delta), config, horizons,
                          scenarios[0].action_set(), sample_stride=stride)
     for sc, out, log in zip(scenarios, outs, logs):
         if isinstance(log, Exception):
             raise log
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / "trajectory.csv", log)
-        md = _run_metrics_dict(log, sc, delta, objective, mode, stride, scenario_path,
+        md = _run_metrics_dict(log, sc, delta, objective, config.mode, stride, scenario_path,
                                offline_sol, offline_path)
         with open(out / "metrics.json", "w") as fh:
             json.dump(md, fh, sort_keys=True, indent=1)
@@ -275,6 +274,10 @@ def cmd_simulate(args) -> int:
     if sweep and offline_path is not None:
         raise UsageError("--sweep and --offline cannot be combined: an offline solution "
                          "belongs to one horizon")
+    if sweep and horizon is not None:
+        raise UsageError("--sweep and --horizon cannot be combined: the sweep lists the "
+                         "horizons")
+    config = ControllerConfig(epsilon=epsilon, h=step, mode=mode)  # checks them before any draw
 
     scenario_path = None
     if isinstance(scenario_src, str):
@@ -315,8 +318,8 @@ def cmd_simulate(args) -> int:
         T = float(horizon) if horizon is not None else scenario.T
         scenarios, horizons, outs = [scenario], [T], [Path(out)]
     if scenarios:
-        _run(scenarios, horizons[:len(scenarios)], outs, mode, epsilon, step, delta, objective,
-             stride, scenario_path, offline_sol, offline_path)
+        _run(scenarios, horizons[:len(scenarios)], outs, config, delta, objective, stride,
+             scenario_path, offline_sol, offline_path)
     if failure:
         raise failure
     print(f"simulation results written to {out}")

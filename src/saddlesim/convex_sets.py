@@ -51,9 +51,10 @@ class ConvexSet:
 
     dim: int
 
-    def project_point(self, z: np.ndarray) -> np.ndarray:
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Nearest member of the set (unique minimizer of ||y - z||) for each
-        row of z (..., n); a row projects alone, bit for bit."""
+        row of z (..., n); a row projects alone, bit for bit.  Written into
+        ``out`` (z's shape; z itself projects in place) when given."""
         raise NotImplementedError
 
     def distance(self, x: np.ndarray) -> float:
@@ -95,8 +96,8 @@ class ConvexSet:
 
 @dataclass(frozen=True)
 class FullSpace(ConvexSet):
-    def project_point(self, z: np.ndarray) -> np.ndarray:
-        return _check_dim(self.dim, z, rows=True).copy()
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(_check_dim(self.dim, z, rows=True).copy(), out)
 
     def distance(self, x: np.ndarray) -> float:
         _check_dim(self.dim, x)
@@ -139,10 +140,10 @@ class Box(ConvexSet):
         # The bounds as (vectors, rows), indexed by "the input has rows".
         object.__setattr__(self, "_clip", ((lower, upper), (lower[None], upper[None])))
 
-    def project_point(self, z: np.ndarray) -> np.ndarray:
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)
         lower, upper = self._clip[z.ndim > 1]
-        return np.minimum(np.maximum(z, lower), upper)
+        return np.minimum(np.maximum(z, lower, out=out), upper, out=out)
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
         return ((x >= self.lower - MEMBERSHIP_TOL)
@@ -177,12 +178,13 @@ class Ball(ConvexSet):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
-    def project_point(self, z: np.ndarray) -> np.ndarray:
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)  # rows inside are returned as they are
         d = z - self.center
         nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-        out = nrm > self.radius
-        return np.where(out, self.center + d * (self.radius / np.where(out, nrm, 1.0)), z)
+        far = nrm > self.radius
+        return _into(np.where(far, self.center + d * (self.radius / np.where(far, nrm, 1.0)), z),
+                     out)
 
     def distance(self, x: np.ndarray) -> float:
         x = _check_dim(self.dim, x)
@@ -215,8 +217,8 @@ class NonnegativeOrthant(ConvexSet):
     """``x >= 0``, the multiplier domain: a box with lower bounds 0 and no
     upper bounds, so the step identity of :class:`Box` holds here too."""
 
-    def project_point(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(_check_dim(self.dim, z, rows=True), 0.0)
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.maximum(_check_dim(self.dim, z, rows=True), 0.0, out=out)
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
         return (x >= -MEMBERSHIP_TOL).all(axis=-1)
@@ -248,11 +250,11 @@ class StateSet(ConvexSet):
                             ("_box", box)):
             object.__setattr__(self, name, value)
 
-    def project_point(self, z: np.ndarray) -> np.ndarray:
+    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._box:
-            return self._box.project_point(z)
-        return np.concatenate([s.project_point(p) for s, p in zip(self.factors, self._split(z))],
-                              axis=-1)
+            return self._box.project_point(z, out)
+        parts = [s.project_point(p) for s, p in zip(self.factors, self._split(z))]
+        return _into(np.concatenate(parts, axis=-1), out)
 
     def project_field(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         parts = zip(self.factors, self._split(z), self._split(v))
@@ -262,22 +264,16 @@ class StateSet(ConvexSet):
         return np.split(_check_dim(self.dim, z, rows=True), [self.factors[0].dim], axis=-1)
 
 
+def _into(y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # y, or y written into out.
+    if out is None:
+        return y
+    np.copyto(out, y)
+    return out
+
+
 def _norm(d: np.ndarray) -> np.ndarray:
     # Euclidean norm of each row, bit for bit np.linalg.norm of the row alone:
     # the square root of its dot product, which np.vecdot forms per row with
     # the 1-D ``@`` kernel.
     return np.sqrt(np.vecdot(d, d))
-
-
-def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
-    """(x0 - x).v minus (x0 - x).Pi(x0, v), for members x0 and x.
-
-    The field projection only ever removes outward components, so the gap is
-    nonnegative (up to roundoff); every Lyapunov argument in the controllers
-    rests on this inequality.
-    """
-    x0 = cset._require_member(x0)
-    x = cset._require_member(x)
-    v = _check_dim(cset.dim, v)
-    w = x0 - x
-    return float(w @ v - w @ cset.project_field(x0, v))

@@ -50,10 +50,10 @@ class ControllerConfig:
     mode: str = "saddle"
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("controller gain epsilon must be positive")
-        if self.h <= 0.0:
-            raise ValueError("integrator step h must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("controller gain epsilon must be positive and finite")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("integrator step h must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -128,19 +128,24 @@ def simulate_rows(
     start at ``x0`` (default: the origin; one action for all rows or one per
     row) projected onto X, the multipliers at zero in the nonnegative orthant.
     At each node the loop evaluates every running row at once, read from the
-    time tables of the rows' current block of at most ``GRID_BLOCK`` nodes,
-    then steps the joined state z = [x | lam] in place by ``Pi_S(z + h u)``
-    onto S = X x R+^m (X in gradient mode: no multipliers) along u = [v | w],
+    time tables of the rows' current block of at most ``GRID_BLOCK`` nodes
+    by ``raw(k, X, out)``: f0 and f go into the block's array of them, and g0
+    and G, views of the evaluator's node buffer, hold until the next call.
+    Then it steps the joined state z = [x | lam] in place, by the set's own
+    ``project_point(z, out=z)``, to ``Pi_S(z + h u)`` on S = X x R+^m (X in
+    gradient mode: no multipliers) along u = [v | w],
     ``v = -eps (g0 + G lam)`` (``-eps g0`` in gradient mode, ``-eps G lam``
     in feasibility mode) and ``w = eps f``.  Every ``G lam`` is a matmul over
     the stack of rows; it runs the kernel of the 1-D ``@`` on each row, so it
-    reproduces it bit for bit (an ``einsum`` adds in another order).
+    reproduces it bit for bit (an ``einsum`` adds in another order).  A step
+    allocates no array.
 
     Each row keeps its own accumulators (fit, cost; trapezoid rule every
     step), multiplier maximum and field norm, and stores every
     ``sample_stride``-th node plus its last one.  A block's steps run
     unchecked and silently (a NaN or a huge state runs on to the block's end),
-    keeping their raw fields, states and outputs' finiteness in block arrays.
+    keeping their raw fields, states, f0 and f, and one ``np.isfinite(J)``
+    per node in block arrays.
     At the block's end one pass per row finds the first error that a check
     after every step would have met, a state past ``DIVERGENCE_LIMIT``
     (:class:`DivergenceError` with the row's time) and then a non-finite
@@ -158,8 +163,8 @@ def simulate_rows(
     fresh tables.
     """
     Ts = [float(t) for t in T]
-    if any(t <= 0.0 for t in Ts):
-        raise ValueError("horizon T must be positive")
+    if not all(0.0 < t < np.inf for t in Ts):
+        raise ValueError("horizon T must be positive and finite")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     if len(Ts) != env.n_rows:
@@ -202,45 +207,42 @@ def simulate_rows(
         hz = np.repeat(hcol, S.dim, axis=1)
         # The raw fields [v | w] of the steps into the block's nodes (none into
         # node 0), the states [x | lam] and f0 and f at the node before the
-        # block and its nodes, and views of their parts; binding each array's
-        # views as soon as it exists frees the last block's.
+        # block and its nodes, and views of their parts.
         us = np.zeros((*shape, S.dim))
         vs, ws = np.split(us, [n], axis=-1)
         zs = np.empty((shape[0] + 1, *z.shape))
         xs, lams = np.split(zs, [n], axis=-1)
         V, drive = np.empty((shape[0] + 1, shape[1], 1 + m)), np.empty((shape[1], n, 1))
         zs[:2], V[0] = z, prev  # node 0 takes no step; a later block's first step overwrites zs[1]
-        lam3, F0, F, d0, z = lams[..., None], V[..., 0], V[..., 1:], drive[..., 0], zs[0]
-        # Which entries of g0 and G are finite at the block's nodes.
-        g0_ok, G_ok = np.empty((*shape, n), dtype=bool), np.empty((*shape, n, m), dtype=bool)
-        for i in range(first, last + 1):
-            j = i - first
-            zp, z = z, zs[j + 1]
-            if i:  # the projected Euler step from node i - 1, written in place
-                v = vs[j]
+        d0 = drive[..., 0]
+        # Which entries of each node's buffer [g0 | G] are finite.
+        J_ok = np.empty((*shape, n + n * m), dtype=bool)
+        # Each node's views, bound by iterating the block arrays.
+        nodes = zip(zs, lams[..., None], V[..., 1:], us, vs, ws, zs[1:], xs[1:], V[1:], J_ok)
+        for j, (zp, lam, f, u, v, w, z, x, out, node_ok) in enumerate(nodes):
+            if j or first:  # the projected Euler step from node j + first - 1, written in place
                 if dual:
-                    np.matmul(G, lam3[j], out=drive)
-                    np.multiply(f, eps, out=ws[j])
+                    np.matmul(G, lam, out=drive)
+                    np.multiply(f, eps, out=w)
                 # v = -eps (g0 + G lam), or -eps G lam, or -eps g0 (see the mode above)
                 np.multiply(np.add(g0, d0, out=v) if saddle else d0 if dual else g0, -eps, out=v)
-                np.multiply(hz, us[j], out=z)
+                np.multiply(hz, u, out=z)
                 np.add(zp, z, out=z)
-                z[...] = S.project_point(z)
+                S.project_point(z, out=z)
             try:
-                f0, g0, f, G = raw(j, xs[j + 1])
+                g0, G = raw(j, x, out)
             except Exception:
                 # An evaluator that raises stops the call, after the first
                 # error of the nodes stepped so far and of the step into node j.
-                _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], g0_ok[:j], G_ok[:j], first)
+                _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], J_ok[:j, :, :n],
+                             J_ok[:j, :, n:], first)
                 raise
-            F0[j + 1], F[j + 1] = f0, f
-            np.isfinite(g0, out=g0_ok[j])
-            np.isfinite(G, out=G_ok[j])
+            np.isfinite(g0.base, out=node_ok)  # g0 and G are views of J, their base
         errors = []
         for r in range(rows.size):  # each row's check on that row alone
             try:
                 _check_block(ts[r:r + 1], xs[1:, r:r + 1], lams[1:, r:r + 1], V[1:, r:r + 1],
-                             g0_ok[:, r:r + 1], G_ok[:, r:r + 1], first)
+                             J_ok[:, r:r + 1, :n], J_ok[:, r:r + 1, n:], first)
                 errors.append(None)
             except (DivergenceError, EvaluatorError) as err:
                 errors.append(err)
@@ -263,12 +265,14 @@ def simulate_rows(
             if errors[r] or ends[r] == last:
                 logs[b] = errors[r] or _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
                                             float(np.sqrt(max_sq[r])))
-        # Step on from a copy of the last state: no view of this block's arrays
-        # may keep them alive while the next block allocates its own.
-        z, zp, v, keep = zs[-1].copy(), None, None, ok & (ends > last)
+        # Step on from a copy of the last state (and of f there, in prev): no
+        # view of this block's arrays may keep them alive while the next block
+        # allocates its own.
+        z, keep = zs[-1].copy(), ok & (ends > last)
+        nodes = zp = lam = f = u = v = w = x = out = node_ok = None
         if not keep.all():
-            (rows, ends, hcol, z, f, g0, G, sums, prev, lam_max, max_sq) = (
-                a[keep] for a in (rows, ends, hcol, z, f, g0, G, sums, prev, lam_max, max_sq))
+            (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq) = (
+                a[keep] for a in (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq))
         i = last + 1
     return logs
 
@@ -278,8 +282,9 @@ def _check_block(ts, xs, lams, V, g0_ok, G_ok, first: int) -> None:
     a block, node by node and row by row: at node j, a step into it (none into
     a run's node 0) that took ``xs[j]`` or ``lams[j]`` past the limit (a row
     holding a NaN is not past it), then a non-finite f0 or f (``V[j]``), g0
-    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``).  The outputs may end a
-    node before the states: that node's step is checked, not its outputs."""
+    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``, in any layout after the
+    node and row axes).  The outputs may end a node before the states: that
+    node's step is checked, not its outputs."""
     over = ((np.abs(xs).max(axis=-1) > DIVERGENCE_LIMIT)
             | (np.abs(lams).max(axis=-1, initial=0.0) > DIVERGENCE_LIMIT))
     over[0] &= first > 0
@@ -311,7 +316,7 @@ def _close_block(V, xs, lams, sums, half, first: int, rows, ends, stride: int, p
         k = np.flatnonzero((I % stride == 0) | (I == ends[r]))
         parts[b].append((I[k], xs[k, r], lams[k, r], V[k + 1, r, 0], V[k + 1, r, 1:],
                          acc[k, r, 1:], acc[k, r, 0]))
-    return acc[-1], V[-1]
+    return acc[-1].copy(), V[-1].copy()
 
 
 def _log(parts, config: ControllerConfig, T: float, h: float, lam_max: np.ndarray,

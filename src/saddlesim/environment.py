@@ -23,11 +23,16 @@ caller owns the nodes and how many it asks for at once:
 
 * ``on_grid(ts, rows)`` builds what depends on ``t`` alone once for all nodes
   of the environment rows ``rows`` (R,), row r at its own nodes ``ts[r]`` of
-  ``ts`` (R, K), and returns ``raw(k, X)``: the evaluation of each row at
+  ``ts`` (R, K), and returns ``raw(k, X, out)``: the evaluation of each row at
   ``(ts[r, k], X[r])`` for actions X (R, n), doing only the x-dependent
-  algebra.  It returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m)
-  unchecked: the integrator checks a block of them with :func:`require_finite`,
-  other callers use :meth:`Environment.grid_evaluator` (one node: ``eval_full``).
+  algebra.  It writes f0 and f into ``out`` (R, 1 + m), column 0 and the
+  rest, and returns g0 (R, n) and G (R, n, m), unchecked, as views of one
+  node buffer J = [g0 | G] (R, n + n m), their ``base``.  Each ``raw`` owns
+  its J, built with it, and its next call overwrites it: g0 and G hold until
+  then.  The integrator checks a block of outputs with :func:`require_finite`
+  (one ``np.isfinite(J)`` per node); other callers use
+  :meth:`Environment.grid_evaluator`, which returns copies (one node:
+  ``eval_full``).
 * ``batch_evaluate(ts, x)``, the grid Lagrangian, serves solvers that need
   all nodes (K,) of a one-row environment at once.  One call returns f0 (K,),
   f (K, m) and ``pull(w, mu)``, the gradient of ``sum_k w_k f0_k + mu_k . f_k``
@@ -43,15 +48,17 @@ environment instead keeps one table per scenario for both kinds of caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 # Per-node evaluator: (t, x) -> (f0, g0 (n,), f (m,), G (n, m)).
 FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
-# Time tables: (ts (R, K), rows (R,)) -> raw(k, X), the unchecked evaluation
-# of environment row rows[r] at (ts[r, k], X[r]) for every r.
-OnGrid = Callable[[np.ndarray, np.ndarray], Callable[[int, np.ndarray], tuple]]
+# Time tables: (ts (R, K), rows (R,)) -> raw(k, X, out), the unchecked
+# evaluation of environment row rows[r] at (ts[r, k], X[r]) for every r: it
+# writes f0 and f into out (R, 1 + m) and returns g0 (R, n) and G (R, n, m),
+# views of its node buffer J = [g0 | G] (their base), valid until its next call.
+OnGrid = Callable[[np.ndarray, np.ndarray], Callable[[int, np.ndarray, np.ndarray], tuple]]
 # Vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Grid Lagrangian: (ts (K,), x) -> (f0 (K,), f (K, m), pull), with pull(w (K,),
@@ -94,9 +101,10 @@ class Environment:
         evaluator of ``on_grid`` behind a shape check and :func:`require_finite`.
 
         ``at(k, X)`` evaluates row r at (ts[r, k], X[r]) for actions X (R, n)
-        and returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m).  Nodes ts
-        (K,) are the one-row case of row 0: ``at(k, x)`` takes one action x
-        (n,) and returns f0 as a float and g0, f, G without the row axis.
+        and returns f0 (R,), g0 (R, n), f (R, m) and G (R, n, m), arrays of
+        its own that later calls leave as they are.  Nodes ts (K,) are the
+        one-row case of row 0: ``at(k, x)`` takes one action x (n,) and
+        returns f0 as a float and g0, f, G without the row axis.
         """
         ts = np.asarray(ts, dtype=float)
         one = ts.ndim == 1
@@ -111,11 +119,14 @@ class Environment:
             if X.shape != want:
                 raise ValueError(f"expected action{'' if one else 's'} of shape {want}, got {X.shape}")
             X = X.reshape(shape)
-            f0, g0, f, G = out = raw(k, X)
-            require_finite(ts[:, k], X, *map(np.isfinite, out))
+            out = np.empty((shape[0], 1 + self.m))
+            g0, G = raw(k, X, out)
+            f0, f = out[:, 0], out[:, 1:]
+            require_finite(ts[:, k], X, *map(np.isfinite, (f0, g0, f, G)))
+            g0, G = g0.copy(order="K"), G.copy(order="K")  # in the evaluator's order
             if one:
                 return float(f0[0]), g0[0], f[0], G[0]
-            return out
+            return f0, g0, f, G
 
         return at
 
@@ -136,12 +147,17 @@ class Environment:
         def floor(f):
             return np.maximum(f, -delta)
 
-        def clip(f0, g0, f, G):
-            return f0, g0, floor(f), np.where((f >= -delta)[..., None, :], G, 0.0)
-
         def sat_on_grid(ts: np.ndarray, rows: np.ndarray):
-            at = base_grid(ts, rows)
-            return lambda k, X: clip(*at(k, X))
+            raw = base_grid(ts, rows)
+
+            def sat_raw(k: int, X: np.ndarray, out: np.ndarray):
+                g0, G = raw(k, X, out)
+                f = out[:, 1:]
+                np.copyto(G, 0.0, where=~(f >= -delta)[..., None, :])
+                np.maximum(f, -delta, out=f)
+                return g0, G
+
+            return sat_raw
 
         def sat_batch_con(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return floor(batch_con(ts, x))
@@ -168,20 +184,30 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
 
     def on_grid(ts: np.ndarray, rows: np.ndarray):
         tl = ts[0].tolist()
+        J = np.empty((1, n + n * m))
+        # G's part of J in C and in Fortran order: G goes in the order of the
+        # evaluator's array, so that the integrator's G lam runs the BLAS
+        # kernel it would run on that array (their last bits can differ).
+        g0, G_c = J[:, :n], J[:, n:].reshape(1, n, m)
+        G_f = J[:, n:].reshape(1, m, n).transpose(0, 2, 1)
 
-        def raw(k: int, X: np.ndarray):
-            # The outputs as one-row arrays.  A list of one Python float
-            # builds a float64 array without numpy's dtype argument handling.
-            f0, g0, f, G = evaluate(tl[k], X[0])
-            return np.array([float(f0)]), g0[None], f[None], G[None]
+        def raw(k: int, X: np.ndarray, out: np.ndarray):
+            out[0, 0], g0[0], out[0, 1:], Gk = evaluate(tl[k], X[0])
+            G = G_f if np.isfortran(Gk) else G_c
+            G[0] = Gk
+            return g0, G
 
         return raw
 
     def batch_evaluate(ts: np.ndarray, x: np.ndarray):
         ts = np.asarray(ts, dtype=float)
-        xs = np.broadcast_to(np.asarray(x, dtype=float), (ts.shape[0], n))
+        K = ts.shape[0]
+        xs = np.broadcast_to(np.asarray(x, dtype=float), (K, n))
         raw = on_grid(ts[None], np.arange(1))
-        f0, g0, f, G = map(np.concatenate, zip(*(raw(k, xs[k:k + 1]) for k in range(ts.shape[0]))))
+        V, g0, G = np.empty((K, 1 + m)), np.empty((K, n)), np.empty((K, n, m))
+        for k in range(K):
+            g0[k:k + 1], G[k:k + 1] = raw(k, xs[k:k + 1], V[k:k + 1])
+        f0, f = V[:, 0].copy(), V[:, 1:].copy()  # C-contiguous, as the solvers read them
         require_finite(ts, xs, *map(np.isfinite, (f0, g0, f, G)))
 
         def pull(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -194,62 +220,3 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
     return Environment(n=n, m=m, on_grid=on_grid,
                        batch_constraints=lambda ts, x: batch_evaluate(ts, x)[1],
                        batch_evaluate=batch_evaluate, has_objective=has_objective)
-
-
-def from_functions(
-    n: int,
-    m: int,
-    f0: Optional[Callable[[float, np.ndarray], float]] = None,
-    g0: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-    f: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-    G: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-) -> Environment:
-    """Assemble an Environment from separate callables (test/fixture helper)."""
-    has_objective = f0 is not None
-    if has_objective and g0 is None:
-        raise ValueError("objective supplied without its subgradient")
-    if (f is None) != (G is None):
-        raise ValueError("constraints and their subgradients must come together")
-    if f is None and m != 0:
-        raise ValueError("m > 0 but no constraint evaluator supplied")
-
-    zero_g0 = np.zeros(n)
-    zero_f = np.zeros(m)
-    zero_G = np.zeros((n, m))
-
-    def evaluate(t: float, x: np.ndarray):
-        v0 = float(f0(t, x)) if f0 is not None else 0.0
-        gv = np.asarray(g0(t, x), dtype=float) if g0 is not None else zero_g0
-        fv = np.asarray(f(t, x), dtype=float) if f is not None else zero_f
-        Gv = np.asarray(G(t, x), dtype=float) if G is not None else zero_G
-        return v0, gv, fv, Gv
-
-    return pointwise(n, m, evaluate, has_objective)
-
-
-def finite_diff_check(env: Environment, t: float, x: np.ndarray, h_fd: float) -> float:
-    """Max relative error between analytic subgradients and central differences.
-
-    Only meaningful where the evaluator is differentiable at (t, x); callers
-    sample random smooth points.  Relative error is measured against
-    ``max(1, |finite difference|)`` componentwise.
-    """
-    x = np.asarray(x, dtype=float)
-    at = env.grid_evaluator([t])
-    _, g0, _, G = at(0, x)
-    n, m = env.n, env.m
-    fd_g0 = np.zeros(n)
-    fd_G = np.zeros((n, m))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h_fd
-        f0p, _, fp, _ = at(0, x + e)
-        f0m, _, fm, _ = at(0, x - e)
-        fd_g0[i] = (f0p - f0m) / (2.0 * h_fd)
-        fd_G[i, :] = (fp - fm) / (2.0 * h_fd)
-    err = 0.0
-    if env.has_objective:
-        err = float(np.max(np.abs(g0 - fd_g0) / np.maximum(1.0, np.abs(fd_g0))))
-    if m > 0:
-        err = max(err, float(np.max(np.abs(G - fd_G) / np.maximum(1.0, np.abs(fd_G)))))
-    return err

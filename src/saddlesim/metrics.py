@@ -57,13 +57,6 @@ def energy(xbar: np.ndarray, lambar: np.ndarray, x: np.ndarray, lam: np.ndarray)
     return 0.5 * (float(dx @ dx) + float(dl @ dl))
 
 
-def regret_bound(eps: float, x0: np.ndarray, xstar: np.ndarray) -> float:
-    """Regret guarantee of the gradient controller: V_{x*}(x0) / eps."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return energy(xstar, np.zeros(0), x0, np.zeros(0)) / eps
-
-
 def fit_bound(eps: float, x0: np.ndarray, lambda0: np.ndarray, xdagger: np.ndarray, i: int) -> float:
     """Per-component fit guarantee of the feasibility controller.
 

@@ -238,14 +238,6 @@ def encode_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate([coeffs[0], coeffs[1]])
 
 
-def decode_coeffs(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`encode_coeffs`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * n,):
-        raise ValueError(f"expected action of shape ({2 * n},)")
-    return np.stack([x[:n], x[n:]])
-
-
 def _noise_cells(scenario_T: float, cells: int, ts: np.ndarray) -> np.ndarray:
     # Half-open cells [j, j+1); the 1e-9 nudge keeps grid times computed with
     # accumulated float rounding on the cell they were meant to sample.
@@ -334,45 +326,62 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         # Row r's tables at its nodes ts[r], stacked node by node: basis rows
         # B (K, R, q, nb), P and for the acceleration objective P'' (q = 2),
         # and sheep coordinates Y (K, R, 2, m).  The broadcast views that
-        # raw(k, X) multiplies with are built here, once per block, so that
-        # each node indexes each of them once.  An integrator asks for each
-        # block once, so nothing is kept.
+        # raw(k, X, out) multiplies with and the buffers it writes are built
+        # here, once per block, so that each node indexes each table once and
+        # allocates no array.  An integrator asks for each block once, so
+        # nothing is kept.
         tabs = [_tables(scenarios[i], t, noisy[i], r2s[i]) for i, t in zip(rows.tolist(), ts)]
         q = 2 if objective == "min_acceleration" else 1
         B = np.stack([np.stack(tab[:q], axis=1) for tab in tabs], axis=1)
         Y = np.stack([tab[2].transpose(1, 0, 2) for tab in tabs], axis=1)
+        R, m = len(tabs), scenario.m
         rows_dot = B[:, :, :, None, :]       # (K, R, q, 1, nb): z and z'' rows
-        g_basis = B[:, :, 0, None, :, None]  # (K, R, 1, nb, 1): G's factor p
+        # G's factor 2p (K, R, 1, nb, 1): 2p (x) d has the bits of p (x) 2d,
+        # since doubling is exact.
+        p2 = 2.0 * B[:, :, 0, None, :, None]
         a_basis = B[:, :, -1, None, :]       # (K, R, 1, nb): min-acceleration g0's factor p''
         rr, sh = r2s[rows], shifts[rows]
-        zeros = np.zeros((len(tabs), 2 * nb))
+        # The node's buffers: z and a, the offsets d = z - y and their
+        # squares, a / |a|, and J = [g0 | G] (g0 stays 0 with no objective),
+        # then their views.
+        za, d, an = np.empty((R, q, 2)), np.empty((R, 2, m)), np.empty((R, 2))
+        dd = np.empty_like(d)
+        J = np.zeros((R, 2 * nb * (1 + m)))
+        g0, G = J[:, :2 * nb], J[:, 2 * nb:].reshape(R, 2 * nb, m)
+        z_col, a, a1, a2 = za[:, 0, :, None], za[:, -1], za[:, -1, 0], za[:, -1, 1]
+        dd1, dd2, d_G = dd[:, 0], dd[:, 1], d[:, :, None, :]
+        G_planar, G_first, g0_planar = G.reshape(R, 2, nb, m), G[:, :, 0], g0.reshape(R, 2, nb)
+        rr_first, an_col = rr[:, 0], an[..., None]
 
-        def raw(k: int, X: np.ndarray):
+        def raw(k: int, X: np.ndarray, out: np.ndarray):
             # The x-dependent algebra at node k of every row.  The position z
             # and the acceleration a, each coordinate of each row one dot
             # product, come from one np.vecdot, bit for bit the 1-D products.
-            za = np.vecdot(X.reshape(-1, 1, 2, nb), rows_dot[k])                 # (R, q, 2)
-            d = za[:, 0, :, None] - Y[k]                                         # (R, 2, m)
-            dd = d * d
-            f = dd[:, 0] + dd[:, 1] - rr
-            # G = p (x) 2d: the same bits as doubling p (x) d, since doubling is exact.
-            G = (g_basis[k] * (2.0 * d)[:, :, None, :]).reshape(-1, 2 * nb, d.shape[2])
+            np.vecdot(X.reshape(-1, 1, 2, nb), rows_dot[k], out=za)
+            np.subtract(z_col, Y[k], out=d)
+            np.multiply(d, d, out=dd)
+            f0, f = out[:, 0], out[:, 1:]
+            np.add(dd1, dd2, out=f)
+            np.subtract(f, rr, out=f)
+            np.multiply(p2[k], d_G, out=G_planar)
             if objective == "black_sheep":
-                return f[:, 0] + rr[:, 0] + sh, G[:, :, 0], f, G
-            if objective == "min_acceleration":
-                a = za[:, 1]
-                f0 = np.hypot(a[:, 0], a[:, 1])
+                np.add(f[:, 0], rr_first, out=f0)
+                np.add(f0, sh, out=f0)
+                np.copyto(g0, G_first)
+            elif objective == "min_acceleration":
+                np.hypot(a1, a2, out=f0)
                 # Every row moving (a NaN row too, which the guard rejects):
-                # no row needs the zero subgradient, and the masks are skipped.
-                # The test reads the few norms as Python floats, cheaper than
-                # a numpy reduction.
-                if all(f0.tolist()):
-                    g0 = a_basis[k] * (a / f0[:, None])[..., None]
-                    return f0, g0.reshape(zeros.shape), f, G
-                moving = f0 > 0.0
-                g0 = a_basis[k] * (a / np.where(moving, f0, 1.0)[:, None])[..., None]
-                return f0, np.where(moving[:, None], g0.reshape(zeros.shape), 0.0), f, G
-            return zeros[:, 0], zeros, f, G
+                # no row needs the zero subgradient.  The test reads the few
+                # norms as Python floats, cheaper than a numpy reduction.
+                moving = None if all(f0.tolist()) else f0 > 0.0
+                np.divide(a, out[:, :1] if moving is None else np.where(moving, f0, 1.0)[:, None],
+                          out=an)
+                np.multiply(a_basis[k], an_col, out=g0_planar)
+                if moving is not None:
+                    np.copyto(g0_planar, 0.0, where=~moving[:, None, None])
+            else:
+                f0[...] = 0.0
+            return g0, G
 
         return raw
 
@@ -455,19 +464,19 @@ def _check_ranges(basis: str, m: int, T: float, noise_std: float, L: int, n_shee
     range; return the radii, one per sheep (a scalar radius is shared)."""
     for ok, message in ((basis in BASIS_KINDS, f"basis must be one of {BASIS_KINDS}"),
                         (m >= 1, "sheep count m must be at least 1"),
-                        (T > 0.0, "horizon T must be positive"),
-                        (noise_std >= 0.0, "noise_std must be nonnegative"),
-                        (offset_box >= 0.0, "offset_box must be nonnegative"),
+                        (0.0 < T < np.inf, "horizon T must be positive and finite"),
+                        (0.0 <= noise_std < np.inf, "noise_std must be nonnegative and finite"),
+                        (0.0 <= offset_box < np.inf, "offset_box must be nonnegative and finite"),
                         (noise_cells >= 1, "noise_cells must be at least 1"),
-                        (action_half > 0.0, "action_half must be positive"),
+                        (0.0 < action_half < np.inf, "action_half must be positive and finite"),
                         (L >= 0, "waypoint count L must be nonnegative"),
                         (n_sheep > L + 2, "sheep basis size n_sheep must exceed L + 2 equality "
                                           "constraints")):
         if not ok:
             raise ValueError(message)
     radii = np.full(m, float(radius)) if np.isscalar(radius) else np.asarray(radius, dtype=float)
-    if radii.shape != (m,) or np.any(radii <= 0.0):
-        raise ValueError("radii must be m positive reals")
+    if radii.shape != (m,) or not np.all((radii > 0.0) & (radii < np.inf)):
+        raise ValueError("radii must be m positive reals, each finite")
     return radii
 
 
@@ -612,7 +621,7 @@ _SCENARIO_TYPES = {
 }
 _SCENARIO_KEYS = {"version", "kind", "generator_version", *_SCENARIO_TYPES}
 # Fields that feed the environment or the action set and so must be finite
-# (viability_residual may be infinite).
+# (viability_residual may be infinite), checked before their ranges.
 _FINITE_FIELDS = ("T", "radii", "noise_std", "sheep_coeffs", "noise", "waypoints",
                   "offsets", "action_half", "xdagger")
 
@@ -651,9 +660,12 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     if missing:
         raise ValueError(f"scenario lacks keys: {sorted(missing)}")
     check_types("scenario", d, _SCENARIO_TYPES)
+    for name in _FINITE_FIELDS:
+        if not np.all(np.isfinite(np.asarray(d[name], dtype=float))):
+            raise ValueError(f"scenario field {name!r} has non-finite values")
     radii = _check_ranges(d["basis"], d["m"], d["T"], d["noise_std"], d["L"], d["n_sheep"],
                           d["radii"], d["offset_box"], d["noise_cells"], d["action_half"])
-    scenario = ShepherdScenario(
+    return ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=radii, L=int(d["L"]),
         offset_box=float(d["offset_box"]), noise_std=float(d["noise_std"]),
@@ -668,10 +680,6 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
         viability_iterations=int(d["viability_iterations"]),
         kkt_condition=float(d["kkt_condition"]),
     )
-    for name in _FINITE_FIELDS:
-        if not np.all(np.isfinite(getattr(scenario, name))):
-            raise ValueError(f"scenario field {name!r} has non-finite values")
-    return scenario
 
 
 def save_scenario(s: ShepherdScenario, path) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 import numpy as np
 
-from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant
+from saddlesim.convex_sets import Ball, Box, ConvexSet, NonnegativeOrthant, _check_dim
 from saddlesim.environment import Environment, pointwise
+from saddlesim.metrics import energy
 
 
 def tracking_env(values: np.ndarray, T: float) -> Environment:
@@ -134,3 +137,91 @@ def midpoint_convex(fun, rng: np.random.Generator, n: int, samples: int = 200,
         if np.any(np.asarray(fun(mid)) > 0.5 * (np.asarray(fun(a)) + np.asarray(fun(b))) + tol):
             return False
     return True
+
+
+def from_functions(
+    n: int,
+    m: int,
+    f0: Optional[Callable[[float, np.ndarray], float]] = None,
+    g0: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+    f: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+    G: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+) -> Environment:
+    """Assemble an Environment from separate callables (test/fixture helper)."""
+    has_objective = f0 is not None
+    if has_objective and g0 is None:
+        raise ValueError("objective supplied without its subgradient")
+    if (f is None) != (G is None):
+        raise ValueError("constraints and their subgradients must come together")
+    if f is None and m != 0:
+        raise ValueError("m > 0 but no constraint evaluator supplied")
+
+    zero_g0 = np.zeros(n)
+    zero_f = np.zeros(m)
+    zero_G = np.zeros((n, m))
+
+    def evaluate(t: float, x: np.ndarray):
+        v0 = float(f0(t, x)) if f0 is not None else 0.0
+        gv = np.asarray(g0(t, x), dtype=float) if g0 is not None else zero_g0
+        fv = np.asarray(f(t, x), dtype=float) if f is not None else zero_f
+        Gv = np.asarray(G(t, x), dtype=float) if G is not None else zero_G
+        return v0, gv, fv, Gv
+
+    return pointwise(n, m, evaluate, has_objective)
+
+
+def finite_diff_check(env: Environment, t: float, x: np.ndarray, h_fd: float) -> float:
+    """Max relative error between analytic subgradients and central differences.
+
+    Only meaningful where the evaluator is differentiable at (t, x); callers
+    sample random smooth points.  Relative error is measured against
+    ``max(1, |finite difference|)`` componentwise.
+    """
+    x = np.asarray(x, dtype=float)
+    at = env.grid_evaluator([t])
+    _, g0, _, G = at(0, x)
+    n, m = env.n, env.m
+    fd_g0 = np.zeros(n)
+    fd_G = np.zeros((n, m))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h_fd
+        f0p, _, fp, _ = at(0, x + e)
+        f0m, _, fm, _ = at(0, x - e)
+        fd_g0[i] = (f0p - f0m) / (2.0 * h_fd)
+        fd_G[i, :] = (fp - fm) / (2.0 * h_fd)
+    err = 0.0
+    if env.has_objective:
+        err = float(np.max(np.abs(g0 - fd_g0) / np.maximum(1.0, np.abs(fd_g0))))
+    if m > 0:
+        err = max(err, float(np.max(np.abs(G - fd_G) / np.maximum(1.0, np.abs(fd_G)))))
+    return err
+
+
+def projection_gap(cset: ConvexSet, x0: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
+    """(x0 - x).v minus (x0 - x).Pi(x0, v), for members x0 and x.
+
+    The field projection only ever removes outward components, so the gap is
+    nonnegative (up to roundoff); every Lyapunov argument in the controllers
+    rests on this inequality.
+    """
+    x0 = cset._require_member(x0)
+    x = cset._require_member(x)
+    v = _check_dim(cset.dim, v)
+    w = x0 - x
+    return float(w @ v - w @ cset.project_field(x0, v))
+
+
+def regret_bound(eps: float, x0: np.ndarray, xstar: np.ndarray) -> float:
+    """Regret guarantee of the gradient controller: V_{x*}(x0) / eps."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    return energy(xstar, np.zeros(0), x0, np.zeros(0)) / eps
+
+
+def decode_coeffs(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`saddlesim.shepherd.encode_coeffs`."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * n,):
+        raise ValueError(f"expected action of shape ({2 * n},)")
+    return np.stack([x[:n], x[n:]])

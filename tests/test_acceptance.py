@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from saddlesim import cli, metrics, shepherd
-from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant, projection_gap
+from saddlesim.convex_sets import Ball, Box, NonnegativeOrthant
 from saddlesim.dynamics import ControllerConfig, simulate, simulate_rows
-from saddlesim.environment import finite_diff_check
 from saddlesim.offline import OfflineSolution, TimeGrid, estimate_K, solve_offline
 
-from helpers import point_in_set, random_set, tracking_env
+from helpers import finite_diff_check, point_in_set, projection_gap, random_set, tracking_env
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -70,6 +70,68 @@ def test_generate_rejects_out_of_range_parameters(tmp_path, capsys, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag, message", [
+    ("--horizon", "horizon T must be positive and finite"),
+    ("--sigma", "noise_std must be nonnegative and finite"),
+    ("--offset", "offset_box must be nonnegative and finite"),
+    ("--radius", "radii must be m positive reals, each finite"),
+    ("--action-half", "action_half must be positive and finite"),
+])
+def test_generate_rejects_non_finite_parameters_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                flag, message, value):
+    # An infinite noise_std ran for minutes, an infinite offset raised an
+    # OverflowError, and an infinite radius or box wrote a scenario that
+    # simulate's loader rejects.
+    def refuse(*args):
+        raise AssertionError("a sheep path was drawn")
+
+    monkeypatch.setattr(shepherd, "_solve_path_qp", refuse)
+    out = tmp_path / "scenario.json"
+    assert run_cli("generate", "--seed", 1, "--n", 6, "--n-sheep", 30, "--noise-cells", 100,
+                   flag, value, "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "inf", "horizon T must be positive and finite"),
+    ("--step", "inf", "integrator step h must be positive and finite"),
+    ("--epsilon", "nan", "controller gain epsilon must be positive and finite"),
+    ("--epsilon", "inf", "controller gain epsilon must be positive and finite"),
+])
+def test_simulate_rejects_non_finite_parameters_before_any_step(scenario_file, tmp_path, capsys,
+                                                                flag, value, message):
+    # Infinite horizons raised an OverflowError, an infinite step ran one
+    # step of size T, and a non-finite gain was reported as a divergence.
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle",
+                   "--objective", "blacksheep", flag, value, "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cfg", [
+    (("--sweep", "0.25,0.5", "--horizon", 0.5), None),
+    (("--sweep", "0.25,0.5"), {"horizon": 0.5}),
+    (("--horizon", 0.5), {"sweep": "0.25,0.5"}),
+], ids=["flags", "config_horizon", "config_sweep"])
+def test_sweep_with_horizon_is_usage_error(scenario_file, tmp_path, capsys, flags, cfg):
+    # The sweep lists the horizons; a horizon beside it was ignored.
+    extra = ()
+    if cfg is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"version": cli.CONFIG_VERSION, **cfg}))
+        extra = ("--config", cfg_path)
+    out = tmp_path / "sweep"
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
+                   "--epsilon", 5, "--step", 2e-3, *flags, *extra, "--out", out)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "--horizon" in err
+    assert not out.exists()
+
+
 def test_sweep_with_a_zero_horizon_is_usage_error(scenario_file, tmp_path, capsys):
     code = run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
                    "--epsilon", 5, "--step", 2e-3, "--sweep", "0,0.1", "--out", tmp_path / "sweep")

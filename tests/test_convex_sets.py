@@ -14,10 +14,9 @@ from saddlesim.convex_sets import (
     MembershipError,
     NonnegativeOrthant,
     StateSet,
-    projection_gap,
 )
 
-from helpers import point_in_set, random_set
+from helpers import point_in_set, projection_gap, random_set
 
 
 def test_box_point_projection_clamps():

@@ -8,9 +8,9 @@ from saddlesim.convex_sets import Ball, Box, FullSpace, MembershipError, Nonnega
 from saddlesim.cli import write_trajectory_csv
 from saddlesim.dynamics import (DIVERGENCE_LIMIT, GRID_BLOCK, MODES, ControllerConfig,
                                 DivergenceError, simulate, simulate_rows)
-from saddlesim.environment import Environment, EvaluatorError, from_functions, pointwise
+from saddlesim.environment import Environment, EvaluatorError, pointwise
 
-from helpers import quadratic_env, stationary_points_env, tracking_env
+from helpers import from_functions, quadratic_env, stationary_points_env, tracking_env
 
 
 def run_steps(env, cfg, X, x0=None, steps=1):
@@ -62,8 +62,8 @@ def test_state_off_the_set_raises_membership_error(monkeypatch):
     # block's field projection finds that state and reports its distance.
     project_point, calls = Box.project_point, []
 
-    def leaky(self, z):
-        out = project_point(self, z)
+    def leaky(self, z, out=None):
+        out = project_point(self, z, out)
         calls.append(z)
         if len(calls) == 4:  # the start, then steps 1, 2 and 3
             out[..., 0] = self.upper[0] + 1e-6

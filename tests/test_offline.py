@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from saddlesim import offline, shepherd
 from saddlesim.convex_sets import Ball, Box
-from saddlesim.environment import EvaluatorError, from_functions, pointwise
+from saddlesim.environment import EvaluatorError, pointwise
 from saddlesim.offline import (
     InfeasibleEnvironmentError,
     InnerSolveError,
@@ -18,7 +18,8 @@ from saddlesim.offline import (
     solve_offline,
 )
 
-from helpers import disc_constrained_env, quadratic_env, stationary_points_env, tracking_env
+from helpers import (disc_constrained_env, from_functions, quadratic_env, stationary_points_env,
+                     tracking_env)
 
 
 BOX2 = Box([-2.0, -2.0], [2.0, 2.0])
