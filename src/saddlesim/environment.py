@@ -139,8 +139,8 @@ class Environment:
         where ``f_i < -delta``; the grid Lagrangian zeroes ``mu`` there.  The
         objective is untouched.  Every row is floored alike.
         """
-        if delta <= 0.0:
-            raise ValueError("saturation level delta must be positive")
+        if not 0.0 < delta < np.inf:
+            raise ValueError("saturation level delta must be positive and finite")
         delta = float(delta)
         base_grid, batch_con, batch_full = self.on_grid, self.batch_constraints, self.batch_evaluate
 

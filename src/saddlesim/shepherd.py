@@ -660,22 +660,21 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     if missing:
         raise ValueError(f"scenario lacks keys: {sorted(missing)}")
     check_types("scenario", d, _SCENARIO_TYPES)
-    for name in _FINITE_FIELDS:
-        if not np.all(np.isfinite(np.asarray(d[name], dtype=float))):
+    fields = {name: np.asarray(d[name], dtype=float) for name in _FINITE_FIELDS}
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"scenario field {name!r} has non-finite values")
     radii = _check_ranges(d["basis"], d["m"], d["T"], d["noise_std"], d["L"], d["n_sheep"],
-                          d["radii"], d["offset_box"], d["noise_cells"], d["action_half"])
+                          fields["radii"], d["offset_box"], d["noise_cells"], d["action_half"])
     return ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=radii, L=int(d["L"]),
         offset_box=float(d["offset_box"]), noise_std=float(d["noise_std"]),
         seed=int(d["seed"]), noise_cells=int(d["noise_cells"]),
-        sheep_coeffs=np.asarray(d["sheep_coeffs"], dtype=float),
-        noise=np.asarray(d["noise"], dtype=float),
-        waypoints=np.asarray(d["waypoints"], dtype=float).reshape(int(d["L"]), 2),
-        offsets=np.asarray(d["offsets"], dtype=float).reshape(int(d["m"]), int(d["L"]), 2),
-        action_half=float(d["action_half"]), draws=int(d["draws"]),
-        xdagger=np.asarray(d["xdagger"], dtype=float),
+        sheep_coeffs=fields["sheep_coeffs"], noise=fields["noise"],
+        waypoints=fields["waypoints"].reshape(int(d["L"]), 2),
+        offsets=fields["offsets"].reshape(int(d["m"]), int(d["L"]), 2),
+        action_half=float(d["action_half"]), draws=int(d["draws"]), xdagger=fields["xdagger"],
         viability_residual=float(d["viability_residual"]),
         viability_iterations=int(d["viability_iterations"]),
         kkt_condition=float(d["kkt_condition"]),

@@ -99,11 +99,15 @@ def test_generate_rejects_non_finite_parameters_before_any_draw(tmp_path, capsys
     ("--step", "inf", "integrator step h must be positive and finite"),
     ("--epsilon", "nan", "controller gain epsilon must be positive and finite"),
     ("--epsilon", "inf", "controller gain epsilon must be positive and finite"),
+    ("--delta", "nan", "saturation level delta must be positive and finite"),
+    ("--delta", "inf", "saturation level delta must be positive and finite"),
 ])
 def test_simulate_rejects_non_finite_parameters_before_any_step(scenario_file, tmp_path, capsys,
                                                                 flag, value, message):
     # Infinite horizons raised an OverflowError, an infinite step ran one
-    # step of size T, and a non-finite gain was reported as a divergence.
+    # step of size T, a non-finite gain or a NaN saturation level was
+    # reported as a divergence, and an infinite level wrote Infinity into
+    # metrics.json.
     out = tmp_path / "o"
     assert run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle",
                    "--objective", "blacksheep", flag, value, "--out", out) == cli.EXIT_USAGE
