@@ -266,10 +266,10 @@ def simulate_rows(
                 logs[b] = errors[r] or _log(parts[b], config, Ts[b], float(h[b]), lam_max[r],
                                             float(np.sqrt(max_sq[r])))
         # Step on from a copy of the last state (and of f there, in prev): no
-        # view of this block's arrays may keep them alive while the next block
-        # allocates its own.
+        # view of this block's arrays, and not its tables (raw), may keep them
+        # alive while the next block builds its own.
         z, keep = zs[-1].copy(), ok & (ends > last)
-        nodes = zp = lam = f = u = v = w = x = out = node_ok = None
+        raw = nodes = zp = lam = f = u = v = w = x = out = node_ok = None
         if not keep.all():
             (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq) = (
                 a[keep] for a in (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq))
