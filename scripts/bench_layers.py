@@ -161,14 +161,15 @@ def per_call_us(call, repeats: int, calls: int = 2000) -> dict:
 def step_layers_us(sc, repeats: int) -> dict:
     """The layers of one integrator step at the scenario's action dimension,
     each timed alone on the inputs a step gives it: the shepherd per-node
-    evaluator ``raw`` of every objective at x-dagger (see ``raw_call``), node
-    7 of a one-row block of BLOCK_STEPS nodes (h = 2e-5); the projected step of one (1, n + 5) state row [x |
-    lam] (x-dagger, multipliers with two at 0) along a random field at
-    h = 1e-4, written in place and projected onto X x R+^5 as
-    ``simulate_rows`` steps it (in a tree without the joined state, its two
-    steps, Box.project_point of x + h v and NonnegativeOrthant.project_point
-    of lam + h w); and the per-block calls, Box.project_field of a
-    (BLOCK_STEPS, 1, n) stack of x-dagger rows and
+    evaluator ``raw`` of every objective at x-dagger (see ``raw_call``),
+    node 7 of a one-row block of BLOCK_STEPS nodes (h = 2e-5); the projected
+    step of one (1, n + 5) state row [x | lam] (x-dagger, multipliers with
+    two at 0) along a random field at h = 1e-4, written in place and
+    projected onto X x R+^5 as ``simulate_rows`` steps it (in place where
+    ``project_point`` takes ``out``; in a tree without the joined state, its
+    two steps, Box.project_point of x + h v and
+    NonnegativeOrthant.project_point of lam + h w); and the per-block calls,
+    Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows and
     NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of those
     multiplier rows, each with random fields."""
     from saddlesim import convex_sets, shepherd
@@ -186,11 +187,15 @@ def step_layers_us(sc, repeats: int) -> dict:
     z0, hz = np.hstack([x, lam]), np.full((1, n + 5), 1e-4)
     if hasattr(convex_sets, "StateSet"):
         S, z = convex_sets.StateSet(X, 5), z0.copy()
+        in_place = "out" in inspect.signature(S.project_point).parameters
 
         def step():
             np.multiply(hz, u, out=z)
             np.add(z0, z, out=z)
-            z[...] = S.project_point(z)
+            if in_place:
+                S.project_point(z, out=z)
+            else:
+                z[...] = S.project_point(z)
     else:
         (hx, hl), (v, w) = np.split(hz, [n], axis=1), np.split(u, [n], axis=1)
 

@@ -8,8 +8,9 @@ count ``m``, evaluators producing at ``(t, x)``:
 * ``f(t, x)``    constraint values, shape ``(m,)``,
 * ``G(t, x)``    constraint subgradients stacked column-wise, shape ``(n, m)``.
 
-Environments are closures over immutable scenario data; evaluation is pure,
-deterministic, and thread-safe.  Every constraint and the objective must be
+Environments are closures over immutable scenario data; evaluation is
+deterministic, and thread-safe except that one per-node evaluator (below)
+writes its own buffers, so it serves one thread at a time.  Every constraint and the objective must be
 convex in ``x`` and integrable in ``t`` (sample-and-hold discontinuities are
 fine, the integrator step resolves them).
 
@@ -25,12 +26,11 @@ caller owns the nodes and how many it asks for at once:
   of the environment rows ``rows`` (R,), row r at its own nodes ``ts[r]`` of
   ``ts`` (R, K), and returns ``raw(k, X, out)``: the evaluation of each row at
   ``(ts[r, k], X[r])`` for actions X (R, n), doing only the x-dependent
-  algebra.  It writes f0 and f into ``out`` (R, 1 + m), column 0 and the
-  rest, and returns g0 (R, n) and G (R, n, m), unchecked, as views of one
-  node buffer J = [g0 | G] (R, n + n m), their ``base``.  Each ``raw`` owns
-  its J, built with it, and its next call overwrites it: g0 and G hold until
-  then.  The integrator checks a block of outputs with :func:`require_finite`
-  (one ``np.isfinite(J)`` per node); other callers use
+  algebra.  It writes f0 and f into ``out`` (R, 1 + m) and returns g0 (R, n)
+  and G (R, n, m), unchecked, as views of its own node buffer J = [g0 | G]
+  (R, n + n m), their ``base``, which its next call overwrites.  The
+  integrator checks a block of outputs with :func:`require_finite` (one
+  ``np.isfinite(J)`` per node); other callers use
   :meth:`Environment.grid_evaluator`, which returns copies (one node:
   ``eval_full``).
 * ``batch_evaluate(ts, x)``, the grid Lagrangian, serves solvers that need

@@ -287,10 +287,11 @@ def same_bits(a, b) -> bool:
 
 
 def buffer_cases(scenario):
-    """(label, environment, nodes (R, K), actions A and B (R, n)) for the
-    per-node contract: the shepherd with each objective, one and two rows,
-    plain and saturated at 0.05, and a pointwise environment.  A's first row
-    is the origin, where the acceleration is 0, and B is random."""
+    """(label, environment, its unsaturated environment, nodes (R, K),
+    actions A and B (R, n)) for the per-node contract: the shepherd with each
+    objective, one and two rows, plain and saturated at 0.05, and a pointwise
+    environment.  A's first row is the origin, where the acceleration is 0,
+    and B is random."""
     rng = np.random.default_rng(7)
     ts = np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])
     for objective in shepherd.OBJECTIVES:
@@ -300,7 +301,7 @@ def buffer_cases(scenario):
             B = rng.uniform(-1.0, 1.0, (R, env.n))
             for delta in (None, 0.05):
                 label = f"{objective}.R{R}.{'plain' if delta is None else 'sat'}"
-                yield label, env if delta is None else env.saturate(delta), ts[:R], A, B
+                yield label, env if delta is None else env.saturate(delta), env, ts[:R], A, B
 
     G = rng.standard_normal((3, 4, 3))
 
@@ -310,14 +311,14 @@ def buffer_cases(scenario):
 
     env = pointwise(4, 3, evaluate)
     for delta in (None, 0.05):
-        yield (f"pointwise.{delta}", env if delta is None else env.saturate(delta), ts[:1],
+        yield (f"pointwise.{delta}", env if delta is None else env.saturate(delta), env, ts[:1],
                np.zeros((1, 4)), rng.uniform(-1.0, 1.0, (1, 4)))
 
 
 def test_grid_evaluator_results_outlive_later_calls(small_scenario):
     # at() returns arrays of its own: a later call at another action, which
     # overwrites the evaluator's node buffers, leaves them as they were.
-    for label, env, ts, A, B in buffer_cases(small_scenario):
+    for label, env, _, ts, A, B in buffer_cases(small_scenario):
         at = env.grid_evaluator(ts)
         for first, later in ((A, B), (B, A)):
             result = at(1, first)
@@ -329,8 +330,9 @@ def test_grid_evaluator_results_outlive_later_calls(small_scenario):
 
 def test_raw_fills_out_and_returns_views_of_its_node_buffer(small_scenario):
     # raw(k, X, out) writes f0 and f into out and returns g0 and G as views of
-    # one node buffer J = [g0 | G]: the bits of the checked evaluator's.
-    for label, env, ts, A, B in buffer_cases(small_scenario):
+    # one node buffer J = [g0 | G]: the bits of the checked evaluator's, and
+    # g0 the unsaturated one's (saturation leaves the objective as it is).
+    for label, env, plain, ts, A, B in buffer_cases(small_scenario):
         raw, at = env.on_grid(ts, np.arange(ts.shape[0])), env.grid_evaluator(ts)
         R, n, m = ts.shape[0], env.n, env.m
         for X in (A, B):
@@ -339,6 +341,7 @@ def test_raw_fills_out_and_returns_views_of_its_node_buffer(small_scenario):
             f0, g0_at, f, G_at = at(1, X)
             assert same_bits(out[:, 0], f0) and same_bits(out[:, 1:], f), label
             assert same_bits(g0, g0_at) and same_bits(G, G_at), label
+            assert same_bits(g0, plain.grid_evaluator(ts)(1, X)[1]), label
             J = g0.base
             assert J.shape == (R, n + n * m) and G.base is J, label
             assert same_bits(J[:, :n], g0) and same_bits(J[:, n:].reshape(R, n, m), G), label
