@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, shepherd, svgplot
 from .convex_sets import MembershipError
-from .dynamics import ControllerConfig, DivergenceError, TrajectoryLog, simulate_rows
+from .dynamics import MODES, ControllerConfig, DivergenceError, TrajectoryLog, simulate_rows
 from .environment import EvaluatorError
 from .offline import (
     InfeasibleEnvironmentError,
@@ -40,7 +40,6 @@ EXIT_INFEASIBLE = 4
 
 CONFIG_VERSION = 1
 OBJECTIVE_NAMES = {"none": "none", "blacksheep": "black_sheep", "minaccel": "min_acceleration"}
-MODE_NAMES = ("gradient", "feasibility", "saddle")
 
 
 class UsageError(ValueError):
@@ -262,8 +261,8 @@ def cmd_simulate(args) -> int:
     stride = int(pick(args.stride, "stride", 10))
     offline_path = pick(args.offline, "offline")
 
-    if mode not in MODE_NAMES:
-        raise UsageError(f"mode must be one of {MODE_NAMES}")
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}")
     objective = OBJECTIVE_NAMES.get(objective_flag, objective_flag)
     if objective not in shepherd.OBJECTIVES:
         raise UsageError(f"objective must be one of {sorted(OBJECTIVE_NAMES)}")
@@ -571,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run a controller over a scenario")
     s.add_argument("--config", default=None, help="experiment config JSON")
     s.add_argument("--scenario", default=None)
-    s.add_argument("--mode", choices=MODE_NAMES, default=None)
+    s.add_argument("--mode", choices=MODES, default=None)
     s.add_argument("--epsilon", type=float, default=None)
     s.add_argument("--step", type=float, default=None)
     s.add_argument("--horizon", type=float, default=None)

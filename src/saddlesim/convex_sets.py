@@ -94,23 +94,6 @@ class ConvexSet:
         return x
 
 
-@dataclass(frozen=True)
-class FullSpace(ConvexSet):
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _into(_check_dim(self.dim, z, rows=True).copy(), out)
-
-    def distance(self, x: np.ndarray) -> float:
-        _check_dim(self.dim, x)
-        return 0.0
-
-    def _inside(self, x: np.ndarray) -> np.ndarray:
-        return np.ones(x.shape[:-1], dtype=bool)
-
-    def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        _check_dim(self.dim, x, rows=True)
-        return _check_dim(self.dim, v, rows=True).copy()
-
-
 @dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
     """Componentwise bounds ``lower <= x <= upper`` (infinite bounds allowed).
@@ -212,21 +195,18 @@ class Ball(ConvexSet):
         return float(np.linalg.norm(self.center)) + self.radius
 
 
-@dataclass(frozen=True)
-class NonnegativeOrthant(ConvexSet):
-    """``x >= 0``, the multiplier domain: a box with lower bounds 0 and no
-    upper bounds, so the step identity of :class:`Box` holds here too."""
+class FullSpace(Box):
+    """The whole space R^n: the box with bounds -inf and +inf."""
 
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.maximum(_check_dim(self.dim, z, rows=True), 0.0, out=out)
+    def __init__(self, dim: int):
+        super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
 
-    def _inside(self, x: np.ndarray) -> np.ndarray:
-        return (x >= -MEMBERSHIP_TOL).all(axis=-1)
 
-    def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = self._require_member(x, rows=True)
-        v = _check_dim(self.dim, v, rows=True)
-        return np.where((x <= _BOX_EDGE_TOL) & (v < 0.0), 0.0, v)
+class NonnegativeOrthant(Box):
+    """``x >= 0``, the multiplier domain: the box with bounds 0 and +inf."""
+
+    def __init__(self, dim: int):
+        super().__init__(np.zeros(dim), np.full(dim, np.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,18 +214,16 @@ class StateSet(ConvexSet):
     """The saddle state set X x R+^m on joined rows [x | lam] (..., n + m).
 
     A joined row projects to the bits of its x slice projected onto X and its
-    lam slice onto the orthant: for a box X (or the whole space) that is one
-    clip onto the box [lower | 0], [upper | +inf], as min(y, +inf) is y.
+    lam slice onto the orthant: for a box X (the whole space is one) that is
+    one clip onto the box [lower | 0], [upper | +inf], as min(y, +inf) is y.
     Field projection goes factor by factor, the actions first, so a state
     off the set raises the first factor's :class:`MembershipError`."""
 
     factors: tuple
 
     def __init__(self, X: ConvexSet, m: int):
-        whole = np.full(X.dim, np.inf)  # the whole space is the box with infinite bounds
-        box = isinstance(X, (Box, FullSpace)) and Box(
-            np.append(getattr(X, "lower", -whole), np.zeros(m)),
-            np.append(getattr(X, "upper", whole), np.full(m, np.inf)))
+        box = isinstance(X, Box) and Box(np.append(X.lower, np.zeros(m)),
+                                         np.append(X.upper, np.full(m, np.inf)))
         for name, value in (("dim", X.dim + m), ("factors", (X, NonnegativeOrthant(m))),
                             ("_box", box)):
             object.__setattr__(self, name, value)

@@ -108,6 +108,12 @@ def random_set(rng: np.random.Generator, dim: int = None, kinds=("box", "ball", 
 
 def point_in_set(rng: np.random.Generator, cset, boundary: bool = False) -> np.ndarray:
     """Member point, either safely interior or exactly on the boundary."""
+    if isinstance(cset, NonnegativeOrthant):  # a Box, whose branch would draw +inf
+        x = rng.uniform(0.2, 2.0, size=cset.dim)
+        if boundary:
+            idx = int(rng.integers(cset.dim))
+            x[idx] = 0.0
+        return x
     if isinstance(cset, Box):
         u = rng.uniform(0.15, 0.85, size=cset.dim)
         x = cset.lower + u * (cset.upper - cset.lower)
@@ -120,11 +126,7 @@ def point_in_set(rng: np.random.Generator, cset, boundary: bool = False) -> np.n
         d /= max(np.linalg.norm(d), 1e-12)
         rad = cset.radius if boundary else rng.uniform(0.0, 0.8) * cset.radius
         return cset.center + rad * d
-    x = rng.uniform(0.2, 2.0, size=cset.dim)
-    if boundary:
-        idx = int(rng.integers(cset.dim))
-        x[idx] = 0.0
-    return x
+    raise TypeError(f"no member draw for {type(cset).__name__}")
 
 
 def midpoint_convex(fun, rng: np.random.Generator, n: int, samples: int = 200,

@@ -235,6 +235,17 @@ def test_norm_bounds():
     assert np.isinf(Box([0.0], [np.inf]).norm_bound())
 
 
+def test_whole_space_and_orthant_are_boxes_with_infinite_bounds():
+    # The box rules hold at non-finite states too: a coordinate at +inf
+    # blocks an outward field, and NaN is outside the whole space.
+    for cset, lower in ((FullSpace(2), -np.inf), (NonnegativeOrthant(2), 0.0)):
+        assert isinstance(cset, Box)
+        assert np.array_equal(cset.lower, [lower] * 2) and np.array_equal(cset.upper, [np.inf] * 2)
+        assert np.array_equal(cset.project_field(np.array([np.inf, 1.0]), np.ones(2)), [0.0, 1.0])
+    with pytest.raises(MembershipError):
+        FullSpace(2).project_field(np.array([np.nan, 1.0]), np.ones(2))
+
+
 def test_orthant_field_rule():
     orth = NonnegativeOrthant(3)
     x = np.array([0.0, 1.0, 0.0])
