@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, shepherd, svgplot
 from .convex_sets import MembershipError
-from .dynamics import MODES, ControllerConfig, DivergenceError, TrajectoryLog, simulate_rows
-from .environment import EvaluatorError
+from .dynamics import MODES, ControllerConfig, DivergenceError, TrajectoryLog, check_run, simulate_rows
+from .environment import EvaluatorError, saturation_level
 from .offline import (
     InfeasibleEnvironmentError,
     InnerSolveError,
@@ -75,23 +76,14 @@ def write_trajectory_csv(path, log: TrajectoryLog) -> None:
 
 
 def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "objective": objective,
-        "xstar": sol.xstar.tolist(),
-        "offline_cost": sol.offline_cost,
-        "xdagger": sol.xdagger.tolist(),
-        "viability_residual": sol.viability_residual,
-        "K": sol.K,
-        "grid": {"T": sol.grid.T, "num_steps": sol.grid.num_steps},
-        "cost_cumulative": sol.cost_cumulative.tolist(),
-        "diagnostics": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                        for k, v in sol.diagnostics.items()},
-    }
+    d = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(sol).items()}
+    d["diagnostics"] = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
+                        for k, v in sol.diagnostics.items()}
+    return {"version": CONFIG_VERSION, "objective": objective, **d}
 
 
-# JSON types of the keys of an offline solution, of a config and of its inline
-# scenario; null is none.
+# JSON types of the keys of an offline solution and of a config (an inline
+# scenario's are shepherd.GENERATE_PARAMS); null is none.
 _NUMBER = (int, float)
 _OFFLINE_TYPES = {"xstar": list, "offline_cost": _NUMBER, "xdagger": list,
                   "viability_residual": _NUMBER, "K": _NUMBER, "grid": dict, "cost_cumulative": list}
@@ -125,11 +117,6 @@ _CONFIG_TYPES = {
     "horizon": _NUMBER, "delta": _NUMBER, "objective": str, "out": str, "sweep": (str, *_NUMBER),
     "stride": int, "offline": str,
 }
-_INLINE_SCENARIO_TYPES = {  # the parameters of shepherd.generate_sheep_paths
-    "seed": int, "m": int, "T": _NUMBER, "radius": (*_NUMBER, list), "n": int, "n_sheep": int,
-    "basis": str, "L": int, "offset_box": _NUMBER, "noise_std": _NUMBER, "noise_cells": int,
-    "action_half": _NUMBER,
-}
 
 
 def _check_types(what: str, d: dict, types: dict) -> None:
@@ -155,20 +142,9 @@ def load_experiment_config(path) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    # Only the flags given, each under its parameter's name.
     scenario = shepherd.generate_sheep_paths(
-        seed=args.seed,
-        m=args.m,
-        T=args.horizon,
-        radius=args.radius,
-        n=args.n,
-        n_sheep=args.n_sheep,
-        basis=args.basis,
-        L=args.waypoints,
-        offset_box=args.offset,
-        noise_std=args.sigma,
-        noise_cells=args.noise_cells,
-        action_half=args.action_half,
-    )
+        **{k: v for k, v in vars(args).items() if k in shepherd.GENERATE_PARAMS})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     shepherd.save_scenario(scenario, out)
@@ -185,7 +161,8 @@ def cmd_generate(args) -> int:
 
 def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stride,
                       scenario_path, offline_sol, offline_path) -> dict:
-    fits = metrics.fit_report(log, scenario.xdagger, delta)
+    fit = metrics.fit(log)
+    lam0 = log.lam[0] if log.lam.shape[1] else np.zeros(len(fit))
     R = scenario.action_set().norm_bound()
     out = {
         "version": CONFIG_VERSION,
@@ -198,28 +175,22 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stri
         "T": log.T,
         "delta": delta,
         "sample_stride": stride,
-        "fit": fits.fit.tolist(),
+        "fit": fit.tolist(),
         "fit_final_accum": log.final_fit.tolist(),
-        "clipped_fit_norm": fits.clipped_fit_norm,
+        "clipped_fit_norm": metrics.clipped_fit_norm(fit),
         "cost": log.final_cost,
-        "fit_bounds": fits.bounds.tolist(),
+        "fit_bounds": [metrics.fit_bound(log.config.epsilon, log.x[0], lam0, scenario.xdagger, i)
+                       for i in range(len(fit))],
         "multiplier_bound": metrics.multiplier_bound(R) if np.isfinite(R) else None,
         "action_norm_radius": R if np.isfinite(R) else None,
         "lambda_max": log.lambda_max.tolist(),
         "max_field_norm": log.max_field_norm,
     }
     if delta is not None:
-        out["saturated_fit"] = fits.saturated_fit.tolist()
+        out["saturated_fit"] = metrics.saturated_fit(log, delta).tolist()
     if offline_sol is not None:
-        rep = metrics.regret(log, offline_sol)
-        out["regret"] = {
-            "regret": rep.regret,
-            "online_cost": rep.online_cost,
-            "offline_cost": rep.offline_cost,
-            "bound": rep.bound,
-            "floor": rep.floor,
-            "offline_file": str(offline_path),
-        }
+        out["regret"] = {**asdict(metrics.regret(log, offline_sol)),
+                         "offline_file": str(offline_path)}
     return out
 
 
@@ -276,7 +247,17 @@ def cmd_simulate(args) -> int:
     if sweep and horizon is not None:
         raise UsageError("--sweep and --horizon cannot be combined: the sweep lists the "
                          "horizons")
-    config = ControllerConfig(epsilon=epsilon, h=step, mode=mode)  # checks them before any draw
+    # Every value is checked before the first draw.
+    config = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
+    if delta is not None:
+        saturation_level(delta)
+    if sweep:
+        horizons = [float(s) for s in str(sweep).split(",") if s.strip()]
+        if not horizons:
+            raise UsageError("empty sweep list")
+    else:
+        horizons = [] if horizon is None else [horizon]
+    horizons = check_run(horizons, stride)
 
     scenario_path = None
     if isinstance(scenario_src, str):
@@ -286,7 +267,7 @@ def cmd_simulate(args) -> int:
         scenario = shepherd.load_scenario(scenario_path)
     else:  # an inline parameter object: the config's types allow no other
         params = dict(scenario_src)
-        _check_types("inline scenario", params, _INLINE_SCENARIO_TYPES)
+        _check_types("inline scenario", params, shepherd.GENERATE_PARAMS)
         if "seed" not in params:
             if args.seed is None:
                 raise UsageError("inline scenario parameters need a seed (--seed)")
@@ -298,24 +279,19 @@ def cmd_simulate(args) -> int:
         with open(offline_path) as fh:
             offline_sol = offline_from_dict(json.load(fh))
 
-    failure = None
+    # Each horizon of a sweep runs a scenario regenerated for it, which no file
+    # holds.  A horizon that finds no viable draw fails as its row would: the
+    # horizons before it run and are written, then its error propagates.
+    scenarios, failure = [], None
     if sweep:
-        horizons = [float(s) for s in str(sweep).split(",") if s.strip()]
-        if not horizons:
-            raise UsageError("empty sweep list")
-        outs = [Path(out) / f"T_{T:g}" for T in horizons]
-        # Each horizon runs a scenario regenerated for it, which no file holds.  A
-        # horizon whose scenario fails to regenerate fails as its row would: the
-        # horizons before it run and are written, then its error propagates.
-        scenarios, scenario_path = [], None
+        outs, scenario_path = [Path(out) / f"T_{T:g}" for T in horizons], None
         try:
             for T in horizons:
                 scenarios.append(shepherd.regenerate(scenario, T=T))
-        except (ValueError, shepherd.GeneratorError) as err:  # out of range, or no viable draw
+        except shepherd.GeneratorError as err:
             failure = err
     else:
-        T = float(horizon) if horizon is not None else scenario.T
-        scenarios, horizons, outs = [scenario], [T], [Path(out)]
+        scenarios, horizons, outs = [scenario], horizons or [scenario.T], [Path(out)]
     if scenarios:
         _run(scenarios, horizons[:len(scenarios)], outs, config, delta, objective, stride,
              scenario_path, offline_sol, offline_path)
@@ -333,6 +309,8 @@ def cmd_offline(args) -> int:
     objective = OBJECTIVE_NAMES.get(args.objective, args.objective)
     if objective == "none":
         raise UsageError("the offline solve needs an objective (blacksheep or minaccel)")
+    if args.max_iter < 1:
+        raise UsageError("the iteration budget --max-iter must be at least 1")
     scenario = shepherd.load_scenario(args.scenario)
     env = shepherd.shepherd_env(scenario, objective, noise="mean")
     sol = solve_offline(
@@ -551,19 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="draw a viable shepherd scenario")
+    # Each flag's dest is its generate_sheep_paths parameter, which has the defaults.
+    g = sub.add_parser("generate", help="draw a viable shepherd scenario",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--m", type=int, default=5)
-    g.add_argument("--horizon", type=float, default=1.0)
-    g.add_argument("--radius", type=float, default=0.3)
-    g.add_argument("--n", type=int, default=30)
-    g.add_argument("--n-sheep", type=int, default=None)
-    g.add_argument("--basis", choices=shepherd.BASIS_KINDS, default="legendre")
-    g.add_argument("--waypoints", type=int, default=3, help="intermediate waypoint count")
-    g.add_argument("--offset", type=float, default=0.1)
-    g.add_argument("--sigma", type=float, default=0.1)
-    g.add_argument("--noise-cells", type=int, default=1000)
-    g.add_argument("--action-half", type=float, default=5.0)
+    g.add_argument("--m", type=int)
+    g.add_argument("--horizon", dest="T", type=float)
+    g.add_argument("--radius", type=float)
+    g.add_argument("--n", type=int)
+    g.add_argument("--n-sheep", type=int)
+    g.add_argument("--basis", choices=shepherd.BASIS_KINDS)
+    g.add_argument("--waypoints", dest="L", type=int, help="intermediate waypoint count")
+    g.add_argument("--offset", dest="offset_box", type=float)
+    g.add_argument("--sigma", dest="noise_std", type=float)
+    g.add_argument("--noise-cells", type=int)
+    g.add_argument("--action-half", type=float)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

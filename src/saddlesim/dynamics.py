@@ -110,6 +110,17 @@ def simulate(
     return log
 
 
+def check_run(T: Sequence[float], sample_stride: int) -> list[float]:
+    """The horizons ``T`` as floats; a ValueError unless each is positive and
+    finite and the stride is at least 1."""
+    Ts = [float(t) for t in T]
+    if not all(0.0 < t < np.inf for t in Ts):
+        raise ValueError("horizon T must be positive and finite")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    return Ts
+
+
 @np.errstate(all="ignore")
 def simulate_rows(
     env: Environment,
@@ -162,11 +173,7 @@ def simulate_rows(
     N_b: blocks end at the next row's last node, and the rows left go on with
     fresh tables.
     """
-    Ts = [float(t) for t in T]
-    if not all(0.0 < t < np.inf for t in Ts):
-        raise ValueError("horizon T must be positive and finite")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    Ts = check_run(T, sample_stride)
     if len(Ts) != env.n_rows:
         raise ValueError(f"{len(Ts)} horizons for an environment of {env.n_rows} rows")
     B, m = len(Ts), env.m

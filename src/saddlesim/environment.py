@@ -71,6 +71,14 @@ class EvaluatorError(RuntimeError):
     """Non-finite evaluator output, reported with its location."""
 
 
+def saturation_level(delta: float) -> float:
+    """``delta`` as a float, the level a saturated environment floors its
+    constraints at; a ValueError unless it is positive and finite."""
+    if not 0.0 < delta < np.inf:
+        raise ValueError("saturation level delta must be positive and finite")
+    return float(delta)
+
+
 def require_finite(ts: np.ndarray, X: np.ndarray, *finite: np.ndarray) -> None:
     """The finiteness guard: raise :class:`EvaluatorError` at the first
     evaluation, in C order of the axes (any number) of their times ``ts``, with
@@ -139,9 +147,7 @@ class Environment:
         where ``f_i < -delta``; the grid Lagrangian zeroes ``mu`` there.  The
         objective is untouched.  Every row is floored alike.
         """
-        if not 0.0 < delta < np.inf:
-            raise ValueError("saturation level delta must be positive and finite")
-        delta = float(delta)
+        delta = saturation_level(delta)
         base_grid, batch_con, batch_full = self.on_grid, self.batch_constraints, self.batch_evaluate
 
         def floor(f):

@@ -17,12 +17,13 @@ an explicit slack budget (:func:`slack`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import TrajectoryLog
+from .environment import saturation_level
 
 if TYPE_CHECKING:  # pragma: no cover
     from .offline import OfflineSolution
@@ -37,11 +38,7 @@ def fit(log: TrajectoryLog) -> np.ndarray:
 
 def saturated_fit(log: TrajectoryLog, delta: float) -> np.ndarray:
     """Fit of the trajectory with constraint values floored at -delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if log.t.shape[0] < 2:
-        raise ValueError("log holds fewer than two samples; nothing to integrate")
-    return np.trapezoid(np.maximum(log.f, -delta), log.t, axis=0)
+    return fit(replace(log, f=np.maximum(log.f, -saturation_level(delta))))
 
 
 def energy(xbar: np.ndarray, lambar: np.ndarray, x: np.ndarray, lam: np.ndarray) -> float:
@@ -97,43 +94,12 @@ def slack(bound: float, h: float, T: float, lhat: float) -> float:
 
 
 @dataclass(frozen=True)
-class FitReport:
-    fit: np.ndarray
-    clipped_fit_norm: float
-    horizon: float
-    saturated_fit: Optional[np.ndarray] = None
-    bounds: Optional[np.ndarray] = None
-
-
-def fit_report(log: TrajectoryLog, xdagger: Optional[np.ndarray] = None,
-               delta: Optional[float] = None) -> FitReport:
-    """Assemble a fit report from a log, with per-component bounds when a
-    feasible comparator is available."""
-    fvec = fit(log)
-    bounds = None
-    if xdagger is not None:
-        eps = log.config.epsilon
-        x0 = log.x[0]
-        lam0 = log.lam[0] if log.lam.shape[1] else np.zeros(log.f.shape[1])
-        bounds = np.array([fit_bound(eps, x0, lam0, xdagger, i) for i in range(fvec.shape[0])])
-    sat = saturated_fit(log, delta) if delta is not None else None
-    return FitReport(
-        fit=fvec,
-        clipped_fit_norm=clipped_fit_norm(fvec),
-        horizon=log.T,
-        saturated_fit=sat,
-        bounds=bounds,
-    )
-
-
-@dataclass(frozen=True)
 class RegretReport:
     regret: float
     online_cost: float
     offline_cost: float
     bound: float
     floor: float
-    horizon: float
 
 
 def regret(log: TrajectoryLog, offline: "OfflineSolution") -> RegretReport:
@@ -157,5 +123,4 @@ def regret(log: TrajectoryLog, offline: "OfflineSolution") -> RegretReport:
         offline_cost=offline.offline_cost,
         bound=bound,
         floor=-offline.K * log.T,
-        horizon=log.T,
     )

@@ -41,6 +41,7 @@ BASIS_KINDS = ("legendre", "monomial")
 SCENARIO_VERSION = 1
 GENERATOR_VERSION = 1
 MAX_DRAWS = 100
+_NUMBER = (int, float)  # a JSON number; bool is not one
 
 
 class GeneratorError(RuntimeError):
@@ -480,6 +481,16 @@ def _check_ranges(basis: str, m: int, T: float, noise_std: float, L: int, n_shee
     return radii
 
 
+# The parameters of generate_sheep_paths and their JSON types: the names of
+# generate's flags, the keys of an inline scenario, and (radii for radius)
+# what regenerate reads off a scenario.  Null is none.
+GENERATE_PARAMS = {
+    "seed": int, "m": int, "T": _NUMBER, "radius": (*_NUMBER, list), "n": int, "n_sheep": int,
+    "basis": str, "L": int, "offset_box": _NUMBER, "noise_std": _NUMBER, "noise_cells": int,
+    "action_half": _NUMBER,
+}
+
+
 def generate_sheep_paths(
     seed: int,
     m: int = 5,
@@ -578,23 +589,11 @@ def generate_sheep_paths(
     raise GeneratorError(f"no viable environment in {MAX_DRAWS} draws for seed {seed}")
 
 
-def regenerate(scenario: ShepherdScenario, T: float | None = None,
-               seed: int | None = None) -> ShepherdScenario:
-    """Fresh scenario with the same parameters but a new horizon or seed."""
-    return generate_sheep_paths(
-        seed=scenario.seed if seed is None else seed,
-        m=scenario.m,
-        T=scenario.T if T is None else T,
-        radius=scenario.radii,
-        n=scenario.n,
-        n_sheep=scenario.n_sheep,
-        basis=scenario.basis,
-        L=scenario.L,
-        offset_box=scenario.offset_box,
-        noise_std=scenario.noise_std,
-        noise_cells=scenario.noise_cells,
-        action_half=scenario.action_half,
-    )
+def regenerate(scenario: ShepherdScenario, T: float) -> ShepherdScenario:
+    """Fresh scenario with the same parameters but the horizon T."""
+    params = {name: getattr(scenario, "radii" if name == "radius" else name)
+              for name in GENERATE_PARAMS}
+    return generate_sheep_paths(**{**params, "T": T})
 
 
 def viability_certificate(scenario: ShepherdScenario) -> ViabilityResult:
@@ -610,14 +609,13 @@ def viability_certificate(scenario: ShepherdScenario) -> ViabilityResult:
 # Serialization
 # ---------------------------------------------------------------------------
 
-# JSON types of the scenario keys that feed a field; bool is not a number.
-_NUMBER = (int, float)
+# JSON types of the scenario keys that feed a field: the generator's
+# parameters, with the radii as a list, and what it draws.
 _SCENARIO_TYPES = {
-    "m": int, "n": int, "n_sheep": int, "basis": str, "T": _NUMBER, "radii": list, "L": int,
-    "offset_box": _NUMBER, "noise_std": _NUMBER, "seed": int, "noise_cells": int,
-    "sheep_coeffs": list, "noise": list, "waypoints": list, "offsets": list,
-    "action_half": _NUMBER, "draws": int, "xdagger": list, "viability_residual": _NUMBER,
-    "viability_iterations": int, "kkt_condition": _NUMBER,
+    **{k: t for k, t in GENERATE_PARAMS.items() if k != "radius"}, "radii": list,
+    "sheep_coeffs": list, "noise": list, "waypoints": list, "offsets": list, "draws": int,
+    "xdagger": list, "viability_residual": _NUMBER, "viability_iterations": int,
+    "kkt_condition": _NUMBER,
 }
 _SCENARIO_KEYS = {"version", "kind", "generator_version", *_SCENARIO_TYPES}
 # Fields that feed the environment or the action set and so must be finite

@@ -70,6 +70,25 @@ def test_generate_rejects_out_of_range_parameters(tmp_path, capsys, flag, value,
     assert not out.exists()
 
 
+def test_generate_out_of_draws_exit_code(tmp_path, capsys):
+    # A one-coefficient shepherd path cannot keep near every sheep.
+    out = tmp_path / "scenario.json"
+    assert run_cli("generate", "--seed", 1, "--n", 1, "--n-sheep", 12, "--noise-cells", 50,
+                   "--out", out) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "viability: no viable environment in 100 draws for seed 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("simulate", "--bogus"), cli.EXIT_USAGE, "unrecognized arguments: --bogus"),
+    (("generate", "--help"), cli.EXIT_OK, "--horizon T"),
+], ids=["unknown_flag", "help"])
+def test_parser_exit_codes(capsys, argv, code, message):
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag, message", [
     ("--horizon", "horizon T must be positive and finite"),
@@ -133,6 +152,49 @@ def test_sweep_with_horizon_is_usage_error(scenario_file, tmp_path, capsys, flag
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "--sweep" in err and "--horizon" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cfg, message", [
+    (("--delta", "nan"), {}, "saturation level delta must be positive and finite"),
+    (("--delta", -1), {}, "saturation level delta must be positive and finite"),
+    (("--stride", 0), {}, "sample_stride must be >= 1"),
+    (("--sweep", "0.1,-1"), {}, "horizon T must be positive and finite"),
+    (("--sweep", "0.1,nan"), {}, "horizon T must be positive and finite"),
+    ((), {"scenario": {"seed": 1, "n": 6}, "delta": -1},
+     "saturation level delta must be positive and finite"),
+], ids=["delta_nan", "delta_negative", "stride_zero", "sweep_negative", "sweep_nan",
+        "inline_scenario"])
+def test_simulate_rejects_bad_values_before_any_draw(scenario_file, tmp_path, capsys, monkeypatch,
+                                                     flags, cfg, message):
+    # These were checked after the sweep's scenarios were regenerated or the
+    # inline one drawn, and a bad sweep entry after the runs before it were
+    # written.
+    def refuse(*args):
+        raise AssertionError("a sheep path was drawn")
+
+    monkeypatch.setattr(shepherd, "_solve_path_qp", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"version": cli.CONFIG_VERSION, "scenario": str(scenario_file),
+                                    "sweep": "0.1,0.2", **cfg}))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg_path, "--mode", "feasibility", *flags,
+                   "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ((), "a scenario file is required (--scenario or config)"),
+    (("--sweep", ","), "empty sweep list"),
+], ids=["no_scenario", "empty_sweep"])
+def test_simulate_without_a_scenario_or_a_horizon_is_usage_error(scenario_file, tmp_path, capsys,
+                                                                 flags, message):
+    scenario = ("--scenario", scenario_file) if flags else ()
+    out = tmp_path / "o"
+    assert run_cli("simulate", *scenario, "--mode", "feasibility", *flags,
+                   "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -241,18 +303,26 @@ def test_sweep_writes_the_horizons_before_a_diverging_one(scenario_file, tmp_pat
 
 @pytest.mark.parametrize("sweep, code, written", [
     ("40,0.25", cli.EXIT_DIVERGENCE, []),
-    ("0.25,0", cli.EXIT_USAGE, ["T_0.25"]),
+    ("0.25,0.5", cli.EXIT_INFEASIBLE, ["T_0.25"]),
 ], ids=["first_row_diverges", "last_fails_to_regenerate"])
 def test_sweep_writes_the_runs_before_its_first_failure(scenario_file, tmp_path, capsys,
-                                                        sweep, code, written):
+                                                        monkeypatch, sweep, code, written):
     # The rows after a failed one are not written, although they ran; a horizon
-    # whose scenario fails to regenerate fails in its place, after those before it.
+    # whose scenario finds no viable draw fails in its place, after those before it.
+    regenerate = shepherd.regenerate
+
+    def no_viable_draw_at_half(scenario, T):
+        if T == 0.5:
+            raise shepherd.GeneratorError("no viable environment in 100 draws for seed 1")
+        return regenerate(scenario, T=T)
+
+    monkeypatch.setattr(shepherd, "regenerate", no_viable_draw_at_half)
     out = tmp_path / "sweep"
     assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
                    "--epsilon", 1e9, "--step", 0.5, "--sweep", sweep, "--out", out) == code
     err = capsys.readouterr().err
     assert ("state magnitude exceeded" if code == cli.EXIT_DIVERGENCE
-            else "horizon T must be positive") in err
+            else "no viable environment") in err
     assert sorted(p.name for p in out.glob("*")) == written
     for name in written:
         assert {p.name for p in (out / name).iterdir()} == {"trajectory.csv", "metrics.json"}
@@ -395,6 +465,21 @@ def test_offline_requires_objective(scenario_file, tmp_path):
     code = run_cli("offline", "--scenario", scenario_file, "--objective", "none",
                    "--out", tmp_path / "o.json")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_offline_budget_below_one_is_usage_error(scenario_file, tmp_path, capsys, monkeypatch,
+                                                 budget):
+    # Such a budget wrote x-dagger as x* and exited 0.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the offline problem was solved")
+
+    monkeypatch.setattr(cli, "solve_offline", refuse)
+    off = tmp_path / "offline.json"
+    assert run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--max-iter", budget, "--out", off) == cli.EXIT_USAGE
+    assert "the iteration budget --max-iter must be at least 1" in capsys.readouterr().err
+    assert not off.exists()
 
 
 def test_report_renders_figures(scenario_file, tmp_path):
@@ -626,6 +711,24 @@ def test_offline_file_missing_keys_is_usage_error(scenario_file, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("content, flags, message", [
+    ([], ("--config", "{bad}"), "experiment config must be a JSON object"),
+    ([], ("--scenario", "{scenario}", "--offline", "{bad}"), "an offline solution must be a JSON object"),
+    ([], ("--scenario", "{bad}"), "a scenario must be a JSON object"),
+    ({"version": 1, "kind": "herd"}, ("--scenario", "{bad}"), "unsupported scenario kind 'herd'"),
+], ids=["config_array", "offline_array", "scenario_array", "scenario_kind"])
+def test_input_files_of_the_wrong_shape_are_usage_errors(scenario_file, tmp_path, capsys, content,
+                                                         flags, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    flags = [str(f).format(bad=bad, scenario=scenario_file) for f in flags]
+    out = tmp_path / "o"
+    assert run_cli("simulate", *flags, "--mode", "saddle", "--objective", "blacksheep",
+                   "--out", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"scenario": {"seed": 1, "bogus": 3}}, "unknown inline scenario keys: ['bogus']"),
     ({"scenario": {"seed": None}}, "inline scenario key 'seed' has the wrong type: null"),
@@ -634,12 +737,17 @@ def test_offline_file_missing_keys_is_usage_error(scenario_file, tmp_path, capsy
     ({"stride": [10]}, "config key 'stride' has the wrong type: [10]"),
     ({"objective": ["blacksheep"]}, "config key 'objective' has the wrong type"),
     ({"delta": True}, "config key 'delta' has the wrong type: true"),
-], ids=["inline_unknown", "inline_null", "inline_list", "null", "list", "unhashable", "bool"])
+    # Flags have argparse's choices; config values are checked by the command.
+    ({"mode": "fast"}, "mode must be one of"),
+    ({"objective": "cheap"}, "objective must be one of"),
+], ids=["inline_unknown", "inline_null", "inline_list", "null", "list", "unhashable", "bool",
+        "mode_choice", "objective_choice"])
 def test_config_value_types_are_usage_errors(scenario_file, tmp_path, capsys, cfg, message):
-    cfg = {"version": 1, "scenario": str(scenario_file), "out": str(tmp_path / "o"), **cfg}
+    cfg = {"version": 1, "scenario": str(scenario_file), "mode": "feasibility",
+           "out": str(tmp_path / "o"), **cfg}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert run_cli("simulate", "--config", cfg_path, "--mode", "feasibility") == cli.EXIT_USAGE
+    assert run_cli("simulate", "--config", cfg_path) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -649,7 +757,8 @@ def test_saturated_run_records_floor(scenario_file, tmp_path):
     assert run_cli("simulate", "--scenario", scenario_file, "--mode", "feasibility",
                    "--epsilon", 5, "--step", 1e-3, "--delta", 0.1, "--out", out) == 0
     md = json.loads((out / "metrics.json").read_text())
-    assert "saturated_fit" in md
+    assert len(md["fit"]) == len(md["fit_bounds"]) == len(md["saturated_fit"]) == 5
+    assert md["clipped_fit_norm"] == np.linalg.norm(np.maximum(md["fit"], 0.0))
     data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
     header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
     f_cols = [i for i, h in enumerate(header) if h.startswith("f_") and h != "f_0val"]

@@ -180,15 +180,3 @@ def test_clipped_fit_norm_values():
 def test_slack_rule():
     assert metrics.slack(10.0, 1e-4, 1.0, 1.0) == pytest.approx(0.5)
     assert metrics.slack(0.0, 1e-4, 2.0, 500.0) == pytest.approx(1.0)
-
-
-def test_fit_report_with_bounds(small_scenario):
-    env = shepherd.shepherd_env(small_scenario, "none")
-    X = small_scenario.action_set()
-    log = simulate(env, ControllerConfig(epsilon=5.0, h=1e-3, mode="feasibility"),
-                   T=small_scenario.T, X=X, sample_stride=5)
-    rep = metrics.fit_report(log, xdagger=small_scenario.xdagger, delta=0.1)
-    assert rep.fit.shape == (small_scenario.m,)
-    assert rep.bounds.shape == (small_scenario.m,)
-    assert rep.saturated_fit is not None
-    assert rep.clipped_fit_norm == pytest.approx(metrics.clipped_fit_norm(rep.fit))
