@@ -459,20 +459,25 @@ def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.
     return P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1))
 
 
-def _check_ranges(basis: str, m: int, T: float, noise_std: float, L: int, n_sheep: int,
-                  radius, offset_box: float, noise_cells: int, action_half: float) -> np.ndarray:
+def _check_ranges(p: dict) -> np.ndarray:
     """Raise a ValueError naming the first scenario parameter out of its
-    range; return the radii, one per sheep (a scalar radius is shared)."""
-    for ok, message in ((basis in BASIS_KINDS, f"basis must be one of {BASIS_KINDS}"),
+    range, given the generator's parameters ``p`` keyed by their
+    ``GENERATE_PARAMS`` names; return the radii, one per sheep (a scalar
+    radius is shared)."""
+    m, L, radius = p["m"], p["L"], p["radius"]
+    for ok, message in ((p["basis"] in BASIS_KINDS, f"basis must be one of {BASIS_KINDS}"),
                         (m >= 1, "sheep count m must be at least 1"),
-                        (0.0 < T < np.inf, "horizon T must be positive and finite"),
-                        (0.0 <= noise_std < np.inf, "noise_std must be nonnegative and finite"),
-                        (0.0 <= offset_box < np.inf, "offset_box must be nonnegative and finite"),
-                        (noise_cells >= 1, "noise_cells must be at least 1"),
-                        (0.0 < action_half < np.inf, "action_half must be positive and finite"),
+                        (0.0 < p["T"] < np.inf, "horizon T must be positive and finite"),
+                        (0.0 <= p["noise_std"] < np.inf,
+                         "noise_std must be nonnegative and finite"),
+                        (0.0 <= p["offset_box"] < np.inf,
+                         "offset_box must be nonnegative and finite"),
+                        (p["noise_cells"] >= 1, "noise_cells must be at least 1"),
+                        (0.0 < p["action_half"] < np.inf,
+                         "action_half must be positive and finite"),
                         (L >= 0, "waypoint count L must be nonnegative"),
-                        (n_sheep > L + 2, "sheep basis size n_sheep must exceed L + 2 equality "
-                                          "constraints")):
+                        (p["n_sheep"] > L + 2, "sheep basis size n_sheep must exceed L + 2 "
+                                               "equality constraints")):
         if not ok:
             raise ValueError(message)
     radii = np.full(m, float(radius)) if np.isscalar(radius) else np.asarray(radius, dtype=float)
@@ -522,8 +527,7 @@ def generate_sheep_paths(
     the noise fluctuation inside their discretization slack.
     """
     n_sheep = n if n_sheep is None else n_sheep
-    radii = _check_ranges(basis, m, T, noise_std, L, n_sheep, radius, offset_box, noise_cells,
-                          action_half)
+    radii = _check_ranges(locals())  # the parameters, n_sheep resolved
 
     rng = np.random.default_rng(seed)
     G = acceleration_gram(basis, n_sheep, T)
@@ -662,8 +666,7 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"scenario field {name!r} has non-finite values")
-    radii = _check_ranges(d["basis"], d["m"], d["T"], d["noise_std"], d["L"], d["n_sheep"],
-                          fields["radii"], d["offset_box"], d["noise_cells"], d["action_half"])
+    radii = _check_ranges({**d, "radius": fields["radii"]})
     return ShepherdScenario(
         m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
         T=float(d["T"]), radii=radii, L=int(d["L"]),

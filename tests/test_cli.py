@@ -1,9 +1,11 @@
+import errno
 import json
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +233,122 @@ def test_simulate_deterministic_bytes(scenario_file, tmp_path):
     a = (outs[0] / "trajectory.csv").read_bytes()
     b = (outs[1] / "trajectory.csv").read_bytes()
     assert a == b
+
+
+# Values that repr writes in each of its forms: signed zero, the smallest
+# subnormal, both sides of the switch to exponents, and a large negative.
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, -1.5e300, 0.1]
+
+
+def _wide_log(rows):
+    """A log of rows x 78 values (n = 60, m = 5) with SPECIAL_FLOATS in the
+    first and the last row, so in both halves of a split table."""
+    rng = np.random.default_rng(3)
+    n, m = 60, 5
+    log = SimpleNamespace(t=np.linspace(0.0, 0.25, rows), x=rng.standard_normal((rows, n)),
+                          lam=rng.random((rows, m)), f0=rng.random(rows),
+                          f=rng.standard_normal((rows, m)), fit_accum=rng.random((rows, m)),
+                          cost_accum=rng.random(rows))
+    log.x[0, :7] = log.x[-1, :7] = SPECIAL_FLOATS
+    return log
+
+
+def _counting_fork(monkeypatch):
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_large_csv_has_the_one_process_bytes(tmp_path, monkeypatch):
+    log = _wide_log(700)  # 54,600 values
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    calls = _counting_fork(monkeypatch)
+    cli.write_trajectory_csv(tmp_path / "two.csv", log)
+    assert calls == [1]
+    two = (tmp_path / "two.csv").read_bytes()
+
+    lines = two.decode().splitlines()
+    table = np.column_stack([log.t, log.x, log.lam, log.f0, log.f, log.fit_accum,
+                             log.cost_accum])
+    assert lines[1:] == [",".join(repr(v) for v in row) for row in table.tolist()]
+    assert lines[1].split(",")[1:8] == lines[-1].split(",")[1:8] == list(map(repr, SPECIAL_FLOATS))
+
+    monkeypatch.setattr(cli, "FORK_MIN_VALUES", table.size + 1)
+    cli.write_trajectory_csv(tmp_path / "one.csv", log)
+    assert calls == [1]
+    assert (tmp_path / "one.csv").read_bytes() == two
+
+
+def test_failed_fork_leaves_every_row_to_this_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    log = _wide_log(700)
+    cli.write_trajectory_csv(tmp_path / "a.csv", log)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cli.write_trajectory_csv(tmp_path / "b.csv", log)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_small_csv_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked below FORK_MIN_VALUES")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert 641 * 78 < cli.FORK_MIN_VALUES <= 642 * 78
+    cli.write_trajectory_csv(tmp_path / "t.csv", _wide_log(641))
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 642
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_failed_half_raises_and_leaves_no_child(tmp_path, monkeypatch, failing):
+    parent, rows = os.getpid(), cli._csv_rows
+
+    def csv_rows(table):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise _Boom(failing)
+        return rows(table)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_csv_rows", csv_rows)
+    calls = _counting_fork(monkeypatch)
+    expected = (RuntimeError, "exited with status 1") if failing == "child" else (_Boom, "parent")
+    with pytest.raises(expected[0], match=expected[1]):
+        cli.write_trajectory_csv(tmp_path / "t.csv", _wide_log(2501))
+    assert calls == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_writer_emits_no_warning(tmp_path, monkeypatch):
+    log = _wide_log(700)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    fork = os.fork
+
+    def fork_warning_as_312():  # Python 3.12+ in a process with other OS threads
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli.write_trajectory_csv(tmp_path / "a.csv", log)
+        monkeypatch.setattr(os, "fork", fork_warning_as_312)
+        cli.write_trajectory_csv(tmp_path / "b.csv", log)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_simulate_missing_scenario_is_usage_error(tmp_path):
