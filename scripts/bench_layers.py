@@ -18,9 +18,10 @@ phases of the host's speed; separate runs of one tree scatter by up to 2x on
 a shared host.  The cases, each group described where it is built:
 
 - ``step_cases``: the layers of one integrator step at action dimension 12
-  and 60 (the per-node ``raw`` of each objective, the projected step of one
-  joined state row, the Box and orthant field projections of a block, one
-  block table build and a fresh one-step ``simulate``), and
+  and 60 (the per-node ``raw`` of each objective and of a saturated
+  environment, the projected step of one joined state row, the Box and
+  orthant field projections of a block, one block table build and a fresh
+  one-step ``simulate``), and
   ``check_block_cases``: one block check of the integrator;
 - ``offline_cases``: the offline solver's layers on the regret-chain
   configuration (grid Lagrangian calls, the grid's table build,
@@ -30,8 +31,8 @@ a shared host.  The cases, each group described where it is built:
   search's draws included;
 - ``ab_simulate_cases``: ``simulate_rows`` per run-step on the benchmark's
   run configurations, a C03 tracking run and B = 1, 2 and 6 rows;
-- ``io_cases``: ``write_trajectory_csv`` and ``report``'s figures of the
-  2,501-row regret-chain log.
+- ``io_cases``: ``write_trajectory_csv``, ``report``'s figures and the sheep
+  positions of its path overlay, of the 2,501-row regret-chain log.
 
 Each ``ab`` row carries ``after_better``, the repeats in which the after tree
 was faster (ties count for neither), ``after_over_before``, the after/before
@@ -268,19 +269,21 @@ def import_tree(root: str, name: str):
 def step_cases(package, sc) -> dict:
     """The layers of one integrator step at the action dimension n of the
     scenario sc, each on the inputs a step gives it: the shepherd per-node
-    evaluator ``raw(k, X, out)`` of every objective at x-dagger, node 7 of a
-    one-row block of BLOCK_STEPS nodes (h = 2e-5); the projected step of one
-    (1, n + 5) state row [x | lam] (x-dagger, multipliers with two at 0) along
-    a random field at h = 1e-4, written in place and projected onto X x R+^5
-    as ``simulate_rows`` steps it; the per-block calls, Box.project_field of a
-    (BLOCK_STEPS, 1, n) stack of x-dagger rows and, at n = 12 (the
-    multipliers do not depend on n), NonnegativeOrthant.project_field of a
-    (BLOCK_STEPS, 1, 5) stack of those multiplier rows, each with random
-    fields; one build of the black-sheep time tables of a block of
-    BLOCK_STEPS nodes (h = 1e-4; ``grid_evaluator`` keeps no table, so each
-    call builds them); and one saddle step of ``simulate`` on a fresh
-    black-sheep environment, built in the timed call, mostly the build of
-    the step's start-up tables."""
+    evaluator ``raw(k, X, out)`` of every objective, and of no objective
+    saturated at delta = 0.1, at x-dagger, node 7 of a one-row block of
+    BLOCK_STEPS nodes (h = 2e-5); the projected step of one (1, n + 5) state
+    row [x | lam] (x-dagger, multipliers with two at 0) along a random field
+    at h = 1e-4, written in place and projected onto X x R+^5 as
+    ``simulate_rows`` steps it (by the set's ``row_projector`` where the
+    tree has one, else by ``project_point(z, out=z)``); the per-block calls,
+    Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows and,
+    at n = 12 (the multipliers do not depend on n),
+    NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of those
+    multiplier rows, each with random fields; one build of the black-sheep
+    time tables of a block of BLOCK_STEPS nodes (h = 1e-4;
+    ``grid_evaluator`` keeps no table, so each call builds them); and one
+    saddle step of ``simulate`` on a fresh black-sheep environment, built in
+    the timed call, mostly the build of the step's start-up tables."""
     convex_sets, dynamics, shepherd = package.convex_sets, package.dynamics, package.shepherd
     n, cases = sc.action_dim, {}
     ts = (np.arange(BLOCK_STEPS) * 2e-5 + 2e-5)[None]
@@ -288,16 +291,20 @@ def step_cases(package, sc) -> dict:
     for objective in shepherd.OBJECTIVES:
         raw = shepherd.shepherd_env(sc, objective).on_grid(ts, np.arange(1))
         cases[f"raw_us.{objective}.n{n}"] = (lambda raw=raw: raw(7, x, row), 1e6, 2000)
+    raw = shepherd.shepherd_env(sc, "none").saturate(0.1).on_grid(ts, np.arange(1))
+    cases[f"raw_us.none_saturated.n{n}"] = (lambda: raw(7, x, row), 1e6, 2000)
     X, Lam = sc.action_set(), convex_sets.NonnegativeOrthant(5)
     S, rng = convex_sets.StateSet(X, 5), np.random.default_rng(0)
     lam, u = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), rng.standard_normal((1, n + 5))
     z0, hz = np.hstack([x, lam]), np.full((1, n + 5), 1e-4)
     z = z0.copy()
+    project = (S.row_projector(z) if hasattr(S, "row_projector")
+               else lambda z: S.project_point(z, out=z))
 
     def step():
         np.multiply(hz, u, out=z)
         np.add(z0, z, out=z)
-        S.project_point(z, out=z)
+        project(z)
 
     cases[f"state_step_us.n{n}_m5"] = (step, 1e6, 2000)
     xs, vs = np.tile(x, (BLOCK_STEPS, 1, 1)), rng.standard_normal((BLOCK_STEPS, 1, n))
@@ -462,8 +469,9 @@ def ab_simulate_cases(package) -> dict:
 def io_cases(package, workdir: str) -> dict:
     """Trajectory I/O on the log of regret-chain's saddle run (seed 1,
     T = 0.25, black sheep, stride 1: 2,501 rows): ``write_trajectory_csv``
-    (s), and ``report``'s figures of that CSV (ms), both written into
-    workdir."""
+    (s), ``report``'s figures of that CSV (ms), both written into workdir,
+    and ``sheep_positions`` at the log's times, the table behind report's
+    path overlay (ms)."""
     shepherd, dynamics = package.shepherd, package.dynamics
     cli = importlib.import_module(f"{package.__name__}.cli")  # not imported by the package
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
@@ -477,7 +485,9 @@ def io_cases(package, workdir: str) -> dict:
     return {f"write_trajectory_csv_s.regret_chain_{rows}": (
                 lambda: cli.write_trajectory_csv(path, log), 1.0, 1),
             f"render_run_figures_ms.regret_chain_{rows}": (
-                lambda: cli._render_run_figures(out, {}, header, data, out), 1e3, 1)}
+                lambda: cli._render_run_figures(out, {}, header, data, out), 1e3, 1),
+            f"sheep_positions_ms.regret_chain_{rows}": (
+                lambda: shepherd.sheep_positions(sc, log.t), 1e3, 20)}
 
 
 def ab_cases(package, workdir: str) -> dict:

@@ -503,7 +503,7 @@ def _render_run_figures(run_dir: Path, md: dict, header, data, out_dir: Path,
                 x=Y[:, i, 0], y=Y[:, i, 1],
                 label=f"sheep {i + 1}", color=svgplot.PALETTE[(i + 2) % len(svgplot.PALETTE)],
             ))
-        P, _, _ = shepherd.basis_matrices(scenario.basis, scenario.n, t, scenario.T)
+        P = shepherd.basis_values(scenario.basis, scenario.n, t, scenario.T)
         xs = data[:, x_idx]
         z1 = np.einsum("kj,kj->k", P, xs[:, :scenario.n])
         z2 = np.einsum("kj,kj->k", P, xs[:, scenario.n:])

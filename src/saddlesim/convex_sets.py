@@ -14,6 +14,7 @@ one run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class ConvexSet:
         row of z (..., n); a row projects alone, bit for bit.  Written into
         ``out`` (z's shape; z itself projects in place) when given."""
         raise NotImplementedError
+
+    def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
+        """``project(y)``, which projects each row of y in place, bit for bit
+        ``project_point(y, out=y)``, for arrays y of z's width (..., n): the
+        width is checked here, once, as ``project_point`` checks it."""
+        _check_dim(self.dim, z, rows=True)
+        project_point = self.project_point
+        return lambda y: project_point(y, y)
 
     def distance(self, x: np.ndarray) -> float:
         """Euclidean distance from x to the set."""
@@ -127,6 +136,12 @@ class Box(ConvexSet):
         z = _check_dim(self.dim, z, rows=True)
         lower, upper = self._clip[z.ndim > 1]
         return np.minimum(np.maximum(z, lower, out=out), upper, out=out)
+
+    def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
+        # project_point's clip pair on the bounds for z's rank, bound once.
+        lower, upper = self._clip[_check_dim(self.dim, z, rows=True).ndim > 1]
+        maximum, minimum = np.maximum, np.minimum
+        return lambda y: minimum(maximum(y, lower, out=y), upper, out=y)
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
         return ((x >= self.lower - MEMBERSHIP_TOL)
@@ -233,6 +248,9 @@ class StateSet(ConvexSet):
             return self._box.project_point(z, out)
         parts = [s.project_point(p) for s, p in zip(self.factors, self._split(z))]
         return _into(np.concatenate(parts, axis=-1), out)
+
+    def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
+        return self._box.row_projector(z) if self._box else super().row_projector(z)
 
     def project_field(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         parts = zip(self.factors, self._split(z), self._split(v))

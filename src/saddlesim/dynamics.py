@@ -143,8 +143,8 @@ def simulate_rows(
     by ``raw(k, X, out)``: f0 and f go into the block's array of them, and g0
     and G, views of the evaluator's node buffer, hold until the next call.
     Then it steps the joined state z = [x | lam] in place, by the set's own
-    ``project_point(z, out=z)``, to ``Pi_S(z + h u)`` on S = X x R+^m (X in
-    gradient mode: no multipliers) along u = [v | w],
+    ``row_projector``, bound once per call, to ``Pi_S(z + h u)`` on
+    S = X x R+^m (X in gradient mode: no multipliers) along u = [v | w],
     ``v = -eps (g0 + G lam)`` (``-eps g0`` in gradient mode, ``-eps G lam``
     in feasibility mode) and ``w = eps f``.  Every ``G lam`` is a matmul over
     the stack of rows; it runs the kernel of the 1-D ``@`` on each row, so it
@@ -193,6 +193,10 @@ def simulate_rows(
     # The mode, decided once: multipliers move unless in gradient mode, and
     # the action field carries the objective unless in feasibility mode.
     dual, saddle = mode != "gradient", mode == "saddle"
+    # What a step calls, bound once: numpy's ufuncs (out passed by position)
+    # and the in-place projector onto S, whose width is checked here.
+    matmul, multiply, add, isfinite, neg_eps = np.matmul, np.multiply, np.add, np.isfinite, -eps
+    project = S.row_projector(z)
     # Trapezoid sums of f0 and f (cost, fit) up to the last node taken in,
     # and f0 and f at that node.
     sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
@@ -229,13 +233,13 @@ def simulate_rows(
         for j, (zp, lam, f, u, v, w, z, x, out, node_ok) in enumerate(nodes):
             if j or first:  # the projected Euler step from node j + first - 1, written in place
                 if dual:
-                    np.matmul(G, lam, out=drive)
-                    np.multiply(f, eps, out=w)
+                    matmul(G, lam, drive)
+                    multiply(f, eps, w)
                 # v = -eps (g0 + G lam), or -eps G lam, or -eps g0 (see the mode above)
-                np.multiply(np.add(g0, d0, out=v) if saddle else d0 if dual else g0, -eps, out=v)
-                np.multiply(hz, u, out=z)
-                np.add(zp, z, out=z)
-                S.project_point(z, out=z)
+                multiply(add(g0, d0, v) if saddle else d0 if dual else g0, neg_eps, v)
+                multiply(hz, u, z)
+                add(zp, z, z)
+                project(z)
             try:
                 g0, G = raw(j, x, out)
             except Exception:
@@ -244,7 +248,7 @@ def simulate_rows(
                 _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], J_ok[:j, :, :n],
                              J_ok[:j, :, n:], first)
                 raise
-            np.isfinite(g0.base, out=node_ok)  # g0 and G are views of J, their base
+            isfinite(g0.base, node_ok)  # g0 and G are views of J, their base
         errors = []
         for r in range(rows.size):  # each row's check on that row alone
             try:

@@ -155,12 +155,19 @@ class Environment:
 
         def sat_on_grid(ts: np.ndarray, rows: np.ndarray):
             raw = base_grid(ts, rows)
+            # The inactive columns ~(f >= -delta) (NaN among them), formed in
+            # a buffer of the block, and the ufuncs, bound once.
+            inactive = np.empty((len(rows), 1, self.m), dtype=bool)
+            flat = inactive[:, 0]
+            greater_equal, logical_not, copyto, maximum = (
+                np.greater_equal, np.logical_not, np.copyto, np.maximum)
 
             def sat_raw(k: int, X: np.ndarray, out: np.ndarray):
                 g0, G = raw(k, X, out)
                 f = out[:, 1:]
-                np.copyto(G, 0.0, where=~(f >= -delta)[..., None, :])
-                np.maximum(f, -delta, out=f)
+                logical_not(greater_equal(f, -delta, flat), flat)
+                copyto(G, 0.0, where=inactive)
+                maximum(f, -delta, out=f)
                 return g0, G
 
             return sat_raw

@@ -52,42 +52,52 @@ class GeneratorError(RuntimeError):
 # Polynomial bases
 # ---------------------------------------------------------------------------
 
-def basis_matrices(kind: str, n: int, ts: np.ndarray, T: float):
-    """Values, first and second t-derivatives of the basis at the given times.
+def basis_values(kind: str, n: int, ts: np.ndarray, T: float) -> np.ndarray:
+    """Values of the basis at the given times, a (len(ts), n) array.
 
-    Returns three (len(ts), n) arrays.  Legendre polynomials are shifted to
-    [0, T] through u = 2t/T - 1; derivative recurrences are used so endpoint
-    evaluation is exact and stable.
+    Legendre polynomials are shifted to [0, T] through u = 2t/T - 1 and
+    evaluated by their three-term recurrence, so endpoint evaluation is exact
+    and stable.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    K = ts.shape[0]
     if kind == "monomial":
-        j = np.arange(n)
-        powers = ts[:, None] ** j[None, :]
-        P = powers
-        Pd = np.zeros((K, n))
-        Pdd = np.zeros((K, n))
-        if n > 1:
-            Pd[:, 1:] = j[1:] * powers[:, :-1]
-        if n > 2:
-            Pdd[:, 2:] = (j[2:] * (j[2:] - 1)) * powers[:, :-2]
-        return P, Pd, Pdd
+        return ts[:, None] ** np.arange(n)[None, :]
     if kind != "legendre":
         raise ValueError(f"unknown basis kind {kind!r}")
     u = 2.0 * ts / T - 1.0
-    P = np.empty((K, n))
-    Du = np.zeros((K, n))
-    Ddu = np.zeros((K, n))
+    P = np.empty((ts.shape[0], n))
     P[:, 0] = 1.0
     if n > 1:
         P[:, 1] = u
-        Du[:, 1] = 1.0
     for j in range(1, n - 1):
         P[:, j + 1] = ((2 * j + 1) * u * P[:, j] - j * P[:, j - 1]) / (j + 1)
-        Du[:, j + 1] = (2 * j + 1) * P[:, j] + (Du[:, j - 1] if j >= 1 else 0.0)
-        Ddu[:, j + 1] = (2 * j + 1) * Du[:, j] + (Ddu[:, j - 1] if j >= 1 else 0.0)
+    return P
+
+
+def basis_matrices(kind: str, n: int, ts: np.ndarray, T: float):
+    """Values, first and second t-derivatives of the basis at the given times.
+
+    Returns three (len(ts), n) arrays, the values bit for bit those of
+    :func:`basis_values`.  Legendre derivatives come from their recurrences
+    in u, so they too are exact at the endpoints.
+    """
+    P = basis_values(kind, n, ts, T)
+    K = P.shape[0]
+    Pd, Pdd = np.zeros((K, n)), np.zeros((K, n))
+    if kind == "monomial":
+        j = np.arange(n)
+        if n > 1:
+            Pd[:, 1:] = j[1:] * P[:, :-1]
+        if n > 2:
+            Pdd[:, 2:] = (j[2:] * (j[2:] - 1)) * P[:, :-2]
+        return P, Pd, Pdd
+    if n > 1:
+        Pd[:, 1] = 1.0
+    for j in range(1, n - 1):  # in u, scaled to t below
+        Pd[:, j + 1] = (2 * j + 1) * P[:, j] + Pd[:, j - 1]
+        Pdd[:, j + 1] = (2 * j + 1) * Pd[:, j] + Pdd[:, j - 1]
     s = 2.0 / T
-    return P, s * Du, s * s * Ddu
+    return P, s * Pd, s * s * Pdd
 
 
 def acceleration_gram(kind: str, n: int, T: float) -> np.ndarray:
@@ -265,7 +275,7 @@ def sheep_positions(scenario: ShepherdScenario, ts: np.ndarray) -> np.ndarray:
     """Positions of every sheep at the given times, shape (len(ts), m, 2): a
     transposed view of the evaluators' planar table."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    P, _, _ = basis_matrices(scenario.basis, scenario.n_sheep, ts, scenario.T)
+    P = basis_values(scenario.basis, scenario.n_sheep, ts, scenario.T)
     return _positions(scenario, ts, P, scenario.noise_std > 0.0).transpose(1, 2, 0)
 
 
@@ -308,7 +318,7 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
     r2s = np.stack([s.radii**2 - shift for s, shift in zip(scenarios, shifts)])
     noisy = [noise == "frozen" and s.noise_std > 0.0 for s in scenarios]
     shift, r2 = float(shifts[0]), r2s[0]
-    has_obj = objective != "none"
+    has_obj, accel = objective != "none", objective == "min_acceleration"
     last = (None, None)  # the last node set (a copy) and its tables
 
     def tables(ts: np.ndarray):
@@ -319,7 +329,7 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         nonlocal last
         key, tab = last
         if key is None or not np.array_equal(key, ts):
-            tab = _tables(scenario, ts, noisy[0], r2)
+            tab = _tables(scenario, ts, noisy[0], r2, accel)
             last = (np.array(ts, dtype=float), tab)
         return tab
 
@@ -331,8 +341,9 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         # here, once per block, so that each node indexes each table once and
         # allocates no array.  An integrator asks for each block once, so
         # nothing is kept.
-        tabs = [_tables(scenarios[i], t, noisy[i], r2s[i]) for i, t in zip(rows.tolist(), ts)]
-        q = 2 if objective == "min_acceleration" else 1
+        tabs = [_tables(scenarios[i], t, noisy[i], r2s[i], accel)
+                for i, t in zip(rows.tolist(), ts)]
+        q = 2 if accel else 1
         B = np.stack([np.stack(tab[:q], axis=1) for tab in tabs], axis=1)
         Y = np.stack([tab[2].transpose(1, 0, 2) for tab in tabs], axis=1)
         R, m = len(tabs), scenario.m
@@ -353,33 +364,36 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         dd1, dd2, d_G = dd[:, 0], dd[:, 1], d[:, :, None, :]
         G_planar, G_first, g0_planar = G.reshape(R, 2, nb, m), G[:, :, 0], g0.reshape(R, 2, nb)
         rr_first, an_col = rr[:, 0], an[..., None]
+        # X's rows as (R, 1, 2, nb), and the ufuncs, bound once.
+        x_planar = (-1, 1, 2, nb)
+        vecdot, subtract, multiply, add, hypot, divide, copyto = (
+            np.vecdot, np.subtract, np.multiply, np.add, np.hypot, np.divide, np.copyto)
 
         def raw(k: int, X: np.ndarray, out: np.ndarray):
             # The x-dependent algebra at node k of every row.  The position z
             # and the acceleration a, each coordinate of each row one dot
-            # product, come from one np.vecdot, bit for bit the 1-D products.
-            np.vecdot(X.reshape(-1, 1, 2, nb), rows_dot[k], out=za)
-            np.subtract(z_col, Y[k], out=d)
-            np.multiply(d, d, out=dd)
+            # product, come from one vecdot, bit for bit the 1-D products.
+            vecdot(X.reshape(x_planar), rows_dot[k], za)
+            subtract(z_col, Y[k], d)
+            multiply(d, d, dd)
             f0, f = out[:, 0], out[:, 1:]
-            np.add(dd1, dd2, out=f)
-            np.subtract(f, rr, out=f)
-            np.multiply(p2[k], d_G, out=G_planar)
+            add(dd1, dd2, f)
+            subtract(f, rr, f)
+            multiply(p2[k], d_G, G_planar)
             if objective == "black_sheep":
-                np.add(f[:, 0], rr_first, out=f0)
-                np.add(f0, sh, out=f0)
-                np.copyto(g0, G_first)
-            elif objective == "min_acceleration":
-                np.hypot(a1, a2, out=f0)
+                add(f[:, 0], rr_first, f0)
+                add(f0, sh, f0)
+                copyto(g0, G_first)
+            elif accel:
+                hypot(a1, a2, f0)
                 # Every row moving (a NaN row too, which the guard rejects):
                 # no row needs the zero subgradient.  The test reads the few
                 # norms as Python floats, cheaper than a numpy reduction.
                 moving = None if all(f0.tolist()) else f0 > 0.0
-                np.divide(a, out[:, :1] if moving is None else np.where(moving, f0, 1.0)[:, None],
-                          out=an)
-                np.multiply(a_basis[k], an_col, out=g0_planar)
+                divide(a, out[:, :1] if moving is None else np.where(moving, f0, 1.0)[:, None], an)
+                multiply(a_basis[k], an_col, g0_planar)
                 if moving is not None:
-                    np.copyto(g0_planar, 0.0, where=~moving[:, None, None])
+                    copyto(g0_planar, 0.0, where=~moving[:, None, None])
             else:
                 f0[...] = 0.0
             return g0, G
@@ -449,13 +463,17 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
                        has_objective=has_obj, n_rows=len(scenarios))
 
 
-def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.ndarray):
-    """Time tables of one scenario at the nodes ts: basis rows P, P'' (K, nb),
-    the planar sheep table Y (2, K, m) and r2 tiled (K, m), so that
-    f = |d|^2 - r2 runs as one flat loop."""
+def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.ndarray,
+            accel: bool):
+    """Time tables of one scenario at the nodes ts: basis rows P (K, nb) and,
+    if ``accel``, P'' (else None), the planar sheep table Y (2, K, m) and r2
+    tiled (K, m), so that f = |d|^2 - r2 runs as one flat loop."""
     kind, nb, T = scenario.basis, scenario.n, scenario.T
-    P, _, Pdd = basis_matrices(kind, nb, ts, T)
-    Ps = P if scenario.n_sheep == nb else basis_matrices(kind, scenario.n_sheep, ts, T)[0]
+    if accel:
+        P, _, Pdd = basis_matrices(kind, nb, ts, T)
+    else:
+        P, Pdd = basis_values(kind, nb, ts, T), None
+    Ps = P if scenario.n_sheep == nb else basis_values(kind, scenario.n_sheep, ts, T)
     return P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1))
 
 
@@ -532,7 +550,7 @@ def generate_sheep_paths(
     rng = np.random.default_rng(seed)
     G = acceleration_gram(basis, n_sheep, T)
     con_times = np.concatenate([[0.0], (np.arange(1, L + 1) * T) / (L + 1), [T]])
-    con_rows, _, _ = basis_matrices(basis, n_sheep, con_times, T)
+    con_rows = basis_values(basis, n_sheep, con_times, T)
 
     off_box = []  # largest warm-start coefficient of each draw it rejected
     for attempt in range(1, MAX_DRAWS + 1):
@@ -567,8 +585,8 @@ def generate_sheep_paths(
             x_init = encode_coeffs(coeffs.mean(axis=0))
         else:
             ts = grid.nodes()
-            P_shep, _, _ = basis_matrices(basis, n, ts, T)
-            P_sheep, _, _ = basis_matrices(basis, n_sheep, ts, T)
+            P_shep = basis_values(basis, n, ts, T)
+            P_sheep = basis_values(basis, n_sheep, ts, T)
             center = np.einsum("kj,cj->kc", P_sheep, coeffs.mean(axis=0))
             cx, *_ = np.linalg.lstsq(P_shep, center[:, 0], rcond=None)
             cy, *_ = np.linalg.lstsq(P_shep, center[:, 1], rcond=None)

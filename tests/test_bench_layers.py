@@ -27,6 +27,9 @@ TIMED_LAYERS = (
     "render_run_figures_ms.regret_chain_2501",
     *(f"viability_s.n6_seed{seed}" for seed in (0, 35, 43, 46)),
 )
+# Layers timed only since ``ab`` held them all.
+AB_LAYERS = ("simulate_us_per_step.ensemble_feasibility_sat_rows", "raw_us.none_saturated.n12",
+             "raw_us.none_saturated.n60", "sheep_positions_ms.regret_chain_2501")
 # The one-action grid Lagrangian is the multiplier loop's black-sheep evaluation.
 SAME_LAYER = {"batch_evaluate_us.one_action.regret_chain":
               "lagrangian_eval_us.black_sheep.plain.regret_chain"}
@@ -43,8 +46,7 @@ def load_bench_layers():
 def test_every_ab_case_runs_once_on_the_working_tree():
     bench_layers = load_bench_layers()
     rows = bench_layers.ab(str(ROOT), str(ROOT), repeats=1)
-    assert {SAME_LAYER.get(layer, layer) for layer in TIMED_LAYERS} <= set(rows)
-    assert "simulate_us_per_step.ensemble_feasibility_sat_rows" in rows
+    assert {SAME_LAYER.get(layer, layer) for layer in TIMED_LAYERS} | set(AB_LAYERS) <= set(rows)
     for row in rows.values():
         assert row["before"]["repeats"] == row["after"]["repeats"] == 1
         assert row["before"]["median"] > 0.0 and row["after"]["median"] > 0.0

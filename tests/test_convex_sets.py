@@ -501,6 +501,44 @@ def test_state_set_field_raises_the_first_factors_error(case):
             assert np.array_equal(_bits(S.project_field(Z, U)), _bits(ref))
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=joined_rows())
+def test_row_projector_projects_in_place_bit_for_bit(case):
+    cset, Z, _ = case
+    S, _, n = _factors(cset, Z)
+    with np.errstate(all="ignore"):  # a ball meets inf / inf
+        for s, z in ((cset, Z[:, :n]), (S, Z)):
+            y = z.copy()
+            s.row_projector(z)(y)
+            assert np.array_equal(_bits(y), _bits(s.project_point(z)))
+
+
+def test_row_projector_is_project_point_on_special_rows():
+    # The integrator's in-place projector, bound once per call, against
+    # project_point: NaN, +-inf, -0.0 at a 0 bound and values on a bound, in
+    # one row alone, a stack of rows and a block of stacks.
+    sets = [Box([-1.0, 0.0, -2.0], [1.0, 0.5, 0.0]), FullSpace(3), NonnegativeOrthant(3),
+            StateSet(Box([-1.0, 0.0], [1.0, 0.5]), 1), StateSet(Ball([0.0, 0.0], 1.0), 1)]
+    rows = np.array([[np.nan, -0.0, -0.0], [np.inf, -np.inf, 0.0], [-1.0, 0.5, -2.0],
+                     [1.0, 0.0, 0.0], [-np.inf, np.nan, np.inf], [2.5, -0.25, 0.3],
+                     [-0.0, 0.25, -0.0]])
+    with np.errstate(all="ignore"):  # a ball meets inf / inf
+        for cset in sets:
+            for z in (rows[0], rows, np.stack([rows, rows[::-1]])):
+                y = z.copy()
+                cset.row_projector(z)(y)
+                assert np.array_equal(_bits(y), _bits(cset.project_point(z))), cset
+            for bad in (np.zeros(4), np.zeros((2, 2))):
+                with pytest.raises(DimensionError):
+                    cset.row_projector(bad)
+                with pytest.raises(DimensionError):
+                    cset.project_point(bad)
+    # A -0.0 clamped at a 0 lower bound comes out +0.0, as np.maximum gives it.
+    y = np.array([[-0.0, 1.0, 2.0]])
+    NonnegativeOrthant(3).row_projector(y)(y)
+    assert not np.signbit(y[0, 0])
+
+
 def test_state_set_on_a_box_is_the_joined_box():
     S = StateSet(Box([-1.0, 0.0], [1.0, np.inf]), 2)
     assert S.dim == 4

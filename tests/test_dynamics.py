@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from saddlesim import shepherd
 from saddlesim.convex_sets import Ball, Box, FullSpace, MembershipError, NonnegativeOrthant
 from saddlesim.cli import write_trajectory_csv
 from saddlesim.dynamics import (DIVERGENCE_LIMIT, GRID_BLOCK, MODES, ControllerConfig,
-                                DivergenceError, simulate, simulate_rows)
+                                DivergenceError, TrajectoryLog, simulate, simulate_rows)
 from saddlesim.environment import Environment, EvaluatorError, pointwise
 
 from helpers import from_functions, quadratic_env, stationary_points_env, tracking_env
@@ -58,22 +59,42 @@ def test_ball_step_projects_the_point_of_the_raw_step():
 
 
 def test_state_off_the_set_raises_membership_error(monkeypatch):
-    # A point projection that leaves the box by 1e-6 on the third step: the
+    # A step projection that leaves the box by 1e-6 on the third step: the
     # block's field projection finds that state and reports its distance.
-    project_point, calls = Box.project_point, []
+    row_projector, calls = Box.row_projector, []
 
-    def leaky(self, z, out=None):
-        out = project_point(self, z, out)
-        calls.append(z)
-        if len(calls) == 4:  # the start, then steps 1, 2 and 3
-            out[..., 0] = self.upper[0] + 1e-6
-        return out
+    def leaky(self, z):
+        project = row_projector(self, z)
 
-    monkeypatch.setattr(Box, "project_point", leaky)
+        def step(y):
+            project(y)
+            calls.append(y)
+            if len(calls) == 3:
+                y[..., 0] = self.upper[0] + 1e-6
+
+        return step
+
+    monkeypatch.setattr(Box, "row_projector", leaky)
     cfg = ControllerConfig(epsilon=1.0, h=1e-3, mode="gradient")
     with pytest.raises(MembershipError, match=r"point at distance 1\.000e-06 from set"):
         run_steps(quadratic_env(np.array([0.5, 0.0])), cfg, Box([-1.0, -1.0], [1.0, 1.0]),
                   steps=10)
+
+
+@pytest.mark.parametrize("delta", [None, 0.1], ids=["plain", "saturated"])
+@pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
+@pytest.mark.parametrize("mode", MODES)
+def test_simulate_rows_warns_nothing(small_scenario, mode, objective, delta):
+    # numpy 2.4 deprecates an output passed by position to np.maximum and
+    # np.minimum; the step passes theirs by keyword, on a box and a ball.
+    env = shepherd.shepherd_env(small_scenario, objective)
+    env = env if delta is None else env.saturate(delta)
+    cfg = ControllerConfig(epsilon=50.0, h=1e-3, mode=mode)
+    for X in (small_scenario.action_set(), Ball(np.zeros(env.n), 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, = simulate_rows(env, cfg, [0.02], X, sample_stride=5)
+        assert isinstance(row, TrajectoryLog)
 
 
 def test_saddle_field_zero_lagrangian():

@@ -57,6 +57,12 @@ def test_basis_matrices_match_numpy_polynomials(rng):
         assert np.allclose(P, values(arg, eye).T)
         assert np.allclose(Pd, scale * values(arg, deriv(eye, 1)).T)
         assert np.allclose(Pdd, scale**2 * values(arg, deriv(eye, 2)).T)
+        # The values alone are the bits of the values with the derivatives,
+        # at the endpoints 0 and T too.
+        for size in (1, 2, 3, 30):
+            P = shepherd.basis_values(kind, size, ts, T)
+            assert P.shape == (ts.size, size) and P.flags.c_contiguous
+            assert P.tobytes() == shepherd.basis_matrices(kind, size, ts, T)[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["legendre", "monomial"])
