@@ -3,6 +3,8 @@
 Usage:
 
     python scripts/bench_layers.py ab --before ../parent --after . --out ab.json
+    python scripts/bench_layers.py ab --before ../parent --after . --repeats 30 \\
+        --only simulate_us_per_step raw_us --out step.json
     PYTHONPATH=src python scripts/bench_layers.py viability --out viability.json
     python scripts/bench_layers.py coldstart --root . --out coldstart.json
     python scripts/bench_layers.py fixtures --root . --out fixtures.json
@@ -15,7 +17,8 @@ two trees ``--before`` and ``--after`` into one process under two package
 names and times every case of ``ab_cases`` on both, each tree once per repeat
 with the tree that runs first alternating, so that both sides see the same
 phases of the host's speed; separate runs of one tree scatter by up to 2x on
-a shared host.  The cases, each group described where it is built:
+a shared host.  ``--only PREFIX...`` times only the cases whose names start
+with one of the prefixes.  The cases, each group described where it is built:
 
 - ``step_cases``: the layers of one integrator step at action dimension 12
   and 60 (the per-node ``raw`` of each objective and of a saturated
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -325,19 +329,37 @@ def step_cases(package, sc) -> dict:
 
 def check_block_cases(package) -> dict:
     """One block check of the integrator, ``dynamics._check_block``, on a
-    block of BLOCK_STEPS nodes that passes it (every output finite, no state
-    past the limit), so the whole pass runs: (nodes, rows, n) = (512, 1, 12)
-    and (512, 2, 60), with m = 5 constraints."""
+    block of BLOCK_STEPS nodes, (nodes, rows, n) = (512, 1, 12) and
+    (512, 2, 60), with m = 5 constraints: one that passes it (every output
+    finite, no state past the limit), and one whose f0 is NaN at the last
+    node of its last row, so that the check searches the whole block for the
+    node that fails.  The node buffers' finiteness is one mask, or in a tree
+    whose check takes g0's and G's masks, those two."""
+    check, error = package.dynamics._check_block, package.environment.EvaluatorError
     rng, m, cases = np.random.default_rng(0), 5, {}
+    one_mask = "J_ok" in inspect.signature(check).parameters
     for R, n in ((1, 12), (2, 60)):
         ts = np.tile(np.arange(BLOCK_STEPS) * 1e-4 + 1e-4, (R, 1))
         xs = rng.uniform(-1.0, 1.0, (BLOCK_STEPS, R, n))
         lams, V = rng.uniform(0.0, 1.0, (BLOCK_STEPS, R, m)), rng.standard_normal((BLOCK_STEPS, R, 1 + m))
-        g0_ok, G_ok = np.ones((BLOCK_STEPS, R, n), bool), np.ones((BLOCK_STEPS, R, n, m), bool)
-        args = (ts, xs, lams, V, g0_ok, G_ok, 1)
-        cases[f"check_block_us.block{BLOCK_STEPS}.R{R}.n{n}"] = (
-            lambda args=args: package.dynamics._check_block(*args), 1e6, 200)
+        masks = ((np.ones((BLOCK_STEPS, R, n + n * m), bool),) if one_mask else
+                 (np.ones((BLOCK_STEPS, R, n), bool), np.ones((BLOCK_STEPS, R, n, m), bool)))
+        bad = V.copy()
+        bad[-1, -1, :] = np.nan  # f0 and f, in either tree's order
+        name = f"check_block_us.block{BLOCK_STEPS}.R{R}.n{n}"
+        cases[name] = (lambda args=(ts, xs, lams, V, *masks, 1): check(*args), 1e6, 200)
+        cases[f"{name}.nan_at_last_node"] = (
+            lambda args=(ts, xs, lams, bad, *masks, 1): _fails(check, args, error), 1e6, 200)
     return cases
+
+
+def _fails(check, args, error) -> None:
+    # The block check, which must raise ``error``.
+    try:
+        check(*args)
+    except error:
+        return
+    raise AssertionError("the block passed its check")
 
 
 def offline_cases(package) -> dict:
@@ -490,10 +512,11 @@ def io_cases(package, workdir: str) -> dict:
                 lambda: shepherd.sheep_positions(sc, log.t), 1e3, 20)}
 
 
-def ab_cases(package, workdir: str) -> dict:
+def ab_cases(package, workdir: str, only=()) -> dict:
     """name -> (call, unit scale, calls per sample) for one tree, each case
     called once, which builds the tables that the grid calls reuse and
-    raises if a ``simulate_rows`` row failed; files go into workdir."""
+    raises if a ``simulate_rows`` row failed; files go into workdir.  With
+    prefixes ``only``, just the cases whose names start with one of them."""
     shepherd = package.shepherd
     cases = {}
     for nb in (6, 30):
@@ -502,6 +525,8 @@ def ab_cases(package, workdir: str) -> dict:
     for group in (check_block_cases(package), offline_cases(package), generate_cases(package),
                   ab_simulate_cases(package), io_cases(package, workdir)):
         cases.update(group)
+    if only:
+        cases = {name: case for name, case in cases.items() if name.startswith(tuple(only))}
     for name, (call, _, _) in cases.items():
         result = call()
         errors = [r for r in result if isinstance(r, Exception)] if isinstance(result, list) else []
@@ -519,13 +544,14 @@ def resolved(before, after) -> bool:
     return bool(10 * wins >= 9 * len(before) and med - np.median(after) > q3 - q1)
 
 
-def ab(before_root: str, after_root: str, repeats: int) -> dict:
+def ab(before_root: str, after_root: str, repeats: int, only=()) -> dict:
     tmp = tempfile.mkdtemp(prefix="bench_layers_ab_")
     try:
         sides = {}
         for side, root in (("before", before_root), ("after", after_root)):
             os.mkdir(os.path.join(tmp, side))
-            sides[side] = ab_cases(import_tree(root, f"saddlesim_{side}"), os.path.join(tmp, side))
+            sides[side] = ab_cases(import_tree(root, f"saddlesim_{side}"), os.path.join(tmp, side),
+                                   only)
         samples = {side: {name: [] for name in cases} for side, cases in sides.items()}
         for r in range(repeats):
             for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
@@ -574,12 +600,14 @@ def main() -> None:
     ap.add_argument("--root", default=".")
     ap.add_argument("--before", nargs="*", default=[])
     ap.add_argument("--after", nargs="*", default=[])
+    ap.add_argument("--only", nargs="+", default=(), metavar="PREFIX",
+                    help="ab: time only the cases whose names start with a PREFIX")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     if args.what == "merge":
         result = merge(args.before, args.after)
     else:
-        rows = {"ab": lambda: ab(args.before[0], args.after[0], args.repeats),
+        rows = {"ab": lambda: ab(args.before[0], args.after[0], args.repeats, args.only),
                 "viability": viability,
                 "coldstart": lambda: coldstart(args.root, args.repeats),
                 "fixtures": lambda: fixtures(args.root),

@@ -87,15 +87,17 @@ class ConvexSet:
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
         # Membership of each row of x (..., n) within MEMBERSHIP_TOL, shape
-        # (...); subclasses check directly, without the project-then-norm
-        # round trip.  NaN coordinates are outside.
+        # (...), or of each coordinate where membership goes coordinate by
+        # coordinate, (..., n); subclasses check directly, without the
+        # project-then-norm round trip.  NaN coordinates are outside.
         return np.linalg.norm(self.project_point(x) - x, axis=-1) <= MEMBERSHIP_TOL
 
     def _require_member(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
         x = _check_dim(self.dim, x, rows)
         inside = self._inside(x)
-        if not inside.all():
-            row = x.reshape(-1, self.dim)[np.flatnonzero(~np.reshape(inside, -1))[0]]
+        if not inside.all():  # one test of the whole stack; rows only when it fails
+            first = np.argmin(inside.reshape(x.size // self.dim, -1).all(axis=1))
+            row = x.reshape(-1, self.dim)[first]
             raise MembershipError(
                 f"point at distance {self.distance(row):.3e} from set (tolerance "
                 f"{MEMBERSHIP_TOL:.0e}); integrator state has drifted outside the domain"
@@ -144,8 +146,7 @@ class Box(ConvexSet):
         return lambda y: minimum(maximum(y, lower, out=y), upper, out=y)
 
     def _inside(self, x: np.ndarray) -> np.ndarray:
-        return ((x >= self.lower - MEMBERSHIP_TOL)
-                & (x <= self.upper + MEMBERSHIP_TOL)).all(axis=-1)
+        return (x >= self.lower - MEMBERSHIP_TOL) & (x <= self.upper + MEMBERSHIP_TOL)
 
     def project_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         x = self._require_member(x, rows=True)

@@ -140,13 +140,17 @@ def simulate_rows(
     row) projected onto X, the multipliers at zero in the nonnegative orthant.
     At each node the loop evaluates every running row at once, read from the
     time tables of the rows' current block of at most ``GRID_BLOCK`` nodes
-    by ``raw(k, X, out)``: f0 and f go into the block's array of them, and g0
-    and G, views of the evaluator's node buffer, hold until the next call.
-    Then it steps the joined state z = [x | lam] in place, by the set's own
+    by ``raw(k, X, out)``: f and then f0 go into the node's row of the block
+    array [pre | f | f0], and g0 and G, views of one node buffer of the
+    evaluator in a layout of its choosing, hold until the next call.  Then
+    it steps the joined state z = [x | lam] in place, by the set's own
     ``row_projector``, bound once per call, to ``Pi_S(z + h u)`` on
-    S = X x R+^m (X in gradient mode: no multipliers) along u = [v | w],
-    ``v = -eps (g0 + G lam)`` (``-eps g0`` in gradient mode, ``-eps G lam``
-    in feasibility mode) and ``w = eps f``.  Every ``G lam`` is a matmul over
+    S = X x R+^m (X in gradient mode: no multipliers) along the raw field
+    u = [v | w], ``v = -eps (g0 + G lam)`` (``-eps g0`` in gradient mode,
+    ``-eps G lam`` in feasibility mode) and ``w = eps f``.  The matmul writes
+    ``G lam`` into the node's ``pre``, saddle mode adds g0 there, and u is
+    one multiply of [pre | f] by the signed gain row [-eps ... | +eps ...]
+    (gradient mode multiplies g0 alone).  Every ``G lam`` is a matmul over
     the stack of rows; it runs the kernel of the 1-D ``@`` on each row, so it
     reproduces it bit for bit (an ``einsum`` adds in another order).  A step
     allocates no array.
@@ -155,10 +159,11 @@ def simulate_rows(
     step), multiplier maximum and field norm, and stores every
     ``sample_stride``-th node plus its last one.  A block's steps run
     unchecked and silently (a NaN or a huge state runs on to the block's end),
-    keeping their raw fields, states, f0 and f, and one ``np.isfinite(J)``
-    per node in block arrays.
-    At the block's end one pass per row finds the first error that a check
-    after every step would have met, a state past ``DIVERGENCE_LIMIT``
+    keeping their raw fields, states, f and f0, and one ``np.isfinite`` of
+    the node buffer per node in block arrays.
+    At the block's end one test over the whole block clears it; only a block
+    that fails it is searched, by one pass per row, for the first error that
+    a check after every step would have met, a state past ``DIVERGENCE_LIMIT``
     (:class:`DivergenceError` with the row's time) and then a non-finite
     output (``EvaluatorError`` with its time and action); the row then retires
     with it in its place in the returned list.  One ``project_field`` call per
@@ -195,11 +200,14 @@ def simulate_rows(
     dual, saddle = mode != "gradient", mode == "saddle"
     # What a step calls, bound once: numpy's ufuncs (out passed by position)
     # and the in-place projector onto S, whose width is checked here.
-    matmul, multiply, add, isfinite, neg_eps = np.matmul, np.multiply, np.add, np.isfinite, -eps
+    matmul, multiply, add, isfinite = np.matmul, np.multiply, np.add, np.isfinite
     project = S.row_projector(z)
-    # Trapezoid sums of f0 and f (cost, fit) up to the last node taken in,
-    # and f0 and f at that node.
-    sums, prev = np.zeros((B, 1 + m)), np.zeros((B, 1 + m))
+    # The signed gain row: gain [pre | f] is the raw field u = [v | w] in one
+    # multiply, -eps over the actions and +eps over the multipliers.
+    gain = np.concatenate([np.full(n, -eps), np.full(m_lam, eps)])
+    # Trapezoid sums of f and f0 (fit, cost) up to the last node taken in,
+    # and f and f0 at that node.
+    sums, prev = np.zeros((B, m + 1)), np.zeros((B, m + 1))
     # The largest squared field norm: sqrt is monotone and correctly rounded,
     # so its root is the largest norm.
     lam_max, max_sq = z[:, n:].copy(), np.zeros(B)
@@ -213,30 +221,35 @@ def simulate_rows(
         # Node k at (k - 1) h + h: +0.0 for k = 0, else the float the step to it lands on.
         ts = np.arange(first - 1, last) * hcol + hcol
         raw = env.on_grid(ts, rows)
-        # Each row's step tiled over its state: numpy runs same-shape products
-        # faster than a broadcast (R, 1) column.
-        hz = np.repeat(hcol, S.dim, axis=1)
+        # Each row's step and the gain row tiled over the rows' states: numpy
+        # runs same-shape products faster than a broadcast column or row.
+        hz, gains = np.repeat(hcol, S.dim, axis=1), np.tile(gain, (rows.size, 1))
         # The raw fields [v | w] of the steps into the block's nodes (none into
-        # node 0), the states [x | lam] and f0 and f at the node before the
-        # block and its nodes, and views of their parts.
+        # node 0), the states [x | lam] at the node before the block and its
+        # nodes, and views of their parts.
         us = np.zeros((*shape, S.dim))
         vs, ws = np.split(us, [n], axis=-1)
         zs = np.empty((shape[0] + 1, *z.shape))
         xs, lams = np.split(zs, [n], axis=-1)
-        V, drive = np.empty((shape[0] + 1, shape[1], 1 + m)), np.empty((shape[1], n, 1))
+        # [pre | f | f0] at the same nodes: raw writes f and f0, and the step
+        # from a node forms pre = g0 + G lam (G lam in feasibility mode) there.
+        A = np.empty((shape[0] + 1, shape[1], n + m + 1))
+        pres, V = A[..., :n], A[..., n:]
         zs[:2], V[0] = z, prev  # node 0 takes no step; a later block's first step overwrites zs[1]
-        d0 = drive[..., 0]
-        # Which entries of each node's buffer [g0 | G] are finite.
+        # Which entries of each node's buffer, the base of g0 and G, are finite.
         J_ok = np.empty((*shape, n + n * m), dtype=bool)
         # Each node's views, bound by iterating the block arrays.
-        nodes = zip(zs, lams[..., None], V[..., 1:], us, vs, ws, zs[1:], xs[1:], V[1:], J_ok)
-        for j, (zp, lam, f, u, v, w, z, x, out, node_ok) in enumerate(nodes):
+        nodes = zip(zs, lams[..., None], pres[..., None], pres, A[..., :S.dim], us, zs[1:],
+                    xs[1:], V[1:], J_ok)
+        for j, (zp, lam, pre_col, pre, field, u, z, x, out, node_ok) in enumerate(nodes):
             if j or first:  # the projected Euler step from node j + first - 1, written in place
-                if dual:
-                    matmul(G, lam, drive)
-                    multiply(f, eps, w)
-                # v = -eps (g0 + G lam), or -eps G lam, or -eps g0 (see the mode above)
-                multiply(add(g0, d0, v) if saddle else d0 if dual else g0, neg_eps, v)
+                if dual:  # u = [-eps pre | eps f]
+                    matmul(G, lam, pre_col)
+                    if saddle:
+                        add(g0, pre, pre)
+                    multiply(field, gains, u)
+                else:  # u = -eps g0
+                    multiply(g0, gains, u)
                 multiply(hz, u, z)
                 add(zp, z, z)
                 project(z)
@@ -245,18 +258,19 @@ def simulate_rows(
             except Exception:
                 # An evaluator that raises stops the call, after the first
                 # error of the nodes stepped so far and of the step into node j.
-                _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], J_ok[:j, :, :n],
-                             J_ok[:j, :, n:], first)
+                _check_block(ts, xs[1:j + 2], lams[1:j + 2], V[1:j + 1], J_ok[:j], first)
                 raise
-            isfinite(g0.base, node_ok)  # g0 and G are views of J, their base
-        errors = []
-        for r in range(rows.size):  # each row's check on that row alone
-            try:
-                _check_block(ts[r:r + 1], xs[1:, r:r + 1], lams[1:, r:r + 1], V[1:, r:r + 1],
-                             J_ok[:, r:r + 1, :n], J_ok[:, r:r + 1, n:], first)
-                errors.append(None)
-            except (DivergenceError, EvaluatorError) as err:
-                errors.append(err)
+            isfinite(g0.base, node_ok)  # g0 and G are views of their base
+        errors = [None] * rows.size
+        try:  # every row at once: a block that passes is not searched row by row
+            _check_block(ts, xs[1:], lams[1:], V[1:], J_ok, first)
+        except (DivergenceError, EvaluatorError):
+            for r in range(rows.size):  # each row's check on that row alone
+                try:
+                    _check_block(ts[r:r + 1], xs[1:, r:r + 1], lams[1:, r:r + 1],
+                                 V[1:, r:r + 1], J_ok[:, r:r + 1], first)
+                except (DivergenceError, EvaluatorError) as err:
+                    errors[r] = err
         ok = np.array([e is None for e in errors])
         # The tangent-cone fields at the states the rows that passed stepped
         # from, which also checks that each state is a member of its set: factor
@@ -280,7 +294,7 @@ def simulate_rows(
         # view of this block's arrays, and not its tables (raw), may keep them
         # alive while the next block builds its own.
         z, keep = zs[-1].copy(), ok & (ends > last)
-        raw = nodes = zp = lam = f = u = v = w = x = out = node_ok = None
+        raw = nodes = zp = lam = pre_col = pre = field = u = x = out = node_ok = None
         if not keep.all():
             (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq) = (
                 a[keep] for a in (rows, ends, hcol, z, g0, G, sums, prev, lam_max, max_sq))
@@ -288,19 +302,27 @@ def simulate_rows(
     return logs
 
 
-def _check_block(ts, xs, lams, V, g0_ok, G_ok, first: int) -> None:
+def _check_block(ts, xs, lams, V, J_ok, first: int) -> None:
     """Raise the first error that a check after every step would have met in
     a block, node by node and row by row: at node j, a step into it (none into
     a run's node 0) that took ``xs[j]`` or ``lams[j]`` past the limit (a row
-    holding a NaN is not past it), then a non-finite f0 or f (``V[j]``), g0
-    or G (``np.isfinite`` masks ``g0_ok``, ``G_ok``, in any layout after the
+    holding a NaN is not past it), then a non-finite f and f0 (``V[j]``) or
+    node buffer (its ``np.isfinite`` mask ``J_ok``, in any layout after the
     node and row axes).  The outputs may end a node before the states: that
-    node's step is checked, not its outputs."""
+    node's step is checked, not its outputs.
+
+    A block that passes, nearly every one, is found so by one test over each
+    whole array (NaN fails it); only a block that fails it is searched node by
+    node."""
+    if (np.abs(xs).max(initial=0.0) <= DIVERGENCE_LIMIT
+            and np.abs(lams).max(initial=0.0) <= DIVERGENCE_LIMIT
+            and J_ok.all() and np.isfinite(V).all()):
+        return
     over = ((np.abs(xs).max(axis=-1) > DIVERGENCE_LIMIT)
             | (np.abs(lams).max(axis=-1, initial=0.0) > DIVERGENCE_LIMIT))
     over[0] &= first > 0
     j = int(np.argmax(np.append(over.any(axis=1), True)))  # first node past the limit, or len(over)
-    require_finite(ts.T[:j], xs[:j], np.isfinite(V[:j]), g0_ok[:j], G_ok[:j])
+    require_finite(ts.T[:j], xs[:j], np.isfinite(V[:j]), J_ok[:j])
     if j < len(over):
         r = int(np.argmax(over[j]))
         raise DivergenceError(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={ts[r, j]:.6g}; "
@@ -311,7 +333,7 @@ def _close_block(V, xs, lams, sums, half, first: int, rows, ends, stride: int, p
     """Take a block's nodes into the trapezoid sums and store each running
     row's nodes of the block: those on the stride and its last node.
 
-    ``V`` holds f0 and f at the node before the block and at its nodes,
+    ``V`` holds [f | f0] at the node before the block and at its nodes,
     ``xs`` and ``lams`` the states at its nodes, and ``half`` each row's half
     step.  Each node adds ``half (v_prev + v)`` to
     the sums in node order (``np.add.accumulate`` adds one term at a time,
@@ -325,8 +347,8 @@ def _close_block(V, xs, lams, sums, half, first: int, rows, ends, stride: int, p
     I = np.arange(first, first + xs.shape[0])
     for r, b in enumerate(rows.tolist()):
         k = np.flatnonzero((I % stride == 0) | (I == ends[r]))
-        parts[b].append((I[k], xs[k, r], lams[k, r], V[k + 1, r, 0], V[k + 1, r, 1:],
-                         acc[k, r, 1:], acc[k, r, 0]))
+        parts[b].append((I[k], xs[k, r], lams[k, r], V[k + 1, r, -1], V[k + 1, r, :-1],
+                         acc[k, r, :-1], acc[k, r, -1]))
     return acc[-1].copy(), V[-1].copy()
 
 

@@ -26,11 +26,15 @@ caller owns the nodes and how many it asks for at once:
   of the environment rows ``rows`` (R,), row r at its own nodes ``ts[r]`` of
   ``ts`` (R, K), and returns ``raw(k, X, out)``: the evaluation of each row at
   ``(ts[r, k], X[r])`` for actions X (R, n), doing only the x-dependent
-  algebra.  It writes f0 and f into ``out`` (R, 1 + m) and returns g0 (R, n)
-  and G (R, n, m), unchecked, as views of its own node buffer J = [g0 | G]
-  (R, n + n m), their ``base``, which its next call overwrites.  The
-  integrator checks a block of outputs with :func:`require_finite` (one
-  ``np.isfinite(J)`` per node); other callers use
+  algebra.  It writes f and then f0 into ``out`` (R, m + 1) and returns g0
+  (R, n) and G (R, n, m), unchecked, as views of one node buffer of its own
+  (R, n + n m), their ``base``, in a layout the environment chooses, which
+  its next call overwrites.  The integrator writes ``out`` into its block
+  array [pre | f | f0] of each node, so that the raw field
+  [-eps (g0 + G lam) | eps f] of the saddle step is one multiply of
+  [pre | f], pre = g0 + G lam, by a signed gain row.  It checks a block of
+  outputs with :func:`require_finite` (one ``np.isfinite`` of the node buffer
+  per node); other callers use
   :meth:`Environment.grid_evaluator`, which returns copies (one node:
   ``eval_full``).
 * ``batch_evaluate(ts, x)``, the grid Lagrangian, serves solvers that need
@@ -56,8 +60,9 @@ import numpy as np
 FullEval = Callable[[float, np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
 # Time tables: (ts (R, K), rows (R,)) -> raw(k, X, out), the unchecked
 # evaluation of environment row rows[r] at (ts[r, k], X[r]) for every r: it
-# writes f0 and f into out (R, 1 + m) and returns g0 (R, n) and G (R, n, m),
-# views of its node buffer J = [g0 | G] (their base), valid until its next call.
+# writes f and then f0 into out (R, m + 1) and returns g0 (R, n) and G (R, n, m),
+# views of one node buffer (R, n + n m), their base, in a layout the
+# environment chooses, valid until its next call.
 OnGrid = Callable[[np.ndarray, np.ndarray], Callable[[int, np.ndarray, np.ndarray], tuple]]
 # Vectorized constraint evaluator: (ts (K,), x) -> values (K, m).
 BatchConstraints = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -83,7 +88,11 @@ def require_finite(ts: np.ndarray, X: np.ndarray, *finite: np.ndarray) -> None:
     """The finiteness guard: raise :class:`EvaluatorError` at the first
     evaluation, in C order of the axes (any number) of their times ``ts``, with
     a non-finite output.  ``X`` (..., n) holds the actions, and ``finite`` the
-    ``np.isfinite`` masks of the outputs f0, g0, f and G, the axes of ts first."""
+    ``np.isfinite`` masks of the outputs f0, g0, f and G (in any grouping),
+    the axes of ts first.  Outputs that are all finite, nearly always, are
+    found so by one ``all()`` per mask; only others are searched."""
+    if all(ok.all() for ok in finite):
+        return
     bad = ~np.all([ok.all(axis=tuple(range(ts.ndim, ok.ndim))) for ok in finite], axis=0)
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -127,9 +136,9 @@ class Environment:
             if X.shape != want:
                 raise ValueError(f"expected action{'' if one else 's'} of shape {want}, got {X.shape}")
             X = X.reshape(shape)
-            out = np.empty((shape[0], 1 + self.m))
+            out = np.empty((shape[0], self.m + 1))
             g0, G = raw(k, X, out)
-            f0, f = out[:, 0], out[:, 1:]
+            f, f0 = out[:, :-1], out[:, -1]
             require_finite(ts[:, k], X, *map(np.isfinite, (f0, g0, f, G)))
             g0, G = g0.copy(order="K"), G.copy(order="K")  # in the evaluator's order
             if one:
@@ -164,7 +173,7 @@ class Environment:
 
             def sat_raw(k: int, X: np.ndarray, out: np.ndarray):
                 g0, G = raw(k, X, out)
-                f = out[:, 1:]
+                f = out[:, :-1]
                 logical_not(greater_equal(f, -delta, flat), flat)
                 copyto(G, 0.0, where=inactive)
                 maximum(f, -delta, out=f)
@@ -205,7 +214,7 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
         G_f = J[:, n:].reshape(1, m, n).transpose(0, 2, 1)
 
         def raw(k: int, X: np.ndarray, out: np.ndarray):
-            out[0, 0], g0[0], out[0, 1:], Gk = evaluate(tl[k], X[0])
+            out[0, m], g0[0], out[0, :m], Gk = evaluate(tl[k], X[0])
             G = G_f if np.isfortran(Gk) else G_c
             G[0] = Gk
             return g0, G
@@ -217,10 +226,10 @@ def pointwise(n: int, m: int, evaluate: FullEval, has_objective: bool = True) ->
         K = ts.shape[0]
         xs = np.broadcast_to(np.asarray(x, dtype=float), (K, n))
         raw = on_grid(ts[None], np.arange(1))
-        V, g0, G = np.empty((K, 1 + m)), np.empty((K, n)), np.empty((K, n, m))
+        V, g0, G = np.empty((K, m + 1)), np.empty((K, n)), np.empty((K, n, m))
         for k in range(K):
             g0[k:k + 1], G[k:k + 1] = raw(k, xs[k:k + 1], V[k:k + 1])
-        f0, f = V[:, 0].copy(), V[:, 1:].copy()  # C-contiguous, as the solvers read them
+        f0, f = V[:, m].copy(), V[:, :m].copy()  # C-contiguous, as the solvers read them
         require_finite(ts, xs, *map(np.isfinite, (f0, g0, f, G)))
 
         def pull(w: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ def basis_values(kind: str, n: int, ts: np.ndarray, T: float) -> np.ndarray:
 
     Legendre polynomials are shifted to [0, T] through u = 2t/T - 1 and
     evaluated by their three-term recurrence, so endpoint evaluation is exact
-    and stable.
+    and stable.  The recurrence runs on contiguous rows, one per polynomial,
+    and the values are returned C-contiguous.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if kind == "monomial":
@@ -65,13 +66,13 @@ def basis_values(kind: str, n: int, ts: np.ndarray, T: float) -> np.ndarray:
     if kind != "legendre":
         raise ValueError(f"unknown basis kind {kind!r}")
     u = 2.0 * ts / T - 1.0
-    P = np.empty((ts.shape[0], n))
-    P[:, 0] = 1.0
+    P = np.empty((n, ts.shape[0]))
+    P[0] = 1.0
     if n > 1:
-        P[:, 1] = u
+        P[1] = u
     for j in range(1, n - 1):
-        P[:, j + 1] = ((2 * j + 1) * u * P[:, j] - j * P[:, j - 1]) / (j + 1)
-    return P
+        P[j + 1] = ((2 * j + 1) * u * P[j] - j * P[j - 1]) / (j + 1)
+    return np.ascontiguousarray(P.T)
 
 
 def basis_matrices(kind: str, n: int, ts: np.ndarray, T: float):
@@ -339,8 +340,10 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         # and sheep coordinates Y (K, R, 2, m).  The broadcast views that
         # raw(k, X, out) multiplies with and the buffers it writes are built
         # here, once per block, so that each node indexes each table once and
-        # allocates no array.  An integrator asks for each block once, so
-        # nothing is kept.
+        # allocates no array.  raw writes f and then f0 into out and returns
+        # g0 and G as views of one node buffer J in the layout chosen below;
+        # the integrator forms its raw field from them with one signed-gain
+        # multiply.  An integrator asks for each block once, so nothing is kept.
         tabs = [_tables(scenarios[i], t, noisy[i], r2s[i], accel)
                 for i, t in zip(rows.tolist(), ts)]
         q = 2 if accel else 1
@@ -351,19 +354,34 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         # G's factor 2p (K, R, 1, nb, 1): 2p (x) d has the bits of p (x) 2d,
         # since doubling is exact.
         p2 = 2.0 * B[:, :, 0, None, :, None]
-        a_basis = B[:, :, -1, None, :]       # (K, R, 1, nb): min-acceleration g0's factor p''
+        if accel:
+            # The factors [2p ... 2p | p''] (K, R, 1, nb, m + 1) of G = 2p (x) d
+            # and of g0 = p'' (x) a / |a|: one product with [d | a / |a|].
+            factors = np.empty((*p2.shape[:-1], m + 1))
+            factors[..., :m], factors[..., m] = p2, B[:, :, 1, None, :]
         rr, sh = r2s[rows], shifts[rows]
-        # The node's buffers: z and a, the offsets d = z - y and their
-        # squares, a / |a|, and J = [g0 | G] (g0 stays 0 with no objective),
-        # then their views.
-        za, d, an = np.empty((R, q, 2)), np.empty((R, 2, m)), np.empty((R, 2))
-        dd = np.empty_like(d)
+        # A zero shift leaves f0's bits: f0 = f_1 + r_1^2, with r_1^2 >= +0.0,
+        # is never -0.0.
+        shifted = bool(sh.any())
+        # The node's buffers: z and a, the offsets d = z - y (for
+        # min-acceleration [d | a / |a|], a's direction in the last column)
+        # and their squares, and the node buffer J, in planar order: for
+        # min-acceleration (R, 2, nb, m + 1), G = 2p (x) d in the first m
+        # columns and g0 in the last, else [g0 | G] (g0 stays 0 with no
+        # objective), where G and d are contiguous; then their views.
+        za, dd = np.empty((R, q, 2)), np.empty((R, 2, m))
+        dan = np.empty((R, 2, m + 1 if accel else m))
         J = np.zeros((R, 2 * nb * (1 + m)))
-        g0, G = J[:, :2 * nb], J[:, 2 * nb:].reshape(R, 2 * nb, m)
+        if accel:
+            J_planar = J.reshape(R, 2, nb, m + 1)
+            g0_planar, G_planar = J_planar[..., m], J_planar[..., :m]
+        else:
+            g0_planar = J[:, :2 * nb].reshape(R, 2, nb)
+            G_planar = J[:, 2 * nb:].reshape(R, 2, nb, m)
+        g0, G = g0_planar.reshape(R, 2 * nb), G_planar.reshape(R, 2 * nb, m)
         z_col, a, a1, a2 = za[:, 0, :, None], za[:, -1], za[:, -1, 0], za[:, -1, 1]
-        dd1, dd2, d_G = dd[:, 0], dd[:, 1], d[:, :, None, :]
-        G_planar, G_first, g0_planar = G.reshape(R, 2, nb, m), G[:, :, 0], g0.reshape(R, 2, nb)
-        rr_first, an_col = rr[:, 0], an[..., None]
+        d, an, dd1, dd2 = dan[..., :m], dan[..., -1], dd[:, 0], dd[:, 1]
+        d_G, dan_J, G_first, rr_first = d[:, :, None, :], dan[:, :, None, :], G[:, :, 0], rr[:, 0]
         # X's rows as (R, 1, 2, nb), and the ufuncs, bound once.
         x_planar = (-1, 1, 2, nb)
         vecdot, subtract, multiply, add, hypot, divide, copyto = (
@@ -376,24 +394,26 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
             vecdot(X.reshape(x_planar), rows_dot[k], za)
             subtract(z_col, Y[k], d)
             multiply(d, d, dd)
-            f0, f = out[:, 0], out[:, 1:]
+            f, f0 = out[:, :m], out[:, m]
             add(dd1, dd2, f)
             subtract(f, rr, f)
-            multiply(p2[k], d_G, G_planar)
-            if objective == "black_sheep":
-                add(f[:, 0], rr_first, f0)
-                add(f0, sh, f0)
-                copyto(g0, G_first)
-            elif accel:
+            if accel:
                 hypot(a1, a2, f0)
                 # Every row moving (a NaN row too, which the guard rejects):
                 # no row needs the zero subgradient.  The test reads the few
                 # norms as Python floats, cheaper than a numpy reduction.
                 moving = None if all(f0.tolist()) else f0 > 0.0
-                divide(a, out[:, :1] if moving is None else np.where(moving, f0, 1.0)[:, None], an)
-                multiply(a_basis[k], an_col, g0_planar)
+                divide(a, out[:, m:] if moving is None else np.where(moving, f0, 1.0)[:, None], an)
+                multiply(factors[k], dan_J, J_planar)
                 if moving is not None:
                     copyto(g0_planar, 0.0, where=~moving[:, None, None])
+                return g0, G
+            multiply(p2[k], d_G, G_planar)
+            if objective == "black_sheep":
+                add(f[:, 0], rr_first, f0)
+                if shifted:
+                    add(f0, sh, f0)
+                copyto(g0, G_first)
             else:
                 f0[...] = 0.0
             return g0, G

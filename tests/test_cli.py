@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlesim import cli, shepherd
 from saddlesim.convex_sets import DimensionError, MembershipError
@@ -305,6 +306,41 @@ def test_small_csv_never_forks(tmp_path, monkeypatch):
     assert 641 * 78 < cli.FORK_MIN_VALUES <= 642 * 78
     cli.write_trajectory_csv(tmp_path / "t.csv", _wide_log(641))
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 642
+
+
+# Where repr's shortest round-trip form is most likely to break a parse: both
+# zeros, subnormals, the edges of the normal range, and the neighbours of
+# repr's switches to an exponent (at 1e16, and below 1e-4 down through 1e-5).
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, *(
+                   float(np.nextafter(v, toward)) for v in (1e16, 1e-4, 1e-5)
+                   for toward in (0.0, v, np.inf))]
+CSV_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), n=st.integers(1, 3), m=st.integers(0, 2),
+       dual=st.booleans())
+def test_trajectory_csv_reads_back_every_value_bit_for_bit(tmp_path_factory, data, rows, n, m,
+                                                           dual):
+    def draw(*shape):
+        values = data.draw(st.lists(CSV_FLOATS, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    t = np.array(sorted(data.draw(st.lists(CSV_FLOATS, min_size=rows, max_size=rows,
+                                           unique=True))))
+    log = SimpleNamespace(t=t, x=draw(rows, n), lam=draw(rows, m if dual else 0),
+                          f0=draw(rows), f=draw(rows, m), fit_accum=draw(rows, m),
+                          cost_accum=draw(rows))
+    path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
+    cli.write_trajectory_csv(path, log)
+    header, table = cli._read_csv(path)
+    written = np.column_stack([log.t, log.x, log.lam, log.f0, log.f, log.fit_accum,
+                               log.cost_accum])
+    assert len(header) == written.shape[1]
+    assert table.shape == written.shape and table.tobytes() == written.tobytes()
 
 
 class _Boom(Exception):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from saddlesim import shepherd
-from saddlesim.convex_sets import Ball, Box, FullSpace, MembershipError, NonnegativeOrthant
+from saddlesim.convex_sets import (Ball, Box, FullSpace, MembershipError, NonnegativeOrthant,
+                                   StateSet)
 from saddlesim.cli import write_trajectory_csv
 from saddlesim.dynamics import (DIVERGENCE_LIMIT, GRID_BLOCK, MODES, ControllerConfig,
                                 DivergenceError, TrajectoryLog, simulate, simulate_rows)
@@ -56,6 +57,46 @@ def test_ball_step_projects_the_point_of_the_raw_step():
     assert np.array_equal(log.x[1], X.project_point(x0 + cfg.h * v))
     assert not np.array_equal(log.x[1], X.project_point(x0 + cfg.h * X.project_field(x0, v)))
     assert log.max_field_norm == np.linalg.norm(X.project_field(x0, v)) == cfg.epsilon
+
+
+@pytest.mark.parametrize("delta", [None, 0.1], ids=["plain", "saturated"])
+@pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("R", [1, 2])
+def test_shepherd_steps_project_the_point_of_the_raw_step(horizon_rows, R, mode, objective,
+                                                          delta):
+    # Every step of every row is Pi_S(z + h u) bit for bit, along the raw
+    # field u = [-eps (g0 + G lam) | eps f] (-eps G lam in feasibility mode,
+    # -eps g0 in gradient mode), formed by separate numpy operations from the
+    # checked evaluator's outputs at the row's state, G lam as the row's 1-D
+    # product.  The start violates constraints, so the multipliers move.
+    env = shepherd.shepherd_env(horizon_rows[:R], objective)
+    env = env if delta is None else env.saturate(delta)
+    cfg = ControllerConfig(epsilon=50.0, h=2e-4, mode=mode)
+    X, eps = horizon_rows[0].action_set(), cfg.epsilon
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, env.n)
+    logs = simulate_rows(env, cfg, [3 * cfg.h, 4.6 * cfg.h][:R], X, x0=x0, sample_stride=1)
+    S = X if mode == "gradient" else StateSet(X, env.m)
+    K = max(log.t.size for log in logs)
+    h = np.array([[log.h_eff] for log in logs])
+    at = env.grid_evaluator(np.arange(-1, K - 1) * h + h)
+    for k in range(K - 1):
+        last = [min(k, log.t.size - 1) for log in logs]  # a retired row stays at its last node
+        x, lam = (np.stack([getattr(log, name)[i] for log, i in zip(logs, last)])
+                  for name in ("x", "lam"))
+        f0, g0, f, G = at(k, x)
+        if mode == "gradient":
+            u = g0 * -eps
+        else:
+            G_lam = np.stack([G[r] @ lam[r] for r in range(R)])
+            v = (g0 + G_lam if mode == "saddle" else G_lam) * -eps
+            u = np.concatenate([v, f * eps], axis=1)
+        z = S.project_point(np.concatenate([x, lam], axis=1) + h * u)
+        for r, log in enumerate(logs):
+            if k + 1 < log.t.size:
+                stepped = np.concatenate([log.x[k + 1], log.lam[k + 1]])
+                assert stepped.tobytes() == z[r].tobytes(), (k, r)
+    assert mode == "gradient" or logs[0].lam[2].any()
 
 
 def test_state_off_the_set_raises_membership_error(monkeypatch):

@@ -363,6 +363,35 @@ def test_grid_evaluator_matches_eval_full(rng, small_scenario, objective, noise)
                     assert np.array_equal(u, v)
 
 
+@pytest.mark.parametrize("objective", shepherd.OBJECTIVES)
+def test_per_node_evaluator_is_its_separate_products_bit_for_bit(rng, small_scenario, objective):
+    # The checked per-node outputs against each product formed alone from the
+    # basis rows and the sheep positions: z and a as 1-D dot products,
+    # f = |z - y|^2 - r^2, G = 2p (x) d, and g0 = p'' (x) a / |a| (the first
+    # column of G for black sheep), whatever layout the evaluator keeps them in.
+    sc, nb = small_scenario, small_scenario.n
+    ts = np.sort(rng.uniform(0.0, sc.T, size=5))
+    at = shepherd.shepherd_env(sc, objective).grid_evaluator(ts)
+    P, _, Pdd = shepherd.basis_matrices(sc.basis, nb, ts, sc.T)
+    Y = shepherd.sheep_positions(sc, ts)  # (K, m, 2)
+    for k in range(ts.size):
+        x = sc.xdagger + rng.uniform(-0.5, 0.5, size=2 * nb)
+        f0, g0, f, G = at(k, x)
+        coords = x.reshape(2, nb)
+        z = np.array([c @ P[k] for c in coords])
+        d = z[:, None] - Y[k].T
+        assert np.array_equal(f, d[0] * d[0] + d[1] * d[1] - sc.radii**2)
+        assert np.array_equal(G, ((2.0 * P[k])[None, :, None] * d[:, None, :]).reshape(2 * nb, -1))
+        if objective == "min_acceleration":
+            a = np.array([c @ Pdd[k] for c in coords])
+            norm = np.hypot(a[0], a[1])
+            assert f0 == norm and np.array_equal(g0, (Pdd[k][None] * (a / norm)[:, None]).ravel())
+        elif objective == "black_sheep":
+            assert f0 == f[0] + sc.radii[0]**2 and np.array_equal(g0, G[:, 0])
+        else:
+            assert f0 == 0.0 and not g0.any()
+
+
 def test_mean_env_shifts_constraints(small_scenario):
     sc = small_scenario
     env_off = shepherd.shepherd_env(sc, "none", noise="off")
