@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -277,9 +276,8 @@ def step_cases(package, sc) -> dict:
     saturated at delta = 0.1, at x-dagger, node 7 of a one-row block of
     BLOCK_STEPS nodes (h = 2e-5); the projected step of one (1, n + 5) state
     row [x | lam] (x-dagger, multipliers with two at 0) along a random field
-    at h = 1e-4, written in place and projected onto X x R+^5 as
-    ``simulate_rows`` steps it (by the set's ``row_projector`` where the
-    tree has one, else by ``project_point(z, out=z)``); the per-block calls,
+    at h = 1e-4, written in place and projected onto X x R+^5 by the set's
+    ``row_projector``, as ``simulate_rows`` steps it; the per-block calls,
     Box.project_field of a (BLOCK_STEPS, 1, n) stack of x-dagger rows and,
     at n = 12 (the multipliers do not depend on n),
     NonnegativeOrthant.project_field of a (BLOCK_STEPS, 1, 5) stack of those
@@ -302,8 +300,7 @@ def step_cases(package, sc) -> dict:
     lam, u = np.array([[0.0, 0.3, 0.0, 1.2, 0.5]]), rng.standard_normal((1, n + 5))
     z0, hz = np.hstack([x, lam]), np.full((1, n + 5), 1e-4)
     z = z0.copy()
-    project = (S.row_projector(z) if hasattr(S, "row_projector")
-               else lambda z: S.project_point(z, out=z))
+    project = S.row_projector(z)
 
     def step():
         np.multiply(hz, u, out=z)
@@ -333,23 +330,20 @@ def check_block_cases(package) -> dict:
     (512, 2, 60), with m = 5 constraints: one that passes it (every output
     finite, no state past the limit), and one whose f0 is NaN at the last
     node of its last row, so that the check searches the whole block for the
-    node that fails.  The node buffers' finiteness is one mask, or in a tree
-    whose check takes g0's and G's masks, those two."""
+    node that fails.  The node buffers' finiteness is one mask."""
     check, error = package.dynamics._check_block, package.environment.EvaluatorError
     rng, m, cases = np.random.default_rng(0), 5, {}
-    one_mask = "J_ok" in inspect.signature(check).parameters
     for R, n in ((1, 12), (2, 60)):
         ts = np.tile(np.arange(BLOCK_STEPS) * 1e-4 + 1e-4, (R, 1))
         xs = rng.uniform(-1.0, 1.0, (BLOCK_STEPS, R, n))
         lams, V = rng.uniform(0.0, 1.0, (BLOCK_STEPS, R, m)), rng.standard_normal((BLOCK_STEPS, R, 1 + m))
-        masks = ((np.ones((BLOCK_STEPS, R, n + n * m), bool),) if one_mask else
-                 (np.ones((BLOCK_STEPS, R, n), bool), np.ones((BLOCK_STEPS, R, n, m), bool)))
+        J_ok = np.ones((BLOCK_STEPS, R, n + n * m), bool)
         bad = V.copy()
-        bad[-1, -1, :] = np.nan  # f0 and f, in either tree's order
+        bad[-1, -1, :] = np.nan  # f0 and f
         name = f"check_block_us.block{BLOCK_STEPS}.R{R}.n{n}"
-        cases[name] = (lambda args=(ts, xs, lams, V, *masks, 1): check(*args), 1e6, 200)
+        cases[name] = (lambda args=(ts, xs, lams, V, J_ok, 1): check(*args), 1e6, 200)
         cases[f"{name}.nan_at_last_node"] = (
-            lambda args=(ts, xs, lams, bad, *masks, 1): _fails(check, args, error), 1e6, 200)
+            lambda args=(ts, xs, lams, bad, J_ok, 1): _fails(check, args, error), 1e6, 200)
     return cases
 
 

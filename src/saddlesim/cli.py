@@ -32,7 +32,6 @@ from .offline import (
     InfeasibleEnvironmentError,
     InnerSolveError,
     OfflineSolution,
-    TimeGrid,
     solve_offline,
 )
 
@@ -153,42 +152,24 @@ def _write_rows_forked(fh, table) -> None:
 
 
 def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
-    d = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(sol).items()}
-    d["diagnostics"] = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                        for k, v in sol.diagnostics.items()}
-    return {"version": CONFIG_VERSION, "objective": objective, **d}
-
-
-# JSON types of the keys of an offline solution and of a config (an inline
-# scenario's are shepherd.GENERATE_PARAMS); null is none.
-_NUMBER = (int, float)
-_OFFLINE_TYPES = {"xstar": list, "offline_cost": _NUMBER, "xdagger": list,
-                  "viability_residual": _NUMBER, "K": _NUMBER, "grid": dict, "cost_cumulative": list}
-_OFFLINE_GRID_TYPES = {"T": _NUMBER, "num_steps": int}
+    diagnostics = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
+                   for k, v in sol.diagnostics.items()}
+    return {"version": CONFIG_VERSION, "objective": objective, **shepherd.to_json(sol),
+            "diagnostics": diagnostics}
 
 
 def offline_from_dict(d: dict) -> OfflineSolution:
     if not isinstance(d, dict):
         raise ValueError("an offline solution must be a JSON object")
-    grid = d.get("grid")
-    missing = [k for k in _OFFLINE_TYPES if k not in d]
-    missing += [f"grid.{k}" for k in _OFFLINE_GRID_TYPES if not isinstance(grid, dict) or k not in grid]
-    if missing:
-        raise ValueError(f"offline solution lacks keys: {missing}")
-    shepherd.check_types("offline solution", d, _OFFLINE_TYPES)
-    shepherd.check_types("offline solution grid", grid, _OFFLINE_GRID_TYPES)
-    return OfflineSolution(
-        xstar=np.asarray(d["xstar"], dtype=float),
-        offline_cost=float(d["offline_cost"]),
-        xdagger=np.asarray(d["xdagger"], dtype=float),
-        viability_residual=float(d["viability_residual"]),
-        K=float(d["K"]),
-        grid=TimeGrid(T=float(grid["T"]), num_steps=int(grid["num_steps"])),
-        cost_cumulative=np.asarray(d["cost_cumulative"], dtype=float),
-        diagnostics=dict(d.get("diagnostics", {})),
-    )
+    sol = shepherd.from_json(OfflineSolution, d, "offline solution")
+    if d.get("version") != CONFIG_VERSION:
+        raise ValueError(f"unsupported offline solution version {d.get('version')!r}")
+    return sol
 
 
+# JSON types of the keys of a config (an inline scenario's are
+# shepherd.GENERATE_PARAMS); null is none.
+_NUMBER = (int, float)
 _CONFIG_TYPES = {
     "version": int, "scenario": (str, dict), "mode": str, "epsilon": _NUMBER, "step": _NUMBER,
     "horizon": _NUMBER, "delta": _NUMBER, "objective": str, "out": str, "sweep": (str, *_NUMBER),
@@ -284,11 +265,9 @@ def _run(scenarios, horizons, outs, config, delta, objective, stride,
             raise log
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / "trajectory.csv", log)
-        md = _run_metrics_dict(log, sc, delta, objective, config.mode, stride, scenario_path,
-                               offline_sol, offline_path)
-        with open(out / "metrics.json", "w") as fh:
-            json.dump(md, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        shepherd.write_json(out / "metrics.json", _run_metrics_dict(
+            log, sc, delta, objective, config.mode, stride, scenario_path, offline_sol,
+            offline_path))
 
 
 def cmd_simulate(args) -> int:
@@ -352,9 +331,17 @@ def cmd_simulate(args) -> int:
         scenario = shepherd.generate_sheep_paths(**params)
 
     offline_sol = None
-    if offline_path is not None:
+    if offline_path is not None:  # regret against another problem's optimum means nothing
         with open(offline_path) as fh:
-            offline_sol = offline_from_dict(json.load(fh))
+            d = json.load(fh)
+        offline_sol = offline_from_dict(d)
+        if d.get("objective") != objective:
+            raise UsageError(f"the offline solution is for objective {d.get('objective')!r}, "
+                             f"not {objective!r}")
+        if offline_sol.xdagger.tobytes() != scenario.xdagger.tobytes():
+            raise UsageError("the offline solution's xdagger is not the scenario's: it solves "
+                             "another scenario")
+        metrics.check_horizon(offline_sol, horizons[0] if horizons else scenario.T)
 
     # Each horizon of a sweep runs a scenario regenerated for it, which no file
     # holds.  A horizon that finds no viable draw fails as its row would: the
@@ -397,9 +384,7 @@ def cmd_offline(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(offline_to_dict(sol, objective), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    shepherd.write_json(out, offline_to_dict(sol, objective))
     print(f"offline cost={sol.offline_cost:.6g} K={sol.K:.6g} -> {out}")
     return EXIT_OK
 

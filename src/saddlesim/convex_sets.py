@@ -52,19 +52,18 @@ class ConvexSet:
 
     dim: int
 
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def project_point(self, z: np.ndarray) -> np.ndarray:
         """Nearest member of the set (unique minimizer of ||y - z||) for each
-        row of z (..., n); a row projects alone, bit for bit.  Written into
-        ``out`` (z's shape; z itself projects in place) when given."""
+        row of z (..., n); a row projects alone, bit for bit."""
         raise NotImplementedError
 
     def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
         """``project(y)``, which projects each row of y in place, bit for bit
-        ``project_point(y, out=y)``, for arrays y of z's width (..., n): the
-        width is checked here, once, as ``project_point`` checks it."""
+        ``project_point(y)``, for arrays y of z's width (..., n): the width is
+        checked here, once, as ``project_point`` checks it."""
         _check_dim(self.dim, z, rows=True)
         project_point = self.project_point
-        return lambda y: project_point(y, y)
+        return lambda y: np.copyto(y, project_point(y))
 
     def distance(self, x: np.ndarray) -> float:
         """Euclidean distance from x to the set."""
@@ -134,10 +133,10 @@ class Box(ConvexSet):
         # The bounds as (vectors, rows), indexed by "the input has rows".
         object.__setattr__(self, "_clip", ((lower, upper), (lower[None], upper[None])))
 
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def project_point(self, z: np.ndarray) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)
         lower, upper = self._clip[z.ndim > 1]
-        return np.minimum(np.maximum(z, lower, out=out), upper, out=out)
+        return np.minimum(np.maximum(z, lower), upper)
 
     def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
         # project_point's clip pair on the bounds for z's rank, bound once.
@@ -177,13 +176,12 @@ class Ball(ConvexSet):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def project_point(self, z: np.ndarray) -> np.ndarray:
         z = _check_dim(self.dim, z, rows=True)  # rows inside are returned as they are
         d = z - self.center
         nrm = np.linalg.norm(d, axis=-1, keepdims=True)
         far = nrm > self.radius
-        return _into(np.where(far, self.center + d * (self.radius / np.where(far, nrm, 1.0)), z),
-                     out)
+        return np.where(far, self.center + d * (self.radius / np.where(far, nrm, 1.0)), z)
 
     def distance(self, x: np.ndarray) -> float:
         x = _check_dim(self.dim, x)
@@ -244,11 +242,11 @@ class StateSet(ConvexSet):
                             ("_box", box)):
             object.__setattr__(self, name, value)
 
-    def project_point(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def project_point(self, z: np.ndarray) -> np.ndarray:
         if self._box:
-            return self._box.project_point(z, out)
-        parts = [s.project_point(p) for s, p in zip(self.factors, self._split(z))]
-        return _into(np.concatenate(parts, axis=-1), out)
+            return self._box.project_point(z)
+        return np.concatenate([s.project_point(p) for s, p in zip(self.factors, self._split(z))],
+                              axis=-1)
 
     def row_projector(self, z: np.ndarray) -> Callable[[np.ndarray], object]:
         return self._box.row_projector(z) if self._box else super().row_projector(z)
@@ -259,14 +257,6 @@ class StateSet(ConvexSet):
 
     def _split(self, z) -> list:
         return np.split(_check_dim(self.dim, z, rows=True), [self.factors[0].dim], axis=-1)
-
-
-def _into(y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    # y, or y written into out.
-    if out is None:
-        return y
-    np.copyto(out, y)
-    return out
 
 
 def _norm(d: np.ndarray) -> np.ndarray:

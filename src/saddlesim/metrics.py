@@ -102,6 +102,12 @@ class RegretReport:
     floor: float
 
 
+def check_horizon(offline: "OfflineSolution", T: float) -> None:
+    """Raise a ValueError unless the offline solution's horizon is T."""
+    if abs(offline.grid.T - T) > 1e-9:
+        raise ValueError(f"offline horizon {offline.grid.T} does not match trajectory horizon {T}")
+
+
 def regret(log: TrajectoryLog, offline: "OfflineSolution") -> RegretReport:
     """Online accumulated cost minus the clairvoyant fixed-action cost.
 
@@ -109,10 +115,7 @@ def regret(log: TrajectoryLog, offline: "OfflineSolution") -> RegretReport:
     report carries the saddle-controller regret guarantee and the floor
     ``-K T`` implied by the uniform cost-gap constant K.
     """
-    if abs(offline.grid.T - log.T) > 1e-9:
-        raise ValueError(
-            f"offline horizon {offline.grid.T} does not match trajectory horizon {log.T}"
-        )
+    check_horizon(offline, log.T)
     online_cost = log.final_cost
     x0 = log.x[0]
     lam0 = log.lam[0] if log.lam.shape[1] else np.zeros(0)

@@ -28,7 +28,7 @@ import importlib.util
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -323,14 +323,16 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
     last = (None, None)  # the last node set (a copy) and its tables
 
     def tables(ts: np.ndarray):
-        # The first row's tables at ts, for the batch evaluators.  The offline
-        # solvers call them on one grid thousands of times, so the last node
-        # set's tables are kept and reused for an equal one.  The slot is one
-        # tuple, read and replaced whole, so concurrent callers at worst rebuild.
+        # The first row's tables at ts, and r2 tiled (K, m) so that
+        # f = |d|^2 - r2 runs as one flat loop, for the batch evaluators.  The
+        # offline solvers call them on one grid thousands of times, so the last
+        # node set's tables are kept and reused for an equal one.  The slot is
+        # one tuple, read and replaced whole, so concurrent callers at worst
+        # rebuild.
         nonlocal last
         key, tab = last
         if key is None or not np.array_equal(key, ts):
-            tab = _tables(scenario, ts, noisy[0], r2, accel)
+            tab = (*_tables(scenario, ts, noisy[0], accel), np.tile(r2, (len(ts), 1)))
             last = (np.array(ts, dtype=float), tab)
         return tab
 
@@ -344,7 +346,7 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
         # g0 and G as views of one node buffer J in the layout chosen below;
         # the integrator forms its raw field from them with one signed-gain
         # multiply.  An integrator asks for each block once, so nothing is kept.
-        tabs = [_tables(scenarios[i], t, noisy[i], r2s[i], accel)
+        tabs = [_tables(scenarios[i], t, noisy[i], accel)
                 for i, t in zip(rows.tolist(), ts)]
         q = 2 if accel else 1
         B = np.stack([np.stack(tab[:q], axis=1) for tab in tabs], axis=1)
@@ -483,18 +485,16 @@ def shepherd_env(scenario: ShepherdScenario | Sequence[ShepherdScenario],
                        has_objective=has_obj, n_rows=len(scenarios))
 
 
-def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, r2: np.ndarray,
-            accel: bool):
+def _tables(scenario: ShepherdScenario, ts: np.ndarray, use_noise: bool, accel: bool):
     """Time tables of one scenario at the nodes ts: basis rows P (K, nb) and,
-    if ``accel``, P'' (else None), the planar sheep table Y (2, K, m) and r2
-    tiled (K, m), so that f = |d|^2 - r2 runs as one flat loop."""
+    if ``accel``, P'' (else None), and the planar sheep table Y (2, K, m)."""
     kind, nb, T = scenario.basis, scenario.n, scenario.T
     if accel:
         P, _, Pdd = basis_matrices(kind, nb, ts, T)
     else:
         P, Pdd = basis_values(kind, nb, ts, T), None
     Ps = P if scenario.n_sheep == nb else basis_values(kind, scenario.n_sheep, ts, T)
-    return P, Pdd, _positions(scenario, ts, Ps, use_noise), np.tile(r2, (len(ts), 1))
+    return P, Pdd, _positions(scenario, ts, Ps, use_noise)
 
 
 def _check_ranges(p: dict) -> np.ndarray:
@@ -651,30 +651,15 @@ def viability_certificate(scenario: ShepherdScenario) -> ViabilityResult:
 # Serialization
 # ---------------------------------------------------------------------------
 
-# JSON types of the scenario keys that feed a field: the generator's
-# parameters, with the radii as a list, and what it draws.
-_SCENARIO_TYPES = {
-    **{k: t for k, t in GENERATE_PARAMS.items() if k != "radius"}, "radii": list,
-    "sheep_coeffs": list, "noise": list, "waypoints": list, "offsets": list, "draws": int,
-    "xdagger": list, "viability_residual": _NUMBER, "viability_iterations": int,
-    "kkt_condition": _NUMBER,
-}
-_SCENARIO_KEYS = {"version", "kind", "generator_version", *_SCENARIO_TYPES}
-# Fields that feed the environment or the action set and so must be finite
-# (viability_residual may be infinite), checked before their ranges.
-_FINITE_FIELDS = ("T", "radii", "noise_std", "sheep_coeffs", "noise", "waypoints",
-                  "offsets", "action_half", "xdagger")
+def to_json(obj) -> dict:
+    """The dataclass ``obj`` as a JSON object, arrays as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(obj).items()}
 
 
-def scenario_to_dict(s: ShepherdScenario) -> dict:
-    d = {k: v for k, v in asdict(s).items()}
-    for k, v in d.items():
-        if isinstance(v, np.ndarray):
-            d[k] = v.tolist()
-    d["version"] = SCENARIO_VERSION
-    d["generator_version"] = GENERATOR_VERSION
-    d["kind"] = "shepherd"
-    return d
+def write_json(path, d: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(d, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def check_types(what: str, d: dict, types: dict) -> None:
@@ -686,44 +671,79 @@ def check_types(what: str, d: dict, types: dict) -> None:
             raise ValueError(f"{what} key {key!r} has the wrong type: {json.dumps(value)}")
 
 
+# A field's JSON types and the conversion of its value to the field, by the
+# text of its annotation: this package defers annotations, so a dataclass
+# field's type is that text.  Any other annotation names a nested dataclass.
+_JSON_FIELDS = {"int": (int, int), "float": (_NUMBER, float), "str": (str, str),
+                "dict": (dict, dict), "np.ndarray": (list, lambda v: np.asarray(v, dtype=float))}
+
+
+def _nested(cls, f):
+    # The dataclass that the field f of cls names, or None.
+    return None if f.type in _JSON_FIELDS else getattr(sys.modules[cls.__module__], f.type)
+
+
+def _missing_keys(cls, d: dict, prefix: str = "") -> list:
+    # The fields without a default that d lacks, then those of its nested
+    # dataclasses (all of them, where d has no object for one).
+    required = [f for f in fields(cls) if f.default is f.default_factory is MISSING]
+    missing = [prefix + f.name for f in required if f.name not in d]
+    for f in required:
+        if sub := _nested(cls, f):
+            value = d[f.name] if isinstance(d.get(f.name), dict) else {}
+            missing += _missing_keys(sub, value, f"{prefix}{f.name}.")
+    return missing
+
+
+def from_json(cls, d: dict, what: str, finite_except=()):
+    """The dataclass ``cls`` from the JSON object d, by its fields'
+    annotations: required keys, JSON types, and finite numbers and arrays
+    (but for the fields ``finite_except``), each as a ValueError; numbers
+    become floats and arrays float arrays.  Keys of no field are ignored."""
+    missing = _missing_keys(cls, d)
+    if missing:
+        raise ValueError(f"{what} lacks keys: {missing}")
+    present = [(f.name, f.type, _nested(cls, f)) for f in fields(cls) if f.name in d]
+    check_types(what, d, {k: dict if sub else _JSON_FIELDS[t][0] for k, t, sub in present})
+    values = {}
+    for k, t, sub in present:
+        if sub:
+            values[k] = from_json(sub, d[k], f"{what} {k}")
+            continue
+        try:
+            values[k] = _JSON_FIELDS[t][1](d[k])
+        except (TypeError, ValueError):  # a list that is no rectangle of numbers
+            raise ValueError(f"{what} field {k!r} is not an array of numbers") from None
+        if (t in ("float", "np.ndarray") and k not in finite_except
+                and not np.isfinite(values[k]).all()):
+            raise ValueError(f"{what} field {k!r} has non-finite values")
+    return cls(**values)
+
+
+def scenario_to_dict(s: ShepherdScenario) -> dict:
+    return {**to_json(s), "version": SCENARIO_VERSION, "generator_version": GENERATOR_VERSION,
+            "kind": "shepherd"}
+
+
 def scenario_from_dict(d: dict) -> ShepherdScenario:
     if not isinstance(d, dict):
         raise ValueError("a scenario must be a JSON object")
-    unknown = set(d) - _SCENARIO_KEYS
+    unknown = set(d) - {"version", "kind", "generator_version", *ShepherdScenario.__annotations__}
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     if d.get("version") != SCENARIO_VERSION:
         raise ValueError(f"unsupported scenario version {d.get('version')!r}")
     if d.get("kind") != "shepherd":
         raise ValueError(f"unsupported scenario kind {d.get('kind')!r}")
-    missing = _SCENARIO_KEYS - {"generator_version"} - set(d)
-    if missing:
-        raise ValueError(f"scenario lacks keys: {sorted(missing)}")
-    check_types("scenario", d, _SCENARIO_TYPES)
-    fields = {name: np.asarray(d[name], dtype=float) for name in _FINITE_FIELDS}
-    for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"scenario field {name!r} has non-finite values")
-    radii = _check_ranges({**d, "radius": fields["radii"]})
-    return ShepherdScenario(
-        m=int(d["m"]), n=int(d["n"]), n_sheep=int(d["n_sheep"]), basis=d["basis"],
-        T=float(d["T"]), radii=radii, L=int(d["L"]),
-        offset_box=float(d["offset_box"]), noise_std=float(d["noise_std"]),
-        seed=int(d["seed"]), noise_cells=int(d["noise_cells"]),
-        sheep_coeffs=fields["sheep_coeffs"], noise=fields["noise"],
-        waypoints=fields["waypoints"].reshape(int(d["L"]), 2),
-        offsets=fields["offsets"].reshape(int(d["m"]), int(d["L"]), 2),
-        action_half=float(d["action_half"]), draws=int(d["draws"]), xdagger=fields["xdagger"],
-        viability_residual=float(d["viability_residual"]),
-        viability_iterations=int(d["viability_iterations"]),
-        kkt_condition=float(d["kkt_condition"]),
-    )
+    # The only number fields that feed neither the environment nor the action
+    # set, and so may be infinite.
+    s = from_json(ShepherdScenario, d, "scenario", ("viability_residual", "kkt_condition"))
+    return replace(s, radii=_check_ranges({**d, "radius": s.radii}),
+                   waypoints=s.waypoints.reshape(s.L, 2), offsets=s.offsets.reshape(s.m, s.L, 2))
 
 
 def save_scenario(s: ShepherdScenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(s))
 
 
 def load_scenario(path) -> ShepherdScenario:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,3 +228,17 @@ def decode_coeffs(x: np.ndarray, n: int) -> np.ndarray:
     if x.shape != (2 * n,):
         raise ValueError(f"expected action of shape ({2 * n},)")
     return np.stack([x[:n], x[n:]])
+
+
+def assert_same_fields(a, b) -> None:
+    """Every field of the dataclass b is a's, bit for bit and of a's Python
+    type (arrays of a's dtype and shape), nested dataclasses field by field."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(y) is type(x), f.name
+        if dataclasses.is_dataclass(x):
+            assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes()), f.name
+        else:  # repr tells -0.0 from 0.0, and 1 from 1.0 in a dict
+            assert repr(y) == repr(x), f.name

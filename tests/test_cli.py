@@ -17,6 +17,8 @@ from saddlesim.dynamics import simulate_rows
 from saddlesim.environment import EvaluatorError
 from saddlesim.offline import InfeasibleEnvironmentError, InnerSolveError, OfflineSolution, TimeGrid
 
+from helpers import assert_same_fields
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -539,6 +541,84 @@ def test_simulate_rejects_nonfinite_scenario(scenario_file, tmp_path, capsys, ke
     assert code == cli.EXIT_USAGE
     assert f"scenario field '{key}' has non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def offline_file(scenario_file, tmp_path_factory):
+    path = tmp_path_factory.mktemp("off") / "offline.json"
+    assert run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--max-iter", 50, "--out", path) == 0
+    return path
+
+
+def test_offline_serialization_round_trip(offline_file):
+    text = offline_file.read_text()
+    sol = cli.offline_from_dict(json.loads(text))
+    again = json.dumps(cli.offline_to_dict(sol, "black_sheep"), sort_keys=True, indent=1) + "\n"
+    assert again == text
+    assert_same_fields(sol, cli.offline_from_dict(json.loads(again)))
+    # Values a float's repr must keep: -0.0, the smallest subnormal, the largest float.
+    odd = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    sol = OfflineSolution(xstar=odd, offline_cost=-0.0, xdagger=odd[::-1].copy(),
+                          viability_residual=-5e-324, K=0.1, grid=TimeGrid(T=0.3, num_steps=3),
+                          cost_cumulative=odd, diagnostics={"converged": False, "iterations": 7.0})
+    assert_same_fields(sol, cli.offline_from_dict(json.loads(json.dumps(
+        cli.offline_to_dict(sol, "min_acceleration")))))
+
+
+def _nudged(xs):
+    return [float(np.nextafter(xs[0], np.inf)), *xs[1:]]  # the first entry one ulp up
+
+
+@pytest.mark.parametrize("edit, flags, message", [
+    ({}, (), None),
+    ({"version": 99}, (), "unsupported offline solution version 99"),
+    ({}, ("--objective", "minaccel"),
+     "the offline solution is for objective 'black_sheep', not 'min_acceleration'"),
+    ({"xdagger": _nudged}, (), "the offline solution's xdagger is not the scenario's"),
+    ({}, ("--horizon", 0.2), "offline horizon 1.0 does not match trajectory horizon 0.2"),
+], ids=["same_problem", "version", "objective", "xdagger", "horizon"])
+def test_simulate_refuses_another_problems_offline_file_before_any_step(
+        scenario_file, offline_file, tmp_path, capsys, edit, flags, message):
+    # Regret is measured against the file's optimum; another problem's would
+    # give a number that means nothing (500278 against black sheep's 0.005
+    # for a min-acceleration run), so such a file writes nothing.
+    data = json.loads(offline_file.read_text())
+    data.update({k: v(data[k]) if callable(v) else v for k, v in edit.items()})
+    off, out = tmp_path / "offline.json", tmp_path / "o"
+    off.write_text(json.dumps(data))
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle", "--objective",
+                   "blacksheep", "--epsilon", 50, "--step", 1e-3, "--offline", off, *flags,
+                   "--out", out)
+    if message is None:
+        assert code == 0 and (out / "metrics.json").exists()
+        return
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("diagnostics", [1, 2], "offline solution key 'diagnostics' has the wrong type: [1, 2]"),
+    ("offline_cost", float("nan"), "offline solution field 'offline_cost' has non-finite values"),
+    ("cost_cumulative", [0.0, float("inf")],
+     "offline solution field 'cost_cumulative' has non-finite values"),
+    ("grid", {"T": float("inf"), "num_steps": 3},
+     "offline solution grid field 'T' has non-finite values"),
+    ("xdagger", [{}], "offline solution field 'xdagger' is not an array of numbers"),
+    ("xstar", [[0.0], [0.0, 1.0]], "offline solution field 'xstar' is not an array of numbers"),
+], ids=["diagnostics_array", "nan_cost", "inf_cumulative", "inf_horizon", "object_entry",
+        "ragged"])
+def test_malformed_offline_values_are_usage_errors(scenario_file, offline_file, tmp_path, capsys,
+                                                   key, value, message):
+    # A NaN cost would otherwise reach metrics.json as the token NaN, not JSON.
+    off, out = tmp_path / "offline.json", tmp_path / "o"
+    off.write_text(json.dumps({**json.loads(offline_file.read_text()), key: value}))
+    code = run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle", "--objective",
+                   "blacksheep", "--offline", off, "--out", out)
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_offline_and_regret_flow(scenario_file, tmp_path):

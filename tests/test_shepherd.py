@@ -10,7 +10,7 @@ from numpy.polynomial import legendre, polynomial
 from saddlesim import shepherd
 from saddlesim.offline import check_viability
 
-from helpers import decode_coeffs, finite_diff_check, midpoint_convex
+from helpers import assert_same_fields, decode_coeffs, finite_diff_check, midpoint_convex
 
 
 def basis_row(kind, n, t, T):
@@ -402,14 +402,18 @@ def test_mean_env_shifts_constraints(small_scenario):
     assert np.allclose(f_mean - f_off, 2.0 * sc.noise_std**2)
 
 
-def test_scenario_serialization_round_trip(tmp_path, small_scenario):
-    path = tmp_path / "scenario.json"
-    shepherd.save_scenario(small_scenario, path)
+@pytest.mark.parametrize("waypoints", [2, 0])
+def test_scenario_serialization_round_trip(tmp_path, small_scenario, waypoints):
+    # L = 0 leaves waypoints (0, 2) and offsets (m, 0, 2): empty lists in the file.
+    sc = small_scenario if waypoints else shepherd.generate_sheep_paths(
+        seed=3, n=8, n_sheep=8, L=0, noise_cells=100)
+    assert sc.L == waypoints
+    path, again = tmp_path / "scenario.json", tmp_path / "again.json"
+    shepherd.save_scenario(sc, path)
     clone = shepherd.load_scenario(path)
-    assert np.array_equal(clone.sheep_coeffs, small_scenario.sheep_coeffs)
-    assert np.array_equal(clone.noise, small_scenario.noise)
-    assert clone.seed == small_scenario.seed
-    assert clone.viability_residual == small_scenario.viability_residual
+    assert_same_fields(sc, clone)
+    shepherd.save_scenario(clone, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_scenario_rejects_unknown_keys(tmp_path, small_scenario):
