@@ -44,10 +44,6 @@ CONFIG_VERSION = 1
 OBJECTIVE_NAMES = {"none": "none", "blacksheep": "black_sheep", "minaccel": "min_acceleration"}
 
 
-class UsageError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
@@ -164,23 +160,29 @@ def offline_from_dict(d: dict) -> OfflineSolution:
     sol = shepherd.from_json(OfflineSolution, d, "offline solution")
     if d.get("version") != CONFIG_VERSION:
         raise ValueError(f"unsupported offline solution version {d.get('version')!r}")
+    nodes = sol.grid.num_steps + 1
+    if sol.cost_cumulative.shape != (nodes,):
+        raise ValueError(f"the offline solution's cost_cumulative has shape "
+                         f"{sol.cost_cumulative.shape}, not one entry per grid node ({nodes},)")
     return sol
 
 
-# JSON types of the keys of a config (an inline scenario's are
-# shepherd.GENERATE_PARAMS); null is none.
+# simulate's settings: each is the flag of that dest and the config key of
+# that name, with the JSON types a config may give it (never null) and its
+# default.  A flag wins over the config and the config over the default.
 _NUMBER = (int, float)
-_CONFIG_TYPES = {
-    "version": int, "scenario": (str, dict), "mode": str, "epsilon": _NUMBER, "step": _NUMBER,
-    "horizon": _NUMBER, "delta": _NUMBER, "objective": str, "out": str, "sweep": (str, *_NUMBER),
-    "stride": int, "offline": str,
+SIMULATE_SETTINGS = {
+    "scenario": ((str, dict), None), "mode": (str, "saddle"), "epsilon": (_NUMBER, 50.0),
+    "step": (_NUMBER, 1e-4), "horizon": (_NUMBER, None), "delta": (_NUMBER, None),
+    "objective": (str, "none"), "out": (str, None), "sweep": ((str, *_NUMBER), None),
+    "stride": (int, 10), "offline": (str, None),
 }
 
 
 def _check_types(what: str, d: dict, types: dict) -> None:
     unknown = set(d) - set(types)
     if unknown:
-        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     shepherd.check_types(what, d, {key: types[key] for key in d})
 
 
@@ -188,10 +190,11 @@ def load_experiment_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise UsageError("experiment config must be a JSON object")
+        raise ValueError("experiment config must be a JSON object")
     if cfg.get("version") != CONFIG_VERSION:
-        raise UsageError(f"unsupported config version {cfg.get('version')!r}")
-    _check_types("config", cfg, _CONFIG_TYPES)
+        raise ValueError(f"unsupported config version {cfg.get('version')!r}")
+    _check_types("config", cfg, {"version": int, **{key: types for key, (types, _) in
+                                                      SIMULATE_SETTINGS.items()}})
     return cfg
 
 
@@ -217,8 +220,7 @@ def cmd_generate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stride,
-                      scenario_path, offline_sol, offline_path) -> dict:
+def _run_metrics_dict(s, log: TrajectoryLog, scenario, scenario_path, offline_sol) -> dict:
     fit = metrics.fit(log)
     lam0 = log.lam[0] if log.lam.shape[1] else np.zeros(len(fit))
     R = scenario.action_set().norm_bound()
@@ -226,13 +228,13 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stri
         "version": CONFIG_VERSION,
         "scenario_file": str(scenario_path) if scenario_path else None,
         "scenario_seed": scenario.seed,
-        "mode": mode,
-        "objective": objective,
+        "mode": s.mode,
+        "objective": s.objective,
         "epsilon": log.config.epsilon,
         "h": log.h_eff,
         "T": log.T,
-        "delta": delta,
-        "sample_stride": stride,
+        "delta": s.delta,
+        "sample_stride": s.stride,
         "fit": fit.tolist(),
         "fit_final_accum": log.final_fit.tolist(),
         "clipped_fit_norm": metrics.clipped_fit_norm(fit),
@@ -244,124 +246,109 @@ def _run_metrics_dict(log: TrajectoryLog, scenario, delta, objective, mode, stri
         "lambda_max": log.lambda_max.tolist(),
         "max_field_norm": log.max_field_norm,
     }
-    if delta is not None:
-        out["saturated_fit"] = metrics.saturated_fit(log, delta).tolist()
+    if s.delta is not None:
+        out["saturated_fit"] = metrics.saturated_fit(log, s.delta).tolist()
     if offline_sol is not None:
-        out["regret"] = {**asdict(metrics.regret(log, offline_sol)),
-                         "offline_file": str(offline_path)}
+        out["regret"] = {**asdict(metrics.regret(log, offline_sol)), "offline_file": s.offline}
     return out
 
 
-def _run(scenarios, horizons, outs, config, delta, objective, stride,
-         scenario_path=None, offline_sol=None, offline_path=None) -> None:
+def _run(s, config, scenarios, horizons, outs, scenario_path, offline_sol) -> None:
     """Run each scenario over its horizon as the rows of one ``simulate_rows``
     call, and write row b's run (trajectory.csv, metrics.json) to ``outs[b]``:
     the runs in row order up to the first failed one, whose error propagates."""
-    env = shepherd.shepherd_env(scenarios, objective, noise="frozen")
-    logs = simulate_rows(env if delta is None else env.saturate(delta), config, horizons,
-                         scenarios[0].action_set(), sample_stride=stride)
+    env = shepherd.shepherd_env(scenarios, s.objective, noise="frozen")
+    logs = simulate_rows(env if s.delta is None else env.saturate(s.delta), config, horizons,
+                         scenarios[0].action_set(), sample_stride=s.stride)
     for sc, out, log in zip(scenarios, outs, logs):
         if isinstance(log, Exception):
             raise log
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / "trajectory.csv", log)
-        shepherd.write_json(out / "metrics.json", _run_metrics_dict(
-            log, sc, delta, objective, config.mode, stride, scenario_path, offline_sol,
-            offline_path))
+        shepherd.write_json(out / "metrics.json",
+                            _run_metrics_dict(s, log, sc, scenario_path, offline_sol))
 
 
 def cmd_simulate(args) -> int:
     cfg = load_experiment_config(args.config) if args.config else {}
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else cfg.get(key, default)
-
-    scenario_src = pick(args.scenario, "scenario")
-    mode = pick(args.mode, "mode", "saddle")
-    epsilon = float(pick(args.epsilon, "epsilon", 50.0))
-    step = float(pick(args.step, "step", 1e-4))
-    horizon = pick(args.horizon, "horizon")
-    delta = pick(args.delta, "delta")
-    objective_flag = pick(args.objective, "objective", "none")
-    out = pick(args.out, "out")
-    sweep = pick(args.sweep, "sweep")
-    stride = int(pick(args.stride, "stride", 10))
-    offline_path = pick(args.offline, "offline")
-
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}")
-    objective = OBJECTIVE_NAMES.get(objective_flag, objective_flag)
-    if objective not in shepherd.OBJECTIVES:
-        raise UsageError(f"objective must be one of {sorted(OBJECTIVE_NAMES)}")
-    if scenario_src is None:
-        raise UsageError("a scenario file is required (--scenario or config)")
-    if out is None:
-        raise UsageError("an output directory is required (--out or config)")
-    if sweep and offline_path is not None:
-        raise UsageError("--sweep and --offline cannot be combined: an offline solution "
+    s = argparse.Namespace()  # the settings merged, the numbers as floats
+    for key, (types, default) in SIMULATE_SETTINGS.items():
+        value = vars(args).get(key, cfg.get(key, default))
+        setattr(s, key, float(value) if types is _NUMBER and value is not None else value)
+    s.objective = OBJECTIVE_NAMES.get(s.objective, s.objective)
+    if s.objective not in shepherd.OBJECTIVES:
+        raise ValueError(f"objective must be one of {sorted(OBJECTIVE_NAMES)}")
+    if s.scenario is None:
+        raise ValueError("a scenario file is required (--scenario or config)")
+    if s.out is None:
+        raise ValueError("an output directory is required (--out or config)")
+    if s.sweep and s.offline is not None:
+        raise ValueError("--sweep and --offline cannot be combined: an offline solution "
                          "belongs to one horizon")
-    if sweep and horizon is not None:
-        raise UsageError("--sweep and --horizon cannot be combined: the sweep lists the "
+    if s.sweep and s.horizon is not None:
+        raise ValueError("--sweep and --horizon cannot be combined: the sweep lists the "
                          "horizons")
     # Every value is checked before the first draw.
-    config = ControllerConfig(epsilon=epsilon, h=step, mode=mode)
-    if delta is not None:
-        saturation_level(delta)
-    if sweep:
-        horizons = [float(s) for s in str(sweep).split(",") if s.strip()]
+    config = ControllerConfig(epsilon=s.epsilon, h=s.step, mode=s.mode)
+    if s.delta is not None:
+        saturation_level(s.delta)
+    if s.sweep:
+        horizons = [float(T) for T in str(s.sweep).split(",") if T.strip()]
         if not horizons:
-            raise UsageError("empty sweep list")
+            raise ValueError("empty sweep list")
     else:
-        horizons = [] if horizon is None else [horizon]
-    horizons = check_run(horizons, stride)
+        horizons = [] if s.horizon is None else [s.horizon]
+    horizons = check_run(horizons, s.stride)
 
     scenario_path = None
-    if isinstance(scenario_src, str):
-        scenario_path = Path(scenario_src)
+    if isinstance(s.scenario, str):
+        scenario_path = Path(s.scenario)
         if not scenario_path.exists():
-            raise UsageError(f"scenario file not found: {scenario_path}")
+            raise ValueError(f"scenario file not found: {scenario_path}")
         scenario = shepherd.load_scenario(scenario_path)
     else:  # an inline parameter object: the config's types allow no other
-        params = dict(scenario_src)
+        params = dict(s.scenario)
         _check_types("inline scenario", params, shepherd.GENERATE_PARAMS)
         if "seed" not in params:
             if args.seed is None:
-                raise UsageError("inline scenario parameters need a seed (--seed)")
+                raise ValueError("inline scenario parameters need a seed (--seed)")
             params["seed"] = args.seed
         scenario = shepherd.generate_sheep_paths(**params)
 
     offline_sol = None
-    if offline_path is not None:  # regret against another problem's optimum means nothing
-        with open(offline_path) as fh:
+    if s.offline is not None:  # regret against another problem's optimum means nothing
+        with open(s.offline) as fh:
             d = json.load(fh)
         offline_sol = offline_from_dict(d)
-        if d.get("objective") != objective:
-            raise UsageError(f"the offline solution is for objective {d.get('objective')!r}, "
-                             f"not {objective!r}")
+        if d.get("objective") != s.objective:
+            raise ValueError(f"the offline solution is for objective {d.get('objective')!r}, "
+                             f"not {s.objective!r}")
         if offline_sol.xdagger.tobytes() != scenario.xdagger.tobytes():
-            raise UsageError("the offline solution's xdagger is not the scenario's: it solves "
+            raise ValueError("the offline solution's xdagger is not the scenario's: it solves "
                              "another scenario")
+        if offline_sol.xstar.shape != (scenario.action_dim,):
+            raise ValueError(f"the offline solution's xstar has shape {offline_sol.xstar.shape}, "
+                             f"not the scenario's action dimension ({scenario.action_dim},)")
         metrics.check_horizon(offline_sol, horizons[0] if horizons else scenario.T)
 
     # Each horizon of a sweep runs a scenario regenerated for it, which no file
     # holds.  A horizon that finds no viable draw fails as its row would: the
     # horizons before it run and are written, then its error propagates.
     scenarios, failure = [], None
-    if sweep:
-        outs, scenario_path = [Path(out) / f"T_{T:g}" for T in horizons], None
+    if s.sweep:
+        outs, scenario_path = [Path(s.out) / f"T_{T:g}" for T in horizons], None
         try:
             for T in horizons:
                 scenarios.append(shepherd.regenerate(scenario, T=T))
         except shepherd.GeneratorError as err:
             failure = err
     else:
-        scenarios, horizons, outs = [scenario], horizons or [scenario.T], [Path(out)]
+        scenarios, horizons, outs = [scenario], horizons or [scenario.T], [Path(s.out)]
     if scenarios:
-        _run(scenarios, horizons[:len(scenarios)], outs, config, delta, objective, stride,
-             scenario_path, offline_sol, offline_path)
+        _run(s, config, scenarios, horizons[:len(scenarios)], outs, scenario_path, offline_sol)
     if failure:
         raise failure
-    print(f"simulation results written to {out}")
+    print(f"simulation results written to {s.out}")
     return EXIT_OK
 
 
@@ -372,15 +359,15 @@ def cmd_simulate(args) -> int:
 def cmd_offline(args) -> int:
     objective = OBJECTIVE_NAMES.get(args.objective, args.objective)
     if objective == "none":
-        raise UsageError("the offline solve needs an objective (blacksheep or minaccel)")
-    if args.max_iter < 1:
-        raise UsageError("the iteration budget --max-iter must be at least 1")
+        raise ValueError("the offline solve needs an objective (blacksheep or minaccel)")
+    budget = {"max_iter": args.max_iter} if "max_iter" in args else {}
+    if budget.get("max_iter", 1) < 1:
+        raise ValueError("the iteration budget --max-iter must be at least 1")
     scenario = shepherd.load_scenario(args.scenario)
     env = shepherd.shepherd_env(scenario, objective, noise="mean")
     sol = solve_offline(
         env, scenario.offline_grid(), scenario.action_set(),
-        viability=shepherd.viability_certificate(scenario),
-        max_iter=args.max_iter,
+        viability=shepherd.viability_certificate(scenario), **budget,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -608,26 +595,30 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("simulate", help="run a controller over a scenario")
+    # Each setting flag's dest is its SIMULATE_SETTINGS key, which has the defaults.
+    s = sub.add_parser("simulate", help="run a controller over a scenario",
+                       argument_default=argparse.SUPPRESS)
     s.add_argument("--config", default=None, help="experiment config JSON")
-    s.add_argument("--scenario", default=None)
-    s.add_argument("--mode", choices=MODES, default=None)
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--step", type=float, default=None)
-    s.add_argument("--horizon", type=float, default=None)
-    s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--objective", choices=sorted(OBJECTIVE_NAMES), default=None)
+    s.add_argument("--scenario")
+    s.add_argument("--mode", choices=MODES)
+    s.add_argument("--epsilon", type=float)
+    s.add_argument("--step", type=float)
+    s.add_argument("--horizon", type=float)
+    s.add_argument("--delta", type=float)
+    s.add_argument("--objective", choices=sorted(OBJECTIVE_NAMES))
     s.add_argument("--seed", type=int, default=None, help="seed for inline scenario parameters")
-    s.add_argument("--out", default=None)
-    s.add_argument("--sweep", default=None, help='horizon list, e.g. "0.5,1,2"')
-    s.add_argument("--stride", type=int, default=None)
-    s.add_argument("--offline", default=None, help="offline.json for regret")
+    s.add_argument("--out")
+    s.add_argument("--sweep", help='horizon list, e.g. "0.5,1,2"')
+    s.add_argument("--stride", type=int)
+    s.add_argument("--offline", help="offline.json for regret")
     s.set_defaults(func=cmd_simulate)
 
-    o = sub.add_parser("offline", help="clairvoyant fixed-action solve")
+    # --max-iter's default is solve_offline's.
+    o = sub.add_parser("offline", help="clairvoyant fixed-action solve",
+                       argument_default=argparse.SUPPRESS)
     o.add_argument("--scenario", required=True)
     o.add_argument("--objective", choices=sorted(OBJECTIVE_NAMES), required=True)
-    o.add_argument("--max-iter", type=int, default=4000,
+    o.add_argument("--max-iter", type=int,
                    help="iteration budget of the solve, all inner solves together; "
                         "each iteration is one augmented-Lagrangian evaluation")
     o.add_argument("--out", required=True)
@@ -648,18 +639,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MembershipError as exc:  # a ValueError, but not the caller's fault
+    except (DivergenceError, EvaluatorError, MembershipError) as exc:
+        # A MembershipError is a ValueError, but not the caller's fault.
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, EvaluatorError) as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (InfeasibleEnvironmentError, shepherd.GeneratorError) as exc:
         print(f"viability: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

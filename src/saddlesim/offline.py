@@ -235,7 +235,7 @@ def solve_offline(
     grid: TimeGrid,
     X: ConvexSet,
     viability: Optional[ViabilityResult] = None,
-    max_iter: int = 6000,
+    max_iter: int = 4000,
 ) -> OfflineSolution:
     """Optimal fixed action on the grid: min sum_k w_k f0(t_k, x) subject to
     f_i(t_k, x) <= 0 at every node.

@@ -738,8 +738,15 @@ def scenario_from_dict(d: dict) -> ShepherdScenario:
     # The only number fields that feed neither the environment nor the action
     # set, and so may be infinite.
     s = from_json(ShepherdScenario, d, "scenario", ("viability_residual", "kkt_condition"))
-    return replace(s, radii=_check_ranges({**d, "radius": s.radii}),
-                   waypoints=s.waypoints.reshape(s.L, 2), offsets=s.offsets.reshape(s.m, s.L, 2))
+    radii = _check_ranges({**d, "radius": s.radii})
+    shapes = {"sheep_coeffs": (s.m, 2, s.n_sheep), "noise": (s.m, 2, s.noise_cells),
+              "waypoints": (s.L, 2), "offsets": (s.m, s.L, 2), "xdagger": (s.action_dim,)}
+    for k, shape in shapes.items():
+        if getattr(s, k).size != np.prod(shape):
+            raise ValueError(f"scenario field {k!r} has {getattr(s, k).size} values, not the "
+                             f"{np.prod(shape)} of its shape {shape}")
+    return replace(s, radii=radii,
+                   **{k: getattr(s, k).reshape(shape) for k, shape in shapes.items()})
 
 
 def save_scenario(s: ShepherdScenario, path) -> None:

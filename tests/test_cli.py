@@ -1,6 +1,8 @@
 import errno
+import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,8 @@ from saddlesim import cli, shepherd
 from saddlesim.convex_sets import DimensionError, MembershipError
 from saddlesim.dynamics import simulate_rows
 from saddlesim.environment import EvaluatorError
-from saddlesim.offline import InfeasibleEnvironmentError, InnerSolveError, OfflineSolution, TimeGrid
+from saddlesim.offline import (InfeasibleEnvironmentError, InnerSolveError, OfflineSolution,
+                               TimeGrid, solve_offline)
 
 from helpers import assert_same_fields
 
@@ -607,8 +610,14 @@ def test_simulate_refuses_another_problems_offline_file_before_any_step(
      "offline solution grid field 'T' has non-finite values"),
     ("xdagger", [{}], "offline solution field 'xdagger' is not an array of numbers"),
     ("xstar", [[0.0], [0.0, 1.0]], "offline solution field 'xstar' is not an array of numbers"),
+    # A one-entry xstar ran the whole simulation, then failed in metrics.energy
+    # and left trajectory.csv without metrics.json.
+    ("xstar", [0.0], "the offline solution's xstar has shape (1,), not the scenario's action "
+                     "dimension (24,)"),
+    ("cost_cumulative", [0.0, 0.0],
+     "the offline solution's cost_cumulative has shape (2,), not one entry per grid node (201,)"),
 ], ids=["diagnostics_array", "nan_cost", "inf_cumulative", "inf_horizon", "object_entry",
-        "ragged"])
+        "ragged", "short_xstar", "short_cost_cumulative"])
 def test_malformed_offline_values_are_usage_errors(scenario_file, offline_file, tmp_path, capsys,
                                                    key, value, message):
     # A NaN cost would otherwise reach metrics.json as the token NaN, not JSON.
@@ -714,6 +723,23 @@ def test_offline_budget_below_one_is_usage_error(scenario_file, tmp_path, capsys
                    "--max-iter", budget, "--out", off) == cli.EXIT_USAGE
     assert "the iteration budget --max-iter must be at least 1" in capsys.readouterr().err
     assert not off.exists()
+
+
+def test_offline_without_a_budget_solves_with_the_library_default(scenario_file, tmp_path,
+                                                                  monkeypatch):
+    # The command's default was 4000 and solve_offline's 6000, so the README's
+    # library example and `saddlesim offline` solved with different budgets.
+    calls = []
+
+    def stop(*args, **kwargs):
+        calls.append(kwargs)
+        raise InnerSolveError("stopped before the solve")
+
+    monkeypatch.setattr(cli, "solve_offline", stop)
+    assert run_cli("offline", "--scenario", scenario_file, "--objective", "blacksheep",
+                   "--out", tmp_path / "offline.json") == cli.EXIT_INFEASIBLE
+    assert len(calls) == 1 and "max_iter" not in calls[0]
+    assert inspect.signature(solve_offline).parameters["max_iter"].default == 4000
 
 
 def test_report_renders_figures(scenario_file, tmp_path):
@@ -863,6 +889,68 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run_cli("simulate", "--config", cfg_path) == cli.EXIT_USAGE
 
 
+# What a run shows of each simulate setting, one config value of it and what
+# the run shows of that, and one flag value and what the run shows of that.
+# Paths are formatted with the run's directory (root), the scenario file and
+# the offline file; the runs are keyed by their directory under root.
+def _shown(field):
+    return lambda runs: runs["run"][field]
+
+
+_SETTING_CASES = {
+    "scenario": (_shown("scenario_file"), ("{root}/copy.json",) * 2, ("{scenario}",) * 2),
+    "mode": (_shown("mode"), ("gradient",) * 2, ("feasibility",) * 2),
+    "epsilon": (_shown("epsilon"), (4, 4.0), (6, 6.0)),
+    "step": (_shown("h"), (2e-3, 2e-3), (5e-4, 5e-4)),
+    "horizon": (_shown("T"), (0.5, 0.5), (0.25, 0.25)),
+    "delta": (_shown("delta"), (0.2, 0.2), (0.1, 0.1)),
+    "objective": (_shown("objective"), ("minaccel", "min_acceleration"), ("none", "none")),
+    "out": (sorted, ("{root}/a", ["a"]), ("{root}/b", ["b"])),
+    "sweep": (sorted, ("0.1,0.2", ["run/T_0.1", "run/T_0.2"]), ("0.3", ["run/T_0.3"])),
+    "stride": (_shown("sample_stride"), (5, 5), (20, 20)),
+    "offline": (lambda runs: runs["run"]["regret"]["offline_file"], ("{offline}",) * 2,
+                ("{root}/offline.json",) * 2),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.SIMULATE_SETTINGS))
+def test_each_simulate_setting_takes_its_flag_over_its_config_value(scenario_file, offline_file,
+                                                                    tmp_path, key):
+    assert set(_SETTING_CASES) == set(cli.SIMULATE_SETTINGS)
+    shown, (cfg_value, cfg_shown), (flag_value, flag_shown) = _SETTING_CASES[key]
+    base = {"version": cli.CONFIG_VERSION, "scenario": "{scenario}", "mode": "saddle",
+            "objective": "blacksheep", "epsilon": 50, "step": 1e-3, "out": "{root}/run"}
+    for name, flags, expected in (("config", (), cfg_shown),
+                                  ("flag", (f"--{key}", flag_value), flag_shown)):
+        root = tmp_path / name
+        root.mkdir()
+        shutil.copy(scenario_file, root / "copy.json")
+        shutil.copy(offline_file, root / "offline.json")
+
+        def fill(v):
+            return v.format(root=root, scenario=scenario_file, offline=offline_file) \
+                if isinstance(v, str) else v
+
+        cfg = {k: fill(v) for k, v in {**base, key: cfg_value}.items()}
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", root / "cfg.json", *map(fill, flags)) == 0
+        runs = {p.parent.relative_to(root).as_posix(): json.loads(p.read_text())
+                for p in root.rglob("metrics.json")}
+        assert shown(runs) == fill(expected)
+
+
+def test_a_config_number_is_written_as_its_flag_is(scenario_file, tmp_path):
+    # A config's "delta": 1 was written to metrics.json as 1, the flag's as 1.0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": cli.CONFIG_VERSION, "delta": 1}))
+    run = ("simulate", "--scenario", scenario_file, "--mode", "feasibility", "--epsilon", 5,
+           "--step", 1e-3)
+    assert run_cli(*run, "--config", cfg, "--out", tmp_path / "config") == 0
+    assert run_cli(*run, "--delta", 1, "--out", tmp_path / "flag") == 0
+    assert ((tmp_path / "config" / "metrics.json").read_bytes()
+            == (tmp_path / "flag" / "metrics.json").read_bytes())
+
+
 @pytest.mark.parametrize("command", ["simulate", "offline"])
 def test_scenario_missing_keys_is_usage_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
@@ -894,6 +982,13 @@ def test_scenario_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
     ("action_half", 0.0, "action_half must be positive"),
     ("noise_cells", 0, "noise_cells must be at least 1"),
     ("offset_box", -0.1, "offset_box must be nonnegative"),
+    # No noise at all died with an IndexError traceback at the first block, a
+    # sheep short or a waypoint short in numpy's reshape, naming no field.
+    ("noise", [], "scenario field 'noise' has 0 values, not the 2000 of its shape (5, 2, 200)"),
+    ("sheep_coeffs", lambda v: v[:-1],
+     "scenario field 'sheep_coeffs' has 96 values, not the 120 of its shape (5, 2, 12)"),
+    ("waypoints", lambda v: v[:-1],
+     "scenario field 'waypoints' has 4 values, not the 6 of its shape (3, 2)"),
 ])
 def test_scenario_value_ranges_are_usage_errors(scenario_file, tmp_path, capsys, key, value,
                                                 message):
@@ -903,7 +998,7 @@ def test_scenario_value_ranges_are_usage_errors(scenario_file, tmp_path, capsys,
     if key == "radii":
         data[key][1] = value
     else:
-        data[key] = value
+        data[key] = value(data[key]) if callable(value) else value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code = run_cli("simulate", "--scenario", bad, "--mode", "feasibility", "--out", tmp_path / "o")
