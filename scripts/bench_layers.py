@@ -34,8 +34,9 @@ with one of the prefixes.  The cases, each group described where it is built:
   search's draws included;
 - ``ab_simulate_cases``: ``simulate_rows`` per run-step on the benchmark's
   run configurations, a C03 tracking run and B = 1, 2 and 6 rows;
-- ``io_cases``: ``write_trajectory_csv``, ``report``'s figures and the sheep
-  positions of its path overlay, of the 2,501-row regret-chain log.
+- ``io_cases``: ``write_trajectory_csv``, report's parse of that CSV
+  (``_read_csv``), ``report``'s figures and the sheep positions of its path
+  overlay, of the 2,501-row regret-chain log.
 
 Each ``ab`` row carries ``after_better``, the repeats in which the after tree
 was faster (ties count for neither), ``after_over_before``, the after/before
@@ -485,9 +486,10 @@ def ab_simulate_cases(package) -> dict:
 def io_cases(package, workdir: str) -> dict:
     """Trajectory I/O on the log of regret-chain's saddle run (seed 1,
     T = 0.25, black sheep, stride 1: 2,501 rows): ``write_trajectory_csv``
-    (s), ``report``'s figures of that CSV (ms), both written into workdir,
-    and ``sheep_positions`` at the log's times, the table behind report's
-    path overlay (ms)."""
+    (s), ``_read_csv`` of that CSV with the columns report reads (ms),
+    ``report``'s figures of it (ms), both written into workdir, and
+    ``sheep_positions`` at the log's times, the table behind report's path
+    overlay (ms)."""
     shepherd, dynamics = package.shepherd, package.dynamics
     cli = importlib.import_module(f"{package.__name__}.cli")  # not imported by the package
     sc = shepherd.generate_sheep_paths(seed=1, T=0.25)
@@ -498,8 +500,14 @@ def io_cases(package, workdir: str) -> dict:
     cli.write_trajectory_csv(path, log)
     header, data = cli._read_csv(path)
     rows = log.t.shape[0]
+
+    def report_columns(name):  # a run with an offline solution and its scenario file
+        return not name.startswith("f_")
+
     return {f"write_trajectory_csv_s.regret_chain_{rows}": (
                 lambda: cli.write_trajectory_csv(path, log), 1.0, 1),
+            f"read_csv_ms.regret_chain_{rows}": (
+                lambda: cli._read_csv(path, report_columns), 1e3, 1),
             f"render_run_figures_ms.regret_chain_{rows}": (
                 lambda: cli._render_run_figures(out, {}, header, data, out), 1e3, 1),
             f"sheep_positions_ms.regret_chain_{rows}": (

@@ -48,9 +48,10 @@ OBJECTIVE_NAMES = {"none": "none", "blacksheep": "black_sheep", "minaccel": "min
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-# A table of fewer values is formatted in one process: in a 48 MB process,
-# fork, pipe and wait cost about 3.5 ms, which is what repr takes for about
-# 5,000 floats.
+# A table of fewer values is formatted or parsed in one process.  In a 56 MB
+# process on a two-CPU host, fork, pipe and wait take about 0.56 ms, what repr
+# takes for about 1,700 floats and loadtxt for about 4,400 values; the bound
+# stays well above both, for the child's copy-on-write faults and a busy host.
 FORK_MIN_VALUES = 50_000
 
 
@@ -66,24 +67,55 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_two_processes(values, child, parent):
+    """Run ``parent(r)`` here and ``child(w)`` in a forked child, r and w the
+    ends of one pipe, if the table of ``values`` values holds at least
+    ``FORK_MIN_VALUES`` and this process may run on two or more CPUs of a host
+    with ``os.fork``.  Return ``(parent's value, the child's exit code)``, 1
+    if ``child`` raised, with the child reaped on every path; or None, with
+    neither run.  Python 3.12 warns at a fork in a process with other OS
+    threads, such as numpy's OpenBLAS pool, since a child taking a lock one
+    of them held would deadlock; these children take no lock (they format or
+    parse text and write the pipe), so that one warning is ignored here."""
+    if values < FORK_MIN_VALUES or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            child(w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        value = parent(r)
+    finally:
+        os.close(r)
+        status = os.waitpid(pid, 0)[1]
+    return value, os.waitstatus_to_exitcode(status)
+
+
 def write_trajectory_csv(path, log: TrajectoryLog) -> None:
     """Schema: t, x_0..x_{n-1}, lambda_0..lambda_{m-1}, f_0val, f_1..f_m,
     fit_1..fit_m, cost_accum.
 
-    A table of at least ``FORK_MIN_VALUES`` values, on a host with
-    ``os.fork`` where this process may run on two or more CPUs, is formatted
-    in two processes: this one formats the first half of the rows while one
-    child made with ``os.fork`` formats the second half and sends its text
-    through a pipe; the parent copies the pipe into the file after its own
-    rows and reaps the child on every path.  Both use the same row formatter,
-    so the bytes are those of the one-process loop that every other table
-    takes.  On Python 3.12 and later, ``os.fork`` warns (DeprecationWarning)
-    in a process with other OS threads, such as numpy's OpenBLAS pool, since a
-    child that took a lock held by one of them at the fork would deadlock.
-    The child here runs no BLAS and takes no lock: it formats floats, writes
-    the pipe and leaves through ``os._exit``.  So the writer ignores that one
-    warning around its fork, and only there, rather than let it reach the
-    caller's output or, under an error filter, fail a correct write.
+    A large table is formatted in two processes (``_in_two_processes``):
+    this one formats the first half of the rows while the child formats the
+    second half and sends its text through the pipe, which this one copies
+    into the file after its own rows.  Both use the same row formatter, so
+    the bytes are those of the one-process loop that every other table, or
+    a failed fork, takes.
     """
     n = log.x.shape[1]
     m_lam = log.lam.shape[1]
@@ -99,52 +131,26 @@ def write_trajectory_csv(path, log: TrajectoryLog) -> None:
     )
     table = np.column_stack([log.t, log.x, log.lam, log.f0, log.f, log.fit_accum,
                              log.cost_accum])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        if table.size < FORK_MIN_VALUES or not hasattr(os, "fork") or _usable_cpus() < 2:
-            fh.writelines(_csv_rows(table))
-        else:
-            _write_rows_forked(fh, table)
-
-
-def _write_rows_forked(fh, table) -> None:
-    """Write the rows of ``table`` to the text file ``fh``, the second half
-    formatted by a forked child (see ``write_trajectory_csv``)."""
     half = len(table) // 2
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no process to be had: format every row here
-        os.close(r)
-        os.close(w)
-        fh.writelines(_csv_rows(table))
-        return
-    if pid == 0:  # the child leaves only through os._exit, whatever is raised
-        code = 1
-        try:
-            os.close(r)
-            text = "".join(_csv_rows(table[half:])).encode()
-            with open(w, "wb") as pipe:
-                pipe.write(text)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
+
+    def child(w):
+        with open(w, "wb") as pipe:
+            pipe.write("".join(_csv_rows(table[half:])).encode())
+
+    def parent(r):
         fh.writelines(_csv_rows(table[:half]))
         fh.flush()
         while chunk := os.read(r, 1 << 16):
             fh.buffer.write(chunk)
-    finally:
-        os.close(r)  # a child still writing gets EPIPE and exits
-        status = os.waitpid(pid, 0)[1]
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        raise RuntimeError(f"the child process formatting rows {half} to {len(table) - 1} of "
-                           f"trajectory.csv exited with status {code}")
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        done = _in_two_processes(table.size, child, parent)
+        if done is None:
+            fh.writelines(_csv_rows(table))
+        elif done[1]:
+            raise RuntimeError(f"the child process formatting rows {half} to {len(table) - 1} "
+                               f"of trajectory.csv exited with status {done[1]}")
 
 
 def offline_to_dict(sol: OfflineSolution, objective: str) -> dict:
@@ -274,7 +280,10 @@ def cmd_simulate(args) -> int:
     s = argparse.Namespace()  # the settings merged, the numbers as floats
     for key, (types, default) in SIMULATE_SETTINGS.items():
         value = vars(args).get(key, cfg.get(key, default))
-        setattr(s, key, float(value) if types is _NUMBER and value is not None else value)
+        try:
+            setattr(s, key, float(value) if types is _NUMBER and value is not None else value)
+        except OverflowError:  # an integer beyond the floats, which only a config gives
+            raise ValueError(f"config key {key!r} is too large for a float") from None
     s.objective = OBJECTIVE_NAMES.get(s.objective, s.objective)
     if s.objective not in shepherd.OBJECTIVES:
         raise ValueError(f"objective must be one of {sorted(OBJECTIVE_NAMES)}")
@@ -382,12 +391,53 @@ def cmd_offline(args) -> int:
 
 def _read_csv(path, keep=lambda name: True):
     """The columns of a trajectory.csv whose names ``keep`` accepts: their
-    names in file order, and their values, parsed without the other columns."""
+    names in file order, and their values, parsed without the other columns.
+
+    A large table is parsed in two processes (``_in_two_processes``), split
+    at the row count that the middle row's length gives: the child parses the
+    rows after the split and sends their count and values through the pipe
+    into this process's array.  Both halves make the one call's parse of the
+    same text, so the array is that call's.
+    If the child fails or warns, or this half warns of a line of no data (the
+    child's ``skiprows`` counts it, so the halves would overlap), the table
+    is parsed again in that one call, which raises as it does alone.
+    """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
+        line = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+        fh.buffer.seek(size // 2)
+        fh.buffer.readline()
+        half = (size - len(line)) // max(len(fh.buffer.readline()), 1) // 2
+    header = line.strip().split(",")
     cols = [i for i, name in enumerate(header) if keep(name)]
-    return [header[i] for i in cols], np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                                                 usecols=cols)
+
+    def parse(**rows):
+        return np.loadtxt(path, delimiter=",", ndmin=2, usecols=cols, **rows)
+
+    def child(w):
+        warnings.simplefilter("error")  # an empty half warns
+        rest = parse(skiprows=1 + half)
+        with open(w, "wb") as pipe:
+            pipe.write(np.int64(len(rest)).tobytes())
+            pipe.write(rest)
+
+    def parent(r):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            top = parse(skiprows=1, max_rows=half)
+        count = np.zeros(1, np.int64)
+        with open(r, "rb", closefd=False) as pipe:
+            if caught or pipe.readinto(count) < count.nbytes:
+                return None
+            data = np.empty((half + int(count[0]), len(cols)))
+            data[:half] = top
+            return data if pipe.readinto(data[half:]) == data[half:].nbytes else None
+
+    # No float's repr is longer than 24 characters: this many values at least.
+    data, code = _in_two_processes((size - len(line)) // 25, child, parent) or (None, 1)
+    if data is None or code:
+        data = parse(skiprows=1)
+    return [header[i] for i in cols], data
 
 
 def _cols(header, prefix):

@@ -51,6 +51,7 @@ environment instead keeps one table per scenario for both kinds of caller.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -79,7 +80,7 @@ class EvaluatorError(RuntimeError):
 def saturation_level(delta: float) -> float:
     """``delta`` as a float, the level a saturated environment floors its
     constraints at; a ValueError unless it is positive and finite."""
-    if not 0.0 < delta < np.inf:
+    if not 0.0 < delta <= sys.float_info.max:  # an int may be beyond the floats
         raise ValueError("saturation level delta must be positive and finite")
     return float(delta)
 

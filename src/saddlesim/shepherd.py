@@ -712,6 +712,8 @@ def from_json(cls, d: dict, what: str, finite_except=()):
             continue
         try:
             values[k] = _JSON_FIELDS[t][1](d[k])
+        except OverflowError:  # an integer beyond the floats
+            raise ValueError(f"{what} field {k!r} holds a number too large for a float") from None
         except (TypeError, ValueError):  # a list that is no rectangle of numbers
             raise ValueError(f"{what} field {k!r} is not an array of numbers") from None
         if (t in ("float", "np.ndarray") and k not in finite_except

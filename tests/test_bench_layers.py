@@ -30,6 +30,7 @@ TIMED_LAYERS = (
 # Layers timed only since ``ab`` held them all.
 AB_LAYERS = ("simulate_us_per_step.ensemble_feasibility_sat_rows", "raw_us.none_saturated.n12",
              "raw_us.none_saturated.n60", "sheep_positions_ms.regret_chain_2501",
+             "read_csv_ms.regret_chain_2501",
              "check_block_us.block512.R1.n12.nan_at_last_node",
              "check_block_us.block512.R2.n60.nan_at_last_node")
 # The one-action grid Lagrangian is the multiplier loop's black-sheep evaluation.

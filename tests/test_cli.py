@@ -392,6 +392,199 @@ def test_writer_emits_no_warning(tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def _edge_csv(path, rows=2501):
+    """The trajectory.csv of ``_wide_log(rows)`` with EDGE_FLOATS in its
+    first and its last row, so in both halves of a split parse."""
+    log = _wide_log(rows)
+    log.x[0, 7:24] = log.x[-1, 7:24] = EDGE_FLOATS
+    cli.write_trajectory_csv(path, log)
+    return path
+
+
+def _read_alone(monkeypatch, path, keep=lambda name: True):
+    """``_read_csv`` with ``FORK_MIN_VALUES`` above the table's size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "FORK_MIN_VALUES", path.stat().st_size)
+        return cli._read_csv(path, keep)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("columns", ["all", "report"])
+def test_large_csv_parses_to_the_one_process_array(tmp_path, monkeypatch, columns):
+    path = _edge_csv(tmp_path / "t.csv")
+    # A saturated run whose scenario file exists: report reads t, the
+    # actions, the multipliers, f_1..f_m and the fits.
+    keep = ((lambda name: True) if columns == "all" else
+            cli._report_columns({"delta": 0.1, "scenario_file": str(path)}, None))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    calls = _counting_fork(monkeypatch)
+    header, two = cli._read_csv(path, keep)
+    assert calls == [1]
+    _assert_no_child()
+    assert len(header) == (78 if columns == "all" else 76) and two.shape == (2501, len(header))
+    edges = [header.index(f"x_{i}") for i in range(7, 24)]
+    assert two[0, edges].tobytes() == two[-1, edges].tobytes() == np.array(EDGE_FLOATS).tobytes()
+    one_header, one = _read_alone(monkeypatch, path, keep)
+    assert calls == [1]
+    assert one_header == header and one.shape == two.shape and one.tobytes() == two.tobytes()
+
+
+def test_failed_fork_leaves_every_row_to_this_parse(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    path = _edge_csv(tmp_path / "t.csv")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli._read_csv(path)[1].tobytes() == _read_alone(monkeypatch, path)[1].tobytes()
+    _assert_no_child()
+
+
+def test_small_csv_is_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked below FORK_MIN_VALUES")
+
+    path = _edge_csv(tmp_path / "t.csv", 641)
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(np, "loadtxt", counted)
+    assert 641 * 78 < cli.FORK_MIN_VALUES
+    assert cli._read_csv(path)[1].shape == (641, 78)
+    assert calls == [((path,), {"delimiter": ",", "ndmin": 2, "usecols": list(range(78)),
+                                "skiprows": 1})]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_malformed_row_gives_the_one_process_error(tmp_path, monkeypatch, capsys, where):
+    # A bad value in the child's half is parsed again whole, so loadtxt's
+    # "at row N" counts from the file's first row, not the child's; one in
+    # this process's half raises from its own parse, which has that count.
+    run = tmp_path / "run"
+    run.mkdir()
+    path = _edge_csv(run / "trajectory.csv")
+    lines = path.read_text().splitlines(keepends=True)
+    row = 1 if where == "first" else len(lines) - 1
+    lines[row] = "0.1x" + lines[row][lines[row].index(","):]  # t, which report reads
+    path.write_text("".join(lines))
+    (run / "metrics.json").write_text("{}")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError) as alone:
+        _read_alone(monkeypatch, path)
+    assert f"could not convert string '0.1x' to float64 at row {row - 1}," in str(alone.value)
+    calls = _counting_fork(monkeypatch)
+    with pytest.raises(ValueError) as split:
+        cli._read_csv(path)
+    assert calls == [1] and str(split.value) == str(alone.value)
+    _assert_no_child()
+
+    assert run_cli("report", "--results", run) == cli.EXIT_USAGE
+    forked = capsys.readouterr()
+    monkeypatch.setattr(cli, "FORK_MIN_VALUES", path.stat().st_size)
+    assert run_cli("report", "--results", run) == cli.EXIT_USAGE
+    assert capsys.readouterr() == forked
+    assert forked.err == f"usage error: {alone.value}\n" and calls == [1, 1]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("line", ["", "# a comment"], ids=["blank", "comment"])
+def test_a_line_of_no_data_before_the_split_is_parsed_whole(tmp_path, monkeypatch, line):
+    # Lines of no data are skipped by the parse but counted by the child's
+    # skiprows: the halves would overlap by one row.
+    path = _edge_csv(tmp_path / "t.csv")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + [line + "\n"] + lines[5:]))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    calls = _counting_fork(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two = cli._read_csv(path)[1]
+    assert calls == [1] and two.shape == (2501, 78)
+    assert two.tobytes() == _read_alone(monkeypatch, path)[1].tobytes()
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_failed_half_of_a_parse(tmp_path, monkeypatch, failing):
+    # A child that fails leaves the whole parse to this process; a failure
+    # of this process's half propagates.
+    path = _edge_csv(tmp_path / "t.csv")
+    alone = _read_alone(monkeypatch, path)[1]
+    parent, loadtxt = os.getpid(), np.loadtxt
+
+    def half_fails(*args, **kwargs):
+        if ((failing == "child" and os.getpid() != parent)
+                or (failing == "parent" and "max_rows" in kwargs)):
+            raise _Boom(failing)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np, "loadtxt", half_fails)
+    calls = _counting_fork(monkeypatch)
+    if failing == "child":
+        assert cli._read_csv(path)[1].tobytes() == alone.tobytes()
+    else:
+        with pytest.raises(_Boom, match="parent"):
+            cli._read_csv(path)
+    assert calls == [1]
+    _assert_no_child()
+
+
+def test_reader_emits_no_warning(tmp_path, monkeypatch):
+    path = _edge_csv(tmp_path / "t.csv")
+    alone = _read_alone(monkeypatch, path)[1]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    fork = os.fork
+
+    def fork_warning_as_312():  # Python 3.12+ in a process with other OS threads
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli._read_csv(path)[1].tobytes() == alone.tobytes()
+        monkeypatch.setattr(os, "fork", fork_warning_as_312)
+        assert cli._read_csv(path)[1].tobytes() == alone.tobytes()
+    _assert_no_child()
+
+
+def test_report_of_a_large_run_is_the_one_process_report(scenario_file, offline_file, tmp_path,
+                                                         monkeypatch, capsys):
+    run = tmp_path / "res" / "saddle"
+    assert run_cli("simulate", "--scenario", scenario_file, "--mode", "saddle", "--objective",
+                   "blacksheep", "--epsilon", 50, "--step", 4e-4, "--stride", 1,
+                   "--offline", offline_file, "--out", run) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    calls = _counting_fork(monkeypatch)
+    assert run_cli("report", "--results", tmp_path / "res", "--out", tmp_path / "two") == 0
+    assert calls == [1]
+    two = capsys.readouterr()
+    monkeypatch.setattr(cli, "FORK_MIN_VALUES", (run / "trajectory.csv").stat().st_size)
+    assert run_cli("report", "--results", tmp_path / "res", "--out", tmp_path / "one") == 0
+    assert calls == [1] and capsys.readouterr() == two
+    assert len((run / "trajectory.csv").read_text().splitlines()) == 2502
+    svgs = sorted(p.name for p in (tmp_path / "one" / "saddle").iterdir())
+    assert svgs == ["fit_vs_t.svg", "lambda_vs_t.svg", "path_overlay.svg", "regret_vs_t.svg"]
+    for name in svgs:
+        assert ((tmp_path / "two" / "saddle" / name).read_bytes()
+                == (tmp_path / "one" / "saddle" / name).read_bytes())
+    _assert_no_child()
+
+
 def test_simulate_missing_scenario_is_usage_error(tmp_path):
     code = run_cli("simulate", "--scenario", tmp_path / "nope.json", "--out", tmp_path / "o")
     assert code == cli.EXIT_USAGE
@@ -989,6 +1182,11 @@ def test_scenario_value_types_are_usage_errors(scenario_file, tmp_path, capsys):
      "scenario field 'sheep_coeffs' has 96 values, not the 120 of its shape (5, 2, 12)"),
     ("waypoints", lambda v: v[:-1],
      "scenario field 'waypoints' has 4 values, not the 6 of its shape (3, 2)"),
+    # An integer beyond the floats was an OverflowError traceback.
+    pytest.param("T", 10 ** 400, "scenario field 'T' holds a number too large for a float",
+                 id="T-beyond_the_floats"),
+    ("xdagger", lambda v: v[:3] + [-10 ** 400] + v[4:],
+     "scenario field 'xdagger' holds a number too large for a float"),
 ])
 def test_scenario_value_ranges_are_usage_errors(scenario_file, tmp_path, capsys, key, value,
                                                 message):
@@ -1066,11 +1264,13 @@ def test_input_files_of_the_wrong_shape_are_usage_errors(scenario_file, tmp_path
     ({"stride": [10]}, "config key 'stride' has the wrong type: [10]"),
     ({"objective": ["blacksheep"]}, "config key 'objective' has the wrong type"),
     ({"delta": True}, "config key 'delta' has the wrong type: true"),
+    # An integer beyond the floats was an OverflowError traceback.
+    ({"delta": 10 ** 400}, "config key 'delta' is too large for a float"),
     # Flags have argparse's choices; config values are checked by the command.
     ({"mode": "fast"}, "mode must be one of"),
     ({"objective": "cheap"}, "objective must be one of"),
 ], ids=["inline_unknown", "inline_null", "inline_list", "null", "list", "unhashable", "bool",
-        "mode_choice", "objective_choice"])
+        "beyond_the_floats", "mode_choice", "objective_choice"])
 def test_config_value_types_are_usage_errors(scenario_file, tmp_path, capsys, cfg, message):
     cfg = {"version": 1, "scenario": str(scenario_file), "mode": "feasibility",
            "out": str(tmp_path / "o"), **cfg}

@@ -99,6 +99,13 @@ def test_saturate_rejects_nonpositive_delta():
         env.saturate(0.0)
 
 
+def test_saturate_rejects_an_int_beyond_the_floats():
+    # float() of it raised OverflowError.
+    env = from_functions(n=1, m=0)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        env.saturate(10 ** 400)
+
+
 def test_saturated_constraints_floor_and_convexity(rng, small_scenario):
     delta = 0.1
     env = shepherd.shepherd_env(small_scenario, "none").saturate(delta)

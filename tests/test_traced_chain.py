@@ -3,10 +3,15 @@
 method of the package and rebuilds each environment ``shepherd_env`` returns
 with ``dataclasses.replace`` on the names it knows.  A change that renames
 what the tracer wraps passes the untraced runs and fails the traced one, so
-a small CLI chain is run both ways here and must write the same bytes."""
+a small CLI chain is run both ways here and must write the same bytes.
+Both runs write and parse every trajectory.csv in two processes, so that
+the forked paths run under the tracer too."""
 
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 from saddlesim import cli
 
@@ -26,28 +31,44 @@ CHAIN = (
 
 
 def run_chain(root: Path, monkeypatch, capsys):
-    """Each command's exit code and output, and every file the chain wrote
-    under ``root``, run there with relative paths."""
+    """Each command's exit code and output, every file the chain wrote under
+    ``root``, run there with relative paths, and the number of ``os.fork``
+    calls: every trajectory.csv is written and parsed in two processes."""
     root.mkdir()
     monkeypatch.chdir(root)
-    codes = [(cli.main(list(argv)), capsys.readouterr()) for argv in CHAIN]
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "FORK_MIN_VALUES", 1)
+        patch.setattr(cli, "_usable_cpus", lambda: 2)
+        patch.setattr(os, "fork", counted)
+        codes = [(cli.main(list(argv)), capsys.readouterr()) for argv in CHAIN]
     files = {p.relative_to(root).as_posix(): p.read_bytes()
              for p in sorted(root.rglob("*")) if p.is_file()}
-    return codes, files
+    return codes, files, len(forks)
 
 
 def test_a_traced_chain_writes_the_bytes_of_an_untraced_one(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    plain_codes, plain_files = run_chain(tmp_path / "plain", monkeypatch, capsys)
+    plain_codes, plain_files, plain_forks = run_chain(tmp_path / "plain", monkeypatch, capsys)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced_codes, traced_files = run_chain(tmp_path / "traced", monkeypatch, capsys)
+        traced_codes, traced_files, traced_forks = run_chain(tmp_path / "traced", monkeypatch,
+                                                             capsys)
     finally:
         tracer.uninstall()
     assert [code for code, _ in plain_codes] == [0] * len(CHAIN)
     assert traced_codes == plain_codes
     assert len(plain_files) >= 12 and traced_files == plain_files
+    # Three runs, each trajectory.csv written by simulate and parsed by report.
+    assert plain_forks == traced_forks == 6
     assert len(tracer.spans()["names"]) > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
